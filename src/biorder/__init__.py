@@ -4,14 +4,14 @@ from .exactalg import (Factor, FactorReport, IntMatrix, NonSquarefreeError,
                        Poly, SturmChain, ZeroPolynomialError,
                        all_roots_positive_real, char_poly, count_negative_roots,
                        count_positive_roots, count_real_roots, factor_over_Q,
-                       has_positive_real_root, poly_divmod, rational_roots,
+                       has_positive_real_root, rational_roots,
                        squarefree_decomposition, squarefree_part, sturm_count)
 from .freegroup import (FreeMap, Generator, NotAnAutomorphismError, Word,
                         apply_map, commutator, compose, format_word, identity,
                         identity_map, invert, letter, multiply, parse_word,
                         reduce, verify_automorphism)
-from .lcs import (LyndonBasis, QuotientAction, abelianization_matrix,
-                  lcs_action, lyndon_basis, lyndon_words, witt_number)
+from .lcs import (LyndonBasis, QuotientAction, lcs_action, lyndon_basis,
+                  lyndon_words, witt_number)
 from .magnus import (EQ, GT, LT, LowestTerm, Series, compare, expand, in_gamma,
                      is_infinitesimal, lowest_term, magnitude, series_mul, sign)
 from .orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
@@ -23,7 +23,7 @@ from .orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
 from .presentation import (PresentationError, PresentationFile,
                            parse_presentation, serialize_presentation)
 from .verdict import (AnalysisReport, KnotRecord, LevelReport, Verdict, analyze,
-                      classify_zd, cr1_necessary, cr_sufficient,
-                      lambda_block_obstruction, necessary_positive_eigenvalue)
+                      classify_zd, lambda_block_obstruction,
+                      necessary_positive_eigenvalue)
 
 __version__ = "0.1.0"

@@ -74,9 +74,9 @@ def _level_dict(level, names) -> dict:
             for f in level.factors.factors
         ],
         "flags": {
-            "has_rational_root": level.has_rational_root,
-            "all_factors_have_positive_root": level.all_factors_have_positive_root,
-            "some_factor_all_Lambda": level.some_factor_all_lambda,
+            "has_rational_root": level.factors.has_rational_root,
+            "all_factors_have_positive_root": level.factors.all_factors_have_positive_root,
+            "some_factor_all_Lambda": level.factors.some_factor_all_lambda,
         },
     }
 
@@ -121,9 +121,10 @@ def analysis_to_text(report: AnalysisReport) -> str:
                        f"  pos-real-roots={f.positive_real_roots}"
                        f" neg-real-roots={f.negative_real_roots}"
                        f" real-roots={f.real_roots}")
-        out.append(f"  flags: has_rational_root={level.has_rational_root}"
-                   f" all_factors_have_positive_root={level.all_factors_have_positive_root}"
-                   f" some_factor_all_Lambda={level.some_factor_all_lambda}")
+        flags = level.factors
+        out.append(f"  flags: has_rational_root={flags.has_rational_root}"
+                   f" all_factors_have_positive_root={flags.all_factors_have_positive_root}"
+                   f" some_factor_all_Lambda={flags.some_factor_all_lambda}")
     out.append("")
     out.append("premises: " + " ".join(f"{k}={v}" for k, v in report.premises.items()))
     v = report.verdict
@@ -269,8 +270,12 @@ def _load_map(target: str) -> tuple[FreeMap, tuple[str, ...]]:
 
 
 def _cmd_probe(ns) -> int:
-    cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
-                      max_word_length=ns.max_word_length, search_bound=ns.bound)
+    try:
+        cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
+                          max_word_length=ns.max_word_length, search_bound=ns.bound)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     names = tuple(ns.generators.split())
     phi = None
     if ns.map:

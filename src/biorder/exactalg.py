@@ -195,11 +195,6 @@ class Poly:
         return (self.degree, self.coeffs)
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of p by q over the rationals."""
-    return divmod(p, q)
-
-
 # ---------------------------------------------------------------------------
 # integer matrices
 # ---------------------------------------------------------------------------
@@ -606,8 +601,13 @@ def _hensel_lift(p, f, modular_factors, l):
             + _hensel_lift(p, _sym_poly(hi, pl), modular_factors[k:], l))
 
 
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
+def _odd_primes():
+    """3, 5, 7, 11, ... without end."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
 
 def _factor_squarefree(f: Poly) -> list[Poly]:
@@ -618,18 +618,15 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     height = max(abs(c) for c in f.coeffs)
     # Landau-Mignotte style bound on factor coefficients
     bound = (math.isqrt(f.degree + 1) + 1) * (2 ** f.degree) * height * abs(lc)
-    for p in _SMALL_PRIMES:
+    # only the finitely many primes dividing lc * disc(f) are unsuitable
+    for p in _odd_primes():
         if lc % p == 0:
             continue
         fp = _gf_monic(_gf_from_poly(f, p), p)
-        if len(fp) - 1 != f.degree:
-            continue
         dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
         if not dfp or len(_gf_gcd(fp, dfp, p)) - 1 != 0:
             continue
         break
-    else:  # pragma: no cover - the prime list is ample for small degrees
-        raise ArithmeticError("no suitable prime found for factorization")
     modular = sorted(_berlekamp(fp, p), key=lambda u: (len(u), u))
     if len(modular) == 1:
         return [f]
@@ -707,7 +704,7 @@ class FactorReport:
 
     @property
     def all_factors_have_positive_root(self) -> bool:
-        return all(f.positive_real_roots >= 1 for f in self.factors)
+        return not self.some_factor_all_lambda
 
     @property
     def some_factor_all_lambda(self) -> bool:
@@ -728,13 +725,8 @@ def factor_over_Q(p: Poly) -> FactorReport:
         for irr in _factor_squarefree(sq_factor):
             factors.append((irr, mult))
     factors.sort(key=lambda fm: fm[0].key())
-    entries = []
-    for poly, mult in factors:
-        pos = count_positive_roots(poly)
-        neg = count_negative_roots(poly)
-        tot = count_real_roots(poly)
-        entries.append(Factor(poly, mult, pos, neg, tot))
-    return FactorReport(input=p, content=Fraction(c), factors=tuple(entries))
+    entries = tuple(Factor(poly, mult, *_root_counts(poly)) for poly, mult in factors)
+    return FactorReport(input=p, content=Fraction(c), factors=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +801,22 @@ def count_positive_roots(p: Poly) -> int:
 
 def count_negative_roots(p: Poly) -> int:
     """Distinct roots in the open interval (-oo, 0)."""
-    n = sturm_count(p, None, 0)
-    if p.degree >= 1 and p(0) == 0:
-        n -= 1  # (lo, 0] includes a root at 0; the open interval must not
-    return n
+    return _root_counts(p)[1]
+
+
+def _root_counts(p: Poly) -> tuple[int, int, int]:
+    """Distinct (positive, negative, real) roots of squarefree p, one Sturm chain."""
+    if p.is_zero:
+        raise ZeroPolynomialError("root count of zero polynomial")
+    if p.degree < 1:
+        return 0, 0, 0
+    chain = SturmChain.build(p)
+    below = chain.variations_at_neg_inf()
+    at_zero = chain.variations_at(0)
+    above = chain.variations_at_pos_inf()
+    # (-oo, 0] includes a root at 0; the open interval (-oo, 0) must not
+    root_at_zero = p.constant == 0
+    return at_zero - above, below - at_zero - root_at_zero, below - above
 
 
 # ---------------------------------------------------------------------------

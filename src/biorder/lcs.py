@@ -129,11 +129,6 @@ class QuotientAction:
     matrix: IntMatrix
 
 
-def abelianization_matrix(phi: FreeMap) -> IntMatrix:
-    """Column j = exponent-sum vector of the image of generator j."""
-    return abelianized(phi)
-
-
 def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
                      basis_parts: list[dict[Monomial, int]]) -> list[int]:
     """Coordinates of a degree-k Lie element in the Lyndon basis.
@@ -169,7 +164,7 @@ def lcs_action(phi: FreeMap, k: int, cap: int = DEFAULT_DEGREE_CAP) -> QuotientA
         raise NotAnAutomorphismError(report.detail)
     basis = lyndon_basis(phi.rank, k, cap)
     if k == 1:
-        return QuotientAction(1, basis, abelianization_matrix(phi))
+        return QuotientAction(1, basis, abelianized(phi))
     basis_parts = [expand(e.bracket, k).homogeneous_part(k) for e in basis.elements]
     columns = []
     for element in basis.elements:

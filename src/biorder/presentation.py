@@ -14,8 +14,9 @@ Format (canonical serialization is byte-exact):
       ...
 
 Words use the usual convention: lowercase = generator, uppercase = inverse,
-`e` = identity.  The `inverse:` block is optional; when present it must be
-complete and lets verification confirm the map is an automorphism.
+`e` = identity, so `e` cannot name a generator.  The `inverse:` block is
+optional; when present it must be complete and lets verification confirm the
+map is an automorphism.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ def parse_presentation(text: str) -> PresentationFile:
                 if len(g) != 1 or not ("a" <= g <= "z"):
                     raise PresentationError(
                         f"generator {g!r} must be one lowercase letter", lineno)
+                if g == "e":
+                    raise PresentationError(
+                        "generator 'e' is reserved for the identity word", lineno)
             if len(set(names)) != len(names):
                 raise PresentationError("duplicate generator names", lineno)
             block = None

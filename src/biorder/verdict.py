@@ -14,7 +14,10 @@ combines the following rules, checked in the order R1, R2, R4, R3, R5:
       no positive real root                              -> NOT_BIORDERABLE
   R5  otherwise                                          -> NO_OBSTRUCTION_FOUND
 
-Premise flags for every rule are recorded even when the rule does not fire.
+Every premise is a function of the fibered flag and the factor reports of
+levels 0 and 1 alone: the irreducible factors of char(M) and char(N) over Q,
+their multiplicities and their positive-root counts.  Premise flags for every
+rule are recorded even when the rule does not fire.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import (FactorReport, IntMatrix, Poly, char_poly, factor_over_Q,
-                       has_positive_real_root, all_roots_positive_real,
-                       rational_roots)
+                       has_positive_real_root)
 from .freegroup import (FreeMap, NotAnAutomorphismError, verify_automorphism)
 from .lcs import DEFAULT_DEGREE_CAP, QuotientAction, lcs_action
 
@@ -89,9 +91,6 @@ class LevelReport:
     action: QuotientAction
     char_poly: Poly
     factors: FactorReport
-    has_rational_root: bool
-    all_factors_have_positive_root: bool
-    some_factor_all_lambda: bool
 
 
 @dataclass(frozen=True)
@@ -144,24 +143,6 @@ def lambda_block_obstruction(a: IntMatrix) -> bool:
 # knot-level criteria
 # ---------------------------------------------------------------------------
 
-def _level0_char_poly(record: KnotRecord) -> Poly:
-    return char_poly(lcs_action(record.phi, 1).matrix)
-
-
-def cr_sufficient(record: KnotRecord) -> Verdict | None:
-    """BIORDERABLE when fibered and all Alexander roots are positive real."""
-    if record.fibered and all_roots_positive_real(_level0_char_poly(record)):
-        return Verdict(BIORDERABLE, 0, "R4", JUSTIFICATIONS["R4"])
-    return None
-
-
-def cr1_necessary(record: KnotRecord) -> Verdict | None:
-    """NOT_BIORDERABLE when fibered and no Alexander root is positive real."""
-    if record.fibered and not has_positive_real_root(_level0_char_poly(record)):
-        return Verdict(NOT_BIORDERABLE, 0, "R1", JUSTIFICATIONS["R1"])
-    return None
-
-
 def level_report(record: KnotRecord, level: int,
                  cap: int = DEFAULT_DEGREE_CAP, max_degree: int = 8) -> LevelReport:
     action = lcs_action(record.phi, level + 1, cap)
@@ -169,16 +150,7 @@ def level_report(record: KnotRecord, level: int,
     if cp.degree > max_degree:
         raise AnalysisError(
             f"characteristic polynomial degree {cp.degree} exceeds cap {max_degree}")
-    factors = factor_over_Q(cp)
-    return LevelReport(
-        level=level,
-        action=action,
-        char_poly=cp,
-        factors=factors,
-        has_rational_root=bool(rational_roots(cp)),
-        all_factors_have_positive_root=factors.all_factors_have_positive_root,
-        some_factor_all_lambda=factors.some_factor_all_lambda,
-    )
+    return LevelReport(level, action, cp, factor_over_Q(cp))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -209,12 +181,14 @@ def analyze(record: KnotRecord, max_level: int = 1,
             f"{record.name}: monodromy is not an automorphism ({report.detail})")
     levels = tuple(level_report(record, lv, cap, max_degree)
                    for lv in range(max_level + 1))
-    l0 = levels[0]
+    char_m = levels[0].factors
+    # positive roots of char(M), counted with multiplicity
+    positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)
     premises: dict[str, bool | None] = {
-        "R1": record.fibered and not has_positive_real_root(l0.char_poly),
-        "R2": (not l0.has_rational_root) and l0.some_factor_all_lambda,
-        "R3": levels[1].some_factor_all_lambda if max_level >= 1 else None,
-        "R4": record.fibered and all_roots_positive_real(l0.char_poly),
+        "R1": record.fibered and positive == 0,
+        "R2": (not char_m.has_rational_root) and char_m.some_factor_all_lambda,
+        "R3": levels[1].factors.some_factor_all_lambda if max_level >= 1 else None,
+        "R4": record.fibered and positive == char_m.input.degree,
     }
     verdict = combine_rules(premises, max_level)
     return AnalysisReport(record, levels, premises, verdict)

@@ -42,6 +42,13 @@ class TestPresentationFormat:
         with pytest.raises(PresentationError, match="line 6"):
             parse_presentation(text)
 
+    def test_generator_named_e_has_line_number(self):
+        # `e` spells the identity word, so it cannot also name a generator
+        text = "name: t\nfibered: true\ngenerators: d e\nmap:\n  d -> e\n  e -> d\n"
+        with pytest.raises(PresentationError, match="line 3") as info:
+            parse_presentation(text)
+        assert info.value.line == 3
+
     def test_duplicate_map_line(self):
         text = "name: t\nfibered: true\ngenerators: a b\nmap:\n  a -> b\n  a -> a\n  b -> a\n"
         with pytest.raises(PresentationError, match="line 6.*duplicate"):
@@ -200,3 +207,10 @@ class TestUsage:
 
     def test_bad_format_value(self, capsys):
         assert cli.main(["analyze", "corpus:6_2", "--format", "xml"]) == cli.EXIT_USAGE
+
+    def test_probe_sizes_below_one(self, capsys):
+        assert cli.main(["probe", "subgroup", "--g", "x", "--samples", "0"]) == cli.EXIT_USAGE
+        assert "error: samples must be >= 1" in capsys.readouterr().err
+        assert cli.main(["probe", "subgroup", "--g", "x",
+                         "--max-word-length", "0"]) == cli.EXIT_USAGE
+        assert "error: max_word_length must be >= 1" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly,
                               char_poly, count_negative_roots,
                               count_positive_roots, count_real_roots,
                               factor_over_Q, has_positive_real_root,
-                              poly_divmod, rational_roots,
+                              rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
 from helpers import (cofactor_char_poly, random_matrix,
@@ -52,23 +53,23 @@ class TestCharPoly:
 
 class TestPolyDivmod:
     def test_exact_linear_division(self):
-        q, r = poly_divmod(Poly([-1, 0, 1]), Poly([-1, 1]))
+        q, r = divmod(Poly([-1, 0, 1]), Poly([-1, 1]))
         assert (q, r) == (Poly([1, 1]), Poly())
 
     def test_sextic_by_linear_matches_synthetic_division(self):
-        q, r = poly_divmod(SEXTIC_6_2, Poly([-1, 1]))
+        q, r = divmod(SEXTIC_6_2, Poly([-1, 1]))
         desc, rem = synthetic_division(list(reversed(SEXTIC_6_2.coeffs)), 1)
         assert rem == 0 and r.is_zero
         assert q == Poly(list(reversed(desc)))
         assert q == Poly([-1, 2, -6, 6, -2, 1])
 
     def test_remainder(self):
-        q, r = poly_divmod(Poly([1, 0, 1]), Poly([0, 1]))
+        q, r = divmod(Poly([1, 0, 1]), Poly([0, 1]))
         assert (q, r) == (Poly([0, 1]), Poly([1]))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroPolynomialError):
-            poly_divmod(Poly([1]), Poly())
+            divmod(Poly([1]), Poly())
 
     def test_divmod_identity_on_random_pairs(self):
         rng = random.Random(33)
@@ -77,7 +78,7 @@ class TestPolyDivmod:
             q = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
             if q.is_zero:
                 continue
-            quo, rem = poly_divmod(p, q)
+            quo, rem = divmod(p, q)
             assert quo * q + rem == p
             assert rem.degree < max(q.degree, 0) or rem.is_zero
 
@@ -174,6 +175,7 @@ class TestFactorOverQ:
 
     def test_reconstruction_on_random_inputs(self):
         rng = random.Random(35)
+        saw_root_at_zero = False
         for _ in range(120):
             p = Poly([rng.randint(-8, 8) for _ in range(rng.randint(2, 7))])
             if p.is_zero or p.degree < 1:
@@ -186,6 +188,12 @@ class TestFactorOverQ:
                 if 1 < f.poly.degree <= 3:
                     # an irreducible cubic or quadratic has no rational root
                     assert rational_roots(f.poly) == []
+                # one chain per factor agrees with one chain per interval
+                assert (f.positive_real_roots, f.negative_real_roots, f.real_roots) == (
+                    count_positive_roots(f.poly), count_negative_roots(f.poly),
+                    count_real_roots(f.poly))
+                saw_root_at_zero = saw_root_at_zero or f.poly == Poly([0, 1])
+        assert saw_root_at_zero
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -203,6 +211,16 @@ class TestFactorOverQ:
         assert [f.poly for f in report.factors] == [
             Poly([-2, 0, 1]), Poly([2, -2, 1]), Poly([2, 0, 1]), Poly([2, 2, 1])]
         assert report.reconstruct() == p
+
+    def test_input_singular_modulo_many_small_primes(self):
+        # t^2 - D with D = 3 * 5 * ... * 127 is a square mod each of these
+        # primes, so the first prime usable for the modular factorization is 131
+        d = math.prod(p for p in range(3, 128, 2)
+                      if all(p % q for q in range(3, p, 2)))
+        report = factor_over_Q(Poly([-d, 0, 1]))
+        assert [(f.poly, f.multiplicity) for f in report.factors] == [(Poly([-d, 0, 1]), 1)]
+        f = report.factors[0]
+        assert (f.positive_real_roots, f.negative_real_roots, f.real_roots) == (1, 1, 2)
 
     def test_non_monic_split(self):
         report = factor_over_Q(Poly([-1, 1, 6]))  # (3x - 1)(2x + 1)

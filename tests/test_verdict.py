@@ -3,16 +3,18 @@ import random
 import pytest
 
 from biorder.corpus import corpus_entries, corpus_entry
-from biorder.exactalg import IntMatrix
-from biorder.freegroup import FreeMap, NotAnAutomorphismError
+from biorder.exactalg import (IntMatrix, all_roots_positive_real,
+                              has_positive_real_root, rational_roots)
+from biorder.freegroup import FreeMap, NotAnAutomorphismError, abelianized
 from biorder.lcs import lcs_action
 from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
-                             classify_zd, combine_rules, cr1_necessary,
-                             cr_sufficient, lambda_block_obstruction,
+                             classify_zd, combine_rules,
+                             lambda_block_obstruction,
                              necessary_positive_eigenvalue)
-from helpers import W, random_unimodular_matrix
+from helpers import (W, cofactor_char_poly, random_automorphism,
+                     random_unimodular_matrix)
 
 M_TREFOIL = IntMatrix.from_rows([[0, -1], [1, 1]])
 M_FIGURE8 = IntMatrix.from_rows([[2, 1], [1, 1]])
@@ -70,30 +72,67 @@ class TestEigenvaluePredicates:
         assert not lambda_block_obstruction(IntMatrix.from_rows([[2, 0], [0, 3]]))
 
 
+def level0_premises(record):
+    return analyze(record, max_level=0).premises
+
+
 class TestFiberedCriteria:
     def test_figure8_sufficient(self):
-        verdict = cr_sufficient(knot("figure8"))
-        assert verdict is not None and verdict.outcome == BIORDERABLE
+        report = analyze(knot("figure8"), max_level=0)
+        assert report.premises["R4"]
+        assert report.verdict.outcome == BIORDERABLE
 
     def test_trefoil_no_sufficiency_conclusion(self):
-        assert cr_sufficient(knot("trefoil")) is None
+        assert not level0_premises(knot("trefoil"))["R4"]
 
     def test_6_2_no_sufficiency_conclusion(self):
-        assert cr_sufficient(knot("6_2")) is None
+        assert not level0_premises(knot("6_2"))["R4"]
 
     def test_trefoil_necessary_fires(self):
-        verdict = cr1_necessary(knot("trefoil"))
-        assert verdict is not None and verdict.outcome == NOT_BIORDERABLE
+        report = analyze(knot("trefoil"), max_level=0)
+        assert report.premises["R1"]
+        assert report.verdict.outcome == NOT_BIORDERABLE
 
     def test_figure8_no_necessity_conclusion(self):
-        assert cr1_necessary(knot("figure8")) is None
+        assert not level0_premises(knot("figure8"))["R1"]
 
     def test_fibered_flag_gates_both_rules(self):
         trefoil = knot("trefoil")
         unflagged = KnotRecord(name="not-fibered", phi=trefoil.phi, fibered=False,
                                generator_names=trefoil.generator_names)
-        assert cr1_necessary(unflagged) is None
-        assert cr_sufficient(unflagged) is None
+        premises = level0_premises(unflagged)
+        assert premises["R1"] is False
+        assert premises["R4"] is False
+
+
+class TestPremisesAgainstRootPredicates:
+    """Premises read off the factor report agree with the root predicates
+    applied directly to a cofactor-expansion char(M)."""
+
+    def check(self, record):
+        report = analyze(record, max_level=0)
+        cp = cofactor_char_poly(abelianized(record.phi))
+        assert report.levels[0].char_poly == cp
+        assert report.premises["R1"] == (record.fibered and not has_positive_real_root(cp))
+        assert report.premises["R4"] == (record.fibered and all_roots_positive_real(cp))
+        assert report.levels[0].factors.has_rational_root == bool(rational_roots(cp))
+        return report
+
+    def test_corpus(self):
+        for entry in corpus_entries():
+            self.check(entry.record)
+
+    def test_random_automorphisms(self):
+        rng = random.Random(53)
+        seen = set()
+        for i in range(90):
+            rank = 2 + i % 3
+            record = KnotRecord(name=f"r{i}", phi=random_automorphism(rng, rank),
+                                fibered=i % 2 == 0)
+            report = self.check(record)
+            seen.update((rule, report.premises[rule]) for rule in ("R1", "R4"))
+            seen.add(("rational", report.levels[0].factors.has_rational_root))
+        assert seen == {(k, v) for k in ("R1", "R4", "rational") for v in (True, False)}
 
 
 class TestAnalyze:
@@ -118,7 +157,7 @@ class TestAnalyze:
         report = analyze(knot("7_6"), max_level=1)
         assert report.verdict.outcome == NOT_BIORDERABLE
         assert report.verdict.rule == "R3"
-        assert report.levels[1].some_factor_all_lambda
+        assert report.levels[1].factors.some_factor_all_lambda
 
     def test_sufficiency_and_obstructions_never_co_fire_on_corpus(self):
         for entry in corpus_entries():
