@@ -12,8 +12,9 @@ from .freegroup import (FreeMap, Generator, NotAnAutomorphismError, Word,
                         reduce, verify_automorphism)
 from .lcs import (LyndonBasis, QuotientAction, lcs_action, lyndon_basis,
                   lyndon_words, witt_number)
-from .magnus import (EQ, GT, LT, LowestTerm, Series, compare, expand, in_gamma,
-                     is_infinitesimal, lowest_term, magnitude, series_mul, sign)
+from .magnus import (EQ, GT, LT, LowestTerm, Series, archimedean_key, compare,
+                     expand, in_gamma, is_infinitesimal, lowest_term, magnitude,
+                     series_mul, sign)
 from .orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
                          commutator_infinitesimal_probe, dominant_check,
                          invariance_probe, normality_probe,

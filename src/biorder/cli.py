@@ -13,7 +13,8 @@ import sys
 from . import corpus as corpus_mod
 from . import orderprops
 from .exactalg import NonSquarefreeError, Poly, ZeroPolynomialError
-from .freegroup import (FreeMap, NotAnAutomorphismError, format_word, parse_word)
+from .freegroup import (FreeMap, NotAnAutomorphismError, check_generator_names,
+                        format_word, parse_word)
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
@@ -226,12 +227,15 @@ def _cmd_corpus(ns) -> int:
     return EXIT_OK if all_ok else EXIT_ANALYSIS
 
 
+def _config_json(cfg: ProbeConfig) -> dict:
+    return {"seed": cfg.seed, "samples": cfg.samples,
+            "max_word_length": cfg.max_word_length, "search_bound": cfg.search_bound}
+
+
 def _probe_json(result: ProbeResult, cfg: ProbeConfig, names) -> dict:
     return {
         "probe": result.name,
-        "config": {"seed": cfg.seed, "samples": cfg.samples,
-                   "max_word_length": cfg.max_word_length,
-                   "search_bound": cfg.search_bound},
+        "config": _config_json(cfg),
         "trials": result.trials,
         "status": result.status,
         "failures": [_failure_text(f, names) for f in result.failures],
@@ -269,6 +273,15 @@ def _load_map(target: str) -> tuple[FreeMap, tuple[str, ...]]:
     return pf.free_map(), pf.generator_names
 
 
+# probes taking a word (--g) and probes taking a map (--map)
+_WORD_PROBES = {"subgroup": orderprops.subgroup_probe,
+                "normality": orderprops.normality_probe,
+                "dominance": orderprops.dominant_check}
+_MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
+               "invariance": orderprops.invariance_probe,
+               "semidirect": orderprops.semidirect_order_probe}
+
+
 def _cmd_probe(ns) -> int:
     try:
         cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
@@ -276,7 +289,11 @@ def _cmd_probe(ns) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    names = tuple(ns.generators.split())
+    try:
+        names = check_generator_names(ns.generators.split())
+    except ValueError as exc:
+        print(f"error: --generators: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     phi = None
     if ns.map:
         try:
@@ -296,29 +313,15 @@ def _cmd_probe(ns) -> int:
             raise SystemExit(EXIT_USAGE)
 
     try:
-        if ns.name == "subgroup":
-            result = orderprops.subgroup_probe(word_arg(ns.g, "--g"), cfg)
-        elif ns.name == "normality":
-            result = orderprops.normality_probe(word_arg(ns.g, "--g"), cfg)
-        elif ns.name == "dominance":
-            result = orderprops.dominant_check(word_arg(ns.g, "--g"), cfg)
+        if ns.name in _WORD_PROBES:
+            result = _WORD_PROBES[ns.name](word_arg(ns.g, "--g"), cfg)
+        elif ns.name in _MAP_PROBES:
+            if phi is None:
+                print(f"error: probe {ns.name} needs --map", file=sys.stderr)
+                return EXIT_USAGE
+            result = _MAP_PROBES[ns.name](phi, cfg)
         elif ns.name == "commutator":
             result = orderprops.commutator_infinitesimal_probe(len(names), cfg)
-        elif ns.name == "order-preservation":
-            if phi is None:
-                print("error: probe order-preservation needs --map", file=sys.stderr)
-                return EXIT_USAGE
-            result = orderprops.order_preservation_probe(phi, cfg)
-        elif ns.name == "invariance":
-            if phi is None:
-                print("error: probe invariance needs --map", file=sys.stderr)
-                return EXIT_USAGE
-            result = orderprops.invariance_probe(phi, cfg)
-        elif ns.name == "semidirect":
-            if phi is None:
-                print("error: probe semidirect needs --map", file=sys.stderr)
-                return EXIT_USAGE
-            result = orderprops.semidirect_order_probe(phi, cfg)
         else:  # weak-comparability
             f = word_arg(ns.f, "--f")
             g = word_arg(ns.g, "--g")
@@ -326,9 +329,7 @@ def _cmd_probe(ns) -> int:
             if ns.format == "json":
                 _emit_json({
                     "probe": "weak-comparability",
-                    "config": {"seed": cfg.seed, "samples": cfg.samples,
-                               "max_word_length": cfg.max_word_length,
-                               "search_bound": cfg.search_bound},
+                    "config": _config_json(cfg),
                     "status": search.status,
                     "witness": (format_word(search.witness, names)
                                 if search.witness is not None else None),
@@ -384,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_corpus)
 
     pp = sub.add_parser("probe", help="run a property probe in the Magnus bi-order")
-    pp.add_argument("name", choices=("subgroup", "normality", "dominance", "commutator",
-                                     "order-preservation", "invariance", "semidirect",
+    pp.add_argument("name", choices=(*_WORD_PROBES, "commutator", *_MAP_PROBES,
                                      "weak-comparability"))
     pp.add_argument("--g", help="word argument (e.g. `x` or `B X`)")
     pp.add_argument("--f", help="second word argument for weak-comparability")

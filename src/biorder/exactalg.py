@@ -234,19 +234,10 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.rows, other.rows)))
-
     def scaled_identity_added(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(
             tuple(x + (c if i == j else 0) for j, x in enumerate(row))
             for i, row in enumerate(self.rows)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dim))

@@ -38,8 +38,7 @@ class Generator:
     def __post_init__(self):
         if self.index < 0:
             raise GeneratorRangeError(f"negative generator index {self.index}")
-        if len(self.name) != 1 or not ("a" <= self.name <= "z"):
-            raise ValueError(f"generator name must be one lowercase letter, got {self.name!r}")
+        check_generator_names((self.name,))
 
 
 @dataclass(frozen=True)
@@ -282,6 +281,22 @@ def verify_automorphism(phi: FreeMap) -> AutomorphismReport:
 # ---------------------------------------------------------------------------
 # textual word syntax
 # ---------------------------------------------------------------------------
+
+def check_generator_names(names) -> tuple[str, ...]:
+    """The names as a tuple, if non-empty, distinct and each one lowercase
+    letter other than `e` (which spells the identity word)."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("empty generator list")
+    for g in names:
+        if len(g) != 1 or not ("a" <= g <= "z"):
+            raise ValueError(f"generator {g!r} must be one lowercase letter")
+        if g == "e":
+            raise ValueError("generator 'e' is reserved for the identity word")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate generator names")
+    return names
+
 
 def parse_word(text: str, names) -> Word:
     """Parse `B X`-style text: lowercase = generator, uppercase = inverse, e = identity."""

@@ -4,8 +4,9 @@ The generator x_i maps to 1 + X_i and its inverse to the truncated geometric
 series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  The first
 nonvanishing homogeneous part of a word orders the free group: a word is
 positive when that part's first coefficient in graded-lexicographic monomial
-order is positive.  This yields a concrete bi-order, an exact infinitesimality
-test, and lower-central-series membership.
+order is positive.  This yields a concrete bi-order and lower-central-series
+membership.  Infinitesimality (and so weak comparability) is read off one key
+per element, (lowest degree, leading monomial), which w and w^-1 share.
 
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
@@ -28,10 +29,6 @@ class TrivialElementError(ValueError):
     """Infinitesimality is only defined for non-identity elements."""
 
 
-def grlex_key(m: Monomial) -> tuple[int, Monomial]:
-    return (len(m), m)
-
-
 class Series:
     """Noncommutative integer polynomial truncated at a fixed total degree.
 
@@ -52,9 +49,6 @@ class Series:
     def one(cls, nvars: int, truncation: int) -> "Series":
         return cls(nvars, truncation, {(): 1})
 
-    def coefficient(self, m: Monomial) -> int:
-        return self.coeffs.get(m, 0)
-
     def homogeneous_part(self, d: int) -> dict[Monomial, int]:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 
@@ -68,11 +62,8 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return series_mul(self, other)
 
-    def truncated(self, d: int) -> "Series":
-        return Series(self.nvars, d, {m: c for m, c in self.coeffs.items() if len(m) <= d})
-
     def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda mc: grlex_key(mc[0]))
+        terms = sorted(self.coeffs.items(), key=lambda mc: (len(mc[0]), mc[0]))
         body = " + ".join(f"{c}*X{list(m)}" if m else str(c) for m, c in terms) or "0"
         return f"Series(D={self.truncation}: {body})"
 
@@ -128,24 +119,26 @@ class LowestTerm:
 def lowest_term(w: Word) -> LowestTerm:
     """Minimal degree d >= 1 with a nonzero homogeneous part.
 
-    Found by adaptive doubling of the truncation with a hard cap at the word
-    length: a nontrivial reduced word of length L never lies in gamma_{L+1},
-    so the search terminates.
+    The truncation rises one degree at a time, so the word is never expanded
+    past its lowest degree.  A nontrivial reduced word of length L never lies
+    in gamma_{L+1}, so the search ends by degree L.
     """
     if w.is_identity:
         raise NoLowestTermError("identity word has no lowest term")
-    cap = len(w)
-    d = min(2, cap)
-    while True:
-        s = expand(w, d)
-        nonconstant = [(m, c) for m, c in s.coeffs.items() if m]
-        if nonconstant:
-            degree = min(len(m) for m, _ in nonconstant)
-            part = sorted(((m, c) for m, c in nonconstant if len(m) == degree),
-                          key=lambda mc: grlex_key(mc[0]))
-            return LowestTerm(degree, tuple(part))
-        assert d < cap, "reduced word escaped its length-bounded central series depth"
-        d = min(2 * d, cap)
+    for d in range(1, len(w) + 1):
+        part = expand(w, d).homogeneous_part(d)
+        if part:
+            return LowestTerm(d, tuple(sorted(part.items())))
+    raise AssertionError("reduced word escaped its length-bounded central series depth")
+
+
+def archimedean_key(w: Word) -> tuple[int, Monomial]:
+    """(lowest degree, first lowest monomial) of a nontrivial word.
+
+    w and w^-1 share it, since their lowest parts are negatives of each other.
+    """
+    lt = lowest_term(w)
+    return (lt.degree, lt.part[0][0])
 
 
 LT, EQ, GT = -1, 0, 1
@@ -170,19 +163,15 @@ def magnitude(w: Word) -> Word:
 
 
 def is_infinitesimal(f: Word, g: Word) -> bool:
-    """True iff |f|^n < |g| for every n >= 1, decided from lowest terms.
+    """True iff |f|^n < |g| for every n >= 1.
 
-    With lowest degrees d_f, d_g and lowest parts a, b of |f|, |g|: true iff
-    d_f > d_g, or the degrees tie and a's first monomial comes strictly after
-    b's in graded-lex order.
+    That holds iff f's lowest degree is higher than g's, or the degrees tie
+    and f's leading monomial comes strictly after g's in graded-lex order:
+    archimedean_key(f) > archimedean_key(g).
     """
     if f.is_identity or g.is_identity:
         raise TrivialElementError("infinitesimality is defined for non-identity elements")
-    lf = lowest_term(magnitude(f))
-    lg = lowest_term(magnitude(g))
-    if lf.degree != lg.degree:
-        return lf.degree > lg.degree
-    return grlex_key(lf.part[0][0]) > grlex_key(lg.part[0][0])
+    return archimedean_key(f) > archimedean_key(g)
 
 
 def in_gamma(w: Word, k: int) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .freegroup import (FreeMap, Word, apply_map, commutator, conjugate,
                         identity, invert, iterate_map, letter, multiply,
                         random_word)
-from .magnus import GT, LT, compare, is_infinitesimal, sign
+from .magnus import GT, LT, archimedean_key, compare, sign
 
 
 class NotPositiveError(ValueError):
@@ -73,15 +73,19 @@ def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
     return random.Random(z)
 
 
-def _require_positive(g: Word):
+def _positive_key(g: Word):
+    """archimedean_key(g), for a g that must be positive."""
     if sign(g) != 1:
         raise NotPositiveError(f"element must be positive in the Magnus order: {g!r}")
+    return archimedean_key(g)
 
 
-def _sample_infinitesimal(rng, g: Word, max_len: int, attempts: int = 500) -> Word | None:
-    for _ in range(attempts):
-        w = random_word(rng, g.rank, max_len)
-        if not w.is_identity and is_infinitesimal(w, g):
+def _sample_infinitesimal(rng, rank: int, key_g, max_len: int) -> Word | None:
+    """A random word w with archimedean_key(w) > key_g (so w is infinitesimal
+    w.r.t. the element keyed key_g), or None after 500 draws."""
+    for _ in range(500):
+        w = random_word(rng, rank, max_len)
+        if archimedean_key(w) > key_g:
             return w
     return None
 
@@ -96,20 +100,20 @@ def subgroup_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     Samples are rejection-drawn; trials counts the pairs actually found, which
     can fall below cfg.samples when infinitesimals w.r.t. g are rare.
     """
-    _require_positive(g)
+    key_g = _positive_key(g)
     failures = []
     trials = 0
     for i in range(cfg.samples):
         rng = _trial_rng(cfg, i)
-        f1 = _sample_infinitesimal(rng, g, cfg.max_word_length)
-        f2 = _sample_infinitesimal(rng, g, cfg.max_word_length)
+        f1 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
+        f2 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
         if f1 is None or f2 is None:
             continue
         trials += 1
         prod = multiply(f1, f2)
-        if not prod.is_identity and not is_infinitesimal(prod, g):
+        if not prod.is_identity and archimedean_key(prod) <= key_g:
             failures.append((f1, f2, prod))
-        if not is_infinitesimal(invert(f1), g):
+        if archimedean_key(invert(f1)) <= key_g:
             failures.append((f1, invert(f1)))
     return _result("subgroup", trials, failures)
 
@@ -120,7 +124,7 @@ def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
     Generators and their inverses are tried first (they witness the common
     failures deterministically), then random words.  PASS is evidence only.
     """
-    _require_positive(g)
+    key_g = _positive_key(g)
     failures = []
     trials = 0
     candidates = [letter(g.rank, j, s) for j in range(g.rank) for s in (1, -1)]
@@ -128,7 +132,7 @@ def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
         if h == g:
             continue
         trials += 1
-        if is_infinitesimal(g, h):
+        if key_g > archimedean_key(h):
             failures.append(h)
     for i in range(cfg.samples):
         rng = _trial_rng(cfg, i)
@@ -136,7 +140,7 @@ def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
         if h.is_identity or h == g:
             continue
         trials += 1
-        if is_infinitesimal(g, h):
+        if key_g > archimedean_key(h):
             failures.append(h)
     return _result("dominance", trials, failures)
 
@@ -147,24 +151,25 @@ def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     if not dom.passed:
         raise PremiseUnmetError(
             f"dominance premise failed for {g!r}", premise_result=dom)
+    key_g = archimedean_key(g)
     failures = []
     trials = 0
     for i in range(cfg.samples):
         rng = _trial_rng(cfg, i)
-        x = _sample_infinitesimal(rng, g, cfg.max_word_length)
+        x = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
         if x is None:
             continue
         u = random_word(rng, g.rank, cfg.max_word_length, allow_identity=True)
         trials += 1
         conj = conjugate(x, u)
-        if not conj.is_identity and not is_infinitesimal(conj, g):
+        if not conj.is_identity and archimedean_key(conj) <= key_g:
             failures.append((x, u, conj))
     return _result("normality", trials, failures)
 
 
 def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
     """Sampled commutators [u, v] are infinitesimal w.r.t. the dominant generator."""
-    g = letter(rank, 0)
+    key_g = archimedean_key(letter(rank, 0))
     failures = []
     trials = 0
     for i in range(cfg.samples):
@@ -175,7 +180,7 @@ def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
         if c.is_identity:
             continue
         trials += 1
-        if not is_infinitesimal(c, g):
+        if archimedean_key(c) <= key_g:
             failures.append((u, v, c))
     return _result("commutator-infinitesimal", trials, failures)
 
@@ -205,17 +210,17 @@ def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     if not premise.passed:
         raise PremiseUnmetError("order preservation premise failed",
                                 premise_result=premise)
-    g = letter(phi.rank, 0)
+    key_g = archimedean_key(letter(phi.rank, 0))
     failures = []
     trials = 0
     for i in range(cfg.samples):
         rng = _trial_rng(cfg, i)
-        f = _sample_infinitesimal(rng, g, cfg.max_word_length)
+        f = _sample_infinitesimal(rng, phi.rank, key_g, cfg.max_word_length)
         if f is None:
             continue
         trials += 1
         img = apply_map(phi, f)
-        if not img.is_identity and not is_infinitesimal(img, g):
+        if not img.is_identity and archimedean_key(img) <= key_g:
             failures.append((f, img))
     return _result("invariance", trials, failures)
 
@@ -319,17 +324,17 @@ def enumerate_words(rank: int, max_length: int):
 def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakComparabilityResult:
     """First h with |h| <= bound making f and h g h^-1 mutually non-infinitesimal.
 
+    Neither of two nontrivial words is infinitesimal w.r.t. the other iff
+    their archimedean keys are equal; a conjugate of g is never trivial.
     Absence of a witness within the bound is reported as such, never as
     nonexistence.
     """
     if f.is_identity or g.is_identity:
         raise ValueError("weak comparability search needs nontrivial f and g")
+    key_f = archimedean_key(f)
     checked = 0
     for h in enumerate_words(f.rank, cfg.search_bound):
         checked += 1
-        c = conjugate(g, h)
-        if c.is_identity:
-            continue
-        if not is_infinitesimal(f, c) and not is_infinitesimal(c, f):
+        if archimedean_key(conjugate(g, h)) == key_f:
             return WeakComparabilityResult(WITNESS_FOUND, h, cfg.search_bound, checked)
     return WeakComparabilityResult(NOT_FOUND_WITHIN_BOUND, None, cfg.search_bound, checked)

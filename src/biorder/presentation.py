@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FreeMap, Word, format_word, parse_word
+from .freegroup import (FreeMap, Word, check_generator_names, format_word,
+                        parse_word)
 from .verdict import KnotRecord
 
 
@@ -97,17 +98,10 @@ def parse_presentation(text: str) -> PresentationFile:
             fibered = value == "true"
         elif key == "generators":
             names = value.split()
-            if not names:
-                raise PresentationError("empty generator list", lineno)
-            for g in names:
-                if len(g) != 1 or not ("a" <= g <= "z"):
-                    raise PresentationError(
-                        f"generator {g!r} must be one lowercase letter", lineno)
-                if g == "e":
-                    raise PresentationError(
-                        "generator 'e' is reserved for the identity word", lineno)
-            if len(set(names)) != len(names):
-                raise PresentationError("duplicate generator names", lineno)
+            try:
+                check_generator_names(names)
+            except ValueError as exc:
+                raise PresentationError(str(exc), lineno) from exc
             block = None
         elif key == "map":
             if not names:

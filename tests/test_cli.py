@@ -202,6 +202,18 @@ class TestProbeCommand:
 
 
 class TestUsage:
+    def test_probe_generators_rejected(self, capsys):
+        for generators, message in (("d e", "'e' is reserved"),
+                                    ("x x", "duplicate generator names"),
+                                    ("X y", "'X' must be one lowercase letter"),
+                                    ("", "empty generator list")):
+            assert cli.main(["probe", "dominance", "--generators", generators,
+                             "--g", "e"]) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --generators: ")
+            assert message in captured.err
+
     def test_no_command(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from biorder.freegroup import (commutator, identity, multiply, power,
+from biorder import magnus
+from biorder.freegroup import (commutator, identity, invert, multiply, power,
                                random_word)
 from biorder.magnus import (EQ, GT, LT, NoLowestTermError, Series,
-                            TrivialElementError, compare, expand, in_gamma,
-                            is_infinitesimal, lowest_term, magnitude,
-                            series_mul, sign)
+                            TrivialElementError, archimedean_key, compare,
+                            expand, in_gamma, is_infinitesimal, lowest_term,
+                            magnitude, series_mul, sign)
 from helpers import W
 
 
@@ -74,6 +75,28 @@ class TestLowestTerm:
             lt = lowest_term(w)
             assert 1 <= lt.degree <= len(w)
             assert sign(w) != 0
+
+    def test_never_expands_past_lowest_degree(self, monkeypatch):
+        truncations = []
+
+        def recording_expand(w, truncation):
+            truncations.append(truncation)
+            return expand(w, truncation)
+
+        monkeypatch.setattr(magnus, "expand", recording_expand)
+        w = W("x")
+        for letter_text in ("y", "x", "y", "x"):
+            w = commutator(w, W(letter_text))
+        assert lowest_term(w).degree == 5
+        assert max(truncations) == 5
+
+    def test_archimedean_key_is_shared_by_inverse(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            w = random_word(rng, 3, 10)
+            lt = lowest_term(w)
+            assert archimedean_key(w) == (lt.degree, lt.part[0][0])
+            assert archimedean_key(invert(w)) == archimedean_key(w)
 
 
 class TestSignAndCompare:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from biorder.freegroup import (FreeMap, apply_map, commutator, identity,
-                               invert, multiply, random_word)
+from biorder.freegroup import (FreeMap, apply_map, commutator, conjugate,
+                               identity, invert, multiply, random_word)
 from biorder.magnus import EQ, GT, is_infinitesimal, sign
 from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 NotPositiveError, PremiseUnmetError,
@@ -205,6 +205,29 @@ class TestWeakComparability:
     def test_trivial_inputs_rejected(self):
         with pytest.raises(ValueError):
             weak_comparability_search(identity(2), W("x"), ProbeConfig())
+
+    def test_matches_brute_force_search(self):
+        # the direct definition: scan every h and test infinitesimality both ways
+        def brute_force(f, g, bound):
+            checked = 0
+            for h in enumerate_words(2, bound):
+                checked += 1
+                c = conjugate(g, h)
+                if not is_infinitesimal(f, c) and not is_infinitesimal(c, f):
+                    return WITNESS_FOUND, h, checked
+            return NOT_FOUND_WITHIN_BOUND, None, checked
+
+        rng = random.Random(31)
+        statuses = set()
+        for _ in range(200):
+            f = random_word(rng, 2, 4)
+            g = random_word(rng, 2, 4)
+            bound = rng.randint(1, 3)
+            found = weak_comparability_search(f, g, ProbeConfig(search_bound=bound))
+            expected = brute_force(f, g, bound)
+            assert (found.status, found.witness, found.checked) == expected
+            statuses.add(found.status)
+        assert statuses == {WITNESS_FOUND, NOT_FOUND_WITHIN_BOUND}
 
 
 class TestDeterminism:
