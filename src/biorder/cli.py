@@ -13,8 +13,9 @@ import sys
 from . import corpus as corpus_mod
 from . import orderprops
 from .exactalg import NonSquarefreeError, Poly, ZeroPolynomialError
-from .freegroup import (FreeMap, NotAnAutomorphismError, check_generator_names,
+from .freegroup import (NotAnAutomorphismError, check_generator_names,
                         format_word, parse_word)
+from .lcs import DEGREE_CAP
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
@@ -264,15 +265,6 @@ def _probe_text(result: ProbeResult, cfg: ProbeConfig, names) -> str:
     return "\n".join(out) + "\n"
 
 
-def _load_map(target: str) -> tuple[FreeMap, tuple[str, ...]]:
-    if target.startswith("corpus:"):
-        entry = corpus_mod.corpus_entry(target[len("corpus:"):])
-        return entry.record.phi, entry.record.generator_names
-    with open(target, "r", encoding="utf-8") as fh:
-        pf = parse_presentation(fh.read())
-    return pf.free_map(), pf.generator_names
-
-
 # probes taking a word (--g) and probes taking a map (--map)
 _WORD_PROBES = {"subgroup": orderprops.subgroup_probe,
                 "normality": orderprops.normality_probe,
@@ -297,10 +289,11 @@ def _cmd_probe(ns) -> int:
     phi = None
     if ns.map:
         try:
-            phi, names = _load_map(ns.map)
+            record = _load_record(ns.map)
         except (OSError, KeyError, PresentationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        phi, names = record.phi, record.generator_names
 
     def word_arg(text, flag):
         if text is None:
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="analyze a presentation file or corpus:NAME")
     pa.add_argument("target", help="path to a .knot file or corpus:NAME")
-    pa.add_argument("--max-level", type=int, default=1, choices=(0, 1, 2, 3))
+    pa.add_argument("--max-level", type=int, default=1, choices=range(DEGREE_CAP))
     pa.add_argument("--max-degree", type=int, default=8)
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=_cmd_analyze)

@@ -4,12 +4,13 @@ For a free group F_n the degree-k quotient is free abelian with a basis given
 by standard bracketings of Lyndon words of length k.  A free-group endomorphism
 acts on the quotient by an integer matrix whose column j holds the coordinates
 of the image of the j-th basis bracket; for k = 1 this is the abelianization
-matrix, for k = 2 the action on basic commutators [x_i, x_j], i < j.
+matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
 
-Coordinates are read off the Magnus expansion: a word in gamma_k expands as
-1 + (homogeneous degree-k Lie element) + higher terms, and the Lyndon-to-
-monomial change of basis is unitriangular in lexicographic order, so
-leading-monomial elimination recovers integer coordinates exactly.
+M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  A word in gamma_k
+expands as 1 + (degree-k Lie element) + ..., and X_i maps to
+sum_j M[j][i] X_j + ..., so a bracket's image has the bracket's degree-k part
+with that substitution made.  The Lyndon-to-monomial change of basis is
+unitriangular in lex order, so leading-monomial elimination is exact.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 from .exactalg import IntMatrix
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
-                        apply_map, commutator, letter, verify_automorphism)
+                        commutator, letter, verify_automorphism)
 from .magnus import Monomial, expand
 
-DEFAULT_DEGREE_CAP = 4
+DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
 
 
 def witt_number(n: int, k: int) -> int:
@@ -69,16 +70,19 @@ def _is_lyndon(t: tuple[int, ...]) -> bool:
     return all(t < t[i:] + t[:i] for i in range(1, len(t)))
 
 
+def _standard_factorization(lw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a Lyndon word of length >= 2 before its longest proper Lyndon suffix."""
+    i = next(i for i in range(1, len(lw)) if _is_lyndon(lw[i:]))
+    return lw[:i], lw[i:]
+
+
 def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
-    """Nested commutator word of a Lyndon word: split at the longest proper
-    Lyndon suffix and bracket the two halves recursively."""
+    """Nested commutator word of a Lyndon word, bracketed along its standard
+    factorization recursively."""
     if len(lw) == 1:
         return letter(rank, lw[0])
-    for i in range(1, len(lw)):
-        if _is_lyndon(lw[i:]):
-            u, v = lw[:i], lw[i:]
-            return commutator(standard_bracketing(u, rank), standard_bracketing(v, rank))
-    raise AssertionError("every Lyndon word of length >= 2 has a proper Lyndon suffix")
+    u, v = _standard_factorization(lw)
+    return commutator(standard_bracketing(u, rank), standard_bracketing(v, rank))
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,10 @@ class BasisElement:
 
 
 def _bracket_name(lw: tuple[int, ...], names) -> str:
-    names = list(names)
     if len(lw) == 1:
         return names[lw[0]]
-    for i in range(1, len(lw)):
-        if _is_lyndon(lw[i:]):
-            return f"[{_bracket_name(lw[:i], names)},{_bracket_name(lw[i:], names)}]"
-    raise AssertionError
+    u, v = _standard_factorization(lw)
+    return f"[{_bracket_name(u, names)},{_bracket_name(v, names)}]"
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ class LyndonBasis:
         return len(self.elements)
 
 
-def lyndon_basis(n: int, k: int, cap: int = DEFAULT_DEGREE_CAP) -> LyndonBasis:
+def lyndon_basis(n: int, k: int) -> LyndonBasis:
     """Basis of gamma_k / gamma_k+1 for F_n; element count is the Witt number."""
-    if not 1 <= k <= cap:
-        raise ValueError(f"degree {k} outside 1..{cap}")
+    if not 1 <= k <= DEGREE_CAP:
+        raise ValueError(f"degree {k} outside 1..{DEGREE_CAP}")
     elements = tuple(BasisElement(lw, standard_bracketing(lw, n))
                      for lw in lyndon_words(n, k))
     assert len(elements) == witt_number(n, k)
@@ -154,7 +155,27 @@ def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
     return coords
 
 
-def lcs_action(phi: FreeMap, k: int, cap: int = DEFAULT_DEGREE_CAP) -> QuotientAction:
+def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
+    """Action on gamma_k / gamma_k+1 of every endomorphism with abelianization m."""
+    basis = lyndon_basis(m.dim, k)
+    basis_parts = [expand(e.bracket, k).homogeneous_part(k) for e in basis.elements]
+    columns = []
+    for image in basis_parts:
+        for p in range(k):  # X_i -> sum_j m[j][i] X_j at letter position p
+            out: dict[Monomial, int] = {}
+            for mono, c in image.items():
+                for j, row in enumerate(m.rows):
+                    if row[mono[p]]:
+                        t = mono[:p] + (j,) + mono[p + 1:]
+                        out[t] = out.get(t, 0) + c * row[mono[p]]
+            image = {t: v for t, v in out.items() if v}
+        columns.append(_lie_coordinates(image, basis, basis_parts))
+    d = len(basis)
+    matrix = IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
+    return QuotientAction(k, basis, matrix)
+
+
+def lcs_action(phi: FreeMap, k: int) -> QuotientAction:
     """Action induced by phi on gamma_k / gamma_k+1 in the Lyndon basis.
 
     Requires phi to pass verify_automorphism at NECESSARY-ONLY or better.
@@ -162,19 +183,4 @@ def lcs_action(phi: FreeMap, k: int, cap: int = DEFAULT_DEGREE_CAP) -> QuotientA
     report = verify_automorphism(phi)
     if not report.is_automorphism_candidate:
         raise NotAnAutomorphismError(report.detail)
-    basis = lyndon_basis(phi.rank, k, cap)
-    if k == 1:
-        return QuotientAction(1, basis, abelianized(phi))
-    basis_parts = [expand(e.bracket, k).homogeneous_part(k) for e in basis.elements]
-    columns = []
-    for element in basis.elements:
-        image = apply_map(phi, element.bracket)
-        s = expand(image, k)
-        for m in s.coeffs:
-            if 0 < len(m) < k:
-                raise AssertionError(
-                    "image of a basis bracket has a nonzero part below degree k")
-        columns.append(_lie_coordinates(s.homogeneous_part(k), basis, basis_parts))
-    d = len(basis)
-    matrix = IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
-    return QuotientAction(k, basis, matrix)
+    return quotient_action(abelianized(phi), k)

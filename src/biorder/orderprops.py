@@ -325,16 +325,16 @@ def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakCompara
     """First h with |h| <= bound making f and h g h^-1 mutually non-infinitesimal.
 
     Neither of two nontrivial words is infinitesimal w.r.t. the other iff
-    their archimedean keys are equal; a conjugate of g is never trivial.
-    Absence of a witness within the bound is reported as such, never as
-    nonexistence.
+    their archimedean keys are equal.  Conjugation keeps the lowest homogeneous
+    part (M(h) L M(h)^-1 = L + higher terms), so h = e, the first word of
+    enumerate_words, is a witness or no word is; checked counts as that scan
+    would.  Absence within the bound is never reported as nonexistence.
     """
     if f.is_identity or g.is_identity:
         raise ValueError("weak comparability search needs nontrivial f and g")
-    key_f = archimedean_key(f)
-    checked = 0
-    for h in enumerate_words(f.rank, cfg.search_bound):
-        checked += 1
-        if archimedean_key(conjugate(g, h)) == key_f:
-            return WeakComparabilityResult(WITNESS_FOUND, h, cfg.search_bound, checked)
+    if archimedean_key(f) == archimedean_key(g):
+        return WeakComparabilityResult(WITNESS_FOUND, identity(f.rank), cfg.search_bound, 1)
+    n = f.rank  # 2n (2n - 1)^(l - 1) reduced words of each length l >= 1
+    checked = 1 + sum(2 * n * (2 * n - 1) ** (length - 1)
+                      for length in range(1, cfg.search_bound + 1))
     return WeakComparabilityResult(NOT_FOUND_WITHIN_BOUND, None, cfg.search_bound, checked)

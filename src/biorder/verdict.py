@@ -1,9 +1,9 @@
 """Bi-orderability decision procedures for groups presented as Z x| F_n.
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
-free group).  The analyzer computes the induced integer matrix at each level
-(level 0 = abelianization, level 1 = action on basic commutators), factors the
-characteristic polynomial over Q, counts positive real roots exactly, and
+free group).  The analyzer checks phi once, reads each level's integer matrix
+off M = abelianized(phi) (level 1 = M's action on basic commutators), factors
+the characteristic polynomial over Q, counts positive real roots exactly, and
 combines the following rules, checked in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .exactalg import (FactorReport, IntMatrix, Poly, char_poly, factor_over_Q,
                        has_positive_real_root)
-from .freegroup import (FreeMap, NotAnAutomorphismError, verify_automorphism)
-from .lcs import DEFAULT_DEGREE_CAP, QuotientAction, lcs_action
+from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
+                        verify_automorphism)
+from .lcs import DEGREE_CAP, QuotientAction, quotient_action
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
 BIORDERABLE = "BIORDERABLE"
@@ -143,9 +144,9 @@ def lambda_block_obstruction(a: IntMatrix) -> bool:
 # knot-level criteria
 # ---------------------------------------------------------------------------
 
-def level_report(record: KnotRecord, level: int,
-                 cap: int = DEFAULT_DEGREE_CAP, max_degree: int = 8) -> LevelReport:
-    action = lcs_action(record.phi, level + 1, cap)
+def level_report(record: KnotRecord, level: int, max_degree: int = 8) -> LevelReport:
+    """The level's matrix, read off M = abelianized(phi), and its factor report."""
+    action = quotient_action(abelianized(record.phi), level + 1)
     cp = char_poly(action.matrix)
     if cp.degree > max_degree:
         raise AnalysisError(
@@ -171,15 +172,15 @@ def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
 
 
 def analyze(record: KnotRecord, max_level: int = 1,
-            cap: int = DEFAULT_DEGREE_CAP, max_degree: int = 8) -> AnalysisReport:
-    """Full level-by-level analysis with the combined verdict."""
-    if not 0 <= max_level <= cap - 1:
-        raise AnalysisError(f"max_level must be in 0..{cap - 1}")
+            max_degree: int = 8) -> AnalysisReport:
+    """Full level-by-level analysis with the combined verdict; phi is checked here."""
+    if not 0 <= max_level <= DEGREE_CAP - 1:
+        raise AnalysisError(f"max_level must be in 0..{DEGREE_CAP - 1}")
     report = verify_automorphism(record.phi)
     if not report.is_automorphism_candidate:
         raise NotAnAutomorphismError(
             f"{record.name}: monodromy is not an automorphism ({report.detail})")
-    levels = tuple(level_report(record, lv, cap, max_degree)
+    levels = tuple(level_report(record, lv, max_degree)
                    for lv in range(max_level + 1))
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity

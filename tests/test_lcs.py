@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from biorder.corpus import corpus_entry
+from biorder.corpus import CORPUS_NAMES, corpus_entry
 from biorder.exactalg import IntMatrix, Poly, char_poly, count_real_roots
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                                apply_map, commutator, identity_map, invert,
-                               letter, multiply, power)
+                               letter, multiply, power, random_word)
 from biorder.lcs import (lcs_action, lyndon_basis, lyndon_words,
-                         standard_bracketing, witt_number, _lie_coordinates)
+                         quotient_action, standard_bracketing, witt_number,
+                         _lie_coordinates)
 from biorder.magnus import expand
 from helpers import W, random_automorphism
 
@@ -183,6 +184,21 @@ class TestLcsAction:
         assert cp.degree == 20
         assert abs(cp(0)) == 1  # induced by an automorphism, so |det| = 1
 
+    def test_quotient_action_matches_word_route(self):
+        # the action is read off M alone; the word route applies phi to every
+        # basis bracket.  Endomorphisms that are not automorphisms count too.
+        rng = random.Random(43)
+        maps = [corpus_entry(name).record.phi for name in CORPUS_NAMES]
+        maps.append(FreeMap(2, (W("x x"), W("y"))))
+        for rank, count in ((2, 8), (3, 6), (4, 3)):
+            for _ in range(count):
+                maps.append(FreeMap(rank, tuple(
+                    random_word(rng, rank, 3, allow_identity=True) for _ in range(rank))))
+        for phi in maps:
+            m = abelianized(phi)
+            for k in (1, 2, 3, 4):
+                assert quotient_action(m, k).matrix == _action_with_flipped_bracket(phi, k)
+
     def test_char_poly_invariant_under_bracket_flips(self):
         phi = corpus_entry("6_2").record.phi
         reference = char_poly(lcs_action(phi, 2).matrix)
@@ -190,8 +206,9 @@ class TestLcsAction:
             assert char_poly(_action_with_flipped_bracket(phi, 2, flip)) == reference
 
 
-def _action_with_flipped_bracket(phi, k, flip_index) -> IntMatrix:
-    """Recompute the quotient action with one basis bracket inverted."""
+def _action_with_flipped_bracket(phi, k, flip_index=None) -> IntMatrix:
+    """Recompute the quotient action from the images of the basis brackets,
+    with the bracket at flip_index inverted when one is given."""
     basis = lyndon_basis(phi.rank, k)
     brackets = [invert(e.bracket) if i == flip_index else e.bracket
                 for i, e in enumerate(basis.elements)]
@@ -199,7 +216,9 @@ def _action_with_flipped_bracket(phi, k, flip_index) -> IntMatrix:
     leads = [-1 if i == flip_index else 1 for i in range(len(brackets))]
     columns = []
     for b in brackets:
-        residue = dict(expand(apply_map(phi, b), k).homogeneous_part(k))
+        image = expand(apply_map(phi, b), k)
+        assert all(not 0 < len(m) < k for m in image.coeffs), "part below degree k"
+        residue = dict(image.homogeneous_part(k))
         coords = []
         for element, part, lead in zip(basis.elements, parts, leads):
             c = residue.get(element.lyndon, 0) * lead

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from biorder import freegroup, lcs, verdict
 from biorder.corpus import corpus_entries, corpus_entry
 from biorder.exactalg import (IntMatrix, all_roots_positive_real,
                               has_positive_real_root, rational_roots)
@@ -171,6 +172,19 @@ class TestAnalyze:
         bad = KnotRecord(name="bad", phi=FreeMap(2, (W("x x"), W("y"))), fibered=True)
         with pytest.raises(NotAnAutomorphismError):
             analyze(bad)
+
+    def test_one_automorphism_check_per_analysis(self, monkeypatch):
+        calls = []
+        original = freegroup.verify_automorphism
+
+        def counting(phi):
+            calls.append(phi)
+            return original(phi)
+
+        for module in (freegroup, lcs, verdict):
+            monkeypatch.setattr(module, "verify_automorphism", counting)
+        analyze(knot("6_2"), max_level=3, max_degree=100)
+        assert len(calls) == 1
 
     def test_level_out_of_range(self):
         with pytest.raises(AnalysisError):
