@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ANALYSIS = 3
 EXIT_USAGE = 4
+MAX_BOUND = 1000  # keeps weak-comparability's checked under 1700 digits (str limit: 4300)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,6 +276,9 @@ _MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
 
 
 def _cmd_probe(ns) -> int:
+    if not 0 <= ns.bound <= MAX_BOUND:
+        print(f"error: --bound: must be in 0..{MAX_BOUND}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
                           max_word_length=ns.max_word_length, search_bound=ns.bound)
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--samples", type=int, default=200)
     pp.add_argument("--max-word-length", type=int, default=10)
-    pp.add_argument("--bound", type=int, default=4)
+    pp.add_argument("--bound", type=int, default=4, help=f"bound on |h|, 0..{MAX_BOUND}")
     pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.set_defaults(func=_cmd_probe)
 

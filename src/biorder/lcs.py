@@ -16,6 +16,7 @@ unitriangular in lex order, so leading-monomial elimination is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .exactalg import IntMatrix
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
@@ -131,7 +132,7 @@ class QuotientAction:
 
 
 def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
-                     basis_parts: list[dict[Monomial, int]]) -> list[int]:
+                     basis_parts: tuple[dict[Monomial, int], ...]) -> list[int]:
     """Coordinates of a degree-k Lie element in the Lyndon basis.
 
     The expansion of the bracketing of a Lyndon word l is l plus lex-greater
@@ -155,10 +156,16 @@ def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
     return coords
 
 
+@cache
+def _basis_parts(n: int, k: int) -> tuple[LyndonBasis, tuple[dict[Monomial, int], ...]]:
+    """The basis and each bracket's degree-k part; shared, so never mutate them."""
+    basis = lyndon_basis(n, k)
+    return basis, tuple(expand(e.bracket, k).homogeneous_part(k) for e in basis.elements)
+
+
 def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
     """Action on gamma_k / gamma_k+1 of every endomorphism with abelianization m."""
-    basis = lyndon_basis(m.dim, k)
-    basis_parts = [expand(e.bracket, k).homogeneous_part(k) for e in basis.elements]
+    basis, basis_parts = _basis_parts(m.dim, k)
     columns = []
     for image in basis_parts:
         for p in range(k):  # X_i -> sum_j m[j][i] X_j at letter position p

@@ -1,12 +1,15 @@
 """Truncated noncommutative series expansion of free-group words.
 
 The generator x_i maps to 1 + X_i and its inverse to the truncated geometric
-series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  The first
-nonvanishing homogeneous part of a word orders the free group: a word is
-positive when that part's first coefficient in graded-lexicographic monomial
+series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  Per letter,
+expand updates each degree-k layer P[k] of the running product: x_g gives
+P[k] + P[k-1] X_g, k falling so P[k-1] is still old; x_g^-1 gives
+Q[k] = P[k] - Q[k-1] X_g (Q (1 + X_g) = P), k rising so Q[k-1] is already new.
+The first nonvanishing homogeneous part of a word orders the free group: a
+word is positive when that part's first coefficient in graded-lex monomial
 order is positive.  This yields a concrete bi-order and lower-central-series
-membership.  Infinitesimality (and so weak comparability) is read off one key
-per element, (lowest degree, leading monomial), which w and w^-1 share.
+membership.  Infinitesimality (and so weak comparability) is read off one
+key per element, (lowest degree, leading monomial), which w and w^-1 share.
 
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
@@ -82,30 +85,31 @@ def series_mul(s: Series, t: Series, truncation: int | None = None) -> Series:
             if len(m2) > room:
                 continue
             m = m1 + m2
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return Series(s.nvars, d, out)
-
-
-def _letter_series(nvars: int, gen: int, sign: int, d: int) -> Series:
-    if sign == 1:
-        coeffs = {(): 1}
-        if d >= 1:
-            coeffs[(gen,)] = 1
-    else:
-        coeffs = {tuple([gen] * k): (-1) ** k for k in range(d + 1)}
-    return Series(nvars, d, coeffs)
+            out[m] = out.get(m, 0) + c1 * c2
+    return Series(s.nvars, d, out)  # drops the zeros
 
 
 def expand(w: Word, truncation: int) -> Series:
-    """Magnus expansion of w, truncated at the given total degree."""
-    out = Series.one(w.rank, truncation)
+    """Magnus expansion of w, truncated at the given total degree.
+
+    x_g adds P[k-1] X_g to layer P[k] for k from the top down (P[k-1] still
+    old); x_g^-1 subtracts Q[k-1] X_g for k from 1 up (Q[k-1] already new),
+    solving Q (1 + X_g) = P.  A layer keys each monomial by its letters read
+    as base-rank digits.
+    """
+    n = w.rank
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(truncation)]
     for g, s in w.letters:
-        out = series_mul(out, _letter_series(w.rank, g, s, truncation))
-    return out
+        for k in range(truncation, 0, -1) if s == 1 else range(1, truncation + 1):
+            layer = layers[k]
+            for m, c in layers[k - 1].items():
+                t = m * n + g
+                if v := layer.get(t, 0) + s * c:
+                    layer[t] = v
+                else:
+                    del layer[t]
+    return Series(n, truncation, {tuple(m // n ** i % n for i in range(k - 1, -1, -1)): c
+                                  for k, layer in enumerate(layers) for m, c in layer.items()})
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from biorder import lcs
 from biorder.corpus import CORPUS_NAMES, corpus_entry
 from biorder.exactalg import IntMatrix, Poly, char_poly, count_real_roots
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
@@ -198,6 +199,26 @@ class TestLcsAction:
             m = abelianized(phi)
             for k in (1, 2, 3, 4):
                 assert quotient_action(m, k).matrix == _action_with_flipped_bracket(phi, k)
+
+    def test_basis_parts_expanded_once_per_rank_and_degree(self, monkeypatch):
+        expanded = []
+
+        def counting_expand(w, truncation):
+            expanded.append(truncation)
+            return expand(w, truncation)
+
+        monkeypatch.setattr(lcs, "expand", counting_expand)
+        lcs._basis_parts.cache_clear()
+        try:
+            phi = corpus_entry("6_2").record.phi
+            m = abelianized(phi)
+            first = quotient_action(m, 3)
+            assert expanded == [3] * witt_number(4, 3)
+            second = quotient_action(m, 3)
+            assert len(expanded) == witt_number(4, 3)
+            assert first.matrix == second.matrix == _action_with_flipped_bracket(phi, 3)
+        finally:
+            lcs._basis_parts.cache_clear()
 
     def test_char_poly_invariant_under_bracket_flips(self):
         phi = corpus_entry("6_2").record.phi

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from biorder import magnus
-from biorder.freegroup import (commutator, identity, invert, multiply, power,
-                               random_word)
+from biorder.freegroup import (Word, commutator, identity, invert, letter,
+                               multiply, power, random_word)
 from biorder.magnus import (EQ, GT, LT, NoLowestTermError, Series,
                             TrivialElementError, archimedean_key, compare,
                             expand, in_gamma, is_infinitesimal, lowest_term,
@@ -34,6 +34,85 @@ class TestExpand:
             v = random_word(rng, 2, 8, allow_identity=True)
             for d in (2, 3, 4):
                 assert expand(multiply(u, v), d) == series_mul(expand(u, d), expand(v, d))
+
+
+def letter_series(rank, gen, sign, d):
+    """1 + X_gen, or the truncated geometric series 1 - X_gen + X_gen^2 - ..."""
+    if sign == 1:
+        coeffs = {(): 1, (gen,): 1} if d >= 1 else {(): 1}
+    else:
+        coeffs = {(gen,) * k: (-1) ** k for k in range(d + 1)}
+    return Series(rank, d, coeffs)
+
+
+def weighted_word(rng, rank, length, inverse_share):
+    """Reduced word of exactly the given length; each letter is inverted with
+    probability inverse_share (strictly between 0 and 1)."""
+    letters = []
+    while len(letters) < length:
+        g = rng.randrange(rank)
+        s = -1 if rng.random() < inverse_share else 1
+        if letters and letters[-1] == (g, -s):
+            continue
+        letters.append((g, s))
+    return Word(rank, tuple(letters))
+
+
+def nested_commutator(k):
+    """[..[[a1,a2],a3]..,ak] in rank 3 with a_i = generator (i - 1) mod 3."""
+    w = letter(3, 0)
+    for i in range(1, k):
+        w = commutator(w, letter(3, i % 3))
+    return w
+
+
+def lie_bracket(u, v):
+    """UV - VU on homogeneous parts given as {monomial: coefficient} dicts."""
+    out = {}
+    for sign, (left, right) in ((1, (u, v)), (-1, (v, u))):
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                out[m1 + m2] = out.get(m1 + m2, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+class TestShiftAdd:
+    def test_equals_product_of_letter_series(self):
+        # the product is built once at truncation 7; truncating it to d is the
+        # product truncated at d
+        rng = random.Random(29)
+        for i in range(40):
+            rank = 1 + i % 4
+            w = weighted_word(rng, rank, rng.randint(0, 25), (0.5, 0.85)[i // 4 % 2])
+            product = Series.one(rank, 7)
+            for g, s in w.letters:
+                product = series_mul(product, letter_series(rank, g, s, 7))
+            for d in range(8):
+                low = {m: c for m, c in product.coeffs.items() if len(m) <= d}
+                assert expand(w, d) == Series(rank, d, low), (w, d)
+
+    def test_nested_commutator_lowest_term_is_iterated_bracket(self):
+        bracket = {(0,): 1}
+        for k in range(2, 10):
+            bracket = lie_bracket(bracket, {((k - 1) % 3,): 1})
+            w = nested_commutator(k)
+            lt = lowest_term(w)
+            assert lt.degree == k
+            assert dict(lt.part) == bracket
+            assert in_gamma(w, k)
+            assert not in_gamma(w, k + 1)
+        assert (len(w), len(bracket)) == (766, 214)
+
+    def test_expansion_never_multiplies_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("series_mul called")
+
+        monkeypatch.setattr(magnus, "series_mul", refuse)
+        w = nested_commutator(5)
+        assert expand(w, 5).homogeneous_part(5)
+        assert lowest_term(w).degree == 5
+        assert in_gamma(w, 5) and not in_gamma(w, 6)
+        assert is_infinitesimal(w, W("x"))
 
 
 class TestSeriesMul:
