@@ -1,15 +1,19 @@
 """Exact integer linear algebra and univariate polynomial algebra.
 
-Everything here is exact: matrices hold Python big integers, polynomials
-hold integers or fractions.Fraction coefficients, and real-root counts come
-from Sturm chains rather than floating point.  The pieces fit together as
+Everything here is exact: matrices and polynomials hold Python big
+integers, and real-root counts come from Sturm chains rather than floating
+point.  Gcds and Sturm chains are primitive pseudo-remainder sequences (Knuth,
+TAOCP vol. 2, 4.6.1, Algorithm R), and exact divisions stay in Z[x] (Gauss's
+lemma: every divisor there is primitive), so the analysis builds no Fraction;
+only Poly.__divmod__ (division over Q), rational_roots and non-integer
+sturm_count endpoints do.  The pieces fit together as
 
     char_poly           -- Faddeev-LeVerrier with exact integer divisions
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- Berlekamp mod p + Hensel lifting + Zassenhaus
                            subset recombination
-    sturm_count         -- sign variations of a content-normalized signed
-                           remainder sequence
+    sturm_count         -- sign variations of a Sturm chain whose entries are
+                           the primitive parts of the signed remainders
 """
 
 from __future__ import annotations
@@ -32,24 +36,19 @@ class NonSquarefreeError(ValueError):
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Poly:
     """Univariate polynomial with exact coefficients, stored ascending.
 
-    Coefficients are Python ints or Fractions; trailing zeros are stripped so
-    the leading coefficient is nonzero unless the polynomial is zero (empty
+    Coefficients are Python ints; only __divmod__ returns Fractions, where
+    the quotient over Q is not integral.  Trailing zeros are stripped so the
+    leading coefficient is nonzero unless the polynomial is zero (empty
     coefficient tuple).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -73,10 +72,6 @@ class Poly:
     @property
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -105,7 +100,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return Poly([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return Poly()
@@ -137,7 +132,7 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __divmod__(self, other):
-        """Exact division over the rationals: (quotient, remainder)."""
+        """Exact division over Q: (quotient, remainder), integral coefficients as ints."""
         if other.is_zero:
             raise ZeroPolynomialError("polynomial division by zero")
         rem = [Fraction(c) for c in self.coeffs]
@@ -152,36 +147,67 @@ class Poly:
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
-        return Poly(quo), Poly(rem[: max(other.degree, 0)])
+        norm = lambda cs: Poly([int(c) if c.denominator == 1 else c for c in cs])
+        return norm(quo), norm(rem[: max(other.degree, 0)])
+
+    def pseudo_rem(self, other) -> "Poly":
+        """lc(other)^(d+1) * self mod other in Z[x], d = deg self - deg other."""
+        if other.is_zero:
+            raise ZeroPolynomialError("polynomial division by zero")
+        b = other.coeffs
+        db = len(b) - 1
+        lead = b[-1]
+        rem = list(self.coeffs)
+        for k in range(len(rem) - 1 - db, -1, -1):
+            c = rem.pop()
+            if lead != 1:
+                rem = [x * lead for x in rem]
+            if c:
+                for j in range(db):
+                    rem[k + j] -= c * b[j]
+        return Poly(rem)
+
+    def div_z(self, other):
+        """Quotient in Z[x], or None when other does not divide self in Z[x]."""
+        if other.is_zero:
+            raise ZeroPolynomialError("polynomial division by zero")
+        b = other.coeffs
+        db = len(b) - 1
+        lead = b[-1]
+        rem = list(self.coeffs)
+        dq = len(rem) - 1 - db
+        if dq < 0:
+            return None if rem else Poly()
+        quo = [0] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c, r = divmod(rem[k + db], lead)
+            if r:
+                return None
+            quo[k] = c
+            if c:
+                for j in range(db):
+                    rem[k + j] -= c * b[j]
+        return None if any(rem[:db]) else Poly(quo)
 
     def exact_div(self, other) -> "Poly":
-        """Division known to be exact; raises if a remainder appears."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """Division in Z[x] known to be exact; raises if it is not."""
+        q = self.div_z(other)
+        if q is None:
             raise ValueError("exact_div with nonzero remainder")
         return q
 
     # -- content and normalization -------------------------------------------
 
-    def content(self) -> Fraction:
-        """Nonnegative rational content (gcd of numerators / lcm of denominators)."""
-        if self.is_zero:
-            return Fraction(0)
-        fracs = [Fraction(c) for c in self.coeffs]
-        num = 0
-        for f in fracs:
-            num = math.gcd(num, abs(f.numerator))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return Fraction(num, den)
+    def content(self) -> int:
+        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "Poly":
         """Primitive part with the sign of the leading coefficient kept."""
-        if self.is_zero:
-            return self
         c = self.content()
-        return Poly([Fraction(x) / c for x in self.coeffs])
+        if c <= 1:
+            return self
+        return Poly([x // c for x in self.coeffs])
 
     def canonical(self) -> "Poly":
         """Primitive part with positive leading coefficient."""
@@ -228,7 +254,6 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        d = self.dim
         cols = list(zip(*other.rows))
         return IntMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -294,12 +319,11 @@ def char_poly(a: IntMatrix) -> Poly:
 # ---------------------------------------------------------------------------
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
+    """Primitive gcd with positive leading coefficient (primitive PRS in Z[x])."""
     a, b = p.canonical(), q.canonical()
     while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r.canonical()
-    return a
+        a, b = b, a.pseudo_rem(b).primitive()
+    return a.canonical()
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -641,8 +665,8 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
             cand = cand.canonical()
             if cand.degree < 1:
                 continue
-            q, r = divmod(current, cand)
-            if r.is_zero and q.is_integral:
+            q = current.div_z(cand)
+            if q is not None:
                 found.append(cand)
                 current = q
                 remaining = [i for i in remaining if i not in subset]
@@ -675,12 +699,13 @@ class FactorReport:
     """Complete irreducible factorization over Q with per-factor root counts.
 
     content * prod(factor.poly ** factor.multiplicity) reconstructs the input
-    exactly; factors are primitive with positive leading coefficient, sorted
-    by degree then ascending coefficient tuple.
+    exactly; content is the int gcd of the input's coefficients, signed like
+    the input's leading coefficient; factors are primitive with positive
+    leading coefficient, sorted by degree then ascending coefficient tuple.
     """
 
     input: Poly
-    content: Fraction
+    content: int
     factors: tuple[Factor, ...]
 
     def reconstruct(self) -> Poly:
@@ -717,7 +742,7 @@ def factor_over_Q(p: Poly) -> FactorReport:
             factors.append((irr, mult))
     factors.sort(key=lambda fm: fm[0].key())
     entries = tuple(Factor(poly, mult, *_root_counts(poly)) for poly, mult in factors)
-    return FactorReport(input=p, content=Fraction(c), factors=entries)
+    return FactorReport(input=p, content=c, factors=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +751,11 @@ def factor_over_Q(p: Poly) -> FactorReport:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Content-normalized signed remainder sequence of p and p'."""
+    """Sturm chain of p: p, p' and the negated remainders, each primitive.
+
+    prem(a, b) = lc(b)^(d+1) * rem(a, b), so -sign(lc(b))^(d+1) * prem is a
+    positive multiple of -rem(a, b): same entries as Euclid over Q.
+    """
 
     polys: tuple[Poly, ...]
 
@@ -739,10 +768,13 @@ class SturmChain:
         if not d.is_zero:
             chain.append(d.primitive())
             while True:
-                _, r = divmod(chain[-2], chain[-1])
+                a, b = chain[-2], chain[-1]
+                r = a.pseudo_rem(b)
                 if r.is_zero:
                     break
-                chain.append((-r).primitive())
+                if b.leading > 0 or (a.degree - b.degree) % 2:
+                    r = -r
+                chain.append(r.primitive())
         if chain[-1].degree >= 1:
             raise NonSquarefreeError("Sturm count requires a squarefree polynomial")
         return cls(tuple(chain))
@@ -752,7 +784,8 @@ class SturmChain:
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
     def variations_at(self, x) -> int:
-        return self._variations([_sign_of(q(Fraction(x))) for q in self.polys])
+        x = x if isinstance(x, int) else Fraction(x)
+        return self._variations([_sign_of(q(x)) for q in self.polys])
 
     def variations_at_pos_inf(self) -> int:
         return self._variations([_sign_of(q.leading) for q in self.polys])
@@ -803,7 +836,7 @@ def _root_counts(p: Poly) -> tuple[int, int, int]:
         return 0, 0, 0
     chain = SturmChain.build(p)
     below = chain.variations_at_neg_inf()
-    at_zero = chain.variations_at(0)
+    at_zero = chain._variations([_sign_of(q.constant) for q in chain.polys])
     above = chain.variations_at_pos_inf()
     # (-oo, 0] includes a root at 0; the open interval (-oo, 0) must not
     root_at_zero = p.constant == 0
@@ -836,11 +869,6 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if p.is_zero:
         raise ZeroPolynomialError("rational roots of zero polynomial")
     q = p.primitive()
-    den = 1
-    for c in q.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    q = Poly([c * den for c in q.coeffs])
     roots: list[Fraction] = []
     while q.degree >= 1 and q.constant == 0:
         roots.append(Fraction(0))

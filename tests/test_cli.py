@@ -226,3 +226,14 @@ class TestUsage:
         assert cli.main(["probe", "subgroup", "--g", "x",
                          "--max-word-length", "0"]) == cli.EXIT_USAGE
         assert "error: max_word_length must be >= 1" in capsys.readouterr().err
+
+    def test_bound_range(self, capsys):
+        base = ["probe", "weak-comparability", "--f", "x", "--g", "y", "--bound"]
+        for bound in ("0", "1000"):
+            assert cli.main(base + [bound]) == cli.EXIT_OK
+            assert f"config: bound={bound}" in capsys.readouterr().out
+        for bound in ("-1", "1001"):
+            assert cli.main(base + [bound]) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --bound: must be in 0..1000\n"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly,
+from biorder.corpus import corpus_entries
+from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, all_roots_positive_real,
                               char_poly, count_negative_roots,
                               count_positive_roots, count_real_roots,
@@ -12,6 +13,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly,
                               rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
+from biorder.verdict import analyze
 from helpers import (cofactor_char_poly, random_matrix,
                      random_unimodular_matrix, synthetic_division)
 
@@ -353,3 +355,113 @@ class TestUnimodularSampling:
         for _ in range(100):
             m = random_unimodular_matrix(rng, rng.randint(2, 4))
             assert abs(m.det()) == 1
+
+
+def _euclid_sturm_chain(p: Poly) -> list[Poly]:
+    """Textbook Sturm chain over Q, unnormalised: p, p', -rem(p_{i-1}, p_i), ..."""
+    chain = [p, p.derivative()]
+    while True:
+        _, r = divmod(chain[-2], chain[-1])
+        if r.is_zero:
+            return chain
+        chain.append(-r)
+
+
+def _primitive_over_q(p: Poly) -> Poly:
+    """Primitive integer multiple of a rational polynomial, sign kept."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
+    ints = [int(Fraction(c) * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return Poly([c // g for c in ints])
+
+
+def _random_squarefree(rng: random.Random, count: int) -> list[Poly]:
+    """Random integer polynomials of degree 1-12, many of them sparse, that
+    are squarefree over Q (the Euclidean chain ends in a constant)."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 12)
+        pool = (0, 0, 0, 1, -1, 2, -3) if rng.random() < 0.6 else tuple(range(-9, 10))
+        p = Poly([rng.choice(pool) for _ in range(d)] + [rng.choice((1, -1, 2, -5, 7))])
+        if _euclid_sturm_chain(p)[-1].degree == 0:
+            out.append(p)
+    return out
+
+
+def _corpus_factors() -> list[Poly]:
+    return [f.poly for entry in corpus_entries()
+            for level in analyze(entry.record, max_level=1).levels
+            for f in level.factors.factors]
+
+
+class TestIntegerRemainders:
+    def test_sturm_chain_equals_euclidean_chain(self):
+        inputs = _random_squarefree(random.Random(40), 150) + _corpus_factors()
+        sign_corrected = 0
+        for p in inputs:
+            chain = SturmChain.build(p).polys
+            assert chain == tuple(_primitive_over_q(q) for q in _euclid_sturm_chain(p))
+            # steps where prem carries the factor sign(lc)^(d+1) = -1
+            sign_corrected += sum(1 for a, b in zip(chain, chain[1:-1])
+                                  if b.leading < 0 and (a.degree - b.degree) % 2 == 0)
+        assert sign_corrected >= 5
+
+    def test_pseudo_remainder_is_scaled_remainder_over_q(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            a = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))])
+            b = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+            if b.is_zero:
+                continue
+            _, r = divmod(a, b)
+            scale = b.leading ** max(a.degree - b.degree + 1, 0)
+            assert a.pseudo_rem(b) == r * scale
+
+    def test_integer_quotient_iff_exact_integral_division_over_q(self):
+        rng = random.Random(42)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            b = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+            if b.is_zero:
+                continue
+            a = Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))])
+            if rng.random() < 0.5:
+                # divisible over Q; over Z only when the cofactor is integral
+                a = a * b if rng.random() < 0.5 else Poly([rng.choice((1, 2, 3))]) * b
+                if rng.random() < 0.3:
+                    b = b * rng.choice((2, 3))
+            quo, rem = divmod(a, b)
+            integral = rem.is_zero and all(Fraction(c).denominator == 1 for c in quo.coeffs)
+            got = a.div_z(b)
+            assert (got is not None) == integral
+            if integral:
+                assert got == quo
+                assert a.exact_div(b) == quo
+            else:
+                with pytest.raises(ValueError):
+                    a.exact_div(b)
+            seen[integral] += 1
+        assert min(seen.values()) >= 100
+
+    def test_division_by_zero(self):
+        for op in (Poly.pseudo_rem, Poly.div_z):
+            with pytest.raises(ZeroPolynomialError):
+                op(Poly([1, 1]), Poly())
+
+    def test_root_counts_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(43)
+        checked = 0
+        while checked < 60:
+            p = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 10))] + [1])
+            sp = sympy.Poly(list(reversed(p.coeffs)), t)
+            if sympy.gcd(sp, sp.diff(t)).degree() > 0:
+                continue
+            for f in factor_over_Q(p).factors:
+                sf = sympy.Poly(list(reversed(f.poly.coeffs)), t)
+                at_zero = 1 if f.poly.constant == 0 else 0
+                assert (f.positive_real_roots, f.negative_real_roots, f.real_roots) == (
+                    sf.count_roots(0, None) - at_zero, sf.count_roots(None, 0) - at_zero,
+                    sf.count_roots())
+            checked += 1

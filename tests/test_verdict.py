@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from biorder import freegroup, lcs, verdict
+from biorder import exactalg, freegroup, lcs, verdict
 from biorder.corpus import corpus_entries, corpus_entry
 from biorder.exactalg import (IntMatrix, all_roots_positive_real,
                               has_positive_real_root, rational_roots)
@@ -189,6 +189,25 @@ class TestAnalyze:
     def test_level_out_of_range(self):
         with pytest.raises(AnalysisError):
             analyze(knot("trefoil"), max_level=9)
+
+    def test_level_at_degree_cap_rejected(self):
+        with pytest.raises(AnalysisError, match=r"^max_level must be in 0\.\.3$"):
+            analyze(knot("trefoil"), max_level=lcs.DEGREE_CAP)
+
+    def test_analysis_builds_no_fraction(self, monkeypatch):
+        class NoFraction:
+            def __new__(cls, *args):
+                raise AssertionError("Fraction built on the analysis path")
+
+        monkeypatch.setattr(exactalg, "Fraction", NoFraction)
+        records = [entry.record for entry in corpus_entries()]
+        rng = random.Random(44)
+        for i in range(60):
+            records.append(KnotRecord(name=f"r{i}", fibered=True,
+                                      phi=random_automorphism(rng, 2 + i % 3)))
+        for record in records:
+            for level in (0, 1):
+                analyze(record, max_level=level)
 
     def test_deeper_levels_inform_but_do_not_fire_rules(self):
         # obstruction rules are pinned to levels 0 and 1; deeper reports are
