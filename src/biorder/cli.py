@@ -311,7 +311,14 @@ def _cmd_probe(ns) -> int:
 
     try:
         if ns.name in _WORD_PROBES:
-            result = _WORD_PROBES[ns.name](word_arg(ns.g, "--g"), cfg)
+            g = word_arg(ns.g, "--g")
+            try:
+                result = _WORD_PROBES[ns.name](g, cfg)
+            except NotPositiveError as exc:  # name g as the user spelled it
+                raise NotPositiveError(f"{exc}: {format_word(g, names)}") from None
+            except PremiseUnmetError as exc:
+                raise PremiseUnmetError(f"{exc} for {format_word(g, names)}",
+                                        exc.premise_result) from None
         elif ns.name in _MAP_PROBES:
             if phi is None:
                 print(f"error: probe {ns.name} needs --map", file=sys.stderr)

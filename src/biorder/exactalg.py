@@ -10,8 +10,9 @@ sturm_count endpoints do.  The pieces fit together as
 
     char_poly           -- Faddeev-LeVerrier with exact integer divisions
     squarefree_decomposition -- Yun's algorithm
-    factor_over_Q       -- Berlekamp mod p + Hensel lifting + Zassenhaus
-                           subset recombination
+    factor_over_Q       -- distinct- and equal-degree splitting mod p
+                           (Cantor-Zassenhaus) + Hensel lifting +
+                           Zassenhaus subset recombination
     sturm_count         -- sign variations of a Sturm chain whose entries are
                            the primitive parts of the signed remainders
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -458,84 +460,38 @@ def _gf_pow_mod(a, n, g, p):
     return out
 
 
-def _nullspace_mod_p(mat, p):
-    """Basis of the nullspace of a square matrix over GF(p) (RREF, deterministic)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if a[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] % p:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = (-a[r][free]) % p
-        basis.append(tuple(v))
-    return basis
+def _distinct_degree(f, p):
+    """[(g, d)]: g is the product of the degree-d irreducible factors of a monic
+    squarefree f in GF(p)[x], since x^(p^d) - x is the product of all monic
+    irreducibles of degree dividing d."""
+    out = []
+    xpd = (0, 1)
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        xpd = _gf_pow_mod(xpd, p, f, p)
+        g = _gf_gcd(f, _gf_sub(xpd, (0, 1), p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _gf_divmod(f, g, p)[0]
+            xpd = _gf_divmod(xpd, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
 
 
-def _berlekamp(g, p):
-    """Monic irreducible factors of a monic squarefree g in GF(p)[x]."""
-    n = len(g) - 1
-    if n <= 1:
+def _equal_degree(g, d, p, rng):
+    """Monic irreducible factors, all of degree d, of a monic squarefree g in
+    GF(p)[x], p odd: for random a, gcd(g, a^((p^d - 1)/2) - 1) is a proper
+    factor with probability about 1/2 (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
         return [g]
-    xp = _gf_pow_mod((0, 1), p, g, p)
-    rows = []
-    r = (1,)
-    for _ in range(n):
-        rows.append(tuple(r[i] if i < len(r) else 0 for i in range(n)))
-        r = _gf_divmod(_gf_mul(r, xp, p), g, p)[1]
-    # v(x)^p = v(x) mod g  <=>  (Q^T - I) v = 0 with Q rows = x^{p i} mod g
-    qt = [[rows[j][i] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        qt[i][i] = (qt[i][i] - 1) % p
-    basis = _nullspace_mod_p(qt, p)
-    r_count = len(basis)
-    if r_count == 1:
-        return [g]
-    factors = [g]
-    for v in basis:
-        vpoly = _gf_trim(tuple(v))
-        if len(vpoly) <= 1:
-            continue  # constants never split anything
-        for a_val in range(p):
-            if len(factors) == r_count:
-                return factors
-            shifted = _gf_sub(vpoly, (a_val,), p)
-            next_factors = []
-            for u in factors:
-                if len(u) - 1 <= 1:
-                    next_factors.append(u)
-                    continue
-                d = _gf_gcd(u, shifted, p)
-                if 0 < len(d) - 1 < len(u) - 1:
-                    next_factors.append(d)
-                    next_factors.append(_gf_monic(_gf_divmod(u, d, p)[0], p))
-                else:
-                    next_factors.append(u)
-            factors = next_factors
-    assert len(factors) == r_count, "Berlekamp splitting incomplete"
-    return factors
+    while True:
+        a = _gf_trim(tuple(rng.randrange(p) for _ in range(len(g) - 1)))
+        u = _gf_gcd(g, _gf_sub(_gf_pow_mod(a, (p ** d - 1) // 2, g, p), (1,), p), p)
+        if 0 < len(u) - 1 < len(g) - 1:
+            return (_equal_degree(u, d, p, rng)
+                    + _equal_degree(_gf_divmod(g, u, p)[0], d, p, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +573,7 @@ def _hensel_lift(p, f, modular_factors, l):
 
 
 def _odd_primes():
-    """3, 5, 7, 11, ... without end."""
+    """3, 5, 7, 11, ... without end (_equal_degree needs p odd)."""
     p = 3
     while True:
         if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
@@ -642,7 +598,10 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
         if not dfp or len(_gf_gcd(fp, dfp, p)) - 1 != 0:
             continue
         break
-    modular = sorted(_berlekamp(fp, p), key=lambda u: (len(u), u))
+    rng = random.Random(p)  # the draws change the work done, never the factors
+    modular = sorted((u for g, d in _distinct_degree(fp, p)
+                      for u in _equal_degree(g, d, p, rng)),
+                     key=lambda u: (len(u), u))
     if len(modular) == 1:
         return [f]
     l = 1

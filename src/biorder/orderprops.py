@@ -76,7 +76,7 @@ def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
 def _positive_key(g: Word):
     """archimedean_key(g), for a g that must be positive."""
     if sign(g) != 1:
-        raise NotPositiveError(f"element must be positive in the Magnus order: {g!r}")
+        raise NotPositiveError("element must be positive in the Magnus order")
     return archimedean_key(g)
 
 
@@ -149,8 +149,7 @@ def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     """Conjugates of elements infinitesimal w.r.t. a dominant g stay infinitesimal."""
     dom = dominant_check(g, cfg)
     if not dom.passed:
-        raise PremiseUnmetError(
-            f"dominance premise failed for {g!r}", premise_result=dom)
+        raise PremiseUnmetError("dominance premise failed", premise_result=dom)
     key_g = archimedean_key(g)
     failures = []
     trials = 0

@@ -60,7 +60,6 @@ def parse_presentation(text: str) -> PresentationFile:
     names: list[str] = []
     comments: list[str] = []
     maps: dict[str, dict[str, Word]] = {"map": {}, "inverse": {}}
-    map_lines: dict[str, dict[str, int]] = {"map": {}, "inverse": {}}
     block = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -85,7 +84,6 @@ def parse_presentation(text: str) -> PresentationFile:
                 maps[block][lhs] = parse_word(rhs, names)
             except ValueError as exc:
                 raise PresentationError(str(exc), lineno) from exc
-            map_lines[block][lhs] = lineno
             continue
         key, _, value = line.partition(":")
         key = key.strip()

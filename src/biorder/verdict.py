@@ -70,7 +70,6 @@ class KnotRecord:
     phi: FreeMap
     fibered: bool
     generator_names: tuple[str, ...] = ()
-    notes: str = ""
 
     def __post_init__(self):
         if not self.generator_names:

@@ -119,3 +119,93 @@ def random_automorphism(rng: random.Random, rank: int, steps: int = 5) -> FreeMa
     for _ in range(steps - 1):
         phi = compose(phi, rng.choice(moves))
     return phi
+
+
+# ---------------------------------------------------------------------------
+# irreducibility certificate from factor degrees mod p
+# ---------------------------------------------------------------------------
+
+def _gfp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gfp_divmod(a, b, p):
+    """(quotient, remainder) in GF(p)[x], ascending lists, b with a unit lead."""
+    rem = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv % p
+        quo[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+    return quo, _gfp_trim(rem[:len(b) - 1])
+
+
+def _gfp_gcd(a, b, p):
+    while b:
+        a, b = b, _gfp_divmod(a, b, p)[1]
+    return a
+
+
+def _gfp_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _gfp_divmod(out, f, p)[1]
+
+
+def _degree_pattern(coeffs, p):
+    """Degrees of the irreducible factors of f mod p, by gcds with x^(p^i) - x;
+    None when p divides lc(f) or f mod p is not squarefree."""
+    f = [c % p for c in coeffs]
+    derivative = _gfp_trim([i * c % p for i, c in enumerate(f)][1:])
+    if f[-1] == 0 or not derivative or len(_gfp_gcd(f, derivative, p)) > 1:
+        return None
+    degrees = []
+    xpi = [0, 1]
+    i = 0
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
+        power = [1]
+        for _ in range(p):
+            power = _gfp_mulmod(power, xpi, f, p)
+        xpi = power
+        shifted = xpi + [0] * (2 - len(xpi))
+        shifted[1] = (shifted[1] - 1) % p
+        g = _gfp_gcd(f, _gfp_trim(shifted), p)
+        if len(g) > 1:
+            degrees += [i] * ((len(g) - 1) // i)
+            f = _gfp_divmod(f, g, p)[0]
+            xpi = _gfp_divmod(xpi, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def irreducible_by_degree_patterns(f: Poly, primes) -> bool:
+    """True when factor degrees mod the given primes prove f irreducible over Q.
+
+    Musser (JACM 1978): the degree of any factor of f over Q is a subset sum
+    of f's factor degrees mod every prime p that leaves f squarefree of the
+    same degree.  When the sums common to all such primes are only 0 and
+    deg f, f is irreducible.  The certificate is sound but not complete:
+    x^4 + 1 splits mod every prime and is never certified.  Its GF(p)
+    arithmetic is its own, so it shares no code with the factoring it checks.
+    """
+    n = f.degree
+    possible = set(range(n + 1))
+    for p in primes:
+        degrees = _degree_pattern(f.coeffs, p)
+        if degrees is None:
+            continue
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if possible == {0, n}:
+            return True
+    return False

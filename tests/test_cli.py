@@ -65,6 +65,29 @@ class TestPresentationFormat:
         assert pf.images[0] == Word(2, ())
 
 
+HEADER = "name: t\nfibered: true\ngenerators: a b\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("name: t\n  a -> b\n", 2, "indented line outside a map block"),
+    (HEADER + "map:\n  a b\n", 5, "expected `generator -> word`"),
+    ("name: t\nfibered: yes\n", 2, "fibered must be `true` or `false`"),
+    ("name: t\nmap:\n  a -> a\n", 2, "map block before generators"),
+    ("name: t\ninverse:\n", 2, "inverse block before generators"),
+    ("name: t\ncolour: red\n", 2, "unknown directive 'colour'"),
+    ("fibered: true\ngenerators: a\nmap:\n  a -> a\n", None, "missing `name:` line"),
+    ("name: t\ngenerators: a\nmap:\n  a -> a\n", None, "missing `fibered:` line"),
+    ("name: t\nfibered: true\n", None, "missing `generators:` line"),
+    (HEADER + "map:\n  a -> b\n  b -> a\ninverse:\n  a -> b\n", None,
+     "missing inverse line for generator 'b'"),
+])
+def test_presentation_error_paths(text, line, message):
+    with pytest.raises(PresentationError) as info:
+        parse_presentation(text)
+    assert info.value.line == line
+    assert str(info.value) == (f"line {line}: " if line is not None else "") + message
+
+
 class TestAnalyzeCommand:
     def test_6_2_json_verdict(self, capsys):
         assert cli.main(["analyze", "corpus:6_2", "--max-level", "1",
@@ -125,6 +148,14 @@ class TestCorpusCommand:
 
     def test_show_unknown_name(self, capsys):
         assert cli.main(["corpus", "show", "8_19"]) == cli.EXIT_PARSE
+
+    def test_show_without_name_is_usage_error(self, capsys):
+        assert cli.main(["corpus", "show"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: corpus show needs a name\n"
+
+    def test_list_json(self, capsys):
+        assert cli.main(["corpus", "list", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == list(CORPUS_NAMES)
 
     def test_verify_text(self, capsys):
         assert cli.main(["corpus", "verify"]) == 0
@@ -199,6 +230,50 @@ class TestProbeCommand:
 
     def test_negative_probe_word_is_analysis_error(self, capsys):
         assert cli.main(["probe", "subgroup", "--g", "X"]) == cli.EXIT_ANALYSIS
+        assert capsys.readouterr().err == (
+            "analysis error: element must be positive in the Magnus order: X\n")
+
+    def test_premise_detail_names_word_in_given_generators(self, capsys):
+        args = ["probe", "normality", "--g", "q", "--generators", "p q"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == (
+            "probe: normality\nstatus: PREMISE_UNMET\n"
+            "detail: dominance premise failed for q\n")
+        assert cli.main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "probe": "normality", "status": "PREMISE_UNMET",
+            "detail": "dominance premise failed for q"}
+
+    def test_commutator_probe(self, capsys):
+        assert cli.main(["probe", "commutator", "--samples", "20"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("probe: commutator-infinitesimal\n"
+                              "config: seed=0 samples=20 max_word_length=10 search_bound=4\n")
+        assert "status: PASS\n" in out
+        assert cli.main(["probe", "commutator", "--samples", "20", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["probe"] == "commutator-infinitesimal"
+        assert payload["config"]["samples"] == 20
+        assert 0 < payload["trials"] <= 20
+        assert (payload["status"], payload["failures"]) == ("PASS", [])
+
+    def test_invariance_premise_unmet(self, capsys):
+        args = ["probe", "invariance", "--map", "corpus:trefoil"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == (
+            "probe: invariance\nstatus: PREMISE_UNMET\n"
+            "detail: order preservation premise failed\n")
+        assert cli.main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "probe": "invariance", "status": "PREMISE_UNMET",
+            "detail": "order preservation premise failed"}
+
+    def test_missing_map_file_is_parse_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.knot"
+        assert cli.main(["probe", "semidirect", "--map", str(missing)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
 
 
 class TestUsage:

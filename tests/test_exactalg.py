@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,16 +7,19 @@ import pytest
 
 from biorder.corpus import corpus_entries
 from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
-                              ZeroPolynomialError, all_roots_positive_real,
+                              ZeroPolynomialError, _distinct_degree,
+                              _equal_degree, all_roots_positive_real,
                               char_poly, count_negative_roots,
                               count_positive_roots, count_real_roots,
                               factor_over_Q, has_positive_real_root,
                               rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
-from biorder.verdict import analyze
-from helpers import (cofactor_char_poly, random_matrix,
-                     random_unimodular_matrix, synthetic_division)
+from biorder.verdict import KnotRecord, analyze
+from helpers import (_gfp_divmod, cofactor_char_poly,
+                     irreducible_by_degree_patterns, random_automorphism,
+                     random_matrix, random_unimodular_matrix,
+                     synthetic_division)
 
 # corpus abelianization matrices (columns are generator images)
 M_6_2 = IntMatrix.from_rows([[2, -1, 0, 0], [0, 0, 0, 1], [1, -1, 0, 1], [0, 0, -1, 1]])
@@ -237,6 +241,97 @@ class TestFactorOverQ:
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ValueError):
             Poly([1, 0, 1]).exact_div(Poly([-1, 1]))
+
+
+def _trial_division_factors(f, p):
+    """Monic irreducible factors of a monic f in GF(p)[x], with repeats.
+
+    Trial division by every monic polynomial of degree <= deg(f)/2, lowest
+    degree first, so a divisor found has no factor of lower degree left.
+    """
+    found = []
+    d = 1
+    while 2 * d <= len(f) - 1:
+        for low in itertools.product(range(p), repeat=d):
+            q = low + (1,)
+            quo, rem = _gfp_divmod(f, q, p)
+            while not rem:
+                found.append(q)
+                f = tuple(quo)
+                quo, rem = _gfp_divmod(f, q, p)
+        d += 1
+    if len(f) > 1:
+        found.append(f)
+    return sorted(found, key=lambda u: (len(u), u))
+
+
+class TestModularFactoring:
+    def test_splitting_matches_trial_division(self):
+        rng = random.Random(61)
+        cases = equal_degree_splits = 0
+        for p in (3, 5, 7, 11):
+            for _ in range(70):
+                f = tuple(rng.randrange(p) for _ in range(rng.randint(1, 7))) + (1,)
+                expected = _trial_division_factors(f, p)
+                if len(set(expected)) < len(expected):
+                    continue  # not squarefree
+                for seed in (0, 1):
+                    parts = _distinct_degree(f, p)
+                    assert all((len(g) - 1) % d == 0 for g, d in parts)
+                    got = [u for g, d in parts
+                           for u in _equal_degree(g, d, p, random.Random(seed))]
+                    assert sorted(got, key=lambda u: (len(u), u)) == expected, (f, p)
+                cases += 1
+                equal_degree_splits += any(len(g) - 1 > d for g, d in parts)
+        assert cases >= 200 and equal_degree_splits >= 50
+
+    def test_factor_over_q_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(67)
+        inputs = [Poly([s] + [0] * (n - 1) + [1]) for n in range(1, 61) for s in (1, -1)]
+        for _ in range(60):
+            p = Poly([rng.choice((1, -1, 2, 3))])
+            for _ in range(rng.randint(2, 6)):
+                low = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                p = p * Poly(low + [rng.choice((1, 1, 2))])
+            inputs.append(p)
+        for p in inputs:
+            _, expected = sympy.Poly(list(reversed(p.coeffs)), t).factor_list()
+            expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
+                        for f, m in expected]
+            got = [(f.poly.coeffs, f.multiplicity) for f in factor_over_Q(p).factors]
+            assert sorted(got) == sorted(expected), p
+
+
+class TestIrreducibilityCertificate:
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+    def test_certificate_is_sound_on_known_cases(self):
+        assert irreducible_by_degree_patterns(QUARTIC_6_2, self.PRIMES)
+        assert irreducible_by_degree_patterns(Poly([1, 1, 1]), self.PRIMES)
+        assert not irreducible_by_degree_patterns(Poly([-1, 0, 1]), self.PRIMES)
+        assert not irreducible_by_degree_patterns(QUARTIC_6_2 * QUARTIC_7_6, self.PRIMES)
+        # splits mod every prime, so no set of primes certifies it
+        assert not irreducible_by_degree_patterns(Poly([1, 0, 0, 0, 1]), self.PRIMES)
+
+    def test_returned_factors_are_irreducible(self):
+        reports = [analyze(e.record, max_level=2, max_degree=100) for e in corpus_entries()]
+        rng = random.Random(71)
+        for i in range(150):
+            record = KnotRecord(name=f"r{i}", phi=random_automorphism(rng, 2 + i % 3),
+                                fibered=True)
+            reports.append(analyze(record, max_level=1))
+        nonlinear = {f.poly for r in reports for level in r.levels
+                     for f in level.factors.factors if f.poly.degree > 1}
+        uncertified = [f for f in nonlinear
+                       if not irreducible_by_degree_patterns(f, self.PRIMES)]
+        assert len(nonlinear) >= 50 and len(uncertified) <= len(nonlinear) // 4
+        if uncertified:
+            sympy = pytest.importorskip("sympy")
+            t = sympy.Symbol("t")
+            for f in uncertified:
+                assert sympy.Poly(list(reversed(f.coeffs)), t).is_irreducible, f
 
 
 class TestSturm:
