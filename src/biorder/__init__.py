@@ -10,8 +10,8 @@ from .freegroup import (FreeMap, Generator, NotAnAutomorphismError, Word,
                         apply_map, commutator, compose, format_word, identity,
                         identity_map, invert, letter, multiply, parse_word,
                         reduce, verify_automorphism)
-from .lcs import (LyndonBasis, QuotientAction, lcs_action, lyndon_basis,
-                  lyndon_words, quotient_action, witt_number)
+from .lcs import (LyndonBasis, QuotientAction, lcs_action, level_char_poly,
+                  lyndon_basis, lyndon_words, quotient_action, witt_number)
 from .magnus import (EQ, GT, LT, LowestTerm, Series, archimedean_key, compare,
                      expand, in_gamma, is_infinitesimal, lowest_term, magnitude,
                      series_mul, sign)

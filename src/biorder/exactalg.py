@@ -8,7 +8,7 @@ lemma: every divisor there is primitive), so the analysis builds no Fraction;
 only Poly.__divmod__ (division over Q), rational_roots and non-integer
 sturm_count endpoints do.  The pieces fit together as
 
-    char_poly           -- Faddeev-LeVerrier with exact integer divisions
+    char_poly           -- Newton's identities on tr(A^j), every division exact
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus) + Hensel lifting +
@@ -261,17 +261,6 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows))
 
-    def scaled_identity_added(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(
-            tuple(x + (c if i == j else 0) for j, x in enumerate(row))
-            for i, row in enumerate(self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def det(self) -> int:
         """Fraction-free Bareiss elimination."""
         d = self.dim
@@ -295,25 +284,31 @@ class IntMatrix:
         return sign * a[d - 1][d - 1]
 
 
-def char_poly(a: IntMatrix) -> Poly:
-    """Monic characteristic polynomial det(lambda*I - A), exact integers.
+def power_traces(a: IntMatrix, count: int) -> list[int]:
+    """[tr(A^0), tr(A^1), ..., tr(A^count)]: the power sums of A's eigenvalues."""
+    traces = [a.dim]
+    power = IntMatrix.identity(a.dim)
+    for _ in range(count):
+        power = power @ a
+        traces.append(sum(power.rows[i][i] for i in range(a.dim)))
+    return traces
 
-    Faddeev-LeVerrier: every division by the step index is exact, and the
-    final iterate must vanish (Cayley-Hamilton), which is asserted.
-    """
-    d = a.dim
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    m = IntMatrix.identity(d)
-    for k in range(1, d + 1):
-        am = a @ m
-        tr = am.trace()
-        assert tr % k == 0, "Faddeev-LeVerrier division must be exact"
-        ck = -(tr // k)
-        coeffs[d - k] = ck
-        m = am.scaled_identity_added(ck)
-    assert m.is_zero(), "Cayley-Hamilton check failed"
-    return Poly(coeffs)
+
+def poly_from_power_sums(sums) -> Poly:
+    """Monic polynomial x^d + c_1 x^(d-1) + ... + c_d whose roots have power
+    sums sums = [p_1, ..., p_d], by Newton's identities
+    i c_i = -(p_i + c_1 p_(i-1) + ... + c_(i-1) p_1); each division is asserted exact."""
+    c = [1]
+    for i in range(1, len(sums) + 1):
+        total = sum(c[i - j] * sums[j - 1] for j in range(1, i + 1))
+        assert total % i == 0, "Newton identity division must be exact"
+        c.append(-(total // i))
+    return Poly(reversed(c))
+
+
+def char_poly(a: IntMatrix) -> Poly:
+    """Monic characteristic polynomial det(lambda*I - A), from tr(A^j), j <= dim."""
+    return poly_from_power_sums(power_traces(a, a.dim)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -834,28 +829,15 @@ def rational_roots(p: Poly) -> list[Fraction]:
         q = Poly(q.coeffs[1:])
     if q.degree < 1:
         return roots
-    seen = set()
     for num in _divisors(q.constant):
         for d in _divisors(q.leading):
             if math.gcd(num, d) != 1:
                 continue
             for s in (1, -1):
                 cand = Fraction(s * num, d)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if q(cand) != 0:
-                    continue
-                linear = Poly([-s * num, d])
-                while True:
-                    try:
-                        nxt = q.exact_div(linear)
-                    except ValueError:
-                        break
+                while q(cand) == 0:  # d x - s num is primitive, so divides in Z[x]
                     roots.append(cand)
-                    q = nxt
-                    if q(cand) != 0:
-                        break
+                    q = q.exact_div(Poly([-s * num, d]))
     return roots
 
 

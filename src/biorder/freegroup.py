@@ -82,14 +82,14 @@ class Word:
         return tuple(v)
 
     def __repr__(self):
-        names = _default_names(self.rank)
-        return f"Word({format_word(self, names)!r}, rank={self.rank})"
+        return f"Word({format_word(self, default_names(self.rank))!r}, rank={self.rank})"
 
 
-def _default_names(rank: int) -> tuple[str, ...]:
-    if rank > 26:
-        raise ValueError("default names support rank <= 26")
-    return tuple("abcdefghijklmnopqrstuvwxyz"[:rank])
+def default_names(rank: int) -> tuple[str, ...]:
+    """The first `rank` lowercase letters, skipping `e` (the identity word)."""
+    if rank > 25:
+        raise ValueError("default names support rank <= 25")
+    return tuple("abcdfghijklmnopqrstuvwxyz"[:rank])
 
 
 def identity(rank: int) -> Word:

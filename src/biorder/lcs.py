@@ -11,6 +11,10 @@ expands as 1 + (degree-k Lie element) + ..., and X_i maps to
 sum_j M[j][i] X_j + ..., so a bracket's image has the bracket's degree-k part
 with that substitution made.  The Lyndon-to-monomial change of basis is
 unitriangular in lex order, so leading-monomial elimination is exact.
+
+That action is L_k(M), the free Lie functor of M, so its characteristic
+polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
+sums tr(M^e), and Newton's identities turn those into the polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, Poly, power_traces, poly_from_power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
                         commutator, letter, verify_automorphism)
 from .magnus import Monomial, expand
@@ -26,29 +30,39 @@ from .magnus import Monomial, expand
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
 
 
-def witt_number(n: int, k: int) -> int:
-    """Rank of the degree-k quotient: (1/k) sum_{d|k} mu(d) n^(k/d)."""
-    total = 0
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        total += _mobius(d) * n ** (k // d)
-    assert total % k == 0
+def _brandt_trace(power_sums, k: int) -> int:
+    """tr L_k(A) = (1/k) sum_{d|k} mu(d) tr(A^d)^(k/d), where L_k is the
+    degree-k free Lie functor and power_sums[e - 1] = tr(A^e) (Brandt, Trans.
+    AMS 56, 1944; Reutenauer, Free Lie Algebras, 1993)."""
+    total = sum(_mobius(d) * power_sums[d - 1] ** (k // d)
+                for d in range(1, k + 1) if k % d == 0)
+    assert total % k == 0, "Brandt trace must be an integer"
     return total // k
 
 
+def witt_number(n: int, k: int) -> int:
+    """Rank of the degree-k quotient: tr L_k(I_n) = (1/k) sum_{d|k} mu(d) n^(k/d)."""
+    return _brandt_trace([n] * k, k)
+
+
+def level_char_poly(m: IntMatrix, k: int) -> Poly:
+    """Characteristic polynomial of quotient_action(m, k): Newton's identities
+    on its power sums tr L_k(m^j), each a Brandt trace of the tr(m^(dj)), d | k."""
+    dim = witt_number(m.dim, k)
+    traces = power_traces(m, k * dim)
+    return poly_from_power_sums([_brandt_trace(traces[j::j], k)
+                                 for j in range(1, dim + 1)])
+
+
 def _mobius(n: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= n:
+    mu, p = 1, 2
+    while n > 1:
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return 0
             mu = -mu
         p += 1
-    if n > 1:
-        mu = -mu
     return mu
 
 

@@ -1,10 +1,10 @@
 """Bi-orderability decision procedures for groups presented as Z x| F_n.
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
-free group).  The analyzer checks phi once, reads each level's integer matrix
-off M = abelianized(phi) (level 1 = M's action on basic commutators), factors
-the characteristic polynomial over Q, counts positive real roots exactly, and
-combines the following rules, checked in the order R1, R2, R4, R3, R5:
+free group).  The analyzer checks phi once, gets each level's characteristic
+polynomial from the power sums of M = abelianized(phi) (Brandt, Newton; level 1
+= M's action on basic commutators), factors it over Q, counts positive real
+roots exactly, and combines these rules, checked in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from .exactalg import (FactorReport, IntMatrix, Poly, char_poly, factor_over_Q,
                        has_positive_real_root)
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                        verify_automorphism)
-from .lcs import DEGREE_CAP, QuotientAction, quotient_action
+                        default_names, verify_automorphism)
+from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_action,
+                  witt_number)
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
 BIORDERABLE = "BIORDERABLE"
@@ -73,8 +74,7 @@ class KnotRecord:
 
     def __post_init__(self):
         if not self.generator_names:
-            object.__setattr__(self, "generator_names",
-                               tuple("abcdefghijklmnopqrstuvwxyz"[: self.phi.rank]))
+            object.__setattr__(self, "generator_names", default_names(self.phi.rank))
         if len(self.generator_names) != self.phi.rank:
             raise ValueError("need one generator name per generator")
 
@@ -143,14 +143,12 @@ def lambda_block_obstruction(a: IntMatrix) -> bool:
 # knot-level criteria
 # ---------------------------------------------------------------------------
 
-def level_report(record: KnotRecord, level: int, max_degree: int = 8) -> LevelReport:
-    """The level's matrix, read off M = abelianized(phi), and its factor report."""
-    action = quotient_action(abelianized(record.phi), level + 1)
-    cp = char_poly(action.matrix)
-    if cp.degree > max_degree:
-        raise AnalysisError(
-            f"characteristic polynomial degree {cp.degree} exceeds cap {max_degree}")
-    return LevelReport(level, action, cp, factor_over_Q(cp))
+def level_report(record: KnotRecord, level: int) -> LevelReport:
+    """The level's characteristic polynomial from the power sums of
+    M = abelianized(phi), its factor report, and its matrix for display."""
+    m = abelianized(record.phi)
+    cp = level_char_poly(m, level + 1)
+    return LevelReport(level, quotient_action(m, level + 1), cp, factor_over_Q(cp))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -179,8 +177,11 @@ def analyze(record: KnotRecord, max_level: int = 1,
     if not report.is_automorphism_candidate:
         raise NotAnAutomorphismError(
             f"{record.name}: monodromy is not an automorphism ({report.detail})")
-    levels = tuple(level_report(record, lv, max_degree)
-                   for lv in range(max_level + 1))
+    for lv in range(max_level + 1):  # a level's degree is its Witt number
+        if (degree := witt_number(record.rank, lv + 1)) > max_degree:
+            raise AnalysisError(
+                f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
+    levels = tuple(level_report(record, lv) for lv in range(max_level + 1))
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: the reducer scans for cancelling pairs instead of using a stack, the
-characteristic polynomial comes from cofactor expansion instead of
-Faddeev-LeVerrier, and root locations are planted rather than counted.
+characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
+instead of Newton's identities on power sums, and root locations are planted
+rather than counted.
 """
 
 from __future__ import annotations
@@ -39,6 +40,26 @@ def cofactor_char_poly(m: IntMatrix) -> Poly:
     entries = [[(lam if i == j else Poly()) - Poly([m.rows[i][j]])
                 for j in range(m.dim)] for i in range(m.dim)]
     return _poly_det(entries)
+
+
+def faddeev_leverrier_char_poly(m: IntMatrix) -> Poly:
+    """det(lambda*I - A) by Faddeev-LeVerrier: B_0 = I, B_k = A B_(k-1) + c_k I
+    with c_k = -tr(A B_(k-1)) / k.  Every division must be exact and B_d must
+    vanish (Cayley-Hamilton), both asserted.  A's rows are kept sparse, since
+    the 60x60 level matrices are mostly zeros."""
+    d = m.dim
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m.rows]
+    cols = [[int(i == j) for i in range(d)] for j in range(d)]  # columns of B_0
+    coeffs = [0] * d + [1]
+    for k in range(1, d + 1):
+        cols = [[sum(x * col[j] for j, x in row) for row in rows] for col in cols]
+        trace = sum(cols[i][i] for i in range(d))
+        assert trace % k == 0, "Faddeev-LeVerrier division must be exact"
+        coeffs[d - k] = -(trace // k)
+        for i in range(d):
+            cols[i][i] += coeffs[d - k]
+    assert not any(any(col) for col in cols), "Cayley-Hamilton check failed"
+    return Poly(coeffs)
 
 
 def _poly_det(rows) -> Poly:

@@ -17,6 +17,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               sturm_count)
 from biorder.verdict import KnotRecord, analyze
 from helpers import (_gfp_divmod, cofactor_char_poly,
+                     faddeev_leverrier_char_poly,
                      irreducible_by_degree_patterns, random_automorphism,
                      random_matrix, random_unimodular_matrix,
                      synthetic_division)
@@ -48,6 +49,20 @@ class TestCharPoly:
             d = rng.randint(1, 5)
             m = random_matrix(rng, d)
             assert char_poly(m) == cofactor_char_poly(m)
+
+    def test_against_faddeev_leverrier_oracle(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            m = random_matrix(rng, rng.randint(1, 12))
+            assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+    def test_against_sympy_beyond_cofactor_reach(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(35)
+        for d in range(6, 13):
+            m = random_matrix(rng, d)
+            expected = [int(c) for c in sympy.Matrix(m.rows).charpoly().all_coeffs()]
+            assert char_poly(m) == Poly(reversed(expected))
 
     def test_determinant_consistency(self):
         rng = random.Random(32)

@@ -4,11 +4,13 @@ import pytest
 
 from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
                                FreeMap, GeneratorRangeError, RankMismatchError,
-                               Word, apply_map, commutator, compose,
-                               format_word, identity, identity_map, invert,
-                               inverse_map, letter, multiply, parse_word,
-                               random_word, reduce, verify_automorphism)
+                               Word, apply_map, check_generator_names,
+                               commutator, compose, default_names, format_word,
+                               identity, identity_map, invert, inverse_map,
+                               letter, multiply, parse_word, random_word,
+                               reduce, verify_automorphism)
 from biorder.corpus import corpus_entries
+from biorder.verdict import KnotRecord
 from helpers import W, naive_reduce
 
 
@@ -174,6 +176,23 @@ class TestGenerator:
         from biorder.freegroup import Generator
         with pytest.raises(GeneratorRangeError):
             Generator(-1, "x")
+
+
+class TestDefaultNames:
+    def test_rank5_letter_is_not_spelled_like_the_identity(self):
+        assert repr(identity(5)) == "Word('e', rank=5)"
+        assert repr(letter(5, 4)) == "Word('f', rank=5)"
+
+    def test_every_default_name_list_passes_the_name_check(self):
+        assert default_names(4) == ("a", "b", "c", "d")
+        for rank in range(1, 26):
+            assert check_generator_names(default_names(rank)) == default_names(rank)
+        with pytest.raises(ValueError):
+            default_names(26)
+
+    def test_knot_record_defaults_to_the_same_names(self):
+        record = KnotRecord("r5", identity_map(5), fibered=True)
+        assert record.generator_names == default_names(5) == ("a", "b", "c", "d", "f")
 
 
 class TestWordSyntax:

@@ -8,11 +8,11 @@ from biorder.exactalg import IntMatrix, Poly, char_poly, count_real_roots
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                                apply_map, commutator, identity_map, invert,
                                letter, multiply, power, random_word)
-from biorder.lcs import (lcs_action, lyndon_basis, lyndon_words,
-                         quotient_action, standard_bracketing, witt_number,
-                         _lie_coordinates)
+from biorder.lcs import (lcs_action, level_char_poly, lyndon_basis,
+                         lyndon_words, quotient_action, standard_bracketing,
+                         witt_number, _lie_coordinates)
 from biorder.magnus import expand
-from helpers import W, random_automorphism
+from helpers import W, faddeev_leverrier_char_poly, random_automorphism
 
 
 class TestLyndonBasis:
@@ -43,7 +43,7 @@ class TestLyndonBasis:
         assert basis.elements[1].bracket == commutator(commutator(x, y), y)
 
     def test_counts_match_witt_for_a_range(self):
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             for k in (1, 2, 3, 4):
                 assert len(lyndon_words(n, k)) == witt_number(n, k)
 
@@ -225,6 +225,35 @@ class TestLcsAction:
         reference = char_poly(lcs_action(phi, 2).matrix)
         for flip in range(6):
             assert char_poly(_action_with_flipped_bracket(phi, 2, flip)) == reference
+
+
+class TestLevelCharPoly:
+    """The analysis's polynomial (Brandt traces of M's power sums, then
+    Newton's identities) against Faddeev-LeVerrier on the printed matrix."""
+
+    @staticmethod
+    def check(phi):
+        m = abelianized(phi)
+        for k in (1, 2, 3, 4):
+            expected = faddeev_leverrier_char_poly(quotient_action(m, k).matrix)
+            assert level_char_poly(m, k) == expected, (phi, k)
+
+    def test_corpus_matches_faddeev_leverrier_of_level_matrix(self):
+        for name in CORPUS_NAMES:
+            self.check(corpus_entry(name).record.phi)
+
+    def test_random_automorphisms_match_faddeev_leverrier_of_level_matrix(self):
+        # rank 4 at k = 4 is a 60x60 Faddeev-LeVerrier run (about 0.2 s), so
+        # ranks 2 and 3 are drawn twice as often as rank 4
+        rng = random.Random(71)
+        for i in range(30):
+            self.check(random_automorphism(rng, (2, 3, 2, 3, 4)[i % 5]))
+
+    def test_identity_acts_trivially_on_every_level(self):
+        for n in (2, 3, 4):
+            for k in (1, 2, 3, 4):
+                assert level_char_poly(IntMatrix.identity(n), k) == \
+                    Poly([-1, 1]) ** witt_number(n, k)
 
 
 def _action_with_flipped_bracket(phi, k, flip_index=None) -> IntMatrix:

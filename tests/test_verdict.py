@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import biorder
 from biorder import exactalg, freegroup, lcs, verdict
 from biorder.corpus import corpus_entries, corpus_entry
 from biorder.exactalg import (IntMatrix, all_roots_positive_real,
@@ -227,6 +228,31 @@ class TestAnalyze:
     def test_degree_cap(self):
         with pytest.raises(AnalysisError):
             analyze(knot("6_2"), max_level=1, max_degree=4)
+
+
+class TestLevelWork:
+    """Each level's polynomial comes from M's power sums; the level matrix is
+    only built for display, after the degree cap has passed."""
+
+    def test_degree_cap_rejected_before_any_level_work(self, monkeypatch):
+        def no_level_matrix(m, k):
+            raise AssertionError("level matrix built before the degree check")
+
+        monkeypatch.setattr(verdict, "quotient_action", no_level_matrix)
+        with pytest.raises(AnalysisError,
+                           match=r"^characteristic polynomial degree 20 exceeds cap 10$"):
+            analyze(knot("6_2"), max_level=3, max_degree=10)
+
+    def test_analysis_never_takes_a_matrix_char_poly(self, monkeypatch):
+        def no_char_poly(a):
+            raise AssertionError("char_poly called on the analysis path")
+
+        for module in (biorder, exactalg, lcs, verdict):
+            monkeypatch.setattr(module, "char_poly", no_char_poly, raising=False)
+        for entry in corpus_entries():
+            for level in range(lcs.DEGREE_CAP):
+                report = analyze(entry.record, max_level=level, max_degree=100)
+                assert len(report.levels) == level + 1
 
 
 class TestCombineRules:
