@@ -27,6 +27,8 @@ EXIT_PARSE = 2
 EXIT_ANALYSIS = 3
 EXIT_USAGE = 4
 MAX_BOUND = 1000  # keeps weak-comparability's checked under 1700 digits (str limit: 4300)
+MAX_SAMPLES = 10000  # with MAX_WORD_LENGTH: seconds per default probe, see README
+MAX_WORD_LENGTH = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,15 +278,15 @@ _MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
 
 
 def _cmd_probe(ns) -> int:
-    if not 0 <= ns.bound <= MAX_BOUND:
-        print(f"error: --bound: must be in 0..{MAX_BOUND}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
-                          max_word_length=ns.max_word_length, search_bound=ns.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value, low, high in (("--bound", ns.bound, 0, MAX_BOUND),
+                                   ("--samples", ns.samples, 1, MAX_SAMPLES),
+                                   ("--max-word-length", ns.max_word_length, 1,
+                                    MAX_WORD_LENGTH)):
+        if not low <= value <= high:
+            print(f"error: {flag}: must be in {low}..{high}", file=sys.stderr)
+            return EXIT_USAGE
+    cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
+                      max_word_length=ns.max_word_length, search_bound=ns.bound)
     try:
         names = check_generator_names(ns.generators.split())
     except ValueError as exc:
@@ -397,8 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--generators", default="x y",
                     help="generator names for plain word probes (default: `x y`)")
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--samples", type=int, default=200)
-    pp.add_argument("--max-word-length", type=int, default=10)
+    pp.add_argument("--samples", type=int, default=200,
+                    help=f"sampled trials, 1..{MAX_SAMPLES}")
+    pp.add_argument("--max-word-length", type=int, default=10,
+                    help=f"longest sampled word, 1..{MAX_WORD_LENGTH}")
     pp.add_argument("--bound", type=int, default=4, help=f"bound on |h|, 0..{MAX_BOUND}")
     pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.set_defaults(func=_cmd_probe)

@@ -7,6 +7,11 @@ of the stable letter in a semidirect product Z x| F_n.
 Textual conventions used at every I/O boundary: words are whitespace-separated
 single letters, an uppercase letter is the inverse of the lowercase generator,
 and `e` (or an empty string) is the identity.
+
+A word is validated where its letters come from outside: `Word(...)` built by
+a caller, `parse_word`, `reduce` and `random_word`.  Words derived from valid
+words (`multiply`, `invert`, `apply_map`, and so `power`, `commutator` and
+`conjugate`) are reduced by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -85,6 +90,14 @@ class Word:
         return f"Word({format_word(self, default_names(self.rank))!r}, rank={self.rank})"
 
 
+def _word(rank: int, letters: tuple[tuple[int, int], ...]) -> Word:
+    """A Word from letters already known to be valid and freely reduced."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def default_names(rank: int) -> tuple[str, ...]:
     """The first `rank` lowercase letters, skipping `e` (the identity word)."""
     if rank > 25:
@@ -127,11 +140,11 @@ def multiply(w1: Word, w2: Word) -> Word:
     while left and i < len(right) and left[-1][0] == right[i][0] and left[-1][1] == -right[i][1]:
         left.pop()
         i += 1
-    return Word(w1.rank, tuple(left) + right[i:])
+    return _word(w1.rank, tuple(left) + right[i:])
 
 
 def invert(w: Word) -> Word:
-    return Word(w.rank, tuple((g, -s) for g, s in reversed(w.letters)))
+    return _word(w.rank, tuple((g, -s) for g, s in reversed(w.letters)))
 
 
 def power(w: Word, n: int) -> Word:
@@ -192,14 +205,19 @@ def identity_map(rank: int) -> FreeMap:
 
 
 def apply_map(phi: FreeMap, w: Word) -> Word:
-    """Substitute each letter by its image (inverted image for negative letters)."""
+    """Substitute each letter by its image (inverted image for negative letters),
+    freely reducing the image letters on one stack."""
     if phi.rank != w.rank:
         raise RankMismatchError(f"rank mismatch: map {phi.rank} vs word {w.rank}")
-    out = identity(w.rank)
+    stack: list[tuple[int, int]] = []
     for g, s in w.letters:
-        img = phi.images[g]
-        out = multiply(out, img if s == 1 else invert(img))
-    return out
+        img = phi.images[g].letters
+        for h, t in img if s == 1 else reversed(img):
+            if stack and stack[-1] == (h, -s * t):
+                stack.pop()
+            else:
+                stack.append((h, s * t))
+    return _word(w.rank, tuple(stack))
 
 
 def compose(phi: FreeMap, psi: FreeMap) -> FreeMap:

@@ -7,9 +7,11 @@ P[k] + P[k-1] X_g, k falling so P[k-1] is still old; x_g^-1 gives
 Q[k] = P[k] - Q[k-1] X_g (Q (1 + X_g) = P), k rising so Q[k-1] is already new.
 The first nonvanishing homogeneous part of a word orders the free group: a
 word is positive when that part's first coefficient in graded-lex monomial
-order is positive.  This yields a concrete bi-order and lower-central-series
-membership.  Infinitesimality (and so weak comparability) is read off one
-key per element, (lowest degree, leading monomial), which w and w^-1 share.
+order is positive.  The degree-1 part is the exponent-sum vector, so only
+words with zero exponent sums are expanded to find it.  This yields a
+concrete bi-order and lower-central-series membership.  Infinitesimality (and
+so weak comparability) is read off one key per element, (lowest degree,
+leading monomial), which w and w^-1 share.
 
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
@@ -123,13 +125,18 @@ class LowestTerm:
 def lowest_term(w: Word) -> LowestTerm:
     """Minimal degree d >= 1 with a nonzero homogeneous part.
 
-    The truncation rises one degree at a time, so the word is never expanded
-    past its lowest degree.  A nontrivial reduced word of length L never lies
-    in gamma_{L+1}, so the search ends by degree L.
+    Degree 1 is the exponent-sum vector: the coefficient of X_i is the
+    exponent sum of x_i, and the monomials (0,), (1,), ... are in grlex
+    order.  Only a word with zero exponent sums is expanded, its truncation
+    rising one degree at a time from 2, so it is never expanded past its
+    lowest degree.  A nontrivial reduced word of length L never lies in
+    gamma_{L+1}, so the search ends by degree L.
     """
     if w.is_identity:
         raise NoLowestTermError("identity word has no lowest term")
-    for d in range(1, len(w) + 1):
+    if part := tuple(((i,), c) for i, c in enumerate(w.exponent_vector()) if c):
+        return LowestTerm(1, part)
+    for d in range(2, len(w) + 1):
         part = expand(w, d).homogeneous_part(d)
         if part:
             return LowestTerm(d, tuple(sorted(part.items())))

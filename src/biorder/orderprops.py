@@ -229,13 +229,19 @@ def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
 # ---------------------------------------------------------------------------
 
 Pair = tuple[int, Word]
+_MAX_SHIFT = 3  # the semidirect probe samples stable-letter exponents in -3..3
+
+
+def _times(p1: Pair, p2: Pair, phi_n: FreeMap) -> Pair:
+    """(m, w) * (n, v) = (m + n, phi^n(w) v), given phi_n = phi^n."""
+    m, w = p1
+    n, v = p2
+    return (m + n, multiply(apply_map(phi_n, w), v))
 
 
 def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
     """(m, w) * (n, v) = (m + n, phi^n(w) v); negative n needs an invertible phi."""
-    m, w = p1
-    n, v = p2
-    return (m + n, multiply(apply_map(iterate_map(phi, n), w), v))
+    return _times(p1, p2, iterate_map(phi, p2[0]))
 
 
 def semidirect_compare(p1: Pair, p2: Pair, phi: FreeMap) -> int:
@@ -251,19 +257,25 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     """Antisymmetry, transitivity, and bi-invariance of the semidirect order.
 
     The order-preservation premise is recorded as a warning when it fails;
-    comparisons are still exercised.
+    comparisons are still exercised.  phi^n is built once for every sampled
+    exponent n, so phi needs inverse images.
     """
     premise = order_preservation_probe(phi, cfg)
     warnings = ()
     if not premise.passed:
         warnings = ("order-preservation premise failed; the semidirect order "
                     "need not be bi-invariant",)
+    powers = {n: iterate_map(phi, n) for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
+
+    def mul(p1: Pair, p2: Pair) -> Pair:
+        return _times(p1, p2, powers[p2[0]])
+
     failures = []
     trials = 0
     for i in range(cfg.samples):
         rng = _trial_rng(cfg, i)
         def sample_pair():
-            return (rng.randint(-3, 3),
+            return (rng.randint(-_MAX_SHIFT, _MAX_SHIFT),
                     random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
         p1, p2, p3 = sample_pair(), sample_pair(), sample_pair()
         trials += 1
@@ -275,11 +287,9 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
                 and semidirect_compare(p1, p3, phi) == GT):
             failures.append(("transitivity", p1, p2, p3))
         q = sample_pair()
-        if semidirect_compare(semidirect_mul(q, p1, phi),
-                              semidirect_mul(q, p2, phi), phi) != c12:
+        if semidirect_compare(mul(q, p1), mul(q, p2), phi) != c12:
             failures.append(("left-invariance", q, p1, p2))
-        if semidirect_compare(semidirect_mul(p1, q, phi),
-                              semidirect_mul(p2, q, phi), phi) != c12:
+        if semidirect_compare(mul(p1, q), mul(p2, q), phi) != c12:
             failures.append(("right-invariance", q, p1, p2))
     return _result("semidirect", trials, failures, warnings)
 

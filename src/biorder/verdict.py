@@ -178,7 +178,11 @@ def analyze(record: KnotRecord, max_level: int = 1,
         raise NotAnAutomorphismError(
             f"{record.name}: monodromy is not an automorphism ({report.detail})")
     for lv in range(max_level + 1):  # a level's degree is its Witt number
-        if (degree := witt_number(record.rank, lv + 1)) > max_degree:
+        if (degree := witt_number(record.rank, lv + 1)) == 0:
+            raise AnalysisError(
+                f"level {lv} is trivial at rank {record.rank} (Witt number 0); "
+                f"analyze at most level {lv - 1}")
+        if degree > max_degree:
             raise AnalysisError(
                 f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
     levels = tuple(level_report(record, lv) for lv in range(max_level + 1))

@@ -3,16 +3,21 @@
 Everything here is deliberately independent of the implementation paths it
 checks: the reducer scans for cancelling pairs instead of using a stack, the
 characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
-instead of Newton's identities on power sums, and root locations are planted
-rather than counted.
+instead of Newton's identities on power sums, root locations are planted
+rather than counted, a map is applied by a fold of multiply, lowest terms
+are expanded from degree 1, and semidirect products rebuild phi^n each time.
 """
 
 from __future__ import annotations
 
 import random
 
+from biorder import orderprops
 from biorder.exactalg import IntMatrix, Poly
-from biorder.freegroup import FreeMap, Word, compose, letter, parse_word
+from biorder.freegroup import (FreeMap, Word, compose, identity, letter,
+                               multiply, parse_word, random_word)
+from biorder.magnus import LowestTerm, expand
+from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
 
 def W(text: str, names: str = "xy") -> Word:
@@ -80,6 +85,54 @@ def synthetic_division(coeffs_desc, root):
     for c in coeffs_desc[1:]:
         out.append(c + root * out[-1])
     return out[:-1], out[-1]
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the probe hot path
+# ---------------------------------------------------------------------------
+
+def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
+    """phi(w) as a fold of multiply, one image letter at a time."""
+    out = identity(w.rank)
+    for g, s in w.letters:
+        img = phi.images[g].letters
+        for h, t in img if s == 1 else reversed(img):
+            out = multiply(out, letter(w.rank, h, s * t))
+    return out
+
+
+def lowest_term_by_expansion(w: Word) -> LowestTerm:
+    """The first nonzero homogeneous part of the expansion, degree 1 included."""
+    for d in range(1, len(w) + 1):
+        part = expand(w, d).homogeneous_part(d)
+        if part:
+            return LowestTerm(d, tuple(sorted(part.items())))
+    raise AssertionError("no nonzero homogeneous part up to the word length")
+
+
+def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
+    """(trials, failures) of semidirect_order_probe, drawing the same pairs
+    but taking every product through the public semidirect_mul, which
+    builds phi^n anew for each one."""
+    failures = []
+    for i in range(cfg.samples):
+        rng = orderprops._trial_rng(cfg, i)
+        p1, p2, p3, q = [(rng.randint(-3, 3),
+                          random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
+                         for _ in range(4)]
+        c12 = semidirect_compare(p1, p2, phi)
+        if semidirect_compare(p2, p1, phi) != -c12:
+            failures.append(("antisymmetry", p1, p2))
+        if (c12 != GT and semidirect_compare(p2, p3, phi) != GT
+                and semidirect_compare(p1, p3, phi) == GT):
+            failures.append(("transitivity", p1, p2, p3))
+        if semidirect_compare(semidirect_mul(q, p1, phi),
+                              semidirect_mul(q, p2, phi), phi) != c12:
+            failures.append(("left-invariance", q, p1, p2))
+        if semidirect_compare(semidirect_mul(p1, q, phi),
+                              semidirect_mul(p2, q, phi), phi) != c12:
+            failures.append(("right-invariance", q, p1, p2))
+    return cfg.samples, tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,23 @@ class TestAnalyzeCommand:
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["analyze"]) == cli.EXIT_USAGE
         assert cli.main(["analyze", "corpus:6_2", "--max-level", "7"]) == cli.EXIT_USAGE
+
+    def test_trivial_level_is_analysis_error(self, tmp_path, capsys):
+        """At rank 1 every level above 0 has Witt number 0; asking for one
+        is refused with a message, and level 0 alone still analyzes."""
+        path = tmp_path / "rank1.knot"
+        path.write_text("name: r1\nfibered: true\ngenerators: a\n"
+                        "map:\n  a -> a\ninverse:\n  a -> a\n")
+        for flags in ([], ["--max-level", "2"]):
+            assert cli.main(["analyze", str(path)] + flags) == cli.EXIT_ANALYSIS
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("analysis error: level 1 is trivial at rank 1"
+                                    " (Witt number 0); analyze at most level 0\n")
+        assert cli.main(["analyze", str(path), "--max-level", "0"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "  char poly: t - 1\n" in out
+        assert "verdict: BIORDERABLE at level 0 via R4\n" in out
 
 
 class TestCorpusCommand:
@@ -297,10 +315,10 @@ class TestUsage:
 
     def test_probe_sizes_below_one(self, capsys):
         assert cli.main(["probe", "subgroup", "--g", "x", "--samples", "0"]) == cli.EXIT_USAGE
-        assert "error: samples must be >= 1" in capsys.readouterr().err
+        assert "error: --samples: must be in 1..10000" in capsys.readouterr().err
         assert cli.main(["probe", "subgroup", "--g", "x",
                          "--max-word-length", "0"]) == cli.EXIT_USAGE
-        assert "error: max_word_length must be >= 1" in capsys.readouterr().err
+        assert "error: --max-word-length: must be in 1..100" in capsys.readouterr().err
 
     def test_bound_range(self, capsys):
         base = ["probe", "weak-comparability", "--f", "x", "--g", "y", "--bound"]
@@ -312,3 +330,97 @@ class TestUsage:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: --bound: must be in 0..1000\n"
+
+
+# Every probe flag at its lowest value and just past each end of its range
+# (flags without a numeric range: one accepted and one rejected value).  Each
+# row extends a small base run; a flag given again overrides the base's.
+_WORD = ["probe", "subgroup", "--g", "x", "--samples", "5"]
+_MAP = ["probe", "semidirect", "--map", "corpus:figure8", "--samples", "5"]
+_PAIR = ["probe", "weak-comparability", "--f", "x", "--g", "y"]
+_OUT_OF_RANGE = "error: {}: must be in {}\n"
+
+
+_FLAG_TABLE = [
+    (_WORD, ["--samples", "1"], cli.EXIT_OK, ""),
+    (_WORD, ["--samples", "0"], cli.EXIT_USAGE, _OUT_OF_RANGE.format("--samples", "1..10000")),
+    (_WORD, ["--samples", "10001"], cli.EXIT_USAGE,
+     _OUT_OF_RANGE.format("--samples", "1..10000")),
+    (_WORD, ["--max-word-length", "1"], cli.EXIT_OK, ""),
+    (_WORD, ["--max-word-length", "0"], cli.EXIT_USAGE,
+     _OUT_OF_RANGE.format("--max-word-length", "1..100")),
+    (_WORD, ["--max-word-length", "101"], cli.EXIT_USAGE,
+     _OUT_OF_RANGE.format("--max-word-length", "1..100")),
+    (_PAIR, ["--bound", "0"], cli.EXIT_OK, ""),
+    (_PAIR, ["--bound", "-1"], cli.EXIT_USAGE, _OUT_OF_RANGE.format("--bound", "0..1000")),
+    (_PAIR, ["--bound", "1001"], cli.EXIT_USAGE, _OUT_OF_RANGE.format("--bound", "0..1000")),
+    (_WORD, ["--seed", "-1"], cli.EXIT_OK, ""),
+    (_WORD, ["--seed", "1.5"], cli.EXIT_USAGE, None),
+    (_WORD, ["--format", "json"], cli.EXIT_OK, ""),
+    (_WORD, ["--format", "xml"], cli.EXIT_USAGE, None),
+    (_WORD, ["--generators", "a b", "--g", "a"], cli.EXIT_OK, ""),
+    (_WORD, ["--generators", "a a"], cli.EXIT_USAGE,
+     "error: --generators: duplicate generator names\n"),
+    (_WORD, ["--g", "y x"], cli.EXIT_OK, ""),
+    (_WORD, ["--g", "z"], cli.EXIT_USAGE, "error: --g: unknown generator 'z'\n"),
+    (_PAIR, ["--f", "y X"], cli.EXIT_OK, ""),
+    (_PAIR, ["--f", "xy"], cli.EXIT_USAGE, "error: --f: unreadable word token 'xy'\n"),
+    (_MAP, ["--map", "corpus:trefoil"], cli.EXIT_OK, ""),
+    (_MAP, ["--map", "corpus:nosuch"], cli.EXIT_PARSE, None),
+]
+
+
+@pytest.mark.parametrize("base, flags, code, err", _FLAG_TABLE,
+                         ids=[" ".join(row[1]) for row in _FLAG_TABLE])
+def test_probe_flag_table(base, flags, code, err, capsys):
+    assert cli.main(base + flags) == code
+    captured = capsys.readouterr()
+    if err is not None:
+        assert captured.err == err
+    if code != cli.EXIT_OK:
+        assert captured.out == ""
+
+
+# sha256 of `probe NAME ... --seed S --format json` at default flags, seeds 1
+# and 7, recorded before the probe hot path was sped up.  A change that alters
+# which words are drawn, or what is done with them, fails here.
+_INNER = ("name: inner\nfibered: true\ngenerators: a b\nmap:\n  a -> a\n  b -> a b A\n"
+          "inverse:\n  a -> a\n  b -> A b a\n")
+_PINNED_STREAM = {
+    "subgroup": (["--g", "x"],
+                 "0e996eeaf1e03b947d5fe9ab17fa05798b12b8088a5f146269b7c9be2e768c41",
+                 "b859687fad8b86e9b783c0d00a6a8b8f6d79524315c52e02ddbcc01b05f1fcdd"),
+    "normality": (["--g", "x"],
+                  "8f7ca8a3fda8c1373f6b9f1d7306e4ead9d055ec780fe6cb4f8cbb038dc15fac",
+                  "7087c39c4cfb588f69b8316621f0414940b24aea9f034b47ca987ca876173632"),
+    "dominance": (["--g", "x"],
+                  "e77932875d870dca5b0680b4325ce279be17adcc02fab86bb40549be8e053151",
+                  "b5bcc6f9bdaf15113425c0d09991f13f3c9a09c1d6039ea4100a59d8c478e659"),
+    "commutator": ([],
+                   "c21a17a2e335817b4ad14e329c1003afcc113716874252c1c4e05c0d00d8b2f3",
+                   "8afcec46cf4dec8bef0c45a52bce922f6b94c333f94d2265c44192c19e7faf2e"),
+    "order-preservation": (["--map", "corpus:figure8"],
+                           "61eed1de3d054ced2ad8f4a5daae7cbb09287467d11e469d2cd88e529f8deed8",
+                           "889810192e84b236613d22372709722917bb9c8919c5c9b7cbce03e590560f2e"),
+    "invariance": (["--map", "INNER"],
+                   "cbf502cb079b3e66244be1a4769e8ed3c4a54897dbbbe689e4a775112bc587c5",
+                   "8809d45f2fc8027ee52a2439155c90f181c28dba734dc38f55eb113e468d1613"),
+    "semidirect": (["--map", "corpus:figure8"],
+                   "b83f3eae0e2cbbca8ddd635c7eba3ccd0979e449fecb374370790b9bc6d119d4",
+                   "4cbdc5885edc7ffadbe6f5fcb3b809cc42e3960d064ac80827bd3bf5c3689984"),
+    "weak-comparability": (["--f", "x", "--g", "y"],
+                           "11e735d8ab4710544121f6b5ae724c10da253f8b7e7e8ff5a6dd234e20d1e9b0",
+                           "5f36716eae558aa6c33af17d6e99b20f5510167ab1bb7a2e3e09f6783391b615"),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_STREAM)
+def test_probe_stream_is_pinned(name, tmp_path, capsys):
+    inner = tmp_path / "inner.knot"  # conjugation by a: invariance runs in full
+    inner.write_text(_INNER)
+    args, *digests = _PINNED_STREAM[name]
+    args = [str(inner) if a == "INNER" else a for a in args]
+    for seed, digest in zip((1, 7), digests):
+        assert cli.main(["probe", name, *args, "--seed", str(seed), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out

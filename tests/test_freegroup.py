@@ -5,13 +5,13 @@ import pytest
 from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
                                FreeMap, GeneratorRangeError, RankMismatchError,
                                Word, apply_map, check_generator_names,
-                               commutator, compose, default_names, format_word,
-                               identity, identity_map, invert, inverse_map,
-                               letter, multiply, parse_word, random_word,
-                               reduce, verify_automorphism)
+                               commutator, compose, conjugate, default_names,
+                               format_word, identity, identity_map, invert,
+                               inverse_map, letter, multiply, parse_word, power,
+                               random_word, reduce, verify_automorphism)
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
-from helpers import W, naive_reduce
+from helpers import W, apply_map_by_fold, naive_reduce, random_automorphism
 
 
 X, Y = (0, 1), (1, 1)
@@ -133,6 +133,40 @@ class TestFreeMaps:
             for both in (compose(phi, psi), compose(psi, phi)):
                 for g in range(phi.rank):
                     assert both.images[g] == letter(phi.rank, g)
+
+
+def random_endomorphism(rng, rank: int) -> FreeMap:
+    """Random image words, the identity among them, so images cancel often."""
+    return FreeMap(rank, tuple(random_word(rng, rank, 4, allow_identity=True)
+                               for _ in range(rank)))
+
+
+class TestDerivedWords:
+    """multiply, invert and apply_map build their words without validation,
+    so these check the words they build."""
+
+    def test_apply_map_equals_multiply_fold(self):
+        rng = random.Random(16)
+        cancelled = 0
+        for rank in (2, 3, 4):
+            for _ in range(60):
+                for phi in (random_automorphism(rng, rank), random_endomorphism(rng, rank)):
+                    w = random_word(rng, rank, 12, allow_identity=True)
+                    image = apply_map(phi, w)
+                    assert image == apply_map_by_fold(phi, w)
+                    cancelled += len(image) < sum(len(phi.images[g]) for g, _ in w.letters)
+        assert cancelled > 100  # the seams between images do cancel
+
+    def test_derived_words_are_valid_words(self):
+        rng = random.Random(17)
+        for rank in (2, 3, 4):
+            for _ in range(100):
+                u = random_word(rng, rank, 10, allow_identity=True)
+                v = random_word(rng, rank, 10, allow_identity=True)
+                phi = random_endomorphism(rng, rank)
+                for w in (multiply(u, v), invert(u), apply_map(phi, u),
+                          commutator(u, v), conjugate(u, v), power(u, -3)):
+                    assert Word(w.rank, w.letters) == w
 
 
 class TestVerifyAutomorphism:

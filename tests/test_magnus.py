@@ -4,12 +4,12 @@ import pytest
 
 from biorder import magnus
 from biorder.freegroup import (Word, commutator, identity, invert, letter,
-                               multiply, power, random_word)
+                               multiply, power, random_word, reduce)
 from biorder.magnus import (EQ, GT, LT, NoLowestTermError, Series,
                             TrivialElementError, archimedean_key, compare,
                             expand, in_gamma, is_infinitesimal, lowest_term,
                             magnitude, series_mul, sign)
-from helpers import W
+from helpers import W, lowest_term_by_expansion
 
 
 class TestExpand:
@@ -176,6 +176,52 @@ class TestLowestTerm:
             lt = lowest_term(w)
             assert archimedean_key(w) == (lt.degree, lt.part[0][0])
             assert archimedean_key(invert(w)) == archimedean_key(w)
+
+
+def zero_sum_word(rng, rank: int, max_length: int) -> Word:
+    """u times the inverse of a shuffle of u: every exponent sum is 0."""
+    u = random_word(rng, rank, max_length)
+    shuffled = list(u.letters)
+    rng.shuffle(shuffled)
+    return multiply(u, invert(reduce(rank, shuffled)))
+
+
+class TestLowestTermOracle:
+    """lowest_term reads degree 1 off the exponent sums; the oracle expands."""
+
+    def test_matches_expansion_on_random_words(self):
+        rng = random.Random(29)
+        for rank in (2, 3, 4):
+            for _ in range(200):
+                w = random_word(rng, rank, 12)
+                assert lowest_term(w) == lowest_term_by_expansion(w)
+
+    def test_matches_expansion_on_zero_exponent_sums(self):
+        rng = random.Random(30)
+        degrees = set()
+        for rank in (2, 3, 4):
+            for _ in range(150):
+                w = zero_sum_word(rng, rank, 8)
+                if w.is_identity:
+                    continue
+                assert w.exponent_vector() == (0,) * rank
+                lt = lowest_term(w)
+                assert lt == lowest_term_by_expansion(w)
+                degrees.add(lt.degree)
+        assert {2, 3} <= degrees
+
+    def test_expands_only_zero_exponent_sums(self, monkeypatch):
+        truncations = []
+
+        def recording_expand(w, truncation):
+            truncations.append(truncation)
+            return expand(w, truncation)
+
+        monkeypatch.setattr(magnus, "expand", recording_expand)
+        assert lowest_term(W("x y X")).degree == 1
+        assert truncations == []
+        assert lowest_term(commutator(W("x y"), W("y"))).degree == 2
+        assert truncations == [2]
 
 
 class TestSignAndCompare:

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from biorder.freegroup import (FreeMap, apply_map, commutator, conjugate,
-                               identity, invert, multiply, random_word)
+from biorder.corpus import corpus_entries
+from biorder.freegroup import (FreeMap, NotAnAutomorphismError, apply_map,
+                               commutator, conjugate, identity, invert,
+                               multiply, random_word)
 from biorder.magnus import EQ, GT, is_infinitesimal, sign
 from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 NotPositiveError, PremiseUnmetError,
@@ -13,7 +15,7 @@ from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 order_preservation_probe, semidirect_compare,
                                 semidirect_mul, semidirect_order_probe,
                                 subgroup_probe, weak_comparability_search)
-from helpers import W
+from helpers import W, random_automorphism, semidirect_trials_by_mul
 
 CFG = ProbeConfig(seed=7, samples=300, max_word_length=10)
 SMALL = ProbeConfig(seed=7, samples=60, max_word_length=8)
@@ -180,6 +182,28 @@ class TestSemidirect:
     def test_probe_records_premise_warning_for_swap(self):
         result = semidirect_order_probe(swap_map(), SMALL)
         assert result.warnings != ()
+
+    def test_probe_needs_inverse_images(self):
+        # phi^-1 is built before sampling, so no seed escapes by drawing
+        # only non-negative exponents
+        phi = FreeMap(2, (W("y"), W("y X")))
+        for seed in range(20):
+            with pytest.raises(NotAnAutomorphismError):
+                semidirect_order_probe(phi, ProbeConfig(seed=seed, samples=1))
+
+    def test_probe_equals_products_through_semidirect_mul(self):
+        rng = random.Random(31)
+        maps = [entry.record.phi for entry in corpus_entries()]
+        maps += [swap_map(), conjugation_by_x()]
+        maps += [random_automorphism(rng, rank) for rank in (2, 3, 4) for _ in range(3)]
+        failing = 0
+        for seed, phi in enumerate(maps):
+            cfg = ProbeConfig(seed=seed, samples=25, max_word_length=8)
+            result = semidirect_order_probe(phi, cfg)
+            assert (result.trials, result.failures) == semidirect_trials_by_mul(phi, cfg)
+            assert (result.warnings == ()) == order_preservation_probe(phi, cfg).passed
+            failing += bool(result.failures)
+        assert failing >= 2  # counterexamples are compared too, not only PASS
 
 
 class TestWeakComparability:
