@@ -6,8 +6,8 @@ from .exactalg import (Factor, FactorReport, IntMatrix, NonSquarefreeError,
                        count_positive_roots, count_real_roots, factor_over_Q,
                        has_positive_real_root, rational_roots,
                        squarefree_decomposition, squarefree_part, sturm_count)
-from .freegroup import (FreeMap, Generator, NotAnAutomorphismError, Word,
-                        apply_map, commutator, compose, format_word, identity,
+from .freegroup import (FreeMap, NotAnAutomorphismError, Word, apply_map,
+                        commutator, compose, format_word, identity,
                         identity_map, invert, letter, multiply, parse_word,
                         reduce, verify_automorphism)
 from .lcs import (LyndonBasis, QuotientAction, lcs_action, level_char_poly,
@@ -23,8 +23,6 @@ from .orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
                          weak_comparability_search)
 from .presentation import (PresentationError, PresentationFile,
                            parse_presentation, serialize_presentation)
-from .verdict import (AnalysisReport, KnotRecord, LevelReport, Verdict, analyze,
-                      classify_zd, lambda_block_obstruction,
-                      necessary_positive_eigenvalue)
+from .verdict import AnalysisReport, KnotRecord, LevelReport, Verdict, analyze
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ lemma: every divisor there is primitive), so the analysis builds no Fraction;
 only Poly.__divmod__ (division over Q), rational_roots and non-integer
 sturm_count endpoints do.  The pieces fit together as
 
+    power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
     char_poly           -- Newton's identities on tr(A^j), every division exact
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- distinct- and equal-degree splitting mod p
@@ -285,12 +286,20 @@ class IntMatrix:
 
 
 def power_traces(a: IntMatrix, count: int) -> list[int]:
-    """[tr(A^0), tr(A^1), ..., tr(A^count)]: the power sums of A's eigenvalues."""
-    traces = [a.dim]
-    power = IntMatrix.identity(a.dim)
-    for _ in range(count):
-        power = power @ a
-        traces.append(sum(power.rows[i][i] for i in range(a.dim)))
+    """[tr(A^0), tr(A^1), ..., tr(A^count)]: the power sums of A's eigenvalues.
+
+    Powers are formed up to A^n, n = dim A.  Past that, Cayley-Hamilton with
+    char(A) = x^n + c_1 x^(n-1) + ... + c_n gives p_e = -(c_1 p_(e-1) + ... +
+    c_n p_(e-n))."""
+    n = a.dim
+    traces = [n]
+    for e in range(1, min(count, n) + 1):
+        power = power @ a if e > 1 else a
+        traces.append(sum(power.rows[i][i] for i in range(n)))
+    if count > n:
+        c = poly_from_power_sums(traces[1:]).coeffs[::-1]  # c[i] = c_i
+        for e in range(n + 1, count + 1):
+            traces.append(-sum(c[i] * traces[e - i] for i in range(1, n + 1)))
     return traces
 
 

@@ -34,19 +34,6 @@ class NotAnAutomorphismError(ValueError):
 
 
 @dataclass(frozen=True)
-class Generator:
-    """A free generator: 0-based index plus a single-letter display name."""
-
-    index: int
-    name: str
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise GeneratorRangeError(f"negative generator index {self.index}")
-        check_generator_names((self.name,))
-
-
-@dataclass(frozen=True)
 class Word:
     """Freely reduced word; letters are (generator index, sign) pairs."""
 

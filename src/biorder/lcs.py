@@ -14,7 +14,8 @@ unitriangular in lex order, so leading-monomial elimination is exact.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
 polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
-sums tr(M^e), and Newton's identities turn those into the polynomial.
+sums tr(M^e), and Newton's identities turn those into the polynomial.  Every
+level reads the one list of power sums that the analysis takes of M.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactalg import IntMatrix, Poly, power_traces, poly_from_power_sums
+from .exactalg import IntMatrix, Poly, poly_from_power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
                         commutator, letter, verify_automorphism)
 from .magnus import Monomial, expand
@@ -45,13 +46,12 @@ def witt_number(n: int, k: int) -> int:
     return _brandt_trace([n] * k, k)
 
 
-def level_char_poly(m: IntMatrix, k: int) -> Poly:
-    """Characteristic polynomial of quotient_action(m, k): Newton's identities
-    on its power sums tr L_k(m^j), each a Brandt trace of the tr(m^(dj)), d | k."""
-    dim = witt_number(m.dim, k)
-    traces = power_traces(m, k * dim)
+def level_char_poly(traces: list[int], k: int) -> Poly:
+    """Characteristic polynomial of quotient_action(m, k) from traces =
+    power_traces(m, c), c >= k * witt_number(m.dim, k), so m.dim = traces[0]:
+    Newton's identities on tr L_k(m^j), each a Brandt trace of tr(m^(dj)), d | k."""
     return poly_from_power_sums([_brandt_trace(traces[j::j], k)
-                                 for j in range(1, dim + 1)])
+                                 for j in range(1, witt_number(traces[0], k) + 1)])
 
 
 def _mobius(n: int) -> int:

@@ -21,6 +21,8 @@ from .freegroup import (FreeMap, Word, apply_map, commutator, conjugate,
                         random_word)
 from .magnus import GT, LT, archimedean_key, compare, sign
 
+_DRAWS = 500  # random words drawn for one infinitesimal sample before giving up
+
 
 class NotPositiveError(ValueError):
     """The probe needs a positive element g."""
@@ -73,6 +75,22 @@ def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
     return random.Random(z)
 
 
+def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
+                rejection_sampled: bool = False) -> ProbeResult:
+    """Call trial(rng) once per sample, each with its own sub-seeded rng.
+
+    trial returns None to skip the sample, else the list of failures it found.
+    A rejection-sampled probe skips a sample only when _sample_infinitesimal
+    gives up, and then warns that it ran fewer trials than samples.
+    """
+    ran = [found for i in range(cfg.samples)
+           if (found := trial(_trial_rng(cfg, i))) is not None]
+    if rejection_sampled and len(ran) < cfg.samples:
+        warnings = (*warnings, f"only {len(ran)} of {cfg.samples} samples found "
+                    f"an infinitesimal within {_DRAWS} draws")
+    return _result(name, len(ran), [f for found in ran for f in found], warnings)
+
+
 def _positive_key(g: Word):
     """archimedean_key(g), for a g that must be positive."""
     if sign(g) != 1:
@@ -82,8 +100,8 @@ def _positive_key(g: Word):
 
 def _sample_infinitesimal(rng, rank: int, key_g, max_len: int) -> Word | None:
     """A random word w with archimedean_key(w) > key_g (so w is infinitesimal
-    w.r.t. the element keyed key_g), or None after 500 draws."""
-    for _ in range(500):
+    w.r.t. the element keyed key_g), or None after _DRAWS draws."""
+    for _ in range(_DRAWS):
         w = random_word(rng, rank, max_len)
         if archimedean_key(w) > key_g:
             return w
@@ -98,24 +116,25 @@ def subgroup_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     """Products and inverses of elements infinitesimal w.r.t. g stay infinitesimal.
 
     Samples are rejection-drawn; trials counts the pairs actually found, which
-    can fall below cfg.samples when infinitesimals w.r.t. g are rare.
+    can fall below cfg.samples when infinitesimals w.r.t. g are rare, and a
+    warning then says so.
     """
     key_g = _positive_key(g)
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+
+    def trial(rng):
         f1 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
         f2 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
         if f1 is None or f2 is None:
-            continue
-        trials += 1
+            return None
+        failures = []
         prod = multiply(f1, f2)
         if not prod.is_identity and archimedean_key(prod) <= key_g:
             failures.append((f1, f2, prod))
         if archimedean_key(invert(f1)) <= key_g:
             failures.append((f1, invert(f1)))
-    return _result("subgroup", trials, failures)
+        return failures
+
+    return _run_trials("subgroup", cfg, trial, rejection_sampled=True)
 
 
 def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
@@ -125,24 +144,19 @@ def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
     failures deterministically), then random words.  PASS is evidence only.
     """
     key_g = _positive_key(g)
-    failures = []
-    trials = 0
-    candidates = [letter(g.rank, j, s) for j in range(g.rank) for s in (1, -1)]
-    for h in candidates:
-        if h == g:
-            continue
-        trials += 1
-        if key_g > archimedean_key(h):
-            failures.append(h)
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+
+    def check(h):
+        return [h] if key_g > archimedean_key(h) else []
+
+    def trial(rng):
         h = random_word(rng, g.rank, cfg.max_word_length)
-        if h.is_identity or h == g:
-            continue
-        trials += 1
-        if key_g > archimedean_key(h):
-            failures.append(h)
-    return _result("dominance", trials, failures)
+        return None if h.is_identity or h == g else check(h)
+
+    generators = [h for j in range(g.rank) for s in (1, -1)
+                  if (h := letter(g.rank, j, s)) != g]
+    sampled = _run_trials("dominance", cfg, trial)
+    return _result("dominance", len(generators) + sampled.trials,
+                   [f for h in generators for f in check(h)] + list(sampled.failures))
 
 
 def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
@@ -151,37 +165,31 @@ def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     if not dom.passed:
         raise PremiseUnmetError("dominance premise failed", premise_result=dom)
     key_g = archimedean_key(g)
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+
+    def trial(rng):
         x = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
         if x is None:
-            continue
+            return None
         u = random_word(rng, g.rank, cfg.max_word_length, allow_identity=True)
-        trials += 1
         conj = conjugate(x, u)
-        if not conj.is_identity and archimedean_key(conj) <= key_g:
-            failures.append((x, u, conj))
-    return _result("normality", trials, failures)
+        return [(x, u, conj)] if not conj.is_identity and archimedean_key(conj) <= key_g else []
+
+    return _run_trials("normality", cfg, trial, rejection_sampled=True)
 
 
 def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
     """Sampled commutators [u, v] are infinitesimal w.r.t. the dominant generator."""
     key_g = archimedean_key(letter(rank, 0))
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+
+    def trial(rng):
         u = random_word(rng, rank, cfg.max_word_length)
         v = random_word(rng, rank, cfg.max_word_length)
         c = commutator(u, v)
         if c.is_identity:
-            continue
-        trials += 1
-        if archimedean_key(c) <= key_g:
-            failures.append((u, v, c))
-    return _result("commutator-infinitesimal", trials, failures)
+            return None
+        return [(u, v, c)] if archimedean_key(c) <= key_g else []
+
+    return _run_trials("commutator-infinitesimal", cfg, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +198,13 @@ def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
 
 def order_preservation_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     """Positive sampled elements must have positive images."""
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+    def trial(rng):
         w = random_word(rng, phi.rank, cfg.max_word_length)
         if sign(w) == -1:
             w = invert(w)
-        trials += 1
-        if sign(apply_map(phi, w)) != 1:
-            failures.append(w)
-    return _result("order-preservation", trials, failures)
+        return [w] if sign(apply_map(phi, w)) != 1 else []
+
+    return _run_trials("order-preservation", cfg, trial)
 
 
 def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
@@ -210,18 +214,15 @@ def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
         raise PremiseUnmetError("order preservation premise failed",
                                 premise_result=premise)
     key_g = archimedean_key(letter(phi.rank, 0))
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+
+    def trial(rng):
         f = _sample_infinitesimal(rng, phi.rank, key_g, cfg.max_word_length)
         if f is None:
-            continue
-        trials += 1
+            return None
         img = apply_map(phi, f)
-        if not img.is_identity and archimedean_key(img) <= key_g:
-            failures.append((f, img))
-    return _result("invariance", trials, failures)
+        return [(f, img)] if not img.is_identity and archimedean_key(img) <= key_g else []
+
+    return _run_trials("invariance", cfg, trial, rejection_sampled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +262,19 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     exponent n, so phi needs inverse images.
     """
     premise = order_preservation_probe(phi, cfg)
-    warnings = ()
-    if not premise.passed:
-        warnings = ("order-preservation premise failed; the semidirect order "
-                    "need not be bi-invariant",)
+    warnings = () if premise.passed else ("order-preservation premise failed; the "
+                                          "semidirect order need not be bi-invariant",)
     powers = {n: iterate_map(phi, n) for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
 
     def mul(p1: Pair, p2: Pair) -> Pair:
         return _times(p1, p2, powers[p2[0]])
 
-    failures = []
-    trials = 0
-    for i in range(cfg.samples):
-        rng = _trial_rng(cfg, i)
+    def trial(rng):
         def sample_pair():
             return (rng.randint(-_MAX_SHIFT, _MAX_SHIFT),
                     random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
         p1, p2, p3 = sample_pair(), sample_pair(), sample_pair()
-        trials += 1
+        failures = []
         c12 = semidirect_compare(p1, p2, phi)
         if semidirect_compare(p2, p1, phi) != -c12:
             failures.append(("antisymmetry", p1, p2))
@@ -291,7 +287,9 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
             failures.append(("left-invariance", q, p1, p2))
         if semidirect_compare(mul(p1, q), mul(p2, q), phi) != c12:
             failures.append(("right-invariance", q, p1, p2))
-    return _result("semidirect", trials, failures, warnings)
+        return failures
+
+    return _run_trials("semidirect", cfg, trial, warnings)
 
 
 # ---------------------------------------------------------------------------

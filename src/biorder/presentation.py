@@ -16,7 +16,7 @@ Format (canonical serialization is byte-exact):
 Words use the usual convention: lowercase = generator, uppercase = inverse,
 `e` = identity, so `e` cannot name a generator.  The `inverse:` block is
 optional; when present it must be complete and lets verification confirm the
-map is an automorphism.
+map is an automorphism.  `name:`, `fibered:` and `generators:` appear once.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ def parse_presentation(text: str) -> PresentationFile:
     fibered = None
     names: list[str] = []
     comments: list[str] = []
+    seen: set[str] = set()
     maps: dict[str, dict[str, Word]] = {"map": {}, "inverse": {}}
     block = None
 
@@ -88,6 +89,9 @@ def parse_presentation(text: str) -> PresentationFile:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in seen and key not in maps:  # a map block may be reopened
+            raise PresentationError(f"repeated `{key}:` line", lineno)
+        seen.add(key)
         if key == "name":
             name = value
         elif key == "fibered":

@@ -1,10 +1,11 @@
 """Bi-orderability decision procedures for groups presented as Z x| F_n.
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
-free group).  The analyzer checks phi once, gets each level's characteristic
-polynomial from the power sums of M = abelianized(phi) (Brandt, Newton; level 1
-= M's action on basic commutators), factors it over Q, counts positive real
-roots exactly, and combines these rules, checked in the order R1, R2, R4, R3, R5:
+free group).  The analyzer checks phi once, takes the power sums of
+M = abelianized(phi) once, as many as the deepest level needs, and reads each
+level's characteristic polynomial from that one list (Brandt, Newton; level 1
+= M's action on basic commutators).  It factors each over Q, counts positive
+real roots exactly, and combines these rules, in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import (FactorReport, IntMatrix, Poly, char_poly, factor_over_Q,
-                       has_positive_real_root)
+from .exactalg import FactorReport, IntMatrix, Poly, factor_over_Q, power_traces
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         default_names, verify_automorphism)
 from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_action,
@@ -109,45 +109,10 @@ class AnalysisReport:
     verdict: Verdict
 
 
-# ---------------------------------------------------------------------------
-# matrix-level classification (Z x| Z^d)
-# ---------------------------------------------------------------------------
-
-def classify_zd(a: IntMatrix) -> str:
-    """BIORDERABLE iff every irreducible factor of char(A) has a root in (0, oo).
-
-    A must be invertible over Q.
-    """
-    if a.det() == 0:
-        raise NotAnAutomorphismError("matrix is singular over Q")
-    report = factor_over_Q(char_poly(a))
-    return BIORDERABLE if report.all_factors_have_positive_root else NOT_BIORDERABLE
-
-
-def necessary_positive_eigenvalue(a: IntMatrix) -> bool:
-    """Necessary condition: A has at least one positive real eigenvalue."""
-    return has_positive_real_root(char_poly(a))
-
-
-def lambda_block_obstruction(a: IntMatrix) -> bool:
-    """True iff some irreducible block of A has no positive real eigenvalue.
-
-    Equivalent to the primary subspace of the no-positive-root factors
-    containing a nonzero rational vector, since primary components along
-    irreducible factors are rational subspaces.
-    """
-    return factor_over_Q(char_poly(a)).some_factor_all_lambda
-
-
-# ---------------------------------------------------------------------------
-# knot-level criteria
-# ---------------------------------------------------------------------------
-
-def level_report(record: KnotRecord, level: int) -> LevelReport:
-    """The level's characteristic polynomial from the power sums of
+def level_report(m: IntMatrix, traces: list[int], level: int) -> LevelReport:
+    """The level's characteristic polynomial from traces, the power sums of
     M = abelianized(phi), its factor report, and its matrix for display."""
-    m = abelianized(record.phi)
-    cp = level_char_poly(m, level + 1)
+    cp = level_char_poly(traces, level + 1)
     return LevelReport(level, quotient_action(m, level + 1), cp, factor_over_Q(cp))
 
 
@@ -177,15 +142,18 @@ def analyze(record: KnotRecord, max_level: int = 1,
     if not report.is_automorphism_candidate:
         raise NotAnAutomorphismError(
             f"{record.name}: monodromy is not an automorphism ({report.detail})")
-    for lv in range(max_level + 1):  # a level's degree is its Witt number
-        if (degree := witt_number(record.rank, lv + 1)) == 0:
+    degrees = [witt_number(record.rank, lv + 1) for lv in range(max_level + 1)]
+    for lv, degree in enumerate(degrees):  # a level's degree is its Witt number
+        if degree == 0:
             raise AnalysisError(
                 f"level {lv} is trivial at rank {record.rank} (Witt number 0); "
                 f"analyze at most level {lv - 1}")
         if degree > max_degree:
             raise AnalysisError(
                 f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
-    levels = tuple(level_report(record, lv) for lv in range(max_level + 1))
+    m = abelianized(record.phi)
+    traces = power_traces(m, max((lv + 1) * d for lv, d in enumerate(degrees)))
+    levels = tuple(level_report(m, traces, lv) for lv in range(max_level + 1))
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)

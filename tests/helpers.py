@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the implementation paths it
 checks: the reducer scans for cancelling pairs instead of using a stack, the
 characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
-instead of Newton's identities on power sums, root locations are planted
+instead of Newton's identities on power sums, power sums come from every
+explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
 are expanded from degree 1, and semidirect products rebuild phi^n each time.
 """
@@ -65,6 +66,18 @@ def faddeev_leverrier_char_poly(m: IntMatrix) -> Poly:
             cols[i][i] += coeffs[d - k]
     assert not any(any(col) for col in cols), "Cayley-Hamilton check failed"
     return Poly(coeffs)
+
+
+def explicit_power_traces(m: IntMatrix, count: int) -> list[int]:
+    """[tr(A^0), ..., tr(A^count)], each from the explicit power A^e."""
+    d = m.dim
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    traces = [d]
+    for _ in range(count):
+        power = [[sum(power[i][l] * m.rows[l][j] for l in range(d)) for j in range(d)]
+                 for i in range(d)]
+        traces.append(sum(power[i][i] for i in range(d)))
+    return traces
 
 
 def _poly_det(rows) -> Poly:

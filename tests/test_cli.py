@@ -76,6 +76,8 @@ HEADER = "name: t\nfibered: true\ngenerators: a b\n"
     ("name: t\nmap:\n  a -> a\n", 2, "map block before generators"),
     ("name: t\ninverse:\n", 2, "inverse block before generators"),
     ("name: t\ncolour: red\n", 2, "unknown directive 'colour'"),
+    ("name: t\nname: u\n", 2, "repeated `name:` line"),
+    ("name: t\nfibered: true\nfibered: false\n", 3, "repeated `fibered:` line"),
     ("fibered: true\ngenerators: a\nmap:\n  a -> a\n", None, "missing `name:` line"),
     ("name: t\ngenerators: a\nmap:\n  a -> a\n", None, "missing `fibered:` line"),
     ("name: t\nfibered: true\n", None, "missing `generators:` line"),
@@ -137,6 +139,17 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze"]) == cli.EXIT_USAGE
         assert cli.main(["analyze", "corpus:6_2", "--max-level", "7"]) == cli.EXIT_USAGE
 
+    def test_repeated_generators_line_is_parse_error(self, tmp_path, capsys):
+        # the map's words are read against the first list of names; a second
+        # list must not reindex them into a different monodromy
+        path = tmp_path / "swap.knot"
+        path.write_text("name: swap\nfibered: true\ngenerators: x y\n"
+                        "map:\n  x -> y\n  y -> x y\ngenerators: y x\n")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 7: repeated `generators:` line" in captured.err
+
     def test_trivial_level_is_analysis_error(self, tmp_path, capsys):
         """At rank 1 every level above 0 has Witt number 0; asking for one
         is refused with a message, and level 0 alone still analyzes."""
@@ -194,6 +207,14 @@ class TestCorpusCommand:
 
 
 class TestProbeCommand:
+    def test_subgroup_short_trial_count_warns(self, capsys):
+        assert cli.main(["probe", "subgroup", "--g", "x y X Y", "--samples", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "\nwarning: only 1 of 20 samples found an infinitesimal within 500 draws\n" in out
+        assert cli.main(["probe", "subgroup", "--g", "x", "--samples", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "trials: 20\n" in out and "warning" not in out
+
     def test_subgroup_pass(self, capsys):
         assert cli.main(["probe", "subgroup", "--g", "x", "--seed", "7",
                          "--samples", "200"]) == 0
@@ -424,3 +445,60 @@ def test_probe_stream_is_pinned(name, tmp_path, capsys):
         assert cli.main(["probe", name, *args, "--seed", str(seed), "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# sha256 of `analyze corpus:K --max-level L --max-degree 100` stdout, one
+# (text, json) pair for each L = 0..3, recorded before every level read M's
+# power sums from one list.  Any change to an analysis byte fails here.
+_PINNED_ANALYSIS = {
+    "trefoil": (
+        ("b871d15de9c748e4e13d0f0296b09dfb790368eab7ac478356d2b9f648c2894f",
+         "343a8f3e85dea7748bc5937ac289b9198d8cf812cbe8003f23773d8fc2b4830d"),
+        ("bbde656a2055c2a1918cfb6868d41aa2fa87cfb55a9e59783bdc56c7f45d6f5b",
+         "b9c3c2c1fc5234b4a6c76056410184d606428ece0c5dc207ef3ad0b4dfe2d6f4"),
+        ("d75377621cafe950510d11bca08f5503032ffbeac654112f28775c25313c76a5",
+         "b90aba3e3e28300b9a83f9dd6737f85704d71bd1c1760d57322143d1929d21cd"),
+        ("5e70989fe9117e97a13809937316ced1c332861713784e68bba3fed17906518a",
+         "b2390059d3aae2d75c5a952237c7ff9559e0e64475a404df50b021711afe9357"),
+    ),
+    "figure8": (
+        ("10b25a5aa8835d17e20e03153584eceb3d8c67a1c95192e910fdd41557368483",
+         "4d3705b1c2192fa8a0ed4afa27fe7be76125b5c802b59de07f1b16ea9548bec8"),
+        ("ab1299ba059e13ff2ea9fde72aa423929d4f5d6395f4bf46d3fb995fcb910f3f",
+         "07ace39ce76e92fd3f16e8e545523bc8d89f20f0e76467ba2d1e2918b5f67854"),
+        ("ab347fe45f7aa04aa987b48b3211d1af52fce877b1442eabb9a5bc97b8ca34fb",
+         "10de489762554dc9449d591e18f18f4b9d236d3c081a7d176e6b25ffebf59e78"),
+        ("e79290d8a6455373bc44698df1b19aa55d4065824656031f347259012b93ce52",
+         "764390b891403c22e02ad10b65f4a2e924b6fae25acbbfcd7ecfe32b041b4a54"),
+    ),
+    "6_2": (
+        ("5d3f07e124252b572baf3e449a152dea5d3fd0aa03b424c9b789a95aff83d57e",
+         "1618b95fce80cfc682c6acbc32483f1608e4569d2feb0e26cca54fc7230398cc"),
+        ("ad8a2f2b96155ad14766ea2351d438c6a998bf8a7908b49eb48cd4430a2b4e8f",
+         "4cecd05f4a23ea0f1b79bbaa7b30acb3f23f7c4155aae36db56c484009888b0f"),
+        ("bb466d9e29866ca39a96681e47ea26cccab34be71fabc3d7fc288887a819e097",
+         "3a1d6c91a648a16edd42199c8d9df99a66e934be819daa614369dbe8b74b3adb"),
+        ("61df67c44fa8b82da649062f8b87d13ee3037331aca1bbde69c7862ba558829e",
+         "d62352561802584fa1293140e6efff17a8fa17d187afb15eb4f98decdbb29667"),
+    ),
+    "7_6": (
+        ("e77086a7b590b3da0d025923907c28f1c27f4fbc46c11905ba3f3db3bb7bbff7",
+         "a30f498ebd8ac4bd1db61a0196f66fd6ba47c0825155450f9557e18c8c537711"),
+        ("827041f0ceb5ef74cf2b66720d7da2e800ba9e9d732429a96794d6283c189106",
+         "f0a23a637c407452dd7fb559bd24802f67c15b3a013d4302fd1e9b2992ee93d5"),
+        ("13d37f1d354262c6382671bd3c54c15dd4ff0f9af86e6257198b34ee9a94c932",
+         "c18246cc42ca633d906dbdce53331268d79409783856537e658ce91e3d66f31b"),
+        ("fd4b221f87bf198472ad6bf463ad26a63639a90dc03680e0974e3a17b116603e",
+         "78d1c36d6a448488d58ae79b355377bb18f7023a0e11ce2b2651e0e71431dd5a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_ANALYSIS)
+def test_analysis_stream_is_pinned(name, capsys):
+    for level, digests in enumerate(_PINNED_ANALYSIS[name]):
+        for fmt, digest in zip(("text", "json"), digests):
+            assert cli.main(["analyze", f"corpus:{name}", "--max-level", str(level),
+                             "--max-degree", "100", "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, out

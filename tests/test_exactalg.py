@@ -12,11 +12,12 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               char_poly, count_negative_roots,
                               count_positive_roots, count_real_roots,
                               factor_over_Q, has_positive_real_root,
-                              rational_roots,
+                              power_traces, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
+from biorder.freegroup import abelianized
 from biorder.verdict import KnotRecord, analyze
-from helpers import (_gfp_divmod, cofactor_char_poly,
+from helpers import (_gfp_divmod, cofactor_char_poly, explicit_power_traces,
                      faddeev_leverrier_char_poly,
                      irreducible_by_degree_patterns, random_automorphism,
                      random_matrix, random_unimodular_matrix,
@@ -70,6 +71,25 @@ class TestCharPoly:
             m = random_matrix(rng, rng.randint(1, 4))
             cp = char_poly(m)
             assert cp(0) == (-1) ** m.dim * m.det()
+
+
+class TestPowerTraces:
+    """Past A^n the traces follow char(A) (Cayley-Hamilton); every one must
+    equal the trace of the explicit power."""
+
+    def test_unimodular_matrices_match_explicit_powers(self):
+        rng = random.Random(37)
+        matrices = [abelianized(entry.record.phi) for entry in corpus_entries()]
+        matrices += [random_unimodular_matrix(rng, d) for d in (2, 3, 4, 5) for _ in range(3)]
+        for m in matrices:
+            assert power_traces(m, 240) == explicit_power_traces(m, 240), m
+
+    def test_any_matrix_and_count_matches_explicit_powers(self):
+        rng = random.Random(38)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(1, 5))
+            count = rng.randint(0, 12)
+            assert power_traces(m, count) == explicit_power_traces(m, count), (m, count)
 
 
 class TestPolyDivmod:

@@ -193,25 +193,6 @@ class TestVerifyAutomorphism:
         assert verify_automorphism(phi).status == NOT_AN_AUTOMORPHISM
 
 
-class TestGenerator:
-    def test_valid(self):
-        from biorder.freegroup import Generator
-        g = Generator(0, "x")
-        assert (g.index, g.name) == (0, "x")
-
-    def test_invalid_name(self):
-        from biorder.freegroup import Generator
-        with pytest.raises(ValueError):
-            Generator(0, "X")
-        with pytest.raises(ValueError):
-            Generator(0, "xy")
-
-    def test_negative_index(self):
-        from biorder.freegroup import Generator
-        with pytest.raises(GeneratorRangeError):
-            Generator(-1, "x")
-
-
 class TestDefaultNames:
     def test_rank5_letter_is_not_spelled_like_the_identity(self):
         assert repr(identity(5)) == "Word('e', rank=5)"

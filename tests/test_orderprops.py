@@ -42,6 +42,15 @@ class TestSubgroupProbe:
         with pytest.raises(NotPositiveError):
             subgroup_probe(W("X"), CFG)
 
+    def test_short_trial_count_is_warned(self):
+        # infinitesimals w.r.t. [x, y] are rare among words of length <= 10,
+        # so most samples give up after 500 draws
+        result = subgroup_probe(commutator(W("x"), W("y")), ProbeConfig(samples=20))
+        assert result.passed and 0 < result.trials < 20
+        assert result.warnings == (f"only {result.trials} of 20 samples found an "
+                                   "infinitesimal within 500 draws",)
+        assert subgroup_probe(W("x"), ProbeConfig(samples=20)).warnings == ()
+
     def test_gamma3_words_below_a_commutator(self):
         # elements built inside gamma_3 are infinitesimal w.r.t. [x,y], and
         # their products and inverses stay there
@@ -81,6 +90,13 @@ class TestDominance:
         for h in result.failures:
             assert is_infinitesimal(W("y"), h)
 
+    def test_skipped_samples_are_not_warned(self):
+        # one-letter samples equal to g are skipped; the generators add 3 trials
+        cfg = ProbeConfig(seed=3, samples=20, max_word_length=1)
+        result = dominant_check(W("x"), cfg)
+        assert result.passed and result.trials < 3 + cfg.samples
+        assert result.warnings == ()
+
 
 class TestNormality:
     def test_passes_for_dominant_generator(self):
@@ -107,6 +123,12 @@ class TestCommutatorProbe:
 
     def test_rank3(self):
         assert commutator_infinitesimal_probe(3, SMALL).passed
+
+    def test_skipped_identity_commutators_are_not_warned(self):
+        cfg = ProbeConfig(seed=3, samples=20, max_word_length=1)
+        result = commutator_infinitesimal_probe(2, cfg)
+        assert result.passed and 0 < result.trials < cfg.samples
+        assert result.warnings == ()
 
 
 class TestOrderPreservation:

@@ -5,73 +5,37 @@ import pytest
 import biorder
 from biorder import exactalg, freegroup, lcs, verdict
 from biorder.corpus import corpus_entries, corpus_entry
-from biorder.exactalg import (IntMatrix, all_roots_positive_real,
-                              has_positive_real_root, rational_roots)
+from biorder.exactalg import (IntMatrix, all_roots_positive_real, char_poly,
+                              factor_over_Q, has_positive_real_root,
+                              rational_roots)
 from biorder.freegroup import FreeMap, NotAnAutomorphismError, abelianized
-from biorder.lcs import lcs_action
 from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
-                             classify_zd, combine_rules,
-                             lambda_block_obstruction,
-                             necessary_positive_eigenvalue)
+                             combine_rules)
 from helpers import (W, cofactor_char_poly, random_automorphism,
                      random_unimodular_matrix)
-
-M_TREFOIL = IntMatrix.from_rows([[0, -1], [1, 1]])
-M_FIGURE8 = IntMatrix.from_rows([[2, 1], [1, 1]])
 
 
 def knot(name):
     return corpus_entry(name).record
 
 
-class TestClassifyZd:
-    def test_trefoil_matrix(self):
-        assert classify_zd(M_TREFOIL) == NOT_BIORDERABLE
-
-    def test_figure8_matrix(self):
-        assert classify_zd(M_FIGURE8) == BIORDERABLE
-
-    def test_identity(self):
-        assert classify_zd(IntMatrix.identity(3)) == BIORDERABLE
-
-    def test_singular_rejected(self):
-        with pytest.raises(NotAnAutomorphismError):
-            classify_zd(IntMatrix.from_rows([[1, 1], [1, 1]]))
-
-    def test_biorderable_implies_positive_eigenvalue(self):
-        rng = random.Random(51)
-        for _ in range(200):
-            m = random_unimodular_matrix(rng, rng.randint(2, 4))
-            if classify_zd(m) == BIORDERABLE:
-                assert necessary_positive_eigenvalue(m)
-
-    def test_lambda_block_matches_classification(self):
-        rng = random.Random(52)
-        for _ in range(200):
-            m = random_unimodular_matrix(rng, rng.randint(2, 4))
-            assert lambda_block_obstruction(m) == (classify_zd(m) == NOT_BIORDERABLE)
-
-
-class TestEigenvaluePredicates:
-    def test_trefoil_has_no_positive_eigenvalue(self):
-        assert not necessary_positive_eigenvalue(M_TREFOIL)
-
-    def test_6_2_has_positive_eigenvalues(self):
-        m = lcs_action(knot("6_2").phi, 1).matrix
-        assert necessary_positive_eigenvalue(m)
-
-    def test_minus_identity(self):
-        minus_i = IntMatrix.from_rows([[-1, 0], [0, -1]])
-        assert not necessary_positive_eigenvalue(minus_i)
-
-    def test_lambda_block_examples(self):
-        n_6_2 = lcs_action(knot("6_2").phi, 2).matrix
-        assert lambda_block_obstruction(n_6_2)
-        m_6_2 = lcs_action(knot("6_2").phi, 1).matrix
-        assert not lambda_block_obstruction(m_6_2)
-        assert not lambda_block_obstruction(IntMatrix.from_rows([[2, 0], [0, 3]]))
+def test_biorderable_matrix_has_positive_eigenvalue():
+    """Z x| Z^d is bi-orderable iff every irreducible block of A has a positive
+    eigenvalue, and then A has one: the factor flags against a Sturm count of
+    the whole characteristic polynomial."""
+    rng = random.Random(51)
+    biorderable = 0
+    for _ in range(200):
+        m = random_unimodular_matrix(rng, rng.randint(2, 4))
+        report = factor_over_Q(char_poly(m))
+        positive = has_positive_real_root(report.input)
+        if report.all_factors_have_positive_root:
+            biorderable += 1
+            assert positive
+        assert positive == any(f.positive_real_roots for f in report.factors)
+    assert biorderable
 
 
 def level0_premises(record):
@@ -135,6 +99,21 @@ class TestPremisesAgainstRootPredicates:
             seen.update((rule, report.premises[rule]) for rule in ("R1", "R4"))
             seen.add(("rational", report.levels[0].factors.has_rational_root))
         assert seen == {(k, v) for k in ("R1", "R4", "rational") for v in (True, False)}
+
+
+def test_r4_makes_every_level1_root_positive_real():
+    """The level-1 roots are the products lambda_i lambda_j, i < j, of roots
+    of char(M), so they are positive and real whenever R4 holds."""
+    rng = random.Random(54)
+    r4 = 0
+    for i in range(120):
+        record = KnotRecord(name=f"r{i}", phi=random_automorphism(rng, 2 + i % 3),
+                            fibered=True)
+        report = analyze(record, max_level=1)
+        if report.premises["R4"]:
+            r4 += 1
+            assert all_roots_positive_real(report.levels[1].char_poly), record
+    assert r4
 
 
 class TestAnalyze:
@@ -242,6 +221,20 @@ class TestLevelWork:
         with pytest.raises(AnalysisError,
                            match=r"^characteristic polynomial degree 20 exceeds cap 10$"):
             analyze(knot("6_2"), max_level=3, max_degree=10)
+
+    def test_matrix_powers_stop_at_the_rank(self, monkeypatch):
+        # level 3 of 6_2 needs tr(M^e) for e up to 240; only M^2..M^4 are formed
+        products = []
+        matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            products.append(a.dim)
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        record = knot("6_2")
+        analyze(record, max_level=3, max_degree=100)
+        assert 0 < len(products) <= record.rank
 
     def test_analysis_never_takes_a_matrix_char_poly(self, monkeypatch):
         def no_char_poly(a):
