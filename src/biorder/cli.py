@@ -149,11 +149,16 @@ def _emit_json(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_record(target: str) -> KnotRecord:
-    if target.startswith("corpus:"):
-        name = target[len("corpus:"):]
-        return corpus_mod.corpus_entry(name).record
-    with open(target, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read()).record()
+    """The record of corpus:NAME or of a presentation file; a target that does
+    not load prints `error: ...` and exits with EXIT_PARSE."""
+    try:
+        if target.startswith("corpus:"):
+            return corpus_mod.corpus_entry(target[len("corpus:"):]).record
+        with open(target, "r", encoding="utf-8") as fh:
+            return parse_presentation(fh.read()).record()
+    except (OSError, UnicodeDecodeError, KeyError, PresentationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,7 @@ def _load_record(target: str) -> KnotRecord:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(ns) -> int:
-    try:
-        record = _load_record(ns.target)
-    except (OSError, KeyError, PresentationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    record = _load_record(ns.target)
     try:
         report = analyze(record, max_level=ns.max_level, max_degree=ns.max_degree)
     except (AnalysisError, NotAnAutomorphismError, InconsistentPremisesError,
@@ -294,11 +295,7 @@ def _cmd_probe(ns) -> int:
         return EXIT_USAGE
     phi = None
     if ns.map:
-        try:
-            record = _load_record(ns.map)
-        except (OSError, KeyError, PresentationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        record = _load_record(ns.map)
         phi, names = record.phi, record.generator_names
 
     def word_arg(text, flag):

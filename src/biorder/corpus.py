@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .presentation import PresentationFile, parse_presentation
+from .presentation import parse_presentation
 from .verdict import KnotRecord
 
 CORPUS_NAMES = ("trefoil", "figure8", "6_2", "7_6")
@@ -21,7 +21,6 @@ _EXPECTED = {
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    presentation: PresentationFile
     record: KnotRecord
     expected_outcome: str
     expected_rule: str
@@ -37,7 +36,7 @@ def corpus_text(name: str) -> str:
 def corpus_entry(name: str) -> CorpusEntry:
     pf = parse_presentation(corpus_text(name))
     outcome, rule, level = _EXPECTED[name]
-    return CorpusEntry(name=name, presentation=pf, record=pf.record(),
+    return CorpusEntry(name=name, record=pf.record(),
                        expected_outcome=outcome, expected_rule=rule,
                        expected_level=level)
 

@@ -12,8 +12,9 @@ sturm_count endpoints do.  The pieces fit together as
     char_poly           -- Newton's identities on tr(A^j), every division exact
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- distinct- and equal-degree splitting mod p
-                           (Cantor-Zassenhaus) + Hensel lifting +
-                           Zassenhaus subset recombination
+                           (Cantor-Zassenhaus), Hensel lifting to p^l and
+                           Zassenhaus subset recombination, all three on
+                           coefficient tuples in (Z/m)[x]
     sturm_count         -- sign variations of a Sturm chain whose entries are
                            the primitive parts of the signed remainders
 """
@@ -373,7 +374,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x] (ascending coefficient tuples)
+# arithmetic in (Z/m)[x] (ascending coefficient tuples): mul, sub, add and
+# division by a monic divisor work mod any m; gcd, gcdex, monic and pow_mod
+# need m prime
 # ---------------------------------------------------------------------------
 
 def _gf_trim(a):
@@ -382,8 +385,10 @@ def _gf_trim(a):
     return a
 
 
-def _gf_from_poly(p: Poly, m: int):
-    return _gf_trim(tuple(c % m for c in p.coeffs))
+def _gf_add(a, b, m):
+    n = max(len(a), len(b))
+    return _gf_trim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
+                          for i in range(n)))
 
 
 def _gf_sub(a, b, m):
@@ -403,22 +408,23 @@ def _gf_mul(a, b, m):
     return _gf_trim(tuple(out))
 
 
-def _gf_divmod(a, b, p):
-    """Division in GF(p)[x]; p prime so the leading coefficient inverts."""
+def _gf_divmod(a, b, m):
+    """Division in (Z/m)[x]; lc(b) must invert mod m, as it does when m is
+    prime or b is monic."""
     if not b:
         raise ZeroDivisionError("gf division by zero")
-    inv = pow(b[-1], -1, p)
+    inv = pow(b[-1], -1, m)
     rem = list(a)
     dq = len(a) - len(b)
     if dq < 0:
         return (), _gf_trim(tuple(rem))
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = (rem[k + len(b) - 1] * inv) % p
+        c = (rem[k + len(b) - 1] * inv) % m
         quo[k] = c
         if c:
             for j, y in enumerate(b):
-                rem[k + j] = (rem[k + j] - c * y) % p
+                rem[k + j] = (rem[k + j] - c * y) % m
     return _gf_trim(tuple(quo)), _gf_trim(tuple(rem[: len(b) - 1]))
 
 
@@ -502,78 +508,48 @@ def _equal_degree(g, d, p, rng):
 # Hensel lifting and Zassenhaus recombination
 # ---------------------------------------------------------------------------
 
-def _sym(c: int, m: int) -> int:
-    c %= m
-    if 2 * c > m:
-        c -= m
-    return c
+def _sym_poly(u, m: int) -> Poly:
+    """The integer polynomial with u's residues mod m taken in (-m/2, m/2]."""
+    return Poly([c - m if 2 * c > m else c for c in u])
 
 
-def _sym_poly(p: Poly, m: int) -> Poly:
-    return Poly([_sym(c, m) for c in p.coeffs])
-
-
-def _divmod_monic_mod(a: Poly, b: Poly, m: int) -> tuple[Poly, Poly]:
-    """divmod by a monic b in (Z/m)[x], symmetric representatives."""
-    assert b.leading % m == 1
-    rem = [c % m for c in a.coeffs]
-    dq = len(a.coeffs) - len(b.coeffs)
-    if dq < 0:
-        return Poly(), _sym_poly(a, m)
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + b.degree] % m
-        quo[k] = c
-        if c:
-            for j, y in enumerate(b.coeffs):
-                rem[k + j] = (rem[k + j] - c * y) % m
-    return _sym_poly(Poly(quo), m), _sym_poly(Poly(rem[: b.degree]), m)
-
-
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic Hensel step: lifts f = g*h and s*g + t*h = 1 mod m to mod m^2."""
+def _hensel_step(f, g, h, s, t, m):
+    """One quadratic Hensel step (von zur Gathen-Gerhard, Alg. 15.10): lifts
+    f = g*h and s*g + t*h = 1 mod m, h monic, to mod m^2."""
     mm = m * m
-    e = _sym_poly(f - g * h, mm)
-    q, r = _divmod_monic_mod(s * e, h, mm)
-    g1 = _sym_poly(g + t * e + q * g, mm)
-    h1 = _sym_poly(h + r, mm)
-    b = _sym_poly(s * g1 + t * h1 - Poly([1]), mm)
-    c, d = _divmod_monic_mod(s * b, h1, mm)
-    s1 = _sym_poly(s - d, mm)
-    t1 = _sym_poly(t - t * b - c * g1, mm)
+    e = _gf_sub(f, _gf_mul(g, h, mm), mm)
+    q, r = _gf_divmod(_gf_mul(s, e, mm), h, mm)
+    g1 = _gf_add(g, _gf_add(_gf_mul(t, e, mm), _gf_mul(q, g, mm), mm), mm)
+    h1 = _gf_add(h, r, mm)
+    b = _gf_sub(_gf_add(_gf_mul(s, g1, mm), _gf_mul(t, h1, mm), mm), (1,), mm)
+    c, d = _gf_divmod(_gf_mul(s, b, mm), h1, mm)
+    s1 = _gf_sub(s, d, mm)
+    t1 = _gf_sub(t, _gf_add(_gf_mul(t, b, mm), _gf_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
 
 
-def _hensel_lift(p, f, modular_factors, l):
-    """Lift f = lc(f) * prod(modular_factors) (mod p) to mod p^l.
+def _hensel_lift(p, f, modular_factors, pl):
+    """Lift f = lc(f) * prod(modular_factors) (mod p) to mod pl, a power of p.
 
-    modular_factors are monic GF(p) polynomials; returns monic integer
-    polynomials mod p^l with symmetric coefficients.
+    f is a coefficient tuple known mod pl, modular_factors are monic in
+    GF(p)[x]; returns the monic lifts as tuples mod pl, in the same order.
     """
     r = len(modular_factors)
-    lc = f.leading
-    pl = p ** l
     if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [_sym_poly(f * inv, pl)]
+        return [_gf_mul((pow(f[-1], -1, pl),), f, pl)]
     k = r // 2
-    d = max(math.ceil(math.log2(l)), 1) if l > 1 else 0
-    g = (lc % p,)
-    for mf in modular_factors[:k]:
-        g = _gf_mul(g, mf, p)
     h = (1,)
     for mf in modular_factors[k:]:
         h = _gf_mul(h, mf, p)
+    g = _gf_divmod(f, h, p)[0]  # f = g*h mod p and h is monic
     s, t, one = _gf_gcdex(g, h, p)
     assert one == (1,), "modular factors not coprime"
-    to_int = lambda u: Poly([_sym(c, p) for c in u])
-    gi, hi, si, ti = to_int(g), to_int(h), to_int(s), to_int(t)
     m = p
-    for _ in range(d):
-        gi, hi, si, ti = _hensel_step(m, f, gi, hi, si, ti)
+    while m < pl:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m = m * m
-    return (_hensel_lift(p, _sym_poly(gi, pl), modular_factors[:k], l)
-            + _hensel_lift(p, _sym_poly(hi, pl), modular_factors[k:], l))
+    return (_hensel_lift(p, g, modular_factors[:k], pl)
+            + _hensel_lift(p, h, modular_factors[k:], pl))
 
 
 def _odd_primes():
@@ -595,47 +571,37 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     bound = (math.isqrt(f.degree + 1) + 1) * (2 ** f.degree) * height * abs(lc)
     # only the finitely many primes dividing lc * disc(f) are unsuitable
     for p in _odd_primes():
-        if lc % p == 0:
-            continue
-        fp = _gf_monic(_gf_from_poly(f, p), p)
-        dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
-        if not dfp or len(_gf_gcd(fp, dfp, p)) - 1 != 0:
-            continue
-        break
+        if lc % p:
+            fp = _gf_monic(f.coeffs, p)
+            dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
+            if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
+                break
     rng = random.Random(p)  # the draws change the work done, never the factors
     modular = sorted((u for g, d in _distinct_degree(fp, p)
                       for u in _equal_degree(g, d, p, rng)),
                      key=lambda u: (len(u), u))
     if len(modular) == 1:
         return [f]
-    l = 1
-    while p ** l <= 2 * bound:
-        l += 1
-    pl = p ** l
-    lifted = _hensel_lift(p, f, modular, l)
-    lifted = sorted(lifted, key=lambda q: (q.degree, q.coeffs))
-
+    pl = p
+    while pl <= 2 * bound:
+        pl *= p
+    lifted = _hensel_lift(p, f.coeffs, modular, pl)
     found = []
-    remaining = list(range(len(lifted)))
     current = f
     size = 1
-    while 2 * size <= len(remaining):
-        hit = False
-        for subset in itertools.combinations(remaining, size):
-            cand = Poly([current.leading])
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            cand = (current.leading % pl,)
             for i in subset:
-                cand = _sym_poly(cand * lifted[i], pl)
-            cand = cand.canonical()
-            if cand.degree < 1:
-                continue
+                cand = _gf_mul(cand, lifted[i], pl)
+            cand = _sym_poly(cand, pl).canonical()
             q = current.div_z(cand)
             if q is not None:
                 found.append(cand)
                 current = q
-                remaining = [i for i in remaining if i not in subset]
-                hit = True
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
                 break
-        if not hit:
+        else:
             size += 1
     if current.degree >= 1:
         found.append(current.canonical())

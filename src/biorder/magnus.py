@@ -73,11 +73,11 @@ class Series:
         return f"Series(D={self.truncation}: {body})"
 
 
-def series_mul(s: Series, t: Series, truncation: int | None = None) -> Series:
-    """Product with all monomials above the truncation bound dropped."""
+def series_mul(s: Series, t: Series) -> Series:
+    """Product truncated at the lower of the two truncations."""
     if s.nvars != t.nvars:
         raise ValueError("variable count mismatch")
-    d = min(s.truncation, t.truncation) if truncation is None else truncation
+    d = min(s.truncation, t.truncation)
     out: dict[Monomial, int] = {}
     for m1, c1 in s.coeffs.items():
         if len(m1) > d:

@@ -81,13 +81,16 @@ def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
 
     trial returns None to skip the sample, else the list of failures it found.
     A rejection-sampled probe skips a sample only when _sample_infinitesimal
-    gives up, and then warns that it ran fewer trials than samples.
+    gives up, and then warns that it ran fewer trials than samples.  Any probe
+    warns when no sample produced a trial, since its PASS then tested nothing.
     """
     ran = [found for i in range(cfg.samples)
            if (found := trial(_trial_rng(cfg, i))) is not None]
     if rejection_sampled and len(ran) < cfg.samples:
         warnings = (*warnings, f"only {len(ran)} of {cfg.samples} samples found "
                     f"an infinitesimal within {_DRAWS} draws")
+    if not ran:
+        warnings = (*warnings, "no sample produced a trial, so nothing was tested")
     return _result(name, len(ran), [f for found in ran for f in found], warnings)
 
 

@@ -126,6 +126,16 @@ class TestAnalyzeCommand:
         bad.write_text("name: q\nfibered: true\ngenerators: a\nmap:\n")
         assert cli.main(["analyze", str(bad)]) == cli.EXIT_PARSE
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.knot"
+        bad.write_bytes(b"\x80")
+        for argv in (["analyze", str(bad)],
+                     ["probe", "order-preservation", "--map", str(bad)]):
+            assert cli.main(argv) == cli.EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
     def test_non_automorphism_is_analysis_error(self, tmp_path, capsys):
         doubling = tmp_path / "doubling.knot"
         doubling.write_text("name: q\nfibered: true\ngenerators: a b\n"

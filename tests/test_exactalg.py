@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,8 @@ import pytest
 from biorder.corpus import corpus_entries
 from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, _distinct_degree,
-                              _equal_degree, all_roots_positive_real,
+                              _equal_degree, _gf_gcd, _gf_monic, _gf_trim,
+                              _hensel_lift, _odd_primes, all_roots_positive_real,
                               char_poly, count_negative_roots,
                               count_positive_roots, count_real_roots,
                               factor_over_Q, has_positive_real_root,
@@ -16,6 +18,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
 from biorder.freegroup import abelianized
+from biorder.lcs import level_char_poly, witt_number
 from biorder.verdict import KnotRecord, analyze
 from helpers import (_gfp_divmod, cofactor_char_poly, explicit_power_traces,
                      faddeev_leverrier_char_poly,
@@ -337,6 +340,81 @@ class TestModularFactoring:
                         for f, m in expected]
             got = [(f.poly.coeffs, f.multiplicity) for f in factor_over_Q(p).factors]
             assert sorted(got) == sorted(expected), p
+
+
+# sha256 of (content, [(coeffs, multiplicity, pos, neg, real)]) from
+# factor_over_Q over x^n +- 1 (n <= 40), the corpus level polynomials at levels
+# 0..3 and 300 seeded random products, recorded before Hensel lifting and
+# recombination moved onto coefficient tuples.  Any change to a factor, its
+# order, the content or a root count fails here.
+_FACTOR_DIGEST = "23b1aab3ba3ce1e4d2ecbc1685ac6715e094b993c7bebe6727add5ece0dc6b57"
+
+
+def _factor_battery() -> list[Poly]:
+    polys = [Poly([s] + [0] * (n - 1) + [1]) for n in range(1, 41) for s in (1, -1)]
+    for entry in corpus_entries():
+        m = abelianized(entry.record.phi)
+        traces = power_traces(m, 4 * witt_number(m.dim, 4))
+        polys += [level_char_poly(traces, k) for k in range(1, 5)]
+    rng = random.Random(73)
+    for _ in range(300):
+        p = Poly([rng.choice((1, -1, 2, -3, 6))])
+        for _ in range(rng.randint(1, 5)):
+            low = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+            p = p * Poly(low + [rng.choice((1, 1, 2, 3))]) ** rng.choice((1, 1, 1, 2))
+        polys.append(p)
+    return polys
+
+
+def test_factor_reports_are_pinned():
+    out = []
+    for p in _factor_battery():
+        r = factor_over_Q(p)
+        out.append((r.content, [(f.poly.coeffs, f.multiplicity, f.positive_real_roots,
+                                 f.negative_real_roots, f.real_roots) for f in r.factors]))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _FACTOR_DIGEST
+
+
+class TestHenselLift:
+    @staticmethod
+    def _modular_factors(f: Poly):
+        """The first odd prime p not dividing lc(f) with f squarefree mod p, and
+        the monic factors of f mod p."""
+        for p in _odd_primes():
+            if f.leading % p:
+                fp = _gf_monic(f.coeffs, p)
+                dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
+                if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
+                    return p, [u for g, d in _distinct_degree(fp, p)
+                               for u in _equal_degree(g, d, p, random.Random(p))]
+
+    def test_lift_identities(self):
+        rng = random.Random(83)
+        inputs = []
+        for entry in corpus_entries():
+            m = abelianized(entry.record.phi)
+            traces = power_traces(m, 3 * witt_number(m.dim, 3))
+            inputs += [squarefree_part(level_char_poly(traces, k)) for k in (1, 2, 3)]
+        inputs += _random_squarefree(rng, 60)
+        for _ in range(40):
+            a, b = _random_squarefree(rng, 2)
+            inputs.append(squarefree_part(a * b))
+        split = 0
+        for f in inputs:
+            if f.degree < 2:
+                continue
+            p, modular = self._modular_factors(f)
+            pl = p ** rng.randint(1, 9)
+            lifted = _hensel_lift(p, f.coeffs, modular, pl)
+            product = Poly([f.leading])
+            for u, mf in zip(lifted, modular, strict=True):
+                assert len(u) == len(mf) and u[-1] == 1, (f, p, u)
+                assert tuple(c % p for c in u) == mf, (f, p, u)
+                product = product * Poly(u)
+            assert all((x - y) % pl == 0 for x, y in zip(product.coeffs, f.coeffs,
+                                                          strict=True)), (f, pl)
+            split += len(modular) >= 3
+        assert split >= 40
 
 
 class TestIrreducibilityCertificate:

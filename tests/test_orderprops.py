@@ -130,6 +130,13 @@ class TestCommutatorProbe:
         assert result.passed and 0 < result.trials < cfg.samples
         assert result.warnings == ()
 
+    def test_zero_trials_are_warned(self):
+        # rank 1 has only trivial commutators; the one sample at seed 0 is [y, Y] = e
+        for rank, cfg in ((1, CFG), (2, ProbeConfig(seed=0, samples=1, max_word_length=1))):
+            result = commutator_infinitesimal_probe(rank, cfg)
+            assert result.passed and result.trials == 0
+            assert result.warnings == ("no sample produced a trial, so nothing was tested",)
+
 
 class TestOrderPreservation:
     def test_identity_passes(self):
