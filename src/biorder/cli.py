@@ -408,12 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -708,24 +708,19 @@ class SturmChain:
             raise NonSquarefreeError("Sturm count requires a squarefree polynomial")
         return cls(tuple(chain))
 
-    def _variations(self, signs) -> int:
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
     def variations_at(self, x) -> int:
         x = x if isinstance(x, int) else Fraction(x)
-        return self._variations([_sign_of(q(x)) for q in self.polys])
+        return _sign_changes([q(x) for q in self.polys])
 
-    def variations_at_pos_inf(self) -> int:
-        return self._variations([_sign_of(q.leading) for q in self.polys])
-
-    def variations_at_neg_inf(self) -> int:
-        return self._variations(
-            [_sign_of(q.leading) * (-1) ** q.degree for q in self.polys])
+    def variations_at_infinity(self, direction: int) -> int:
+        """Sign changes at +oo (direction 1) or -oo (direction -1)."""
+        return _sign_changes([q.leading * direction ** q.degree for q in self.polys])
 
 
-def _sign_of(x) -> int:
-    return (x > 0) - (x < 0)
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    nonzero = [v for v in values if v]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if (a > 0) != (b > 0))
 
 
 def sturm_count(p: Poly, lo=None, hi=None) -> int:
@@ -738,8 +733,8 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
     if p.degree < 1:
         return 0
     chain = SturmChain.build(p)
-    va = chain.variations_at(lo) if lo is not None else chain.variations_at_neg_inf()
-    vb = chain.variations_at(hi) if hi is not None else chain.variations_at_pos_inf()
+    va = chain.variations_at(lo) if lo is not None else chain.variations_at_infinity(-1)
+    vb = chain.variations_at(hi) if hi is not None else chain.variations_at_infinity(1)
     return va - vb
 
 
@@ -764,9 +759,9 @@ def _root_counts(p: Poly) -> tuple[int, int, int]:
     if p.degree < 1:
         return 0, 0, 0
     chain = SturmChain.build(p)
-    below = chain.variations_at_neg_inf()
-    at_zero = chain._variations([_sign_of(q.constant) for q in chain.polys])
-    above = chain.variations_at_pos_inf()
+    below = chain.variations_at_infinity(-1)
+    at_zero = chain.variations_at(0)
+    above = chain.variations_at_infinity(1)
     # (-oo, 0] includes a root at 0; the open interval (-oo, 0) must not
     root_at_zero = p.constant == 0
     return at_zero - above, below - at_zero - root_at_zero, below - above

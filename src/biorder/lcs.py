@@ -6,11 +6,12 @@ acts on the quotient by an integer matrix whose column j holds the coordinates
 of the image of the j-th basis bracket; for k = 1 this is the abelianization
 matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
 
-M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  A word in gamma_k
-expands as 1 + (degree-k Lie element) + ..., and X_i maps to
-sum_j M[j][i] X_j + ..., so a bracket's image has the bracket's degree-k part
-with that substitution made.  The Lyndon-to-monomial change of basis is
-unitriangular in lex order, so leading-monomial elimination is exact.
+M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  The quotient is
+the degree-k part of the free Lie algebra, and phi acts by the Lie homomorphism
+X_i -> sum_j M[j][i] X_j, [u, v] -> [image(u), image(v)]: one recursion along a
+bracket's standard factorization, column i of M at each letter and ab - ba at
+each bracket.  The Lyndon-to-monomial change of basis is unitriangular in lex
+order, so leading-monomial elimination is exact.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
 polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
@@ -26,7 +27,7 @@ from functools import cache
 from .exactalg import IntMatrix, Poly, poly_from_power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
                         commutator, letter, verify_automorphism)
-from .magnus import Monomial, expand
+from .magnus import Monomial
 
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
 
@@ -91,13 +92,19 @@ def _standard_factorization(lw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple
     return lw[:i], lw[i:]
 
 
+def _fold(lw: tuple[int, ...], leaf, node):
+    """Standard bracketing of a Lyndon word with leaf(i) at each letter i and
+    node(left, right) at each bracket of its standard factorization."""
+    if len(lw) == 1:
+        return leaf(lw[0])
+    u, v = _standard_factorization(lw)
+    return node(_fold(u, leaf, node), _fold(v, leaf, node))
+
+
 def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
     """Nested commutator word of a Lyndon word, bracketed along its standard
     factorization recursively."""
-    if len(lw) == 1:
-        return letter(rank, lw[0])
-    u, v = _standard_factorization(lw)
-    return commutator(standard_bracketing(u, rank), standard_bracketing(v, rank))
+    return _fold(lw, lambda i: letter(rank, i), commutator)
 
 
 @dataclass(frozen=True)
@@ -106,14 +113,7 @@ class BasisElement:
     bracket: Word               # its standard bracketing in the free group
 
     def name(self, generator_names) -> str:
-        return _bracket_name(self.lyndon, generator_names)
-
-
-def _bracket_name(lw: tuple[int, ...], names) -> str:
-    if len(lw) == 1:
-        return names[lw[0]]
-    u, v = _standard_factorization(lw)
-    return f"[{_bracket_name(u, names)},{_bracket_name(v, names)}]"
+        return _fold(self.lyndon, generator_names.__getitem__, lambda a, b: f"[{a},{b}]")
 
 
 @dataclass(frozen=True)
@@ -170,27 +170,35 @@ def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
     return coords
 
 
+def _lie_bracket(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """ab - ba of two noncommutative polynomials."""
+    out: dict[Monomial, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[ma + mb] = out.get(ma + mb, 0) + ca * cb
+            out[mb + ma] = out.get(mb + ma, 0) - ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _lie_images(basis: LyndonBasis, m: IntMatrix) -> tuple[dict[Monomial, int], ...]:
+    """Each basis bracket's image under the Lie homomorphism X_i -> sum_j m[j][i] X_j."""
+    columns = [{(j,): row[i] for j, row in enumerate(m.rows) if row[i]}
+               for i in range(m.dim)]
+    return tuple(_fold(e.lyndon, columns.__getitem__, _lie_bracket) for e in basis.elements)
+
+
 @cache
 def _basis_parts(n: int, k: int) -> tuple[LyndonBasis, tuple[dict[Monomial, int], ...]]:
-    """The basis and each bracket's degree-k part; shared, so never mutate them."""
+    """The basis and each bracket's Lie polynomial; shared, so never mutate them."""
     basis = lyndon_basis(n, k)
-    return basis, tuple(expand(e.bracket, k).homogeneous_part(k) for e in basis.elements)
+    return basis, _lie_images(basis, IntMatrix.identity(n))
 
 
 def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
     """Action on gamma_k / gamma_k+1 of every endomorphism with abelianization m."""
     basis, basis_parts = _basis_parts(m.dim, k)
-    columns = []
-    for image in basis_parts:
-        for p in range(k):  # X_i -> sum_j m[j][i] X_j at letter position p
-            out: dict[Monomial, int] = {}
-            for mono, c in image.items():
-                for j, row in enumerate(m.rows):
-                    if row[mono[p]]:
-                        t = mono[:p] + (j,) + mono[p + 1:]
-                        out[t] = out.get(t, 0) + c * row[mono[p]]
-            image = {t: v for t, v in out.items() if v}
-        columns.append(_lie_coordinates(image, basis, basis_parts))
+    columns = [_lie_coordinates(image, basis, basis_parts)
+               for image in _lie_images(basis, m)]
     d = len(basis)
     matrix = IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
     return QuotientAction(k, basis, matrix)

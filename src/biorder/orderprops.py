@@ -248,7 +248,7 @@ def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
     return _times(p1, p2, iterate_map(phi, p2[0]))
 
 
-def semidirect_compare(p1: Pair, p2: Pair, phi: FreeMap) -> int:
+def semidirect_compare(p1: Pair, p2: Pair) -> int:
     """Lexicographic order on Z x| F_n: integers first, then the word order."""
     m, w = p1
     n, v = p2
@@ -278,17 +278,17 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
                     random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
         p1, p2, p3 = sample_pair(), sample_pair(), sample_pair()
         failures = []
-        c12 = semidirect_compare(p1, p2, phi)
-        if semidirect_compare(p2, p1, phi) != -c12:
+        c12 = semidirect_compare(p1, p2)
+        if semidirect_compare(p2, p1) != -c12:
             failures.append(("antisymmetry", p1, p2))
         if (c12 != GT
-                and semidirect_compare(p2, p3, phi) != GT
-                and semidirect_compare(p1, p3, phi) == GT):
+                and semidirect_compare(p2, p3) != GT
+                and semidirect_compare(p1, p3) == GT):
             failures.append(("transitivity", p1, p2, p3))
         q = sample_pair()
-        if semidirect_compare(mul(q, p1), mul(q, p2), phi) != c12:
+        if semidirect_compare(mul(q, p1), mul(q, p2)) != c12:
             failures.append(("left-invariance", q, p1, p2))
-        if semidirect_compare(mul(p1, q), mul(p2, q), phi) != c12:
+        if semidirect_compare(mul(p1, q), mul(p2, q)) != c12:
             failures.append(("right-invariance", q, p1, p2))
         return failures
 

@@ -105,14 +105,10 @@ def parse_presentation(text: str) -> PresentationFile:
             except ValueError as exc:
                 raise PresentationError(str(exc), lineno) from exc
             block = None
-        elif key == "map":
+        elif key in maps:
             if not names:
-                raise PresentationError("map block before generators", lineno)
-            block = "map"
-        elif key == "inverse":
-            if not names:
-                raise PresentationError("inverse block before generators", lineno)
-            block = "inverse"
+                raise PresentationError(f"{key} block before generators", lineno)
+            block = key
         else:
             raise PresentationError(f"unknown directive {key!r}", lineno)
 

@@ -121,14 +121,10 @@ def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
     if premises.get("R1") and premises.get("R4"):
         raise InconsistentPremisesError(
             "R1 (no positive real root) and R4 (all roots positive real) both fired")
-    if premises.get("R1"):
-        return Verdict(NOT_BIORDERABLE, 0, "R1", JUSTIFICATIONS["R1"])
-    if premises.get("R2"):
-        return Verdict(NOT_BIORDERABLE, 0, "R2", JUSTIFICATIONS["R2"])
-    if premises.get("R4"):
-        return Verdict(BIORDERABLE, 0, "R4", JUSTIFICATIONS["R4"])
-    if premises.get("R3"):
-        return Verdict(NOT_BIORDERABLE, 1, "R3", JUSTIFICATIONS["R3"])
+    for rule, outcome, level in (("R1", NOT_BIORDERABLE, 0), ("R2", NOT_BIORDERABLE, 0),
+                                 ("R4", BIORDERABLE, 0), ("R3", NOT_BIORDERABLE, 1)):
+        if premises.get(rule):
+            return Verdict(outcome, level, rule, JUSTIFICATIONS[rule])
     return Verdict(NO_OBSTRUCTION_FOUND, max_level, None,
                    f"no obstruction found through level {max_level}")
 

@@ -490,6 +490,26 @@ class TestSturm:
             assert (count_negative_roots(p) + at_zero + count_positive_roots(p)
                     == count_real_roots(p))
 
+    def test_rational_roots_and_fraction_endpoints(self):
+        rng = random.Random(38)
+        for _ in range(100):
+            roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(rng.randint(1, 4))}
+            p = Poly([1])
+            for r in roots:
+                p = p * Poly([-r.numerator, r.denominator])
+            if rng.random() < 0.5:
+                p = p * Poly([1, 1, 1])  # adds an imaginary pair only
+            ends = sorted(roots) + [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                                    for _ in range(3)]
+            a, b = sorted(rng.sample(ends, 2))
+            assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
+            assert sturm_count(p, a, None) == sum(1 for r in roots if a < r)
+            assert sturm_count(p, None, b) == sum(1 for r in roots if r <= b)
+            at_zero = 1 if 0 in roots else 0
+            assert (count_negative_roots(p) + at_zero + count_positive_roots(p)
+                    == count_real_roots(p) == len(roots))
+
 
 class TestSturmChain:
     def test_chain_ends_in_constant_for_squarefree(self):

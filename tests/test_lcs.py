@@ -201,25 +201,36 @@ class TestLcsAction:
             for k in (1, 2, 3, 4):
                 assert quotient_action(m, k).matrix == _action_with_flipped_bracket(phi, k)
 
-    def test_basis_parts_expanded_once_per_rank_and_degree(self, monkeypatch):
-        expanded = []
+    def test_basis_parts_built_once_per_rank_and_degree(self, monkeypatch):
+        built = []
 
-        def counting_expand(w, truncation):
-            expanded.append(truncation)
-            return expand(w, truncation)
+        def counting_basis(n, k):
+            built.append((n, k))
+            return lyndon_basis(n, k)
 
-        monkeypatch.setattr(lcs, "expand", counting_expand)
+        monkeypatch.setattr(lcs, "lyndon_basis", counting_basis)
         lcs._basis_parts.cache_clear()
         try:
             phi = corpus_entry("6_2").record.phi
             m = abelianized(phi)
             first = quotient_action(m, 3)
-            assert expanded == [3] * witt_number(4, 3)
+            assert built == [(4, 3)]
             second = quotient_action(m, 3)
-            assert len(expanded) == witt_number(4, 3)
+            assert built == [(4, 3)]
             assert first.matrix == second.matrix == _action_with_flipped_bracket(phi, 3)
         finally:
             lcs._basis_parts.cache_clear()
+
+    def test_basis_polynomials_match_magnus_expansion(self):
+        # the bracket recursion against the degree-k part of the Magnus
+        # expansion of each standard bracketing word
+        for n in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4):
+                basis, parts = lcs._basis_parts(n, k)
+                assert len(parts) == witt_number(n, k)
+                for element, part in zip(basis.elements, parts):
+                    word = standard_bracketing(element.lyndon, n)
+                    assert part == expand(word, k).homogeneous_part(k)
 
     def test_char_poly_invariant_under_bracket_flips(self):
         phi = corpus_entry("6_2").record.phi

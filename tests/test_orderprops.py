@@ -185,15 +185,13 @@ class TestInvariance:
 
 class TestSemidirect:
     def test_integer_part_dominates(self):
-        phi = conjugation_by_x()
-        assert semidirect_compare((1, identity(2)), (0, W("y Y x")), phi) == GT
+        assert semidirect_compare((1, identity(2)), (0, W("y Y x"))) == GT
 
     def test_word_part_breaks_ties(self):
-        assert semidirect_compare((0, W("x")), (0, W("y")), conjugation_by_x()) == GT
+        assert semidirect_compare((0, W("x")), (0, W("y"))) == GT
 
     def test_equal_pairs(self):
-        assert semidirect_compare((0, identity(2)), (0, identity(2)),
-                                  conjugation_by_x()) == EQ
+        assert semidirect_compare((0, identity(2)), (0, identity(2))) == EQ
 
     def test_multiplication_convention(self):
         # (m, w) * (n, v) = (m + n, phi^n(w) v)
