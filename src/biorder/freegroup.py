@@ -9,9 +9,11 @@ single letters, an uppercase letter is the inverse of the lowercase generator,
 and `e` (or an empty string) is the identity.
 
 A word is validated where its letters come from outside: `Word(...)` built by
-a caller, `parse_word`, `reduce` and `random_word`.  Words derived from valid
-words (`multiply`, `invert`, `apply_map`, and so `power`, `commutator` and
-`conjugate`) are reduced by construction and skip the check.
+a caller, `parse_word` and `reduce`.  Words derived from valid words
+(`multiply`, `invert`, `apply_map`, and so `power`, `commutator` and
+`conjugate`) and the words `random_word` draws (generators in range, no
+letter followed by its inverse) are reduced by construction and skip the
+check.
 """
 
 from __future__ import annotations
@@ -343,4 +345,4 @@ def random_word(rng, rank: int, max_length: int, allow_identity: bool = False) -
         if letters and letters[-1] == (g, -s):
             continue
         letters.append((g, s))
-    return Word(rank, tuple(letters))
+    return _word(rank, tuple(letters))

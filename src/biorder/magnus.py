@@ -13,17 +13,30 @@ concrete bi-order and lower-central-series membership.  Infinitesimality (and
 so weak comparability) is read off one key per element, (lowest degree,
 leading monomial), which w and w^-1 share.
 
+The degree of that part is located by evaluation, and one exact expansion
+decides the answer.  The same recurrences run on one row of integers mod a
+61-bit prime, with X_g at monomial position j replaced by a random value
+a[g][j], so entry d of the row is the degree-d part evaluated at a point.  A
+nonzero value proves the part nonzero.  A nonzero part of degree d vanishes
+at the point with probability at most d / 2^60 (Schwartz-Zippel), and such a
+false zero only makes the one expansion deeper, never the answer different.
+
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .freegroup import Word, invert, multiply
 
 Monomial = tuple[int, ...]
+
+_P = (1 << 61) - 1  # a Mersenne prime: the evaluations are integers mod _P
+# Evaluation points; they change the work a call does, never its answer.
+_RNG = random.Random(61)
 
 
 class NoLowestTermError(ValueError):
@@ -122,25 +135,68 @@ class LowestTerm:
     part: tuple[tuple[Monomial, int], ...]  # grlex-sorted, all coefficients nonzero
 
 
+def _points(rank: int, top: int) -> list[list[int]]:
+    """Fresh random values a[g][j] of X_g at monomial positions j < top.
+
+    They are uniform on [0, 2^60), a set of distinct residues mod _P, so a
+    nonzero part of degree d vanishes at them with probability <= d / 2^60.
+    """
+    return [[_RNG.getrandbits(60) for _ in range(top)] for _ in range(rank)]
+
+
+def _evaluated_degree(w: Word, bound: int) -> int | None:
+    """Least d in 2..bound whose degree-d part of w evaluates nonzero, or None.
+
+    The row v[0..top] follows expand's recurrences with scalars for layers:
+    x_g does v[j] += v[j-1] a[g][j-1] with j falling, x_g^-1 does
+    v[j] -= v[j-1] a[g][j-1] with j rising; v[0] stays 1, so v[1] only adds
+    or subtracts a[g][0].  top runs 2, 4, 8, ... up to bound, each at fresh
+    points, so a low degree costs a short row.  A nonzero v[d] proves the
+    degree-d part nonzero; None proves nothing.
+    """
+    top = 1
+    while top < bound:
+        top = min(2 * top, bound)
+        points = _points(w.rank, top)
+        falling, rising = range(top, 1, -1), range(2, top + 1)
+        v = [1] + [0] * top
+        for g, s in w.letters:
+            a = points[g]
+            if s == 1:
+                for j in falling:
+                    v[j] = (v[j] + v[j - 1] * a[j - 1]) % _P
+                v[1] += a[0]
+            else:
+                v[1] -= a[0]
+                for j in rising:
+                    v[j] = (v[j] - v[j - 1] * a[j - 1]) % _P
+        for d in range(2, top + 1):
+            if v[d]:
+                return d
+    return None
+
+
 def lowest_term(w: Word) -> LowestTerm:
     """Minimal degree d >= 1 with a nonzero homogeneous part.
 
     Degree 1 is the exponent-sum vector: the coefficient of X_i is the
     exponent sum of x_i, and the monomials (0,), (1,), ... are in grlex
-    order.  Only a word with zero exponent sums is expanded, its truncation
-    rising one degree at a time from 2, so it is never expanded past its
-    lowest degree.  A nontrivial reduced word of length L never lies in
-    gamma_{L+1}, so the search ends by degree L.
+    order.  A word with zero exponent sums is evaluated mod a prime to locate
+    its degree (a nontrivial reduced word of length L never lies in
+    gamma_{L+1}, so one exists by degree L; when every evaluation up to L
+    reads zero, fresh points are drawn).  Then w is expanded once, at the
+    first degree that evaluated nonzero, and the answer is the first nonzero
+    layer of that exact expansion, whatever the points were.
     """
     if w.is_identity:
         raise NoLowestTermError("identity word has no lowest term")
     if part := tuple(((i,), c) for i, c in enumerate(w.exponent_vector()) if c):
         return LowestTerm(1, part)
-    for d in range(2, len(w) + 1):
-        part = expand(w, d).homogeneous_part(d)
-        if part:
-            return LowestTerm(d, tuple(sorted(part.items())))
-    raise AssertionError("reduced word escaped its length-bounded central series depth")
+    while (top := _evaluated_degree(w, len(w))) is None:
+        pass
+    s = expand(w, top)
+    d = min(len(m) for m in s.coeffs if m)  # layer top at the latest
+    return LowestTerm(d, tuple(sorted(s.homogeneous_part(d).items())))
 
 
 def archimedean_key(w: Word) -> tuple[int, Monomial]:
@@ -186,10 +242,17 @@ def is_infinitesimal(f: Word, g: Word) -> bool:
 
 
 def in_gamma(w: Word, k: int) -> bool:
-    """Membership in the k-th lower central series term of the free group."""
+    """Membership in the k-th lower central series term of the free group.
+
+    w is in gamma_k iff every layer of expand(w, k - 1) but the constant one
+    is zero.  A nonzero exponent sum or a nonzero evaluated degree below k
+    refutes that without expanding; otherwise the expansion decides.
+    """
     if k < 1:
         raise ValueError("central series index must be >= 1")
     if k == 1:
         return True
+    if any(w.exponent_vector()) or _evaluated_degree(w, min(k - 1, len(w))) is not None:
+        return False
     s = expand(w, k - 1)
     return all(not m for m in s.coeffs)

@@ -50,6 +50,13 @@ class ProbeConfig:
             raise ValueError("max_word_length must be >= 1")
 
 
+# Random words one rejection-sampled probe may draw in all.  It is what the
+# default sample count of two infinitesimals each can draw at most, so a probe
+# at that count never reaches it; above it, a g whose infinitesimals are rare
+# stops the probe here instead of running for minutes.
+_DRAW_BUDGET = 2 * ProbeConfig.samples * _DRAWS
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     name: str
@@ -75,20 +82,35 @@ def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
     return random.Random(z)
 
 
+@dataclass
+class _Drawn:
+    """Random words a rejection-sampled probe has drawn so far."""
+
+    count: int = 0
+
+
 def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
-                rejection_sampled: bool = False) -> ProbeResult:
+                drawn: _Drawn | None = None) -> ProbeResult:
     """Call trial(rng) once per sample, each with its own sub-seeded rng.
 
     trial returns None to skip the sample, else the list of failures it found.
-    A rejection-sampled probe skips a sample only when _sample_infinitesimal
-    gives up, and then warns that it ran fewer trials than samples.  Any probe
-    warns when no sample produced a trial, since its PASS then tested nothing.
+    A rejection-sampled probe passes the tally its trials draw into: it skips
+    a sample only when _sample_infinitesimal gives up, and then warns that it
+    ran fewer trials than samples; it starts no sample once the tally reaches
+    _DRAW_BUDGET, and then warns with the draws spent.  Any probe warns when
+    no sample produced a trial, since its PASS then tested nothing.
     """
-    ran = [found for i in range(cfg.samples)
-           if (found := trial(_trial_rng(cfg, i))) is not None]
-    if rejection_sampled and len(ran) < cfg.samples:
-        warnings = (*warnings, f"only {len(ran)} of {cfg.samples} samples found "
+    ran, tried = [], 0
+    while tried < cfg.samples and (drawn is None or drawn.count < _DRAW_BUDGET):
+        if (found := trial(_trial_rng(cfg, tried))) is not None:
+            ran.append(found)
+        tried += 1
+    if drawn is not None and len(ran) < tried:
+        warnings = (*warnings, f"only {len(ran)} of {tried} samples found "
                     f"an infinitesimal within {_DRAWS} draws")
+    if tried < cfg.samples:
+        warnings = (*warnings, f"stopped after {tried} of {cfg.samples} samples: "
+                    f"{drawn.count} draws spent the budget of {_DRAW_BUDGET}")
     if not ran:
         warnings = (*warnings, "no sample produced a trial, so nothing was tested")
     return _result(name, len(ran), [f for found in ran for f in found], warnings)
@@ -101,10 +123,13 @@ def _positive_key(g: Word):
     return archimedean_key(g)
 
 
-def _sample_infinitesimal(rng, rank: int, key_g, max_len: int) -> Word | None:
+def _sample_infinitesimal(rng, rank: int, key_g, max_len: int,
+                          drawn: _Drawn) -> Word | None:
     """A random word w with archimedean_key(w) > key_g (so w is infinitesimal
-    w.r.t. the element keyed key_g), or None after _DRAWS draws."""
+    w.r.t. the element keyed key_g), or None after _DRAWS draws; each draw is
+    counted in drawn."""
     for _ in range(_DRAWS):
+        drawn.count += 1
         w = random_word(rng, rank, max_len)
         if archimedean_key(w) > key_g:
             return w
@@ -123,10 +148,11 @@ def subgroup_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     warning then says so.
     """
     key_g = _positive_key(g)
+    drawn = _Drawn()
 
     def trial(rng):
-        f1 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
-        f2 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
+        f1 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length, drawn)
+        f2 = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length, drawn)
         if f1 is None or f2 is None:
             return None
         failures = []
@@ -137,7 +163,7 @@ def subgroup_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
             failures.append((f1, invert(f1)))
         return failures
 
-    return _run_trials("subgroup", cfg, trial, rejection_sampled=True)
+    return _run_trials("subgroup", cfg, trial, drawn=drawn)
 
 
 def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
@@ -168,16 +194,17 @@ def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
     if not dom.passed:
         raise PremiseUnmetError("dominance premise failed", premise_result=dom)
     key_g = archimedean_key(g)
+    drawn = _Drawn()
 
     def trial(rng):
-        x = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length)
+        x = _sample_infinitesimal(rng, g.rank, key_g, cfg.max_word_length, drawn)
         if x is None:
             return None
         u = random_word(rng, g.rank, cfg.max_word_length, allow_identity=True)
         conj = conjugate(x, u)
         return [(x, u, conj)] if not conj.is_identity and archimedean_key(conj) <= key_g else []
 
-    return _run_trials("normality", cfg, trial, rejection_sampled=True)
+    return _run_trials("normality", cfg, trial, drawn=drawn)
 
 
 def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
@@ -217,15 +244,16 @@ def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
         raise PremiseUnmetError("order preservation premise failed",
                                 premise_result=premise)
     key_g = archimedean_key(letter(phi.rank, 0))
+    drawn = _Drawn()
 
     def trial(rng):
-        f = _sample_infinitesimal(rng, phi.rank, key_g, cfg.max_word_length)
+        f = _sample_infinitesimal(rng, phi.rank, key_g, cfg.max_word_length, drawn)
         if f is None:
             return None
         img = apply_map(phi, f)
         return [(f, img)] if not img.is_identity and archimedean_key(img) <= key_g else []
 
-    return _run_trials("invariance", cfg, trial, rejection_sampled=True)
+    return _run_trials("invariance", cfg, trial, drawn=drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,30 @@ class TestDerivedWords:
                           commutator(u, v), conjugate(u, v), power(u, -3)):
                     assert Word(w.rank, w.letters) == w
 
+    def test_random_word_matches_validated_reference_draw(self):
+        # the same rng calls as random_word, with the word built by Word(...),
+        # which validates it; equal words and rng states mean the same stream
+        def reference(rng, rank, max_length, allow_identity):
+            length = rng.randint(0 if allow_identity else 1, max_length)
+            letters = []
+            while len(letters) < length:
+                g = rng.randrange(rank)
+                s = rng.choice((1, -1))
+                if letters and letters[-1] == (g, -s):
+                    continue
+                letters.append((g, s))
+            return Word(rank, tuple(letters))
+
+        for seed in range(50):
+            for rank in (1, 2, 3, 4):
+                for allow_identity in (False, True):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    for max_length in (1, 2, 5, 10):
+                        w = random_word(rng, rank, max_length, allow_identity)
+                        assert w == reference(ref, rank, max_length, allow_identity)
+                        assert Word(w.rank, w.letters) == w
+                    assert rng.getstate() == ref.getstate()
+
 
 class TestVerifyAutomorphism:
     def test_trefoil_with_inverse_confirmed(self):

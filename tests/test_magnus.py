@@ -224,6 +224,78 @@ class TestLowestTermOracle:
         assert truncations == [2]
 
 
+def recording_expand(monkeypatch) -> list:
+    """Route magnus.expand through a recorder; returns the truncations seen."""
+    truncations = []
+
+    def record(w, truncation):
+        truncations.append(truncation)
+        return expand(w, truncation)
+
+    monkeypatch.setattr(magnus, "expand", record)
+    return truncations
+
+
+def deep_zero_sum_words(seed: int, count: int) -> list:
+    """Nontrivial zero-sum words of ranks 2-4 with lowest degrees 2 to 5:
+    shuffled-inverse words, commutators and commutators of those."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = 2 + len(out) % 3
+        u = zero_sum_word(rng, rank, 6)
+        v = random_word(rng, rank, 4)
+        for w in (u, commutator(u, v), commutator(commutator(v, u), v)):
+            if not w.is_identity:
+                out.append(w)
+    return out
+
+
+class TestLowestTermByEvaluation:
+    """Evaluation mod a prime picks the truncation; one expansion decides."""
+
+    def test_matches_expansion_on_deep_zero_sum_words(self, monkeypatch):
+        words = deep_zero_sum_words(31, 150)
+        truncations = recording_expand(monkeypatch)
+        lts = [lowest_term(w) for w in words]
+        assert truncations == [lt.degree for lt in lts]  # one expansion each
+        monkeypatch.undo()
+        assert lts == [lowest_term_by_expansion(w) for w in words]
+        assert {2, 3, 4, 5} <= {lt.degree for lt in lts}
+
+    def test_nests_expand_once_at_their_degree(self, monkeypatch):
+        nests = {k: nested_commutator(k) for k in range(4, 9)}
+        truncations = recording_expand(monkeypatch)
+        lts = {k: lowest_term(w) for k, w in nests.items()}
+        assert truncations == list(nests)
+        monkeypatch.undo()
+        for k, w in nests.items():
+            assert lts[k] == lowest_term_by_expansion(w)
+
+    def test_fresh_points_after_a_ladder_of_zeros(self, monkeypatch):
+        # every evaluation of the first ladder reads zero, as a false zero at
+        # each rung would; fresh points then find the degree, and the one
+        # expansion still gives the exact term
+        real_points = magnus._points
+        words = [nested_commutator(4), *deep_zero_sum_words(32, 20)]
+        for w in words:
+            tops = []
+
+            def points(rank, top):
+                zero = len(w) not in tops  # the first ladder ends at len(w)
+                tops.append(top)
+                return [[0] * top for _ in range(rank)] if zero else real_points(rank, top)
+
+            monkeypatch.setattr(magnus, "_points", points)
+            truncations = recording_expand(monkeypatch)
+            lt = lowest_term(w)
+            assert tops[tops.index(len(w)) + 1] == 2  # a fresh ladder after the zeros
+            assert truncations == [lt.degree]
+            monkeypatch.undo()
+            assert lt == lowest_term_by_expansion(w)
+            assert in_gamma(w, lt.degree) and not in_gamma(w, lt.degree + 1)
+
+
 class TestSignAndCompare:
     def test_sign_identity(self):
         assert sign(identity(2)) == 0
@@ -331,3 +403,31 @@ class TestInGamma:
         for _ in range(300):
             w = random_word(rng, 2, 10, allow_identity=True)
             assert in_gamma(w, 2) == all(e == 0 for e in w.exponent_vector())
+
+    def test_matches_every_layer_below_k_vanishing(self):
+        # half the words have zero exponent sums, so the evaluation is reached
+        rng = random.Random(33)
+        words = [random_word(rng, 2 + i % 3, 7) for i in range(150)]
+        while len(words) < 300:
+            rank = 2 + len(words) % 3
+            for w in (zero_sum_word(rng, rank, 4),
+                      commutator(random_word(rng, rank, 3), random_word(rng, rank, 2))):
+                if not w.is_identity and len(words) < 300:
+                    words.append(w)
+        assert {lowest_term(w).degree for w in words[150:]} >= {2, 3}
+        for w in words:
+            for k in range(1, len(w) + 2):
+                layers = expand(w, k - 1).coeffs
+                assert in_gamma(w, k) == all(not m for m in layers), (w, k)
+
+    def test_nest_pairs_and_no_expansion_to_refute(self, monkeypatch):
+        nests = {k: nested_commutator(k) for k in range(1, 9)}
+        for k in range(2, 9):
+            truncations = recording_expand(monkeypatch)
+            assert in_gamma(nests[k], k)
+            assert truncations == [k - 1]
+            assert not in_gamma(nests[k - 1], k)
+            assert truncations == [k - 1]  # refuted without expanding
+            monkeypatch.undo()
+            assert all(not m for m in expand(nests[k], k - 1).coeffs)
+            assert any(m for m in expand(nests[k - 1], k - 1).coeffs)

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from biorder import orderprops
 from biorder.corpus import corpus_entries
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, apply_map,
                                commutator, conjugate, identity, invert,
@@ -69,6 +71,47 @@ class TestSubgroupProbe:
             if not prod.is_identity:
                 assert is_infinitesimal(prod, g)
             assert is_infinitesimal(invert(f1), g)
+
+
+class TestDrawBudget:
+    """_DRAW_BUDGET caps the words one rejection-sampled probe draws."""
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: subgroup_probe(W("x"), cfg),
+        lambda cfg: normality_probe(W("x"), cfg),
+        lambda cfg: invariance_probe(conjugation_by_x(), cfg),
+    ], ids=["subgroup", "normality", "invariance"])
+    def test_budget_stops_probe_and_warns_draws_spent(self, monkeypatch, run):
+        cfg = ProbeConfig(seed=5, samples=60, max_word_length=8)
+        monkeypatch.setattr(orderprops, "_DRAW_BUDGET", 40)
+        result = run(cfg)
+        [stop] = [m for w in result.warnings
+                  if (m := re.fullmatch(r"stopped after (\d+) of 60 samples: (\d+) "
+                                        r"draws spent the budget of 40", w))]
+        tried, spent = int(stop[1]), int(stop[2])
+        assert 0 < result.trials <= tried < 60 and spent >= 40
+        monkeypatch.undo()
+        # the samples that ran are those of the same probe with fewer samples
+        prefix = run(ProbeConfig(seed=5, samples=tried, max_word_length=8))
+        assert (result.trials, result.failures) == (prefix.trials, prefix.failures)
+
+    def test_spent_draws_are_counted(self, monkeypatch):
+        draws = []
+
+        def counting_random_word(*args, **kwargs):
+            draws.append(1)
+            return random_word(*args, **kwargs)
+
+        monkeypatch.setattr(orderprops, "_DRAW_BUDGET", 1200)
+        monkeypatch.setattr(orderprops, "random_word", counting_random_word)
+        result = subgroup_probe(commutator(W("x"), W("y")), ProbeConfig(samples=20))
+        assert any(w.endswith(f": {len(draws)} draws spent the budget of 1200")
+                   for w in result.warnings), result.warnings
+
+    def test_default_sample_count_never_reaches_budget(self):
+        # a trial draws at most two samples of _DRAWS words each, and the
+        # budget is checked before each sample
+        assert orderprops._DRAW_BUDGET >= 2 * ProbeConfig().samples * orderprops._DRAWS
 
 
 class TestDominance:
