@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import Record
 from .presentation import parse_presentation
 from .verdict import KnotRecord
 
@@ -18,13 +18,21 @@ _EXPECTED = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
+    __slots__ = ("name", "record", "expected_outcome", "expected_rule", "expected_level")
     name: str
     record: KnotRecord
     expected_outcome: str
     expected_rule: str
     expected_level: int
+
+    def __init__(self, name: str, record: KnotRecord, expected_outcome: str,
+                 expected_rule: str, expected_level: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "expected_outcome", expected_outcome)
+        object.__setattr__(self, "expected_rule", expected_rule)
+        object.__setattr__(self, "expected_level", expected_level)
 
 
 def corpus_text(name: str) -> str:

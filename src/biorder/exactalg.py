@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 
 class ZeroPolynomialError(ValueError):
@@ -229,19 +230,20 @@ class Poly:
 # integer matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Square matrix of exact integers, stored as a tuple of row tuples."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        d = len(self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        d = len(rows)
         if d < 1:
             raise ValueError("matrix dimension must be >= 1")
-        for row in self.rows:
+        for row in rows:
             if len(row) != d:
                 raise ValueError("matrix must be square")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -614,17 +616,25 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
 # factorization report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
+    __slots__ = ("poly", "multiplicity", "positive_real_roots", "negative_real_roots",
+                 "real_roots")
     poly: Poly
     multiplicity: int
     positive_real_roots: int
     negative_real_roots: int
     real_roots: int
 
+    def __init__(self, poly: Poly, multiplicity: int, positive_real_roots: int,
+                 negative_real_roots: int, real_roots: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "positive_real_roots", positive_real_roots)
+        object.__setattr__(self, "negative_real_roots", negative_real_roots)
+        object.__setattr__(self, "real_roots", real_roots)
 
-@dataclass(frozen=True)
-class FactorReport:
+
+class FactorReport(Record):
     """Complete irreducible factorization over Q with per-factor root counts.
 
     content * prod(factor.poly ** factor.multiplicity) reconstructs the input
@@ -633,9 +643,15 @@ class FactorReport:
     leading coefficient, sorted by degree then ascending coefficient tuple.
     """
 
+    __slots__ = ("input", "content", "factors")
     input: Poly
     content: int
     factors: tuple[Factor, ...]
+
+    def __init__(self, input: Poly, content: int, factors: tuple[Factor, ...]):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "factors", factors)
 
     def reconstruct(self) -> Poly:
         out = Poly([self.content])
@@ -678,15 +694,18 @@ def factor_over_Q(p: Poly) -> FactorReport:
 # Sturm chains and root counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(Record):
     """Sturm chain of p: p, p' and the negated remainders, each primitive.
 
     prem(a, b) = lc(b)^(d+1) * rem(a, b), so -sign(lc(b))^(d+1) * prem is a
     positive multiple of -rem(a, b): same entries as Euclid over Q.
     """
 
+    __slots__ = ("polys",)
     polys: tuple[Poly, ...]
+
+    def __init__(self, polys: tuple[Poly, ...]):
+        object.__setattr__(self, "polys", polys)
 
     @classmethod
     def build(cls, p: Poly) -> "SturmChain":

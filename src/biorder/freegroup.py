@@ -18,8 +18,7 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .exactalg import IntMatrix
 
 
@@ -35,22 +34,24 @@ class NotAnAutomorphismError(ValueError):
     """A FreeMap required to be an automorphism fails the check."""
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Freely reduced word; letters are (generator index, sign) pairs."""
 
+    __slots__ = ("rank", "letters")
     rank: int
     letters: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for g, s in self.letters:
-            if not 0 <= g < self.rank:
-                raise GeneratorRangeError(f"generator index {g} out of range for rank {self.rank}")
+    def __init__(self, rank: int, letters: tuple[tuple[int, int], ...]):
+        for g, s in letters:
+            if not 0 <= g < rank:
+                raise GeneratorRangeError(f"generator index {g} out of range for rank {rank}")
             if s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s}")
-        for (g1, s1), (g2, s2) in zip(self.letters, self.letters[1:]):
+        for (g1, s1), (g2, s2) in zip(letters, letters[1:]):
             if g1 == g2 and s1 == -s2:
                 raise ValueError("word is not freely reduced")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -159,30 +160,34 @@ def conjugate(w: Word, by: Word) -> Word:
 # endomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeMap:
+class FreeMap(Record):
     """Endomorphism of F_n given by one image word per generator.
 
     inverse_images, when supplied, are the generator images of the claimed
     inverse map; verify_automorphism checks both compositions.
     """
 
+    __slots__ = ("rank", "images", "inverse_images")
     rank: int
     images: tuple[Word, ...]
-    inverse_images: tuple[Word, ...] | None = None
+    inverse_images: tuple[Word, ...] | None
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, images: tuple[Word, ...],
+                 inverse_images: tuple[Word, ...] | None = None):
+        if len(images) != rank:
             raise ValueError("need exactly one image per generator")
-        for w in self.images:
-            if w.rank != self.rank:
+        for w in images:
+            if w.rank != rank:
                 raise RankMismatchError("image word has wrong rank")
-        if self.inverse_images is not None:
-            if len(self.inverse_images) != self.rank:
+        if inverse_images is not None:
+            if len(inverse_images) != rank:
                 raise ValueError("need exactly one inverse image per generator")
-            for w in self.inverse_images:
-                if w.rank != self.rank:
+            for w in inverse_images:
+                if w.rank != rank:
                     raise RankMismatchError("inverse image word has wrong rank")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
 
     def __call__(self, w: Word) -> Word:
         return apply_map(self, w)
@@ -248,11 +253,16 @@ NECESSARY_ONLY = "NECESSARY-ONLY"
 NOT_AN_AUTOMORPHISM = "NOT_AN_AUTOMORPHISM"
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
+class AutomorphismReport(Record):
+    __slots__ = ("status", "determinant", "detail")
     status: str
     determinant: int
-    detail: str = ""
+    detail: str
+
+    def __init__(self, status: str, determinant: int, detail: str = ""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def is_automorphism_candidate(self) -> bool:

@@ -21,9 +21,9 @@ level reads the one list of power sums that the analysis takes of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record
 from .exactalg import IntMatrix, Poly, poly_from_power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
                         commutator, letter, verify_automorphism)
@@ -107,20 +107,29 @@ def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
     return _fold(lw, lambda i: letter(rank, i), commutator)
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
+    __slots__ = ("lyndon", "bracket")
     lyndon: tuple[int, ...]     # the Lyndon word, also the leading monomial
     bracket: Word               # its standard bracketing in the free group
+
+    def __init__(self, lyndon: tuple[int, ...], bracket: Word):
+        object.__setattr__(self, "lyndon", lyndon)
+        object.__setattr__(self, "bracket", bracket)
 
     def name(self, generator_names) -> str:
         return _fold(self.lyndon, generator_names.__getitem__, lambda a, b: f"[{a},{b}]")
 
 
-@dataclass(frozen=True)
-class LyndonBasis:
+class LyndonBasis(Record):
+    __slots__ = ("rank", "degree", "elements")
     rank: int
     degree: int
     elements: tuple[BasisElement, ...]
+
+    def __init__(self, rank: int, degree: int, elements: tuple[BasisElement, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)
@@ -136,13 +145,18 @@ def lyndon_basis(n: int, k: int) -> LyndonBasis:
     return LyndonBasis(n, k, elements)
 
 
-@dataclass(frozen=True)
-class QuotientAction:
+class QuotientAction(Record):
     """Matrix of an endomorphism on a degree-k quotient; columns are images."""
 
+    __slots__ = ("degree", "basis", "matrix")
     degree: int
     basis: LyndonBasis
     matrix: IntMatrix
+
+    def __init__(self, degree: int, basis: LyndonBasis, matrix: IntMatrix):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,

@@ -28,8 +28,8 @@ generator dominates every other element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .freegroup import Word, invert, multiply
 
 Monomial = tuple[int, ...]
@@ -127,12 +127,16 @@ def expand(w: Word, truncation: int) -> Series:
                                   for k, layer in enumerate(layers) for m, c in layer.items()})
 
 
-@dataclass(frozen=True)
-class LowestTerm:
+class LowestTerm(Record):
     """First nonvanishing homogeneous part of a nontrivial word's expansion."""
 
+    __slots__ = ("degree", "part")
     degree: int
     part: tuple[tuple[Monomial, int], ...]  # grlex-sorted, all coefficients nonzero
+
+    def __init__(self, degree: int, part: tuple[tuple[Monomial, int], ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "part", part)
 
 
 def _points(rank: int, top: int) -> list[list[int]]:

@@ -14,14 +14,15 @@ sub-seeds so serial and parallel runs would emit identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .freegroup import (FreeMap, Word, apply_map, commutator, conjugate,
                         identity, invert, iterate_map, letter, multiply,
                         random_word)
 from .magnus import GT, LT, archimedean_key, compare, sign
 
 _DRAWS = 500  # random words drawn for one infinitesimal sample before giving up
+_SAMPLES = 200  # default sample count of a probe
 
 
 class NotPositiveError(ValueError):
@@ -36,34 +37,47 @@ class PremiseUnmetError(ValueError):
         self.premise_result = premise_result
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    seed: int = 0
-    samples: int = 200
-    max_word_length: int = 10
-    search_bound: int = 4
+class ProbeConfig(Record):
+    __slots__ = ("seed", "samples", "max_word_length", "search_bound")
+    seed: int
+    samples: int
+    max_word_length: int
+    search_bound: int
 
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, seed: int = 0, samples: int = _SAMPLES, max_word_length: int = 10,
+                 search_bound: int = 4):
+        if samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.max_word_length < 1:
+        if max_word_length < 1:
             raise ValueError("max_word_length must be >= 1")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "max_word_length", max_word_length)
+        object.__setattr__(self, "search_bound", search_bound)
 
 
 # Random words one rejection-sampled probe may draw in all.  It is what the
 # default sample count of two infinitesimals each can draw at most, so a probe
 # at that count never reaches it; above it, a g whose infinitesimals are rare
 # stops the probe here instead of running for minutes.
-_DRAW_BUDGET = 2 * ProbeConfig.samples * _DRAWS
+_DRAW_BUDGET = 2 * _SAMPLES * _DRAWS
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
+    __slots__ = ("name", "trials", "failures", "status", "warnings")
     name: str
     trials: int
     failures: tuple
     status: str  # PASS or COUNTEREXAMPLE
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+
+    def __init__(self, name: str, trials: int, failures: tuple, status: str,
+                 warnings: tuple[str, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def passed(self) -> bool:
@@ -82,11 +96,14 @@ def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
     return random.Random(z)
 
 
-@dataclass
 class _Drawn:
     """Random words a rejection-sampled probe has drawn so far."""
 
-    count: int = 0
+    __slots__ = ("count",)
+    count: int
+
+    def __init__(self, count: int = 0):
+        self.count = count
 
 
 def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
@@ -331,12 +348,18 @@ NOT_FOUND_WITHIN_BOUND = "NOT_FOUND_WITHIN_BOUND"
 WITNESS_FOUND = "WITNESS_FOUND"
 
 
-@dataclass(frozen=True)
-class WeakComparabilityResult:
+class WeakComparabilityResult(Record):
+    __slots__ = ("status", "witness", "bound", "checked")
     status: str
     witness: Word | None
     bound: int
     checked: int
+
+    def __init__(self, status: str, witness: Word | None, bound: int, checked: int):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "checked", checked)
 
 
 def enumerate_words(rank: int, max_length: int):

@@ -21,8 +21,7 @@ map is an automorphism.  `name:`, `fibered:` and `generators:` appear once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .freegroup import (FreeMap, Word, check_generator_names, format_word,
                         parse_word)
 from .verdict import KnotRecord
@@ -37,14 +36,25 @@ class PresentationError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(Record):
+    __slots__ = ("name", "fibered", "generator_names", "images", "inverse_images",
+                 "comments")
     name: str
     fibered: bool
     generator_names: tuple[str, ...]
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None
-    comments: tuple[str, ...] = ()
+    comments: tuple[str, ...]
+
+    def __init__(self, name: str, fibered: bool, generator_names: tuple[str, ...],
+                 images: tuple[Word, ...], inverse_images: tuple[Word, ...] | None,
+                 comments: tuple[str, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fibered", fibered)
+        object.__setattr__(self, "generator_names", generator_names)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
+        object.__setattr__(self, "comments", comments)
 
     def free_map(self) -> FreeMap:
         return FreeMap(len(self.generator_names), self.images, self.inverse_images)

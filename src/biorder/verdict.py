@@ -23,8 +23,7 @@ rule are recorded even when the rule does not fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .exactalg import FactorReport, IntMatrix, Poly, factor_over_Q, power_traces
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         default_names, verify_automorphism)
@@ -63,50 +62,76 @@ JUSTIFICATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(Record):
     """A knot group Z x| F_n: name, monodromy phi, and fiberedness flag."""
 
+    __slots__ = ("name", "phi", "fibered", "generator_names")
     name: str
     phi: FreeMap
     fibered: bool
-    generator_names: tuple[str, ...] = ()
+    generator_names: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.generator_names:
-            object.__setattr__(self, "generator_names", default_names(self.phi.rank))
-        if len(self.generator_names) != self.phi.rank:
+    def __init__(self, name: str, phi: FreeMap, fibered: bool,
+                 generator_names: tuple[str, ...] = ()):
+        if not generator_names:
+            generator_names = default_names(phi.rank)
+        if len(generator_names) != phi.rank:
             raise ValueError("need one generator name per generator")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "fibered", fibered)
+        object.__setattr__(self, "generator_names", generator_names)
 
     @property
     def rank(self) -> int:
         return self.phi.rank
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Record):
     """Everything computed about one quotient level."""
 
+    __slots__ = ("level", "action", "char_poly", "factors")
     level: int                       # 0 = abelianization, 1 = basic commutators, ...
     action: QuotientAction
     char_poly: Poly
     factors: FactorReport
 
+    def __init__(self, level: int, action: QuotientAction, char_poly: Poly,
+                 factors: FactorReport):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "char_poly", char_poly)
+        object.__setattr__(self, "factors", factors)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Record):
+    __slots__ = ("outcome", "level", "rule", "justification")
     outcome: str
     level: int | None
     rule: str | None
     justification: str
 
+    def __init__(self, outcome: str, level: int | None, rule: str | None,
+                 justification: str):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "justification", justification)
 
-@dataclass(frozen=True)
-class AnalysisReport:
+
+class AnalysisReport(Record):
+    __slots__ = ("record", "levels", "premises", "verdict")
     record: KnotRecord
     levels: tuple[LevelReport, ...]
     premises: dict[str, bool | None]
     verdict: Verdict
+
+    def __init__(self, record: KnotRecord, levels: tuple[LevelReport, ...],
+                 premises: dict[str, bool | None], verdict: Verdict):
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def level_report(m: IntMatrix, traces: list[int], level: int) -> LevelReport:

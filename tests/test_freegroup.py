@@ -232,6 +232,8 @@ class TestDefaultNames:
     def test_knot_record_defaults_to_the_same_names(self):
         record = KnotRecord("r5", identity_map(5), fibered=True)
         assert record.generator_names == default_names(5) == ("a", "b", "c", "d", "f")
+        with pytest.raises(ValueError, match="^need one generator name per generator$"):
+            KnotRecord("r5", identity_map(5), fibered=True, generator_names=("a", "b"))
 
 
 class TestWordSyntax:

@@ -339,7 +339,7 @@ class TestDeterminism:
         assert len(words) == 1 + 4 + 12
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
             ProbeConfig(samples=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_word_length must be >= 1$"):
             ProbeConfig(max_word_length=0)

@@ -1,0 +1,194 @@
+"""The package's records: frozen-record value semantics on slotted classes,
+checked against a frozen dataclass with the same fields, and an import of the
+CLI that loads no module generating such methods."""
+
+import dataclasses
+import inspect
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from biorder._record import Record
+from biorder.corpus import CorpusEntry
+from biorder.exactalg import Factor, FactorReport, IntMatrix, Poly, SturmChain
+from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, AutomorphismReport,
+                               FreeMap, GeneratorRangeError, RankMismatchError, Word,
+                               identity_map)
+from biorder.lcs import BasisElement, LyndonBasis, QuotientAction, lyndon_basis
+from biorder.magnus import LowestTerm
+from biorder.orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
+                                _Drawn)
+from biorder.presentation import PresentationFile
+from biorder.verdict import AnalysisReport, KnotRecord, LevelReport, Verdict
+from helpers import W
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+M2 = IntMatrix(((2, 1), (1, 1)))
+P = Poly([1, -3, 1])
+FACTOR = Factor(P, 1, 2, 0, 2)
+REPORT = FactorReport(P, 1, (FACTOR,))
+BASIS = lyndon_basis(2, 1)
+ACTION = QuotientAction(1, BASIS, M2)
+KNOT = KnotRecord("k", identity_map(2), True, ("x", "y"))
+VERDICT = Verdict("BIORDERABLE", 0, "R4", "all roots positive")
+
+# Each frozen record with two sets of constructor keywords that differ.
+FROZEN = [
+    (IntMatrix, dict(rows=((1, 2), (3, 4))), dict(rows=((1,),))),
+    (Factor, dict(poly=P, multiplicity=1, positive_real_roots=2, negative_real_roots=0,
+                  real_roots=2),
+     dict(poly=P, multiplicity=2, positive_real_roots=2, negative_real_roots=0,
+          real_roots=2)),
+    (FactorReport, dict(input=P, content=1, factors=(FACTOR,)),
+     dict(input=P * 3, content=3, factors=(FACTOR,))),
+    (SturmChain, dict(polys=(P, Poly([-3, 2]))), dict(polys=(Poly([-1, 1]), Poly([1])))),
+    (Word, dict(rank=2, letters=((0, 1), (1, -1))),
+     dict(rank=3, letters=((0, 1), (1, -1)))),
+    (FreeMap, dict(rank=2, images=(W("y"), W("x")), inverse_images=None),
+     dict(rank=2, images=(W("y"), W("x")), inverse_images=(W("y"), W("x")))),
+    (AutomorphismReport, dict(status=CONFIRMED, determinant=-1, detail="ok"),
+     dict(status=NOT_AN_AUTOMORPHISM, determinant=-1, detail="ok")),
+    (BasisElement, dict(lyndon=(0, 1), bracket=W("x y X Y")),
+     dict(lyndon=(0, 1), bracket=W("y x Y X"))),
+    (LyndonBasis, dict(rank=2, degree=1, elements=BASIS.elements),
+     dict(rank=2, degree=2, elements=BASIS.elements)),
+    (QuotientAction, dict(degree=1, basis=BASIS, matrix=M2),
+     dict(degree=1, basis=BASIS, matrix=IntMatrix.identity(2))),
+    (LowestTerm, dict(degree=2, part=(((0, 1), 1), ((1, 0), -1))),
+     dict(degree=2, part=(((0, 1), -1), ((1, 0), 1)))),
+    (ProbeConfig, dict(seed=1, samples=5, max_word_length=4, search_bound=2),
+     dict(seed=2, samples=5, max_word_length=4, search_bound=2)),
+    (ProbeResult, dict(name="subgroup", trials=5, failures=(), status="PASS", warnings=()),
+     dict(name="subgroup", trials=5, failures=(), status="PASS", warnings=("w",))),
+    (WeakComparabilityResult, dict(status="WITNESS_FOUND", witness=W("e"), bound=4, checked=1),
+     dict(status="WITNESS_FOUND", witness=W("e"), bound=4, checked=2)),
+    (PresentationFile, dict(name="k", fibered=True, generator_names=("x", "y"),
+                            images=(W("y"), W("x")), inverse_images=None, comments=()),
+     dict(name="k", fibered=False, generator_names=("x", "y"),
+          images=(W("y"), W("x")), inverse_images=None, comments=())),
+    (KnotRecord, dict(name="k", phi=identity_map(2), fibered=True, generator_names=("x", "y")),
+     dict(name="k", phi=identity_map(2), fibered=True, generator_names=("u", "v"))),
+    (LevelReport, dict(level=0, action=ACTION, char_poly=P, factors=REPORT),
+     dict(level=1, action=ACTION, char_poly=P, factors=REPORT)),
+    (Verdict, dict(outcome="BIORDERABLE", level=0, rule="R4", justification="j"),
+     dict(outcome="BIORDERABLE", level=None, rule="R4", justification="j")),
+    (AnalysisReport, dict(record=KNOT, levels=(), premises={"R1": False}, verdict=VERDICT),
+     dict(record=KNOT, levels=(), premises={"R1": None}, verdict=VERDICT)),
+    (CorpusEntry, dict(name="k", record=KNOT, expected_outcome="BIORDERABLE",
+                       expected_rule="R4", expected_level=0),
+     dict(name="k", record=KNOT, expected_outcome="BIORDERABLE",
+          expected_rule="R4", expected_level=1)),
+]
+
+# The defaults of the fields that have one, as constructed without them.
+DEFAULTS = {
+    FreeMap: dict(inverse_images=None),
+    AutomorphismReport: dict(detail=""),
+    ProbeConfig: dict(seed=0, samples=200, max_word_length=10, search_bound=4),
+    ProbeResult: dict(warnings=()),
+    PresentationFile: dict(comments=()),
+    KnotRecord: dict(generator_names=("a", "b")),
+}
+
+
+def _twin(cls, kwargs):
+    """A frozen dataclass named like cls, holding the same field values."""
+    twin = dataclasses.make_dataclass(cls.__name__, list(kwargs), frozen=True)
+    return twin(**kwargs)
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as e:
+        return type(e)
+
+
+def test_every_record_is_listed():
+    modules = {sys.modules[f"biorder.{m}"] for m in (
+        "exactalg", "freegroup", "lcs", "magnus", "orderprops", "presentation",
+        "verdict", "corpus")}
+    found = {v for m in modules for v in vars(m).values()
+             if isinstance(v, type) and issubclass(v, Record) and v is not Record}
+    assert found == {cls for cls, _, _ in FROZEN}
+
+
+@pytest.mark.parametrize("cls, a, b", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_record_semantics(cls, a, b):
+    x, y, z, twin = cls(**a), cls(**a), cls(**b), _twin(cls, a)
+    assert cls.__slots__ == tuple(inspect.signature(cls).parameters) == tuple(a)
+    assert not hasattr(x, "__dict__")
+    assert x == y and not x != y
+    assert x != z and not x == z
+    assert _hash_or_error(x) == _hash_or_error(y) == _hash_or_error(twin)
+    if _hash_or_error(x) is not TypeError:
+        assert len({x, y, z}) == 2
+    assert x != twin and twin != x
+    assert x.__eq__(twin) is NotImplemented
+    if cls is not Word:
+        assert repr(x) == repr(twin)
+    for name in a:
+        assert getattr(x, name) is a[name]
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(z, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.unknown = 1
+    assert x == y
+
+
+@pytest.mark.parametrize("cls", list(DEFAULTS), ids=[c.__name__ for c in DEFAULTS])
+def test_keyword_construction_keeps_defaults(cls):
+    required = next(a for c, a, _ in FROZEN if c is cls)
+    required = {k: v for k, v in required.items() if k not in DEFAULTS[cls]}
+    made = cls(**required)
+    for name, default in DEFAULTS[cls].items():
+        assert getattr(made, name) == default
+
+
+def test_drawn_tally_stays_mutable():
+    drawn = _Drawn()
+    assert drawn.count == 0
+    drawn.count += 3
+    assert _Drawn(count=3).count == drawn.count == 3
+    assert not hasattr(drawn, "__dict__")
+
+
+def test_constructor_checks():
+    with pytest.raises(GeneratorRangeError, match="^generator index 2 out of range for rank 2$"):
+        Word(2, ((0, 1), (2, -1)))
+    with pytest.raises(ValueError, match="^letter sign must be \\+1 or -1, got 0$"):
+        Word(2, ((0, 0),))
+    with pytest.raises(ValueError, match="^word is not freely reduced$"):
+        Word(2, ((1, 1), (0, -1), (0, 1)))
+    with pytest.raises(ValueError, match="^matrix dimension must be >= 1$"):
+        IntMatrix(())
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        IntMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="^need exactly one image per generator$"):
+        FreeMap(2, (W("x"),))
+    with pytest.raises(RankMismatchError, match="^image word has wrong rank$"):
+        FreeMap(2, (W("x"), W("b", "abc")))
+    with pytest.raises(ValueError, match="^need exactly one inverse image per generator$"):
+        FreeMap(2, (W("y"), W("x")), (W("y"),))
+    with pytest.raises(RankMismatchError, match="^inverse image word has wrong rank$"):
+        FreeMap(2, (W("y"), W("x")), (W("y"), W("b", "abc")))
+
+
+def test_cli_import_loads_no_method_generating_module():
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import biorder.cli; "
+            "print(biorder.cli.__file__); "
+            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    where, loaded = run.stdout.split("\n")[:2]
+    assert Path(where).resolve().is_relative_to(SRC)
+    assert loaded == ""
+    for path in sorted((SRC / "biorder").glob("*.py")):
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
