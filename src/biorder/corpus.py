@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ._record import Record
 from .presentation import parse_presentation
@@ -38,7 +38,9 @@ class CorpusEntry(Record):
 def corpus_text(name: str) -> str:
     if name not in CORPUS_NAMES:
         raise KeyError(f"unknown corpus knot {name!r}; available: {', '.join(CORPUS_NAMES)}")
-    return (resources.files(__package__) / "data" / f"{name}.knot").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.knot")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def corpus_entry(name: str) -> CorpusEntry:

@@ -11,10 +11,13 @@ sturm_count endpoints do.  The pieces fit together as
     power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
     char_poly           -- Newton's identities on tr(A^j), every division exact
     squarefree_decomposition -- Yun's algorithm
-    factor_over_Q       -- distinct- and equal-degree splitting mod p
-                           (Cantor-Zassenhaus), Hensel lifting to p^l and
-                           Zassenhaus subset recombination, all three on
-                           coefficient tuples in (Z/m)[x]
+    factor_over_Q       -- x - 1 and x + 1 divided off first; a squarefree
+                           part of degree <= 3 of a unit polynomial is
+                           irreducible; other parts go through distinct- and
+                           equal-degree splitting mod p (Cantor-Zassenhaus),
+                           Hensel lifting to p^l and Zassenhaus subset
+                           recombination, all three on coefficient tuples in
+                           (Z/m)[x]
     sturm_count         -- sign variations of a Sturm chain whose entries are
                            the primitive parts of the signed remainders
 """
@@ -674,17 +677,38 @@ class FactorReport(Record):
 
 
 def factor_over_Q(p: Poly) -> FactorReport:
-    """Irreducible factorization over Q of the primitive part, with root counts."""
+    """Irreducible factorization over Q of the primitive part, with root counts.
+
+    A level polynomial is the characteristic polynomial of a matrix in GL(Z),
+    so it is a unit polynomial: leading and constant coefficient are +-1, and
+    its only possible rational roots are +-1.  The factors x - 1 and x + 1
+    are divided off first, each as often as it divides.  When what is left is
+    a unit polynomial, its squarefree parts have no rational root, and one of
+    degree <= 3 is irreducible (a reducible one would have a linear factor),
+    so only parts of degree >= 4, and every part of a non-unit input, take
+    the modular route of _factor_squarefree.
+    """
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c = p.content()
     if p.leading < 0:
         c = -c
-    pp = p.canonical()
+    rest = p.canonical()
     factors = []
-    for sq_factor, mult in squarefree_decomposition(pp):
-        for irr in _factor_squarefree(sq_factor):
-            factors.append((irr, mult))
+    for root in (1, -1):
+        linear = Poly([-root, 1])
+        mult = 0
+        while rest(root) == 0:
+            rest = rest.exact_div(linear)
+            mult += 1
+        if mult:
+            factors.append((linear, mult))
+    unit = rest.leading == 1 and rest.constant in (1, -1)
+    for sq_factor, mult in squarefree_decomposition(rest):
+        if unit and sq_factor.degree <= 3:
+            factors.append((sq_factor, mult))
+        else:
+            factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
     factors.sort(key=lambda fm: fm[0].key())
     entries = tuple(Factor(poly, mult, *_root_counts(poly)) for poly, mult in factors)
     return FactorReport(input=p, content=c, factors=entries)

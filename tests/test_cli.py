@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from biorder.freegroup import Word
 from biorder.presentation import (PresentationError, parse_presentation,
                                   serialize_presentation)
 from helpers import W
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPresentationFormat:
@@ -512,3 +517,19 @@ def test_analysis_stream_is_pinned(name, capsys):
                              "--max-degree", "100", "--format", fmt]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_corpus_loads_no_archive_or_temp_file_module():
+    """The corpus reads its files by a path beside the module.  Neither the
+    CLI's import nor loading every entry pulls in zipfile, tempfile or
+    pathlib, which importlib.resources would."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import biorder.cli; "
+            "from biorder.corpus import corpus_entries; corpus_entries(); "
+            "print(biorder.cli.__file__); "
+            "print(*[m for m in ('zipfile', 'tempfile', 'pathlib') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    where, loaded = run.stdout.split("\n")[:2]
+    assert Path(where).resolve().is_relative_to(SRC)
+    assert loaded == ""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from biorder import exactalg
 from biorder.corpus import corpus_entries
 from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, _distinct_degree,
@@ -340,6 +341,85 @@ class TestModularFactoring:
                         for f, m in expected]
             got = [(f.poly.coeffs, f.multiplicity) for f in factor_over_Q(p).factors]
             assert sorted(got) == sorted(expected), p
+
+
+X_MINUS_1, X_PLUS_1 = Poly([-1, 1]), Poly([1, 1])
+# Cofactors g of (x - 1)^a (x + 1)^b.  Unit ones have leading and constant
+# coefficient +-1, so no rational root once x -+ 1 is divided off.  Those in
+# UNIT_SMALL_PARTS have squarefree parts of degree <= 3 only (the last one is
+# of degree 8, with parts of degrees 2 and 3); two of UNIT_QUARTICS are
+# reducible.  The non-unit ones have rational roots other than +-1, a root
+# at 0, or two quadratic factors.
+UNIT_SMALL_PARTS = (
+    Poly([1]),
+    Poly([1, 1, 1]),                          # x^2 + x + 1
+    Poly([1, -3, 1]),                         # x^2 - 3x + 1, two real roots
+    Poly([-1, -1, 0, 1]),                     # x^3 - x - 1
+    Poly([1, 0, -1, 1]),                      # x^3 - x^2 + 1
+    Poly([1, 0, 1]) ** 2,                     # (x^2 + 1)^2
+    Poly([1, 1, 1]) * Poly([-1, -1, 0, 1]) ** 2,
+)
+UNIT_QUARTICS = (
+    Poly([1, 0, 1, 0, 1]),                    # (x^2 + x + 1)(x^2 - x + 1)
+    Poly([1, -3, 1]) * Poly([1, 0, 1]),       # two real and two complex roots
+    QUARTIC_6_2,                              # irreducible
+)
+NON_UNIT_COFACTORS = (
+    Poly([-1, 2]) * Poly([1, 1, 1]),          # (2x - 1)(x^2 + x + 1)
+    Poly([0, 1]) * Poly([1, 1, 1]),           # x (x^2 + x + 1)
+    Poly([0, 0, 1]) * Poly([1, 1]),           # x^2 (x + 1)
+    Poly([-2, 1]) * Poly([1, 0, 1]),          # (x - 2)(x^2 + 1)
+    Poly([2, 1]) ** 2 * Poly([1, 3]),         # (x + 2)^2 (3x + 1)
+    Poly([3, 0, 2]),                          # 2x^2 + 3, irreducible
+    Poly([-4, 0, 0, 0, 1]),                   # (x^2 - 2)(x^2 + 2)
+    Poly([1, 1, 1]) * Poly([-1, 0, 2]) * -6,  # content -6
+)
+
+
+def _split_cases(rng: random.Random):
+    """(x - 1)^a (x + 1)^b g for every cofactor, a and b in 0..60."""
+    fixed = [(0, 0), (1, 0), (0, 1), (2, 3), (60, 0), (0, 60), (60, 60)]
+    for g in UNIT_SMALL_PARTS + UNIT_QUARTICS + NON_UNIT_COFACTORS:
+        for a, b in fixed + [(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(3)]:
+            yield X_MINUS_1 ** a * X_PLUS_1 ** b * g
+
+
+class TestUnitSplit:
+    """factor_over_Q divides off x - 1 and x + 1 first and takes a squarefree
+    part of a unit polynomial of degree <= 3 as irreducible."""
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for p in _split_cases(random.Random(89)):
+            _, expected = sympy.Poly(list(reversed(p.coeffs)), t).factor_list()
+            expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
+                        for f, m in expected]
+            report = factor_over_Q(p)
+            got = [(f.poly.coeffs, f.multiplicity) for f in report.factors]
+            assert sorted(got) == sorted(expected), p
+            assert report.reconstruct() == p
+
+    def test_unit_parts_up_to_degree_3_skip_the_modular_route(self, monkeypatch):
+        calls = []
+        modular = exactalg._factor_squarefree
+        monkeypatch.setattr(exactalg, "_factor_squarefree",
+                            lambda f: calls.append(f) or modular(f))
+        rng = random.Random(97)
+        for g in UNIT_SMALL_PARTS:
+            for a, b in [(0, 0), (1, 0), (0, 1), (60, 60)] + [
+                    (rng.randint(0, 60), rng.randint(0, 60)) for _ in range(3)]:
+                factor_over_Q(X_MINUS_1 ** a * X_PLUS_1 ** b * g)
+        # every level polynomial of rank 2 and 3 at levels 0 and 1 has degree <= 3
+        for i in range(60):
+            record = KnotRecord(name=f"r{i}", phi=random_automorphism(rng, 2 + i % 2),
+                                fibered=True)
+            analyze(record, max_level=1)
+        assert calls == []
+        # a reducible unit quartic and a non-unit cubic do take it
+        factor_over_Q(UNIT_QUARTICS[0])
+        factor_over_Q(NON_UNIT_COFACTORS[0])
+        assert calls == [UNIT_QUARTICS[0], NON_UNIT_COFACTORS[0]]
 
 
 # sha256 of (content, [(coeffs, multiplicity, pos, neg, real)]) from

@@ -101,6 +101,27 @@ class TestPremisesAgainstRootPredicates:
         assert seen == {(k, v) for k in ("R1", "R4", "rational") for v in (True, False)}
 
 
+def test_rational_root_flag_is_a_root_at_one_or_minus_one():
+    """R2's premise by an identity: M is in GL(Z), so char(M) has leading and
+    constant coefficient +-1, and by the rational root theorem its only
+    possible rational roots are 1 and -1.  The values at +-1 are the plain and
+    the alternating coefficient sums."""
+    rng = random.Random(57)
+    records = [entry.record for entry in corpus_entries()]
+    records += [KnotRecord(name=f"r{i}", phi=random_automorphism(rng, 2 + i % 3),
+                           fibered=True) for i in range(300)]
+    outcomes = set()
+    for record in records:
+        level = analyze(record, max_level=0).levels[0]
+        coeffs = level.char_poly.coeffs
+        at_one = sum(coeffs)
+        at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
+        expected = at_one * at_minus_one == 0
+        assert level.factors.has_rational_root == expected, coeffs
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_r4_makes_every_level1_root_positive_real():
     """The level-1 roots are the products lambda_i lambda_j, i < j, of roots
     of char(M), so they are positive and real whenever R4 holds."""
