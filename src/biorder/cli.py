@@ -20,7 +20,7 @@ from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
 from .verdict import (AnalysisError, AnalysisReport, InconsistentPremisesError,
-                      KnotRecord, analyze)
+                      KnotRecord, analyze, require_automorphism)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -34,6 +34,7 @@ MAX_WORD_LENGTH = 100
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -293,10 +294,10 @@ def _cmd_probe(ns) -> int:
     except ValueError as exc:
         print(f"error: --generators: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    phi = None
+    record = None
     if ns.map:
         record = _load_record(ns.map)
-        phi, names = record.phi, record.generator_names
+        names = record.generator_names
 
     def word_arg(text, flag):
         if text is None:
@@ -319,10 +320,11 @@ def _cmd_probe(ns) -> int:
                 raise PremiseUnmetError(f"{exc} for {format_word(g, names)}",
                                         exc.premise_result) from None
         elif ns.name in _MAP_PROBES:
-            if phi is None:
+            if record is None:
                 print(f"error: probe {ns.name} needs --map", file=sys.stderr)
                 return EXIT_USAGE
-            result = _MAP_PROBES[ns.name](phi, cfg)
+            require_automorphism(record)
+            result = _MAP_PROBES[ns.name](record.phi, cfg)
         elif ns.name == "commutator":
             result = orderprops.commutator_infinitesimal_probe(len(names), cfg)
         else:  # weak-comparability
@@ -370,6 +372,7 @@ def _cmd_probe(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    probe_defaults = ProbeConfig()
     parser = _Parser(prog="biorder",
                      description="Exact bi-orderability obstructions for Z x| F_n knot groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,12 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--map", help="presentation file or corpus:NAME supplying the map")
     pp.add_argument("--generators", default="x y",
                     help="generator names for plain word probes (default: `x y`)")
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--samples", type=int, default=200,
+    pp.add_argument("--seed", type=int, default=probe_defaults.seed)
+    pp.add_argument("--samples", type=int, default=probe_defaults.samples,
                     help=f"sampled trials, 1..{MAX_SAMPLES}")
-    pp.add_argument("--max-word-length", type=int, default=10,
+    pp.add_argument("--max-word-length", type=int, default=probe_defaults.max_word_length,
                     help=f"longest sampled word, 1..{MAX_WORD_LENGTH}")
-    pp.add_argument("--bound", type=int, default=4, help=f"bound on |h|, 0..{MAX_BOUND}")
+    pp.add_argument("--bound", type=int, default=probe_defaults.search_bound,
+                    help=f"bound on |h|, 0..{MAX_BOUND}")
     pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.set_defaults(func=_cmd_probe)
 

@@ -457,8 +457,6 @@ def _gf_gcdex(a, b, p):
         r0, r1 = r1, r
         s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
         t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    if not r0:
-        return s0, t0, r0
     inv = pow(r0[-1], -1, p)
     scale = lambda u: _gf_trim(tuple((c * inv) % p for c in u))
     return scale(s0), scale(t0), scale(r0)
@@ -608,10 +606,9 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
                 break
         else:
             size += 1
-    if current.degree >= 1:
-        found.append(current.canonical())
-    else:
-        assert current.coeffs == (1,), "leftover unit after recombination"
+    # each subset removed is at most half the remaining lifted factors, so
+    # current keeps at least one of them: deg current >= 1
+    found.append(current.canonical())
     return found
 
 

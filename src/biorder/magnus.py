@@ -77,9 +77,6 @@ class Series:
     def __hash__(self):
         return hash((self.nvars, self.truncation, tuple(sorted(self.coeffs.items()))))
 
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
-
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda mc: (len(mc[0]), mc[0]))
         body = " + ".join(f"{c}*X{list(m)}" if m else str(c) for m, c in terms) or "0"

@@ -154,15 +154,21 @@ def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
                    f"no obstruction found through level {max_level}")
 
 
+def require_automorphism(record: KnotRecord) -> None:
+    """Raise NotAnAutomorphismError unless the monodromy passes
+    verify_automorphism at NECESSARY-ONLY or better."""
+    report = verify_automorphism(record.phi)
+    if not report.is_automorphism_candidate:
+        raise NotAnAutomorphismError(
+            f"{record.name}: monodromy is not an automorphism ({report.detail})")
+
+
 def analyze(record: KnotRecord, max_level: int = 1,
             max_degree: int = 8) -> AnalysisReport:
     """Full level-by-level analysis with the combined verdict; phi is checked here."""
     if not 0 <= max_level <= DEGREE_CAP - 1:
         raise AnalysisError(f"max_level must be in 0..{DEGREE_CAP - 1}")
-    report = verify_automorphism(record.phi)
-    if not report.is_automorphism_candidate:
-        raise NotAnAutomorphismError(
-            f"{record.name}: monodromy is not an automorphism ({report.detail})")
+    require_automorphism(record)
     degrees = [witt_number(record.rank, lv + 1) for lv in range(max_level + 1)]
     for lv, degree in enumerate(degrees):  # a level's degree is its Witt number
         if degree == 0:

@@ -15,8 +15,9 @@ import random
 
 from biorder import orderprops
 from biorder.exactalg import IntMatrix, Poly
-from biorder.freegroup import (FreeMap, Word, compose, identity, letter,
-                               multiply, parse_word, random_word)
+from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
+                               compose, identity, letter, multiply, parse_word,
+                               random_word)
 from biorder.magnus import LowestTerm, expand
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
@@ -112,6 +113,19 @@ def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
         for h, t in img if s == 1 else reversed(img):
             out = multiply(out, letter(w.rank, h, s * t))
     return out
+
+
+def automorphism_status_by_two_compositions(phi: FreeMap) -> str:
+    """CONFIRMED when phi and its inverse images psi satisfy phi(psi(x)) = x
+    and psi(phi(x)) = x for every generator x, each map applied by a fold of
+    multiply; NOT_AN_AUTOMORPHISM otherwise."""
+    psi = FreeMap(phi.rank, phi.inverse_images)
+    for g in range(phi.rank):
+        x = letter(phi.rank, g)
+        if (apply_map_by_fold(phi, psi.images[g]) != x
+                or apply_map_by_fold(psi, phi.images[g]) != x):
+            return NOT_AN_AUTOMORPHISM
+    return CONFIRMED
 
 
 def lowest_term_by_expansion(w: Word) -> LowestTerm:

@@ -9,6 +9,7 @@ import pytest
 from biorder import cli
 from biorder.corpus import CORPUS_NAMES, corpus_text
 from biorder.freegroup import Word
+from biorder.orderprops import ProbeConfig
 from biorder.presentation import (PresentationError, parse_presentation,
                                   serialize_presentation)
 from helpers import W
@@ -322,6 +323,27 @@ class TestProbeCommand:
             "probe": "invariance", "status": "PREMISE_UNMET",
             "detail": "order preservation premise failed"}
 
+    def test_map_probes_refuse_a_wrong_inverse_block(self, tmp_path, capsys):
+        """A map probe checks the monodromy as analyze does, so a wrong
+        `inverse:` block is analysis error 3 and no probe runs on it."""
+        bogus = tmp_path / "bogus.knot"
+        bogus.write_text("name: bogus\nfibered: true\ngenerators: a b\n"
+                         "map:\n  a -> b\n  b -> b A\ninverse:\n  a -> a\n  b -> b\n")
+        assert cli.main(["analyze", str(bogus)]) == cli.EXIT_ANALYSIS
+        expected = capsys.readouterr().err
+        assert "monodromy is not an automorphism" in expected
+        for name in ("order-preservation", "invariance", "semidirect"):
+            assert cli.main(["probe", name, "--map", str(bogus)]) == cli.EXIT_ANALYSIS
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == expected
+
+    def test_probe_defaults_are_the_config_defaults(self):
+        ns = cli.build_parser().parse_args(["probe", "commutator"])
+        cfg = ProbeConfig()
+        assert (ns.seed, ns.samples, ns.max_word_length, ns.bound) == (
+            cfg.seed, cfg.samples, cfg.max_word_length, cfg.search_bound)
+
     def test_missing_map_file_is_parse_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.knot"
         assert cli.main(["probe", "semidirect", "--map", str(missing)]) == cli.EXIT_PARSE
@@ -331,6 +353,19 @@ class TestProbeCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("args, reason", [
+        (["analyze", "corpus:6_2", "--max-level", "7"], "error: argument --max-level: "),
+        (["analyze", "corpus:6_2", "--max-degree", "x"], "error: argument --max-degree: "),
+        (["probe", "subgroup", "--g", "x", "--seed", "q"], "error: argument --seed: "),
+    ])
+    def test_argparse_reason_follows_the_usage_line(self, args, reason, capsys):
+        assert cli.main(args) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.split(f"\nbiorder {args[0]}: ")
+        assert usage.startswith(f"usage: biorder {args[0]} ")
+        assert message.startswith(reason) and message.endswith("\n")
+
     def test_probe_generators_rejected(self, capsys):
         for generators, message in (("d e", "'e' is reserved"),
                                     ("x x", "duplicate generator names"),

@@ -11,7 +11,8 @@ from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
                                random_word, reduce, verify_automorphism)
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
-from helpers import W, apply_map_by_fold, naive_reduce, random_automorphism
+from helpers import (W, apply_map_by_fold, automorphism_status_by_two_compositions,
+                     naive_reduce, random_automorphism)
 
 
 X, Y = (0, 1), (1, 1)
@@ -215,6 +216,25 @@ class TestVerifyAutomorphism:
         phi = FreeMap(2, (W("b", "ab"), W("b A", "ab")),
                       (W("a", "ab"), W("b", "ab")))
         assert verify_automorphism(phi).status == NOT_AN_AUTOMORPHISM
+
+    def test_one_composition_agrees_with_two(self):
+        """phi(psi(x)) = x for every generator makes phi onto, and F_n is
+        Hopfian, so psi(phi(x)) = x follows: checking one composition gives
+        the status a check of both gives."""
+        rng = random.Random(23)
+        statuses = []
+        for _ in range(200):
+            rank = rng.randint(2, 4)
+            phi = random_automorphism(rng, rank)
+            g = rng.randrange(rank)
+            off = list(phi.inverse_images)
+            off[g] = multiply(off[g], letter(rank, rng.randrange(rank), rng.choice((1, -1))))
+            for case in (phi, FreeMap(rank, phi.images, tuple(off)), inverse_map(phi)):
+                status = automorphism_status_by_two_compositions(case)
+                assert verify_automorphism(case).status == status
+                statuses.append(status)
+        assert statuses.count(CONFIRMED) == 400
+        assert statuses.count(NOT_AN_AUTOMORPHISM) == 200
 
 
 class TestDefaultNames:

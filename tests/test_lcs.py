@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
 from biorder.lcs import (lcs_action, level_char_poly, lyndon_basis,
                          lyndon_words, quotient_action, standard_bracketing,
                          witt_number, _lie_coordinates)
-from biorder.magnus import expand
+from biorder.magnus import expand, lowest_term
 from helpers import W, faddeev_leverrier_char_poly, random_automorphism
 
 
@@ -297,3 +298,22 @@ def _action_with_flipped_bracket(phi, k, flip_index=None) -> IntMatrix:
         columns.append(coords)
     d = len(columns)
     return IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
+
+
+def test_lowest_terms_are_lie_elements():
+    """The lowest homogeneous part of a word in gamma_d is an integral Lie
+    element of degree d (Magnus; Reutenauer, Free Lie Algebras, 1993), so the
+    Lyndon-basis elimination of lcs leaves no remainder on any lowest term
+    that magnus finds."""
+    rng = random.Random(61)
+    degrees = Counter()
+    while sum(degrees.values()) < 400:
+        rank = rng.randint(2, 4)
+        u, v, w = (random_word(rng, rank, 5) for _ in range(3))
+        c = commutator(u, v) if rng.random() < 0.5 else commutator(commutator(u, v), w)
+        if c.is_identity or (lt := lowest_term(c)).degree > 4:
+            continue
+        basis, basis_parts = lcs._basis_parts(rank, lt.degree)
+        assert any(_lie_coordinates(dict(lt.part), basis, basis_parts)), c
+        degrees[lt.degree] += 1
+    assert set(degrees) == {2, 3, 4}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,8 @@ from biorder.corpus import corpus_entries, corpus_entry
 from biorder.exactalg import (IntMatrix, all_roots_positive_real, char_poly,
                               factor_over_Q, has_positive_real_root,
                               rational_roots)
-from biorder.freegroup import FreeMap, NotAnAutomorphismError, abelianized
+from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
+                               compose, inverse_map)
 from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
@@ -135,6 +137,25 @@ def test_r4_makes_every_level1_root_positive_real():
             r4 += 1
             assert all_roots_positive_real(report.levels[1].char_poly), record
     assert r4
+
+
+def test_verdict_is_a_group_invariant():
+    """Z x| F_n is the same group for phi, for psi phi psi^-1 (through
+    (m, w) -> (m, psi(w))) and for phi^-1 (through t -> t^-1), so the three
+    give one (outcome, rule), whatever char(M) each one factors."""
+    rng = random.Random(59)
+    rules = Counter()
+    for i in range(200):
+        rank = 2 + i % 3
+        phi = random_automorphism(rng, rank)
+        psi = random_automorphism(rng, rank)
+        fibered = i % 4 != 3
+        verdicts = {(v.outcome, v.rule) for v in (
+            analyze(KnotRecord(name=f"r{i}", phi=m, fibered=fibered)).verdict
+            for m in (phi, compose(psi, compose(phi, inverse_map(psi))), inverse_map(phi)))}
+        assert len(verdicts) == 1, (phi, psi, verdicts)
+        rules[verdicts.pop()[1]] += 1
+    assert set(rules) == {"R1", "R2", "R3", "R4", None}
 
 
 class TestAnalyze:
