@@ -29,6 +29,7 @@ EXIT_USAGE = 4
 MAX_BOUND = 1000  # keeps weak-comparability's checked under 1700 digits (str limit: 4300)
 MAX_SAMPLES = 10000  # with MAX_WORD_LENGTH: seconds per default probe, see README
 MAX_WORD_LENGTH = 100
+MAX_DEGREE = 100  # corpus level 3 needs 60; degree 5200 ran out of 2 GB
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +167,19 @@ def _load_record(target: str) -> KnotRecord:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _in_ranges(*checks) -> bool:
+    """Print `error: FLAG: must be in LOW..HIGH` for the first (flag, value,
+    low, high) whose value is out of range; True when every value is in it."""
+    for flag, value, low, high in checks:
+        if not low <= value <= high:
+            print(f"error: {flag}: must be in {low}..{high}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_analyze(ns) -> int:
+    if not _in_ranges(("--max-degree", ns.max_degree, 1, MAX_DEGREE)):
+        return EXIT_USAGE
     record = _load_record(ns.target)
     try:
         report = analyze(record, max_level=ns.max_level, max_degree=ns.max_degree)
@@ -280,13 +293,10 @@ _MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
 
 
 def _cmd_probe(ns) -> int:
-    for flag, value, low, high in (("--bound", ns.bound, 0, MAX_BOUND),
-                                   ("--samples", ns.samples, 1, MAX_SAMPLES),
-                                   ("--max-word-length", ns.max_word_length, 1,
-                                    MAX_WORD_LENGTH)):
-        if not low <= value <= high:
-            print(f"error: {flag}: must be in {low}..{high}", file=sys.stderr)
-            return EXIT_USAGE
+    if not _in_ranges(("--bound", ns.bound, 0, MAX_BOUND),
+                      ("--samples", ns.samples, 1, MAX_SAMPLES),
+                      ("--max-word-length", ns.max_word_length, 1, MAX_WORD_LENGTH)):
+        return EXIT_USAGE
     cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
                       max_word_length=ns.max_word_length, search_bound=ns.bound)
     try:
@@ -380,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="analyze a presentation file or corpus:NAME")
     pa.add_argument("target", help="path to a .knot file or corpus:NAME")
     pa.add_argument("--max-level", type=int, default=1, choices=range(DEGREE_CAP))
-    pa.add_argument("--max-degree", type=int, default=8)
+    pa.add_argument("--max-degree", type=int, default=8,
+                    help=f"cap on each level's char poly degree, 1..{MAX_DEGREE}")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=_cmd_analyze)
 

@@ -5,8 +5,8 @@ integers, and real-root counts come from Sturm chains rather than floating
 point.  Gcds and Sturm chains are primitive pseudo-remainder sequences (Knuth,
 TAOCP vol. 2, 4.6.1, Algorithm R), and exact divisions stay in Z[x] (Gauss's
 lemma: every divisor there is primitive), so the analysis builds no Fraction;
-only Poly.__divmod__ (division over Q), rational_roots and non-integer
-sturm_count endpoints do.  The pieces fit together as
+only rational_roots and non-integer sturm_count endpoints do.  The pieces fit
+together as
 
     power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
     char_poly           -- Newton's identities on tr(A^j), every division exact
@@ -47,8 +47,7 @@ class NonSquarefreeError(ValueError):
 class Poly:
     """Univariate polynomial with exact coefficients, stored ascending.
 
-    Coefficients are Python ints; only __divmod__ returns Fractions, where
-    the quotient over Q is not integral.  Trailing zeros are stripped so the
+    Coefficients are Python ints.  Trailing zeros are stripped so the
     leading coefficient is nonzero unless the polynomial is zero (empty
     coefficient tuple).
     """
@@ -138,25 +137,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __divmod__(self, other):
-        """Exact division over Q: (quotient, remainder), integral coefficients as ints."""
-        if other.is_zero:
-            raise ZeroPolynomialError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), Poly(self.coeffs)
-        quo = [Fraction(0)] * (dq + 1)
-        lead = Fraction(other.leading)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        norm = lambda cs: Poly([int(c) if c.denominator == 1 else c for c in cs])
-        return norm(quo), norm(rem[: max(other.degree, 0)])
 
     def pseudo_rem(self, other) -> "Poly":
         """lc(other)^(d+1) * self mod other in Z[x], d = deg self - deg other."""
@@ -653,12 +633,6 @@ class FactorReport(Record):
         object.__setattr__(self, "content", content)
         object.__setattr__(self, "factors", factors)
 
-    def reconstruct(self) -> Poly:
-        out = Poly([self.content])
-        for fac in self.factors:
-            out = out * fac.poly ** fac.multiplicity
-        return out
-
     @property
     def has_rational_root(self) -> bool:
         return any(f.poly.degree == 1 for f in self.factors)
@@ -778,18 +752,9 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
     return va - vb
 
 
-def count_real_roots(p: Poly) -> int:
-    return sturm_count(p, None, None)
-
-
 def count_positive_roots(p: Poly) -> int:
     """Distinct roots in the open interval (0, oo)."""
     return sturm_count(p, 0, None)
-
-
-def count_negative_roots(p: Poly) -> int:
-    """Distinct roots in the open interval (-oo, 0)."""
-    return _root_counts(p)[1]
 
 
 def _root_counts(p: Poly) -> tuple[int, int, int]:

@@ -60,15 +60,6 @@ class Word(Record):
     def is_identity(self) -> bool:
         return not self.letters
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __pow__(self, n: int) -> "Word":
-        return power(self, n)
-
-    def inverse(self) -> "Word":
-        return invert(self)
-
     def exponent_vector(self) -> tuple[int, ...]:
         """Exponent sum of each generator (the abelianization coordinates)."""
         v = [0] * self.rank

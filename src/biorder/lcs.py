@@ -213,9 +213,7 @@ def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
     basis, basis_parts = _basis_parts(m.dim, k)
     columns = [_lie_coordinates(image, basis, basis_parts)
                for image in _lie_images(basis, m)]
-    d = len(basis)
-    matrix = IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
-    return QuotientAction(k, basis, matrix)
+    return QuotientAction(k, basis, IntMatrix(tuple(zip(*columns))))
 
 
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:

@@ -74,9 +74,6 @@ class Series:
         return (isinstance(other, Series) and self.nvars == other.nvars
                 and self.truncation == other.truncation and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.nvars, self.truncation, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda mc: (len(mc[0]), mc[0]))
         body = " + ".join(f"{c}*X{list(m)}" if m else str(c) for m, c in terms) or "0"

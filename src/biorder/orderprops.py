@@ -359,34 +359,15 @@ class WeakComparabilityResult(Record):
         object.__setattr__(self, "checked", checked)
 
 
-def enumerate_words(rank: int, max_length: int):
-    """All reduced words of length <= max_length in shortlex order.
-
-    Letter order: generator index ascending, positive before negative.
-    """
-    alphabet = [(g, s) for g in range(rank) for s in (1, -1)]
-    yield identity(rank)
-    frontier = [()]
-    for _ in range(max_length):
-        nxt = []
-        for prefix in frontier:
-            for gl in alphabet:
-                if prefix and prefix[-1][0] == gl[0] and prefix[-1][1] == -gl[1]:
-                    continue
-                word = prefix + (gl,)
-                nxt.append(word)
-                yield Word(rank, word)
-        frontier = nxt
-
-
 def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakComparabilityResult:
     """First h with |h| <= bound making f and h g h^-1 mutually non-infinitesimal.
 
     Neither of two nontrivial words is infinitesimal w.r.t. the other iff
     their archimedean keys are equal.  Conjugation keeps the lowest homogeneous
-    part (M(h) L M(h)^-1 = L + higher terms), so h = e, the first word of
-    enumerate_words, is a witness or no word is; checked counts as that scan
-    would.  Absence within the bound is never reported as nonexistence.
+    part (M(h) L M(h)^-1 = L + higher terms), so h = e, the first word in
+    shortlex order, is a witness or no word is; checked counts as a scan of
+    every reduced word of length <= bound would.  Absence within the bound is
+    never reported as nonexistence.
     """
     if f.is_identity or g.is_identity:
         raise ValueError("weak comparability search needs nontrivial f and g")

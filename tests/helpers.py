@@ -7,17 +7,21 @@ instead of Newton's identities on power sums, power sums come from every
 explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
 are expanded from degree 1, and semidirect products rebuild phi^n each time.
+Division over Q, a factor report's product, the real and negative root
+counts and the shortlex word list live here too, because only tests use them.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from biorder import orderprops
-from biorder.exactalg import IntMatrix, Poly
+from biorder import exactalg, orderprops
+from biorder.exactalg import (FactorReport, IntMatrix, Poly,
+                              ZeroPolynomialError, sturm_count)
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
-                               compose, identity, letter, multiply, parse_word,
-                               random_word)
+                               compose, identity, invert, letter, multiply,
+                               parse_word, power, random_word)
 from biorder.magnus import LowestTerm, expand
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
@@ -99,6 +103,43 @@ def synthetic_division(coeffs_desc, root):
     for c in coeffs_desc[1:]:
         out.append(c + root * out[-1])
     return out[:-1], out[-1]
+
+
+def divmod_q(a: Poly, b: Poly):
+    """Exact division over Q: (quotient, remainder), integral coefficients as ints."""
+    if b.is_zero:
+        raise ZeroPolynomialError("polynomial division by zero")
+    rem = [Fraction(c) for c in a.coeffs]
+    dq = len(a.coeffs) - len(b.coeffs)
+    if dq < 0:
+        return Poly(), Poly(a.coeffs)
+    quo = [Fraction(0)] * (dq + 1)
+    lead = Fraction(b.leading)
+    for k in range(dq, -1, -1):
+        c = rem[k + b.degree] / lead
+        quo[k] = c
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rem[k + j] -= c * y
+    norm = lambda cs: Poly([int(c) if c.denominator == 1 else c for c in cs])
+    return norm(quo), norm(rem[: max(b.degree, 0)])
+
+
+def reconstruct(report: FactorReport) -> Poly:
+    """content * prod(factor.poly ** factor.multiplicity)."""
+    out = Poly([report.content])
+    for fac in report.factors:
+        out = out * fac.poly ** fac.multiplicity
+    return out
+
+
+def count_real_roots(p: Poly) -> int:
+    return sturm_count(p, None, None)
+
+
+def count_negative_roots(p: Poly) -> int:
+    """Distinct roots in the open interval (-oo, 0)."""
+    return exactalg._root_counts(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +244,35 @@ def elementary_automorphisms(rank: int) -> list[FreeMap]:
             for s in (1, -1):
                 # shear x_i -> x_i x_j^s, inverse x_i -> x_i x_j^-s
                 sheared = list(gens)
-                sheared[i] = gens[i] * (gens[j] ** s)
+                sheared[i] = multiply(gens[i], power(gens[j], s))
                 unsheared = list(gens)
-                unsheared[i] = gens[i] * (gens[j] ** -s)
+                unsheared[i] = multiply(gens[i], power(gens[j], -s))
                 out.append(FreeMap(rank, tuple(sheared), tuple(unsheared)))
     for i in range(rank):
         flipped = list(gens)
-        flipped[i] = gens[i].inverse()
+        flipped[i] = invert(gens[i])
         out.append(FreeMap(rank, tuple(flipped), tuple(flipped)))
     return out
+
+
+def enumerate_words(rank: int, max_length: int):
+    """All reduced words of length <= max_length in shortlex order.
+
+    Letter order: generator index ascending, positive before negative.
+    """
+    alphabet = [(g, s) for g in range(rank) for s in (1, -1)]
+    yield identity(rank)
+    frontier = [()]
+    for _ in range(max_length):
+        nxt = []
+        for prefix in frontier:
+            for gl in alphabet:
+                if prefix and prefix[-1][0] == gl[0] and prefix[-1][1] == -gl[1]:
+                    continue
+                word = prefix + (gl,)
+                nxt.append(word)
+                yield Word(rank, word)
+        frontier = nxt
 
 
 def random_automorphism(rng: random.Random, rank: int, steps: int = 5) -> FreeMap:

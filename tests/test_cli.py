@@ -151,6 +151,15 @@ class TestAnalyzeCommand:
     def test_degree_cap_is_analysis_error(self, capsys):
         assert cli.main(["analyze", "corpus:6_2", "--max-degree", "4"]) == cli.EXIT_ANALYSIS
 
+    def test_max_degree_range(self, capsys):
+        # checked before the target is read, so a bad target does not mask it
+        for target in ("corpus:6_2", "corpus:nosuch"):
+            for degree in ("0", "101"):
+                assert cli.main(["analyze", target, "--max-degree", degree]) == cli.EXIT_USAGE
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: --max-degree: must be in 1..100\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["analyze"]) == cli.EXIT_USAGE
         assert cli.main(["analyze", "corpus:6_2", "--max-level", "7"]) == cli.EXIT_USAGE
@@ -265,6 +274,14 @@ class TestProbeCommand:
         out = capsys.readouterr().out
         assert "status: WITNESS_FOUND" in out
         assert "witness: e" in out
+
+    def test_weak_comparability_witness_json(self, capsys):
+        assert cli.main(["probe", "weak-comparability", "--f", "x", "--g", "y x Y",
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "WITNESS_FOUND"
+        assert payload["witness"] == "e"
+        assert payload["checked"] == 1
 
     def test_map_probe_via_corpus(self, capsys):
         assert cli.main(["probe", "order-preservation", "--map", "corpus:figure8",
@@ -563,6 +580,20 @@ def test_corpus_loads_no_archive_or_temp_file_module():
             "print(biorder.cli.__file__); "
             "print(*[m for m in ('zipfile', 'tempfile', 'pathlib') if m in sys.modules])")
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    where, loaded = run.stdout.split("\n")[:2]
+    assert Path(where).resolve().is_relative_to(SRC)
+    assert loaded == ""
+
+
+def test_package_import_loads_no_submodule():
+    """`import biorder` runs only the package docstring and version; each
+    caller imports the modules it uses."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import biorder; "
+            "print(biorder.__file__); "
+            "print(*sorted(m for m in sys.modules if m.startswith('biorder.')))")
+    run = subprocess.run([sys.executable, "-I", "-c", code],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     where, loaded = run.stdout.split("\n")[:2]

@@ -12,8 +12,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, _distinct_degree,
                               _equal_degree, _gf_gcd, _gf_monic, _gf_trim,
                               _hensel_lift, _odd_primes, all_roots_positive_real,
-                              char_poly, count_negative_roots,
-                              count_positive_roots, count_real_roots,
+                              char_poly, count_positive_roots,
                               factor_over_Q, has_positive_real_root,
                               power_traces, rational_roots,
                               squarefree_decomposition, squarefree_part,
@@ -21,10 +20,11 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
 from biorder.freegroup import abelianized
 from biorder.lcs import level_char_poly, witt_number
 from biorder.verdict import KnotRecord, analyze
-from helpers import (_gfp_divmod, cofactor_char_poly, explicit_power_traces,
+from helpers import (_gfp_divmod, cofactor_char_poly, count_negative_roots,
+                     count_real_roots, divmod_q, explicit_power_traces,
                      faddeev_leverrier_char_poly,
                      irreducible_by_degree_patterns, random_automorphism,
-                     random_matrix, random_unimodular_matrix,
+                     random_matrix, random_unimodular_matrix, reconstruct,
                      synthetic_division)
 
 # corpus abelianization matrices (columns are generator images)
@@ -98,23 +98,23 @@ class TestPowerTraces:
 
 class TestPolyDivmod:
     def test_exact_linear_division(self):
-        q, r = divmod(Poly([-1, 0, 1]), Poly([-1, 1]))
+        q, r = divmod_q(Poly([-1, 0, 1]), Poly([-1, 1]))
         assert (q, r) == (Poly([1, 1]), Poly())
 
     def test_sextic_by_linear_matches_synthetic_division(self):
-        q, r = divmod(SEXTIC_6_2, Poly([-1, 1]))
+        q, r = divmod_q(SEXTIC_6_2, Poly([-1, 1]))
         desc, rem = synthetic_division(list(reversed(SEXTIC_6_2.coeffs)), 1)
         assert rem == 0 and r.is_zero
         assert q == Poly(list(reversed(desc)))
         assert q == Poly([-1, 2, -6, 6, -2, 1])
 
     def test_remainder(self):
-        q, r = divmod(Poly([1, 0, 1]), Poly([0, 1]))
+        q, r = divmod_q(Poly([1, 0, 1]), Poly([0, 1]))
         assert (q, r) == (Poly([0, 1]), Poly([1]))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroPolynomialError):
-            divmod(Poly([1]), Poly())
+            divmod_q(Poly([1]), Poly())
 
     def test_divmod_identity_on_random_pairs(self):
         rng = random.Random(33)
@@ -123,7 +123,7 @@ class TestPolyDivmod:
             q = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
             if q.is_zero:
                 continue
-            quo, rem = divmod(p, q)
+            quo, rem = divmod_q(p, q)
             assert quo * q + rem == p
             assert rem.degree < max(q.degree, 0) or rem.is_zero
 
@@ -181,7 +181,7 @@ class TestFactorOverQ:
             (Poly([-1, 1]), 2), (quartic, 1)]
         assert [f.positive_real_roots for f in report.factors] == [1, 0]
         assert [f.real_roots for f in report.factors] == [1, 0]
-        assert report.reconstruct() == SEXTIC_6_2
+        assert reconstruct(report) == SEXTIC_6_2
         # independent re-derivation of the quartic: divide out (x-1) twice
         step1, rem1 = synthetic_division(list(reversed(SEXTIC_6_2.coeffs)), 1)
         step2, rem2 = synthetic_division(step1, 1)
@@ -216,7 +216,7 @@ class TestFactorOverQ:
         p = Poly([-4, 4]) * Poly([6, -2])  # content -8, roots 1 and 3
         report = factor_over_Q(p)
         assert report.content == Fraction(-8)
-        assert report.reconstruct() == p
+        assert reconstruct(report) == p
 
     def test_reconstruction_on_random_inputs(self):
         rng = random.Random(35)
@@ -226,7 +226,7 @@ class TestFactorOverQ:
             if p.is_zero or p.degree < 1:
                 continue
             report = factor_over_Q(p)
-            assert report.reconstruct() == p
+            assert reconstruct(report) == p
             for f in report.factors:
                 assert f.poly.leading > 0
                 assert f.poly.content() == 1
@@ -255,7 +255,7 @@ class TestFactorOverQ:
         report = factor_over_Q(p)
         assert [f.poly for f in report.factors] == [
             Poly([-2, 0, 1]), Poly([2, -2, 1]), Poly([2, 0, 1]), Poly([2, 2, 1])]
-        assert report.reconstruct() == p
+        assert reconstruct(report) == p
 
     def test_input_singular_modulo_many_small_primes(self):
         # t^2 - D with D = 3 * 5 * ... * 127 is a square mod each of these
@@ -398,7 +398,7 @@ class TestUnitSplit:
             report = factor_over_Q(p)
             got = [(f.poly.coeffs, f.multiplicity) for f in report.factors]
             assert sorted(got) == sorted(expected), p
-            assert report.reconstruct() == p
+            assert reconstruct(report) == p
 
     def test_unit_parts_up_to_degree_3_skip_the_modular_route(self, monkeypatch):
         calls = []
@@ -669,7 +669,7 @@ def _euclid_sturm_chain(p: Poly) -> list[Poly]:
     """Textbook Sturm chain over Q, unnormalised: p, p', -rem(p_{i-1}, p_i), ..."""
     chain = [p, p.derivative()]
     while True:
-        _, r = divmod(chain[-2], chain[-1])
+        _, r = divmod_q(chain[-2], chain[-1])
         if r.is_zero:
             return chain
         chain.append(-r)
@@ -721,7 +721,7 @@ class TestIntegerRemainders:
             b = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
             if b.is_zero:
                 continue
-            _, r = divmod(a, b)
+            _, r = divmod_q(a, b)
             scale = b.leading ** max(a.degree - b.degree + 1, 0)
             assert a.pseudo_rem(b) == r * scale
 
@@ -738,7 +738,7 @@ class TestIntegerRemainders:
                 a = a * b if rng.random() < 0.5 else Poly([rng.choice((1, 2, 3))]) * b
                 if rng.random() < 0.3:
                     b = b * rng.choice((2, 3))
-            quo, rem = divmod(a, b)
+            quo, rem = divmod_q(a, b)
             integral = rem.is_zero and all(Fraction(c).denominator == 1 for c in quo.coeffs)
             got = a.div_z(b)
             assert (got is not None) == integral

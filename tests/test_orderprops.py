@@ -12,12 +12,13 @@ from biorder.magnus import EQ, GT, is_infinitesimal, sign
 from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 NotPositiveError, PremiseUnmetError,
                                 ProbeConfig, commutator_infinitesimal_probe,
-                                dominant_check, enumerate_words,
-                                invariance_probe, normality_probe,
-                                order_preservation_probe, semidirect_compare,
-                                semidirect_mul, semidirect_order_probe,
-                                subgroup_probe, weak_comparability_search)
-from helpers import W, random_automorphism, semidirect_trials_by_mul
+                                dominant_check, invariance_probe,
+                                normality_probe, order_preservation_probe,
+                                semidirect_compare, semidirect_mul,
+                                semidirect_order_probe, subgroup_probe,
+                                weak_comparability_search)
+from helpers import (W, enumerate_words, random_automorphism,
+                     semidirect_trials_by_mul)
 
 CFG = ProbeConfig(seed=7, samples=300, max_word_length=10)
 SMALL = ProbeConfig(seed=7, samples=60, max_word_length=8)

@@ -182,6 +182,20 @@ class TestAnalyze:
         assert report.verdict.rule == "R3"
         assert report.levels[1].factors.some_factor_all_lambda
 
+    @pytest.mark.parametrize("fibered", [True, False])
+    def test_r2_reads_every_factor_of_char_m(self, fibered):
+        """char(M) = (t^2 - 3t + 1)(t^2 + t + 1): the factor without a
+        positive root sorts second, so R2 must look past the first one."""
+        names = "abcd"
+        phi = FreeMap(4, tuple(W(t, names) for t in ("b", "A b b b", "d", "C D")),
+                      tuple(W(t, names) for t in ("a a a B", "a", "C D", "c")))
+        report = analyze(KnotRecord(name="split", phi=phi, fibered=fibered))
+        factors = report.levels[0].factors.factors
+        assert [f.poly.coeffs for f in factors] == [(1, -3, 1), (1, 1, 1)]
+        assert [f.positive_real_roots for f in factors] == [2, 0]
+        assert report.premises == {"R1": False, "R2": True, "R3": True, "R4": False}
+        assert (report.verdict.outcome, report.verdict.rule) == (NOT_BIORDERABLE, "R2")
+
     def test_sufficiency_and_obstructions_never_co_fire_on_corpus(self):
         for entry in corpus_entries():
             premises = analyze(entry.record, max_level=1).premises
