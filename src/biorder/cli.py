@@ -15,7 +15,7 @@ from . import orderprops
 from .exactalg import NonSquarefreeError, Poly, ZeroPolynomialError
 from .freegroup import (NotAnAutomorphismError, check_generator_names,
                         format_word, parse_word)
-from .lcs import DEGREE_CAP
+from .lcs import DEGREE_CAP, bracket_name
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
@@ -68,9 +68,9 @@ def poly_text(p: Poly, var: str = "t") -> str:
 def _level_dict(level, names) -> dict:
     return {
         "level": level.level,
-        "basis": [e.name(names) for e in level.action.basis.elements],
+        "basis": [bracket_name(lw, names) for lw in level.action.basis],
         "matrix": [list(row) for row in level.action.matrix.rows],
-        "charpoly": list(level.char_poly.coeffs),
+        "charpoly": list(level.factors.input.coeffs),
         "factors": [
             {
                 "coeffs": list(f.poly.coeffs),
@@ -117,11 +117,11 @@ def analysis_to_text(report: AnalysisReport) -> str:
     for level in report.levels:
         out.append("")
         out.append(f"level {level.level}")
-        out.append(f"  basis: {' '.join(e.name(rec.generator_names) for e in level.action.basis.elements)}")
+        out.append(f"  basis: {' '.join(bracket_name(lw, rec.generator_names) for lw in level.action.basis)}")
         out.append("  matrix:")
         out.extend("    " + line for line in _matrix_lines(level.action.matrix))
-        out.append(f"  char poly: {poly_text(level.char_poly)}")
-        out.append(f"  coeffs (asc): {list(level.char_poly.coeffs)}")
+        out.append(f"  char poly: {poly_text(level.factors.input)}")
+        out.append(f"  coeffs (asc): {list(level.factors.input.coeffs)}")
         out.append("  factors:")
         for f in level.factors.factors:
             out.append(f"    ({poly_text(f.poly)})^{f.multiplicity}"
@@ -158,7 +158,7 @@ def _load_record(target: str) -> KnotRecord:
             return corpus_mod.corpus_entry(target[len("corpus:"):]).record
         with open(target, "r", encoding="utf-8") as fh:
             return parse_presentation(fh.read()).record()
-    except (OSError, UnicodeDecodeError, KeyError, PresentationError) as exc:
+    except (OSError, UnicodeDecodeError, LookupError, PresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -208,8 +208,8 @@ def _cmd_corpus(ns) -> int:
             return EXIT_USAGE
         try:
             text = corpus_mod.corpus_text(ns.name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
+        except LookupError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         sys.stdout.write(text)
         return EXIT_OK
@@ -226,7 +226,7 @@ def _cmd_corpus(ns) -> int:
         _emit_json({
             "results": [
                 {
-                    "name": entry.name,
+                    "name": entry.record.name,
                     "outcome": report.verdict.outcome,
                     "rule": report.verdict.rule,
                     "level": report.verdict.level,
@@ -240,7 +240,7 @@ def _cmd_corpus(ns) -> int:
         })
     else:
         for entry, report, ok in results:
-            print(f"{entry.name}: {report.verdict.outcome} via {report.verdict.rule}"
+            print(f"{entry.record.name}: {report.verdict.outcome} via {report.verdict.rule}"
                   f" (expected {entry.expected_outcome}) {'OK' if ok else 'MISMATCH'}")
         print(f"{'all' if all_ok else 'NOT all'} {len(results)} corpus verdicts match")
     return EXIT_OK if all_ok else EXIT_ANALYSIS
@@ -352,7 +352,7 @@ def _cmd_probe(ns) -> int:
                 })
             else:
                 print("probe: weak-comparability")
-                print(f"config: bound={search.bound}")
+                print(f"config: bound={cfg.search_bound}")
                 print(f"status: {search.status}")
                 if search.witness is not None:
                     print(f"witness: {format_word(search.witness, names)}")

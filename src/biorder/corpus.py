@@ -19,16 +19,14 @@ _EXPECTED = {
 
 
 class CorpusEntry(Record):
-    __slots__ = ("name", "record", "expected_outcome", "expected_rule", "expected_level")
-    name: str
+    __slots__ = ("record", "expected_outcome", "expected_rule", "expected_level")
     record: KnotRecord
     expected_outcome: str
     expected_rule: str
     expected_level: int
 
-    def __init__(self, name: str, record: KnotRecord, expected_outcome: str,
-                 expected_rule: str, expected_level: int):
-        object.__setattr__(self, "name", name)
+    def __init__(self, record: KnotRecord, expected_outcome: str, expected_rule: str,
+                 expected_level: int):
         object.__setattr__(self, "record", record)
         object.__setattr__(self, "expected_outcome", expected_outcome)
         object.__setattr__(self, "expected_rule", expected_rule)
@@ -37,7 +35,7 @@ class CorpusEntry(Record):
 
 def corpus_text(name: str) -> str:
     if name not in CORPUS_NAMES:
-        raise KeyError(f"unknown corpus knot {name!r}; available: {', '.join(CORPUS_NAMES)}")
+        raise LookupError(f"unknown corpus knot {name!r}; available: {', '.join(CORPUS_NAMES)}")
     path = os.path.join(os.path.dirname(__file__), "data", f"{name}.knot")
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -46,9 +44,8 @@ def corpus_text(name: str) -> str:
 def corpus_entry(name: str) -> CorpusEntry:
     pf = parse_presentation(corpus_text(name))
     outcome, rule, level = _EXPECTED[name]
-    return CorpusEntry(name=name, record=pf.record(),
-                       expected_outcome=outcome, expected_rule=rule,
-                       expected_level=level)
+    return CorpusEntry(record=pf.record(), expected_outcome=outcome,
+                       expected_rule=rule, expected_level=level)
 
 
 def corpus_entries() -> list[CorpusEntry]:

@@ -9,7 +9,8 @@ only rational_roots and non-integer sturm_count endpoints do.  The pieces fit
 together as
 
     power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
-    char_poly           -- Newton's identities on tr(A^j), every division exact
+    char_poly           -- Newton's identities on tr(A^j), every division exact;
+                           det(A) = (-1)^n char(A)(0) is read off it
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- x - 1 and x + 1 divided off first; a squarefree
                            part of degree <= 3 of a unit polynomial is
@@ -247,28 +248,6 @@ class IntMatrix(Record):
         return IntMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows))
-
-    def det(self) -> int:
-        """Fraction-free Bareiss elimination."""
-        d = self.dim
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, d):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[d - 1][d - 1]
 
 
 def power_traces(a: IntMatrix, count: int) -> list[int]:

@@ -9,17 +9,18 @@ single letters, an uppercase letter is the inverse of the lowercase generator,
 and `e` (or an empty string) is the identity.
 
 A word is validated where its letters come from outside: `Word(...)` built by
-a caller, `parse_word` and `reduce`.  Words derived from valid words
-(`multiply`, `invert`, `apply_map`, and so `power`, `commutator` and
-`conjugate`) and the words `random_word` draws (generators in range, no
-letter followed by its inverse) are reduced by construction and skip the
-check.
+a caller checks generator range, signs and reduction; `reduce` (and so
+`parse_word`) checks range and signs once per letter and reduces by
+construction.  Words derived from valid words (`multiply`, `invert`,
+`apply_map`, and so `power`, `commutator` and `conjugate`) and the words
+`random_word` draws (generators in range, no letter followed by its inverse)
+are reduced by construction and skip the check.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, char_poly
 
 
 class GeneratorRangeError(ValueError):
@@ -100,11 +101,13 @@ def reduce(rank: int, letters) -> Word:
     for g, s in letters:
         if not 0 <= g < rank:
             raise GeneratorRangeError(f"generator index {g} out of range for rank {rank}")
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
+        if s not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {s}")
+        if stack and stack[-1] == (g, -s):
             stack.pop()
         else:
             stack.append((g, s))
-    return Word(rank, tuple(stack))
+    return _word(rank, tuple(stack))
 
 
 def _check_rank(w1: Word, w2: Word):
@@ -243,14 +246,12 @@ NOT_AN_AUTOMORPHISM = "NOT_AN_AUTOMORPHISM"
 
 
 class AutomorphismReport(Record):
-    __slots__ = ("status", "determinant", "detail")
+    __slots__ = ("status", "detail")
     status: str
-    determinant: int
     detail: str
 
-    def __init__(self, status: str, determinant: int, detail: str = ""):
+    def __init__(self, status: str, detail: str = ""):
         object.__setattr__(self, "status", status)
-        object.__setattr__(self, "determinant", determinant)
         object.__setattr__(self, "detail", detail)
 
     @property
@@ -265,22 +266,23 @@ def verify_automorphism(phi: FreeMap) -> AutomorphismReport:
     (CONFIRMED) makes phi surjective, and a surjective endomorphism of F_n is
     bijective (F_n is finitely generated and residually finite, so Hopfian):
     psi = phi^-1, and psi(phi(x)) = x needs no second check.  Without them,
-    only |det| = 1 of the abelianized matrix can be checked (NECESSARY-ONLY):
-    it is necessary but not sufficient.
+    only |det| = 1 of the abelianized matrix M can be checked (NECESSARY-ONLY):
+    it is necessary but not sufficient.  det M = (-1)^n char(M)(0), since
+    char(M)(0) = det(-M).
     """
-    det = abelianized(phi).det()
     if phi.inverse_images is not None:
         for g, w in enumerate(phi.inverse_images):
             if apply_map(phi, w) != letter(phi.rank, g):
-                return AutomorphismReport(NOT_AN_AUTOMORPHISM, det,
+                return AutomorphismReport(NOT_AN_AUTOMORPHISM,
                                           f"phi(inverse(x{g})) != x{g}")
-        return AutomorphismReport(CONFIRMED, det,
+        return AutomorphismReport(CONFIRMED,
                                   "phi(inverse(x)) = x for every generator x; "
                                   "F_n is Hopfian")
+    det = (-1) ** phi.rank * char_poly(abelianized(phi)).constant
     if abs(det) != 1:
-        return AutomorphismReport(NOT_AN_AUTOMORPHISM, det,
+        return AutomorphismReport(NOT_AN_AUTOMORPHISM,
                                   f"abelianized determinant is {det}, not +-1")
-    return AutomorphismReport(NECESSARY_ONLY, det,
+    return AutomorphismReport(NECESSARY_ONLY,
                               "no inverse supplied; determinant check passed")
 
 

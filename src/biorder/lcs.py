@@ -1,7 +1,10 @@
 """Induced matrix actions on lower-central-series quotients gamma_k / gamma_k+1.
 
 For a free group F_n the degree-k quotient is free abelian with a basis given
-by standard bracketings of Lyndon words of length k.  A free-group endomorphism
+by standard bracketings of Lyndon words of length k.  A basis is the tuple of
+its Lyndon words (lyndon_basis); the program never builds a bracketing as a
+group word, only its Lie polynomial and its display name (bracket_name), both
+by one fold along the standard factorization.  A free-group endomorphism
 acts on the quotient by an integer matrix whose column j holds the coordinates
 of the image of the j-th basis bracket; for k = 1 this is the abelianization
 matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
@@ -25,8 +28,8 @@ from functools import cache
 
 from ._record import Record
 from .exactalg import IntMatrix, Poly, poly_from_power_sums
-from .freegroup import (FreeMap, NotAnAutomorphismError, Word, abelianized,
-                        commutator, letter, verify_automorphism)
+from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
+                        verify_automorphism)
 from .magnus import Monomial
 
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
@@ -67,21 +70,6 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def lyndon_words(n: int, k: int) -> list[tuple[int, ...]]:
-    """All Lyndon words of length exactly k over {0..n-1}, in lex order (Duval)."""
-    out = []
-    w = [0]
-    while w:
-        if len(w) == k:
-            out.append(tuple(w))
-        w = [w[i % len(w)] for i in range(k)]
-        while w and w[-1] == n - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return out
-
-
 def _is_lyndon(t: tuple[int, ...]) -> bool:
     return all(t < t[i:] + t[:i] for i in range(1, len(t)))
 
@@ -101,65 +89,45 @@ def _fold(lw: tuple[int, ...], leaf, node):
     return node(_fold(u, leaf, node), _fold(v, leaf, node))
 
 
-def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
-    """Nested commutator word of a Lyndon word, bracketed along its standard
-    factorization recursively."""
-    return _fold(lw, lambda i: letter(rank, i), commutator)
+def bracket_name(lw: tuple[int, ...], names) -> str:
+    """Display name of a basis element, as [a,[a,b]]: its standard bracketing
+    with generator names at the letters."""
+    return _fold(lw, names.__getitem__, lambda a, b: f"[{a},{b}]")
 
 
-class BasisElement(Record):
-    __slots__ = ("lyndon", "bracket")
-    lyndon: tuple[int, ...]     # the Lyndon word, also the leading monomial
-    bracket: Word               # its standard bracketing in the free group
-
-    def __init__(self, lyndon: tuple[int, ...], bracket: Word):
-        object.__setattr__(self, "lyndon", lyndon)
-        object.__setattr__(self, "bracket", bracket)
-
-    def name(self, generator_names) -> str:
-        return _fold(self.lyndon, generator_names.__getitem__, lambda a, b: f"[{a},{b}]")
-
-
-class LyndonBasis(Record):
-    __slots__ = ("rank", "degree", "elements")
-    rank: int
-    degree: int
-    elements: tuple[BasisElement, ...]
-
-    def __init__(self, rank: int, degree: int, elements: tuple[BasisElement, ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "elements", elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def lyndon_basis(n: int, k: int) -> LyndonBasis:
-    """Basis of gamma_k / gamma_k+1 for F_n; element count is the Witt number."""
+def lyndon_basis(n: int, k: int) -> tuple[Monomial, ...]:
+    """Basis of gamma_k / gamma_k+1 for F_n: the Lyndon words of length
+    exactly k over {0..n-1} in lex order (Duval), each standing for its
+    standard bracketing; their count is the Witt number."""
     if not 1 <= k <= DEGREE_CAP:
         raise ValueError(f"degree {k} outside 1..{DEGREE_CAP}")
-    elements = tuple(BasisElement(lw, standard_bracketing(lw, n))
-                     for lw in lyndon_words(n, k))
-    assert len(elements) == witt_number(n, k)
-    return LyndonBasis(n, k, elements)
+    out = []
+    w = [0]
+    while w:
+        if len(w) == k:
+            out.append(tuple(w))
+        w = [w[i % len(w)] for i in range(k)]
+        while w and w[-1] == n - 1:
+            w.pop()
+        if w:
+            w[-1] += 1
+    assert len(out) == witt_number(n, k)
+    return tuple(out)
 
 
 class QuotientAction(Record):
     """Matrix of an endomorphism on a degree-k quotient; columns are images."""
 
-    __slots__ = ("degree", "basis", "matrix")
-    degree: int
-    basis: LyndonBasis
+    __slots__ = ("basis", "matrix")
+    basis: tuple[Monomial, ...]   # lyndon_basis(n, k)
     matrix: IntMatrix
 
-    def __init__(self, degree: int, basis: LyndonBasis, matrix: IntMatrix):
-        object.__setattr__(self, "degree", degree)
+    def __init__(self, basis: tuple[Monomial, ...], matrix: IntMatrix):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "matrix", matrix)
 
 
-def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
+def _lie_coordinates(part: dict[Monomial, int], basis: tuple[Monomial, ...],
                      basis_parts: tuple[dict[Monomial, int], ...]) -> list[int]:
     """Coordinates of a degree-k Lie element in the Lyndon basis.
 
@@ -170,8 +138,8 @@ def _lie_coordinates(part: dict[Monomial, int], basis: LyndonBasis,
     """
     residue = dict(part)
     coords = []
-    for element, bpart in zip(basis.elements, basis_parts):
-        c = residue.get(element.lyndon, 0)
+    for lw, bpart in zip(basis, basis_parts):
+        c = residue.get(lw, 0)
         coords.append(c)
         if c:
             for m, v in bpart.items():
@@ -194,15 +162,15 @@ def _lie_bracket(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomia
     return {mono: c for mono, c in out.items() if c}
 
 
-def _lie_images(basis: LyndonBasis, m: IntMatrix) -> tuple[dict[Monomial, int], ...]:
+def _lie_images(basis: tuple[Monomial, ...], m: IntMatrix) -> tuple[dict[Monomial, int], ...]:
     """Each basis bracket's image under the Lie homomorphism X_i -> sum_j m[j][i] X_j."""
     columns = [{(j,): row[i] for j, row in enumerate(m.rows) if row[i]}
                for i in range(m.dim)]
-    return tuple(_fold(e.lyndon, columns.__getitem__, _lie_bracket) for e in basis.elements)
+    return tuple(_fold(lw, columns.__getitem__, _lie_bracket) for lw in basis)
 
 
 @cache
-def _basis_parts(n: int, k: int) -> tuple[LyndonBasis, tuple[dict[Monomial, int], ...]]:
+def _basis_parts(n: int, k: int) -> tuple[tuple[Monomial, ...], tuple[dict[Monomial, int], ...]]:
     """The basis and each bracket's Lie polynomial; shared, so never mutate them."""
     basis = lyndon_basis(n, k)
     return basis, _lie_images(basis, IntMatrix.identity(n))
@@ -213,7 +181,7 @@ def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
     basis, basis_parts = _basis_parts(m.dim, k)
     columns = [_lie_coordinates(image, basis, basis_parts)
                for image in _lie_images(basis, m)]
-    return QuotientAction(k, basis, IntMatrix(tuple(zip(*columns))))
+    return QuotientAction(basis, IntMatrix(tuple(zip(*columns))))
 
 
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:

@@ -64,30 +64,26 @@ _DRAW_BUDGET = 2 * _SAMPLES * _DRAWS
 
 
 class ProbeResult(Record):
-    __slots__ = ("name", "trials", "failures", "status", "warnings")
+    __slots__ = ("name", "trials", "failures", "warnings")
     name: str
     trials: int
     failures: tuple
-    status: str  # PASS or COUNTEREXAMPLE
     warnings: tuple[str, ...]
 
-    def __init__(self, name: str, trials: int, failures: tuple, status: str,
+    def __init__(self, name: str, trials: int, failures: tuple,
                  warnings: tuple[str, ...] = ()):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "status", status)
         object.__setattr__(self, "warnings", warnings)
 
     @property
+    def status(self) -> str:
+        return "COUNTEREXAMPLE" if self.failures else "PASS"
+
+    @property
     def passed(self) -> bool:
-        return self.status == "PASS"
-
-
-def _result(name: str, trials: int, failures, warnings=()) -> ProbeResult:
-    failures = tuple(failures)
-    status = "PASS" if not failures else "COUNTEREXAMPLE"
-    return ProbeResult(name, trials, failures, status, tuple(warnings))
+        return not self.failures
 
 
 def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
@@ -130,7 +126,7 @@ def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
                     f"{drawn.count} draws spent the budget of {_DRAW_BUDGET}")
     if not ran:
         warnings = (*warnings, "no sample produced a trial, so nothing was tested")
-    return _result(name, len(ran), [f for found in ran for f in found], warnings)
+    return ProbeResult(name, len(ran), tuple(f for found in ran for f in found), warnings)
 
 
 def _positive_key(g: Word):
@@ -198,8 +194,8 @@ def dominant_check(g: Word, cfg: ProbeConfig) -> ProbeResult:
     generators = [h for j in range(g.rank) for s in (1, -1)
                   if (h := letter(g.rank, j, s)) != g]
     sampled = _run_trials("dominance", cfg, trial)
-    return _result("dominance", len(generators) + sampled.trials,
-                   [f for h in generators for f in check(h)] + list(sampled.failures))
+    return ProbeResult("dominance", len(generators) + sampled.trials,
+                       tuple(f for h in generators for f in check(h)) + sampled.failures)
 
 
 def normality_probe(g: Word, cfg: ProbeConfig) -> ProbeResult:
@@ -346,16 +342,14 @@ WITNESS_FOUND = "WITNESS_FOUND"
 
 
 class WeakComparabilityResult(Record):
-    __slots__ = ("status", "witness", "bound", "checked")
+    __slots__ = ("status", "witness", "checked")
     status: str
     witness: Word | None
-    bound: int
     checked: int
 
-    def __init__(self, status: str, witness: Word | None, bound: int, checked: int):
+    def __init__(self, status: str, witness: Word | None, checked: int):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "checked", checked)
 
 
@@ -372,8 +366,8 @@ def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakCompara
     if f.is_identity or g.is_identity:
         raise ValueError("weak comparability search needs nontrivial f and g")
     if archimedean_key(f) == archimedean_key(g):
-        return WeakComparabilityResult(WITNESS_FOUND, identity(f.rank), cfg.search_bound, 1)
+        return WeakComparabilityResult(WITNESS_FOUND, identity(f.rank), 1)
     n = f.rank  # 2n (2n - 1)^(l - 1) reduced words of each length l >= 1
     checked = 1 + sum(2 * n * (2 * n - 1) ** (length - 1)
                       for length in range(1, cfg.search_bound + 1))
-    return WeakComparabilityResult(NOT_FOUND_WITHIN_BOUND, None, cfg.search_bound, checked)
+    return WeakComparabilityResult(NOT_FOUND_WITHIN_BOUND, None, checked)

@@ -24,7 +24,7 @@ rule are recorded even when the rule does not fire.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import FactorReport, IntMatrix, Poly, factor_over_Q, power_traces
+from .exactalg import FactorReport, IntMatrix, factor_over_Q, power_traces
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         default_names, verify_automorphism)
 from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_action,
@@ -90,17 +90,14 @@ class KnotRecord(Record):
 class LevelReport(Record):
     """Everything computed about one quotient level."""
 
-    __slots__ = ("level", "action", "char_poly", "factors")
+    __slots__ = ("level", "action", "factors")
     level: int                       # 0 = abelianization, 1 = basic commutators, ...
     action: QuotientAction
-    char_poly: Poly
-    factors: FactorReport
+    factors: FactorReport            # factors.input is the characteristic polynomial
 
-    def __init__(self, level: int, action: QuotientAction, char_poly: Poly,
-                 factors: FactorReport):
+    def __init__(self, level: int, action: QuotientAction, factors: FactorReport):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "char_poly", char_poly)
         object.__setattr__(self, "factors", factors)
 
 
@@ -137,8 +134,8 @@ class AnalysisReport(Record):
 def level_report(m: IntMatrix, traces: list[int], level: int) -> LevelReport:
     """The level's characteristic polynomial from traces, the power sums of
     M = abelianized(phi), its factor report, and its matrix for display."""
-    cp = level_char_poly(traces, level + 1)
-    return LevelReport(level, quotient_action(m, level + 1), cp, factor_over_Q(cp))
+    return LevelReport(level, quotient_action(m, level + 1),
+                       factor_over_Q(level_char_poly(traces, level + 1)))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:

@@ -8,7 +8,9 @@ explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
 are expanded from degree 1, and semidirect products rebuild phi^n each time.
 Division over Q, a factor report's product, the real and negative root
-counts and the shortlex word list live here too, because only tests use them.
+counts, the shortlex word list, the Bareiss determinant and the standard
+bracketing of a Lyndon word as a group word live here too, because only tests
+use them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from biorder import exactalg, orderprops
 from biorder.exactalg import (FactorReport, IntMatrix, Poly,
                               ZeroPolynomialError, sturm_count)
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
-                               compose, identity, invert, letter, multiply,
-                               parse_word, power, random_word)
+                               commutator, compose, identity, invert, letter,
+                               multiply, parse_word, power, random_word)
+from biorder.lcs import _fold
 from biorder.magnus import LowestTerm, expand
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
@@ -85,6 +88,29 @@ def explicit_power_traces(m: IntMatrix, count: int) -> list[int]:
     return traces
 
 
+def bareiss_det(m: IntMatrix) -> int:
+    """Fraction-free Bareiss elimination."""
+    d = m.dim
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(d - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, d):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[d - 1][d - 1]
+
+
 def _poly_det(rows) -> Poly:
     n = len(rows)
     if n == 1:
@@ -145,6 +171,12 @@ def count_negative_roots(p: Poly) -> int:
 # ---------------------------------------------------------------------------
 # reference forms of the probe hot path
 # ---------------------------------------------------------------------------
+
+def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
+    """Nested commutator word of a Lyndon word, bracketed along its standard
+    factorization recursively."""
+    return _fold(lw, lambda i: letter(rank, i), commutator)
+
 
 def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
     """phi(w) as a fold of multiply, one image letter at a time."""

@@ -205,6 +205,18 @@ class TestCorpusCommand:
     def test_show_unknown_name(self, capsys):
         assert cli.main(["corpus", "show", "8_19"]) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("args", [
+        ["corpus", "show", "nope"],
+        ["analyze", "corpus:nope"],
+        ["probe", "order-preservation", "--map", "corpus:nope"],
+    ], ids=["show", "analyze", "probe"])
+    def test_unknown_knot_has_one_spelling(self, args, capsys):
+        assert cli.main(args) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown corpus knot 'nope'; available: "
+                                "trefoil, figure8, 6_2, 7_6\n")
+
     def test_show_without_name_is_usage_error(self, capsys):
         assert cli.main(["corpus", "show"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: corpus show needs a name\n"
@@ -354,6 +366,17 @@ class TestProbeCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == expected
+
+    def test_semidirect_needs_inverse_block(self, tmp_path, capsys):
+        """The semidirect probe builds phi^n for negative n, so a map file
+        without an `inverse:` block is analysis error 3."""
+        path = tmp_path / "noinv.knot"
+        path.write_text("name: t\nfibered: true\ngenerators: a b\n"
+                        "map:\n  a -> b\n  b -> b A\n")
+        assert cli.main(["probe", "semidirect", "--map", str(path)]) == cli.EXIT_ANALYSIS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "analysis error: map carries no inverse images\n"
 
     def test_probe_defaults_are_the_config_defaults(self):
         ns = cli.build_parser().parse_args(["probe", "commutator"])

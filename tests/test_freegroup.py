@@ -4,7 +4,7 @@ import pytest
 
 from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
                                FreeMap, GeneratorRangeError, RankMismatchError,
-                               Word, apply_map, check_generator_names,
+                               Word, abelianized, apply_map, check_generator_names,
                                commutator, compose, conjugate, default_names,
                                format_word, identity, identity_map, invert,
                                inverse_map, letter, multiply, parse_word, power,
@@ -12,7 +12,7 @@ from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
 from helpers import (W, apply_map_by_fold, automorphism_status_by_two_compositions,
-                     naive_reduce, random_automorphism)
+                     bareiss_det, naive_reduce, random_automorphism)
 
 
 X, Y = (0, 1), (1, 1)
@@ -32,6 +32,10 @@ class TestReduce:
     def test_out_of_range_index(self):
         with pytest.raises(GeneratorRangeError):
             reduce(2, [(2, 1)])
+
+    def test_bad_sign(self):
+        with pytest.raises(ValueError, match="^letter sign must be \\+1 or -1, got 2$"):
+            reduce(2, [(0, 2)])
 
     def test_matches_naive_oracle_on_raw_sequences(self):
         rng = random.Random(11)
@@ -204,13 +208,32 @@ class TestVerifyAutomorphism:
         phi = FreeMap(2, (W("a a", "ab"), W("b", "ab")))
         report = verify_automorphism(phi)
         assert report.status == NOT_AN_AUTOMORPHISM
-        assert report.determinant == 2
+        assert "determinant is 2" in report.detail
 
     def test_identity_map_confirmed(self):
         assert verify_automorphism(identity_map(3)).status == CONFIRMED
 
     def test_no_inverse_necessary_only(self):
         assert verify_automorphism(trefoil_map()).status == NECESSARY_ONLY
+
+    def test_determinant_matches_bareiss(self):
+        """Without inverse images the determinant is read off char(M)(0);
+        Bareiss elimination on M is the independent oracle."""
+        rng = random.Random(29)
+        statuses = set()
+        for i in range(200):
+            rank = rng.randint(2, 4)
+            phi = (random_endomorphism(rng, rank) if i % 2
+                   else FreeMap(rank, random_automorphism(rng, rank).images))
+            det = bareiss_det(abelianized(phi))
+            report = verify_automorphism(phi)
+            if abs(det) == 1:
+                assert report.status == NECESSARY_ONLY
+            else:
+                assert report.status == NOT_AN_AUTOMORPHISM
+                assert report.detail == f"abelianized determinant is {det}, not +-1"
+            statuses.add(report.status)
+        assert statuses == {NECESSARY_ONLY, NOT_AN_AUTOMORPHISM}
 
     def test_wrong_inverse_rejected(self):
         phi = FreeMap(2, (W("b", "ab"), W("b A", "ab")),

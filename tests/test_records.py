@@ -17,7 +17,7 @@ from biorder.exactalg import Factor, FactorReport, IntMatrix, Poly, SturmChain
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, AutomorphismReport,
                                FreeMap, GeneratorRangeError, RankMismatchError, Word,
                                identity_map)
-from biorder.lcs import BasisElement, LyndonBasis, QuotientAction, lyndon_basis
+from biorder.lcs import QuotientAction, lyndon_basis
 from biorder.magnus import LowestTerm
 from biorder.orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
                                 _Drawn)
@@ -32,7 +32,7 @@ P = Poly([1, -3, 1])
 FACTOR = Factor(P, 1, 2, 0, 2)
 REPORT = FactorReport(P, 1, (FACTOR,))
 BASIS = lyndon_basis(2, 1)
-ACTION = QuotientAction(1, BASIS, M2)
+ACTION = QuotientAction(BASIS, M2)
 KNOT = KnotRecord("k", identity_map(2), True, ("x", "y"))
 VERDICT = Verdict("BIORDERABLE", 0, "R4", "all roots positive")
 
@@ -50,37 +50,33 @@ FROZEN = [
      dict(rank=3, letters=((0, 1), (1, -1)))),
     (FreeMap, dict(rank=2, images=(W("y"), W("x")), inverse_images=None),
      dict(rank=2, images=(W("y"), W("x")), inverse_images=(W("y"), W("x")))),
-    (AutomorphismReport, dict(status=CONFIRMED, determinant=-1, detail="ok"),
-     dict(status=NOT_AN_AUTOMORPHISM, determinant=-1, detail="ok")),
-    (BasisElement, dict(lyndon=(0, 1), bracket=W("x y X Y")),
-     dict(lyndon=(0, 1), bracket=W("y x Y X"))),
-    (LyndonBasis, dict(rank=2, degree=1, elements=BASIS.elements),
-     dict(rank=2, degree=2, elements=BASIS.elements)),
-    (QuotientAction, dict(degree=1, basis=BASIS, matrix=M2),
-     dict(degree=1, basis=BASIS, matrix=IntMatrix.identity(2))),
+    (AutomorphismReport, dict(status=CONFIRMED, detail="ok"),
+     dict(status=NOT_AN_AUTOMORPHISM, detail="ok")),
+    (QuotientAction, dict(basis=BASIS, matrix=M2),
+     dict(basis=BASIS, matrix=IntMatrix.identity(2))),
     (LowestTerm, dict(degree=2, part=(((0, 1), 1), ((1, 0), -1))),
      dict(degree=2, part=(((0, 1), -1), ((1, 0), 1)))),
     (ProbeConfig, dict(seed=1, samples=5, max_word_length=4, search_bound=2),
      dict(seed=2, samples=5, max_word_length=4, search_bound=2)),
-    (ProbeResult, dict(name="subgroup", trials=5, failures=(), status="PASS", warnings=()),
-     dict(name="subgroup", trials=5, failures=(), status="PASS", warnings=("w",))),
-    (WeakComparabilityResult, dict(status="WITNESS_FOUND", witness=W("e"), bound=4, checked=1),
-     dict(status="WITNESS_FOUND", witness=W("e"), bound=4, checked=2)),
+    (ProbeResult, dict(name="subgroup", trials=5, failures=(), warnings=()),
+     dict(name="subgroup", trials=5, failures=(), warnings=("w",))),
+    (WeakComparabilityResult, dict(status="WITNESS_FOUND", witness=W("e"), checked=1),
+     dict(status="WITNESS_FOUND", witness=W("e"), checked=2)),
     (PresentationFile, dict(name="k", fibered=True, generator_names=("x", "y"),
                             images=(W("y"), W("x")), inverse_images=None, comments=()),
      dict(name="k", fibered=False, generator_names=("x", "y"),
           images=(W("y"), W("x")), inverse_images=None, comments=())),
     (KnotRecord, dict(name="k", phi=identity_map(2), fibered=True, generator_names=("x", "y")),
      dict(name="k", phi=identity_map(2), fibered=True, generator_names=("u", "v"))),
-    (LevelReport, dict(level=0, action=ACTION, char_poly=P, factors=REPORT),
-     dict(level=1, action=ACTION, char_poly=P, factors=REPORT)),
+    (LevelReport, dict(level=0, action=ACTION, factors=REPORT),
+     dict(level=1, action=ACTION, factors=REPORT)),
     (Verdict, dict(outcome="BIORDERABLE", level=0, rule="R4", justification="j"),
      dict(outcome="BIORDERABLE", level=None, rule="R4", justification="j")),
     (AnalysisReport, dict(record=KNOT, levels=(), premises={"R1": False}, verdict=VERDICT),
      dict(record=KNOT, levels=(), premises={"R1": None}, verdict=VERDICT)),
-    (CorpusEntry, dict(name="k", record=KNOT, expected_outcome="BIORDERABLE",
+    (CorpusEntry, dict(record=KNOT, expected_outcome="BIORDERABLE",
                        expected_rule="R4", expected_level=0),
-     dict(name="k", record=KNOT, expected_outcome="BIORDERABLE",
+     dict(record=KNOT, expected_outcome="BIORDERABLE",
           expected_rule="R4", expected_level=1)),
 ]
 

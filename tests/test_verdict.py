@@ -80,7 +80,7 @@ class TestPremisesAgainstRootPredicates:
     def check(self, record):
         report = analyze(record, max_level=0)
         cp = cofactor_char_poly(abelianized(record.phi))
-        assert report.levels[0].char_poly == cp
+        assert report.levels[0].factors.input == cp
         assert report.premises["R1"] == (record.fibered and not has_positive_real_root(cp))
         assert report.premises["R4"] == (record.fibered and all_roots_positive_real(cp))
         assert report.levels[0].factors.has_rational_root == bool(rational_roots(cp))
@@ -115,7 +115,7 @@ def test_rational_root_flag_is_a_root_at_one_or_minus_one():
     outcomes = set()
     for record in records:
         level = analyze(record, max_level=0).levels[0]
-        coeffs = level.char_poly.coeffs
+        coeffs = level.factors.input.coeffs
         at_one = sum(coeffs)
         at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
         expected = at_one * at_minus_one == 0
@@ -135,7 +135,7 @@ def test_r4_makes_every_level1_root_positive_real():
         report = analyze(record, max_level=1)
         if report.premises["R4"]:
             r4 += 1
-            assert all_roots_positive_real(report.levels[1].char_poly), record
+            assert all_roots_positive_real(report.levels[1].factors.input), record
     assert r4
 
 
@@ -258,7 +258,7 @@ class TestAnalyze:
             analyze(knot("6_2"), max_level=2)  # degree-20 char poly vs cap 8
         report = analyze(knot("6_2"), max_level=2, max_degree=20)
         assert report.verdict.outcome == NOT_BIORDERABLE
-        assert report.levels[2].char_poly.degree == 20
+        assert report.levels[2].factors.input.degree == 20
 
     def test_degree_cap(self):
         with pytest.raises(AnalysisError):
