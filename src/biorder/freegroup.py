@@ -336,14 +336,41 @@ def format_word(w: Word, names) -> str:
 # ---------------------------------------------------------------------------
 
 def random_word(rng, rank: int, max_length: int, allow_identity: bool = False) -> Word:
-    """Uniformly random reduced word of length <= max_length (>= 1 unless allowed)."""
+    """Random reduced word of length <= max_length (>= 1 unless allowed).
+
+    The length is uniform; the word is then uniform among the reduced words
+    of that length (not uniform over all reduced words).  Every draw is a
+    rejection draw below(n): getrandbits(n.bit_length()) until the result is
+    < n.  The length is low + below(max_length + 1 - low); each letter is
+    generator below(rank), then sign index below(2) (0 is +1), and a letter
+    that cancels the previous one is dropped after both draws.  These are the
+    draws `randint`, `randrange` and `choice((1, -1))` make, so the words and
+    the rng state after them are the same as with those calls.
+    """
     low = 0 if allow_identity else 1
-    length = rng.randint(low, max_length)
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if max_length < low:
+        raise ValueError(f"max_length must be >= {low}, got {max_length}")
+    bits = rng.getrandbits
+    span = max_length + 1 - low
+    k = span.bit_length()
+    length = bits(k)
+    while length >= span:
+        length = bits(k)
+    length += low
+    k = rank.bit_length()
     letters: list[tuple[int, int]] = []
+    last_g = last_s = -1
     while len(letters) < length:
-        g = rng.randrange(rank)
-        s = rng.choice((1, -1))
-        if letters and letters[-1] == (g, -s):
+        g = bits(k)
+        while g >= rank:
+            g = bits(k)
+        s = bits(2)
+        while s >= 2:
+            s = bits(2)
+        if g == last_g and s != last_s:  # x_g^(+-1) right after its inverse
             continue
-        letters.append((g, s))
+        letters.append((g, 1 - 2 * s))
+        last_g, last_s = g, s
     return _word(rank, tuple(letters))

@@ -7,19 +7,21 @@ P[k] + P[k-1] X_g, k falling so P[k-1] is still old; x_g^-1 gives
 Q[k] = P[k] - Q[k-1] X_g (Q (1 + X_g) = P), k rising so Q[k-1] is already new.
 The first nonvanishing homogeneous part of a word orders the free group: a
 word is positive when that part's first coefficient in graded-lex monomial
-order is positive.  The degree-1 part is the exponent-sum vector, so only
-words with zero exponent sums are expanded to find it.  This yields a
+order is positive.  The degree-1 part is the exponent-sum vector, and a
+zero-sum word's degree-2 part is read exactly in one pass over its letters,
+so only words in gamma_3 are expanded to find it.  This yields a
 concrete bi-order and lower-central-series membership.  Infinitesimality (and
 so weak comparability) is read off one key per element, (lowest degree,
 leading monomial), which w and w^-1 share.
 
-The degree of that part is located by evaluation, and one exact expansion
-decides the answer.  The same recurrences run on one row of integers mod a
-61-bit prime, with X_g at monomial position j replaced by a random value
-a[g][j], so entry d of the row is the degree-d part evaluated at a point.  A
-nonzero value proves the part nonzero.  A nonzero part of degree d vanishes
-at the point with probability at most d / 2^60 (Schwartz-Zippel), and such a
-false zero only makes the one expansion deeper, never the answer different.
+Past degree 2, the degree of that part is located by evaluation, and one
+exact expansion decides the answer.  The same recurrences run on one row of
+integers mod a 61-bit prime, with X_g at monomial position j replaced by a
+random value a[g][j], so entry d of the row is the degree-d part evaluated
+at a point.  A nonzero value proves the part nonzero.  A nonzero part of
+degree d vanishes at the point with probability at most d / 2^60
+(Schwartz-Zippel), and such a false zero only makes the one expansion
+deeper, never the answer different.
 
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
@@ -142,17 +144,35 @@ def _points(rank: int, top: int) -> list[list[int]]:
     return [[_RNG.getrandbits(60) for _ in range(top)] for _ in range(rank)]
 
 
-def _evaluated_degree(w: Word, bound: int) -> int | None:
+def _degree2_part(w: Word) -> tuple[tuple[Monomial, int], ...]:
+    """The degree-2 part of w's expansion, grlex-sorted, zeros left out.
+
+    Multiplying by x_g^s adds s X_g times the degree-1 part so far (the
+    exponent sums e) to degree 2, and x_g^-1 also adds X_g^2.
+    """
+    n = w.rank
+    e = [0] * n
+    c = [0] * (n * n)  # c[i * n + j] is the coefficient of X_i X_j
+    for g, s in w.letters:
+        for i, x in enumerate(e):
+            c[i * n + g] += s * x
+        if s < 0:
+            c[g * n + g] += 1
+        e[g] += s
+    return tuple(((m // n, m % n), x) for m, x in enumerate(c) if x)
+
+
+def _evaluated_degree(w: Word, bound: int, top: int = 1) -> int | None:
     """Least d in 2..bound whose degree-d part of w evaluates nonzero, or None.
 
     The row v[0..top] follows expand's recurrences with scalars for layers:
     x_g does v[j] += v[j-1] a[g][j-1] with j falling, x_g^-1 does
     v[j] -= v[j-1] a[g][j-1] with j rising; v[0] stays 1, so v[1] only adds
-    or subtracts a[g][0].  top runs 2, 4, 8, ... up to bound, each at fresh
-    points, so a low degree costs a short row.  A nonzero v[d] proves the
-    degree-d part nonzero; None proves nothing.
+    or subtracts a[g][0].  top runs 2 top, 4 top, ... up to bound, each at
+    fresh points, so a low degree costs a short row; a caller that knows
+    every part up to degree top vanishes passes that top.  A nonzero v[d]
+    proves the degree-d part nonzero; None proves nothing.
     """
-    top = 1
     while top < bound:
         top = min(2 * top, bound)
         points = _points(w.rank, top)
@@ -179,18 +199,22 @@ def lowest_term(w: Word) -> LowestTerm:
 
     Degree 1 is the exponent-sum vector: the coefficient of X_i is the
     exponent sum of x_i, and the monomials (0,), (1,), ... are in grlex
-    order.  A word with zero exponent sums is evaluated mod a prime to locate
-    its degree (a nontrivial reduced word of length L never lies in
-    gamma_{L+1}, so one exists by degree L; when every evaluation up to L
-    reads zero, fresh points are drawn).  Then w is expanded once, at the
-    first degree that evaluated nonzero, and the answer is the first nonzero
-    layer of that exact expansion, whatever the points were.
+    order.  A word with zero exponent sums has its degree-2 part computed
+    exactly in one pass.  When that is zero too, w is evaluated mod a prime
+    from degree 3 on to locate its degree (a nontrivial reduced word of
+    length L never lies in gamma_{L+1}, so one exists by degree L; when
+    every evaluation up to L reads zero, fresh points are drawn).  Then w is
+    expanded once, at the first degree that evaluated nonzero, and the answer
+    is the first nonzero layer of that exact expansion, whatever the points
+    were.
     """
     if w.is_identity:
         raise NoLowestTermError("identity word has no lowest term")
     if part := tuple(((i,), c) for i, c in enumerate(w.exponent_vector()) if c):
         return LowestTerm(1, part)
-    while (top := _evaluated_degree(w, len(w))) is None:
+    if part := _degree2_part(w):
+        return LowestTerm(2, part)
+    while (top := _evaluated_degree(w, len(w), 2)) is None:
         pass
     s = expand(w, top)
     d = min(len(m) for m in s.coeffs if m)  # layer top at the latest

@@ -6,7 +6,9 @@ characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
 instead of Newton's identities on power sums, power sums come from every
 explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
-are expanded from degree 1, and semidirect products rebuild phi^n each time.
+are expanded from degree 1, semidirect products rebuild phi^n each time, and
+random words come from the standard library's randint, randrange and choice
+instead of getrandbits.
 Division over Q, a factor report's product, the real and negative root
 counts, the shortlex word list, the Bareiss determinant and the standard
 bracketing of a Lyndon word as a group word live here too, because only tests
@@ -23,7 +25,7 @@ from biorder.exactalg import (FactorReport, IntMatrix, Poly,
                               ZeroPolynomialError, sturm_count)
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
                                commutator, compose, identity, invert, letter,
-                               multiply, parse_word, power, random_word)
+                               multiply, parse_word, power, random_word, reduce)
 from biorder.lcs import _fold
 from biorder.magnus import LowestTerm, expand
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
@@ -307,12 +309,60 @@ def enumerate_words(rank: int, max_length: int):
         frontier = nxt
 
 
+def random_word_by_stdlib(rng, rank: int, max_length: int,
+                          allow_identity: bool = False) -> Word:
+    """random_word through the standard library's randint, randrange and
+    choice: the stream `freegroup.random_word` reproduces from getrandbits.
+    The word is built by Word(...), which validates it."""
+    low = 0 if allow_identity else 1
+    length = rng.randint(low, max_length)
+    letters: list[tuple[int, int]] = []
+    while len(letters) < length:
+        g = rng.randrange(rank)
+        s = rng.choice((1, -1))
+        if letters and letters[-1] == (g, -s):
+            continue
+        letters.append((g, s))
+    return Word(rank, tuple(letters))
+
+
 def random_automorphism(rng: random.Random, rank: int, steps: int = 5) -> FreeMap:
     moves = elementary_automorphisms(rank)
     phi = rng.choice(moves)
     for _ in range(steps - 1):
         phi = compose(phi, rng.choice(moves))
     return phi
+
+
+def torus_monodromy(p: int, q: int) -> FreeMap:
+    """The monodromy of the torus knot T(p, q) on its fiber's free group.
+
+    The fiber is homotopy equivalent to the complete bipartite graph K_(p,q)
+    (Milnor 1968), vertices a_0..a_(p-1) and b_0..b_(q-1), with the edge
+    (i, j) oriented a_i -> b_j.  The monodromy h turns both vertex classes by
+    one: (i, j) -> (i+1 mod p, j+1 mod q).  The tree of the edges at a_0 and
+    at b_0 spans, so the generator x_ij of rank (p-1)(q-1) is the loop at a_0
+    through the edge (i, j), i, j >= 1: a_0 -> b_0 -> a_i -> b_j -> a_0, and
+    a path's word reads off its non-tree edges.  h moves the basepoint to
+    a_1, so phi(gamma) = delta h(gamma) delta^-1 with the tree path
+    delta: a_0 -> b_0 -> a_1, and the inverse block is
+    psi(gamma) = h^-1(delta^-1 gamma delta).  delta itself runs in the tree,
+    so its word is empty, but h^-1(delta) does not.
+    """
+    rank = (p - 1) * (q - 1)
+    delta = [((0, 0), 1), ((1, 0), -1)]
+
+    def loop(i, j):
+        return [((0, 0), 1), ((i, 0), -1), ((i, j), 1), ((0, j), -1)]
+
+    def word(path, by):  # the word of h^by(path)
+        edges = [(((a + by) % p, (b + by) % q), s) for (a, b), s in path]
+        return reduce(rank, [((a - 1) * (q - 1) + b - 1, s) for (a, b), s in edges if a and b])
+
+    back = [(e, -s) for e, s in reversed(delta)]
+    gens = [(i, j) for i in range(1, p) for j in range(1, q)]
+    return FreeMap(rank, tuple(word(loop(i, j), 1) for i, j in gens),
+                   tuple(word(back + loop(i, j) + delta, -1) for i, j in gens))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
 from helpers import (W, apply_map_by_fold, automorphism_status_by_two_compositions,
-                     bareiss_det, naive_reduce, random_automorphism)
+                     bareiss_det, naive_reduce, random_automorphism,
+                     random_word_by_stdlib)
 
 
 X, Y = (0, 1), (1, 1)
@@ -174,28 +175,31 @@ class TestDerivedWords:
                     assert Word(w.rank, w.letters) == w
 
     def test_random_word_matches_validated_reference_draw(self):
-        # the same rng calls as random_word, with the word built by Word(...),
-        # which validates it; equal words and rng states mean the same stream
-        def reference(rng, rank, max_length, allow_identity):
-            length = rng.randint(0 if allow_identity else 1, max_length)
-            letters = []
-            while len(letters) < length:
-                g = rng.randrange(rank)
-                s = rng.choice((1, -1))
-                if letters and letters[-1] == (g, -s):
-                    continue
-                letters.append((g, s))
-            return Word(rank, tuple(letters))
+        # the stdlib draws (randint, randrange, choice) with the word built by
+        # Word(...), which validates it; equal words and rng states after
+        # every case mean the same stream
+        for seed in range(6):
+            for rank in range(1, 26):
+                for max_length in (1, 2, 10, 100):
+                    for allow_identity in (False, True):
+                        rng, ref = random.Random(seed), random.Random(seed)
+                        for _ in range(8):
+                            w = random_word(rng, rank, max_length, allow_identity)
+                            assert w == random_word_by_stdlib(ref, rank, max_length,
+                                                              allow_identity)
+                        assert rng.getstate() == ref.getstate()
 
-        for seed in range(50):
-            for rank in (1, 2, 3, 4):
-                for allow_identity in (False, True):
-                    rng, ref = random.Random(seed), random.Random(seed)
-                    for max_length in (1, 2, 5, 10):
-                        w = random_word(rng, rank, max_length, allow_identity)
-                        assert w == reference(ref, rank, max_length, allow_identity)
-                        assert Word(w.rank, w.letters) == w
-                    assert rng.getstate() == ref.getstate()
+    @pytest.mark.parametrize("rank, max_length, allow_identity",
+                             [(0, 5, False), (0, 5, True), (-1, 5, False),
+                              (2, 0, False), (2, -1, True), (3, -5, False)])
+    def test_empty_ranges_raise_before_drawing(self, rank, max_length, allow_identity):
+        # getrandbits(0) is 0, so a redraw loop over an empty range would
+        # never end
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            random_word(rng, rank, max_length, allow_identity)
+        assert rng.getstate() == state
 
 
 class TestVerifyAutomorphism:

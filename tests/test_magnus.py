@@ -219,9 +219,19 @@ class TestLowestTermOracle:
 
         monkeypatch.setattr(magnus, "expand", recording_expand)
         assert lowest_term(W("x y X")).degree == 1
+        assert lowest_term(commutator(W("x y"), W("y"))).degree == 2  # exact pass
         assert truncations == []
-        assert lowest_term(commutator(W("x y"), W("y"))).degree == 2
-        assert truncations == [2]
+        assert lowest_term(commutator(commutator(W("x"), W("y")), W("y"))).degree == 3
+        assert truncations == [3]
+
+    def test_degree2_part_matches_expansion(self):
+        # the one-pass degree-2 part holds for every word, not only zero sums
+        rng = random.Random(28)
+        for rank in (1, 2, 3, 4):
+            for _ in range(150):
+                w = random_word(rng, rank, 12, allow_identity=True)
+                assert magnus._degree2_part(w) == tuple(
+                    sorted(expand(w, 2).homogeneous_part(2).items()))
 
 
 def recording_expand(monkeypatch) -> list:
@@ -258,7 +268,8 @@ class TestLowestTermByEvaluation:
         words = deep_zero_sum_words(31, 150)
         truncations = recording_expand(monkeypatch)
         lts = [lowest_term(w) for w in words]
-        assert truncations == [lt.degree for lt in lts]  # one expansion each
+        # one expansion each past degree 2, which is read exactly
+        assert truncations == [lt.degree for lt in lts if lt.degree > 2]
         monkeypatch.undo()
         assert lts == [lowest_term_by_expansion(w) for w in words]
         assert {2, 3, 4, 5} <= {lt.degree for lt in lts}
@@ -277,7 +288,9 @@ class TestLowestTermByEvaluation:
         # each rung would; fresh points then find the degree, and the one
         # expansion still gives the exact term
         real_points = magnus._points
-        words = [nested_commutator(4), *deep_zero_sum_words(32, 20)]
+        words = [nested_commutator(4), *deep_zero_sum_words(32, 60)]
+        words = [w for w in words if lowest_term_by_expansion(w).degree > 2]
+        assert len(words) >= 20
         for w in words:
             tops = []
 
@@ -289,7 +302,8 @@ class TestLowestTermByEvaluation:
             monkeypatch.setattr(magnus, "_points", points)
             truncations = recording_expand(monkeypatch)
             lt = lowest_term(w)
-            assert tops[tops.index(len(w)) + 1] == 2  # a fresh ladder after the zeros
+            # degree 2 is read exactly, so each ladder starts at 4
+            assert tops[0] == tops[tops.index(len(w)) + 1] == min(4, len(w))
             assert truncations == [lt.degree]
             monkeypatch.undo()
             assert lt == lowest_term_by_expansion(w)

@@ -1,22 +1,25 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
 import biorder
 from biorder import exactalg, freegroup, lcs, verdict
 from biorder.corpus import corpus_entries, corpus_entry
-from biorder.exactalg import (IntMatrix, all_roots_positive_real, char_poly,
-                              factor_over_Q, has_positive_real_root,
+from biorder.exactalg import (IntMatrix, Poly, all_roots_positive_real,
+                              char_poly, factor_over_Q, has_positive_real_root,
                               rational_roots)
-from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                               compose, inverse_map)
+from biorder.freegroup import (CONFIRMED, FreeMap, NotAnAutomorphismError, Word,
+                               abelianized, compose, conjugate, invert,
+                               inverse_map, iterate_map, letter, multiply,
+                               power, verify_automorphism)
 from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
-from helpers import (W, cofactor_char_poly, random_automorphism,
-                     random_unimodular_matrix)
+from helpers import (W, cofactor_char_poly, divmod_q, random_automorphism,
+                     random_unimodular_matrix, torus_monodromy)
 
 
 def knot(name):
@@ -156,6 +159,53 @@ def test_verdict_is_a_group_invariant():
         assert len(verdicts) == 1, (phi, psi, verdicts)
         rules[verdicts.pop()[1]] += 1
     assert set(rules) == {"R1", "R2", "R3", "R4", None}
+
+
+TORUS_PAIRS = [(p, q) for q in range(3, 22) for p in range(2, q)
+               if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 20]
+
+
+def inner_conjugator(phi: FreeMap) -> Word | None:
+    """c with phi(x) = c x c^-1 for every generator x, or None (rank >= 2).
+
+    A reduced conjugate of x_0 reads u x_0 u^-1, so c = u x_0^m, and m is the
+    leading x_0-run of u^-1 phi(x_1) u = x_0^m x_1 x_0^-m.
+    """
+    rank, y = phi.rank, phi.images[0]
+    u = Word(rank, y.letters[:(len(y) - 1) // 2])
+    z = conjugate(phi.images[1], invert(u)).letters
+    run = next((i for i, (g, _) in enumerate(z) if g != 0), len(z))
+    c = multiply(u, power(letter(rank, 0), sum(s for _, s in z[:run])))
+    if all(phi.images[g] == conjugate(letter(rank, g), c) for g in range(rank)):
+        return c
+    return None
+
+
+@pytest.mark.parametrize("p, q", TORUS_PAIRS)
+def test_torus_knot_family(p, q):
+    """T(p, q), the paper's example: its group <x, y | x^p = y^q> has the
+    central x^p, so it is not bi-orderable, and R1 says so at every level."""
+    phi = torus_monodromy(p, q)
+    assert verify_automorphism(phi).status == CONFIRMED
+    t = lambda n: Poly([-1] + [0] * (n - 1) + [1])  # t^n - 1
+    alexander, rest = divmod_q(t(p * q) * t(1), t(p) * t(q))
+    assert rest.is_zero
+    assert inner_conjugator(iterate_map(phi, p * q)) is not None
+    record = KnotRecord(f"T({p},{q})", phi, True)
+    levels = [lv for lv in range(lcs.DEGREE_CAP)
+              if lcs.witt_number(phi.rank, lv + 1) <= 100]
+    for level in levels:
+        report = analyze(record, max_level=level, max_degree=100)
+        assert report.levels[0].factors.input == alexander
+        assert (report.verdict.outcome, report.verdict.rule) == (NOT_BIORDERABLE, "R1")
+
+
+def test_inner_conjugator_finds_only_inner_maps():
+    rank = 3
+    c = W("a B c a", "abc")
+    by_c = FreeMap(rank, tuple(conjugate(letter(rank, g), c) for g in range(rank)))
+    assert inner_conjugator(by_c) == c
+    assert inner_conjugator(torus_monodromy(2, 3)) is None  # phi itself is outer
 
 
 class TestAnalyze:
