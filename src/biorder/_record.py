@@ -1,16 +1,72 @@
 """Base class of the package's immutable records.
 
-A record is a slotted class whose `__init__` sets its fields, named by its
-`__slots__`, with `object.__setattr__`.  This base gives every record value
-equality and hashing, a `Name(field=value, ...)` repr and read-only fields.
-Written once here, these cost nothing at import; generating them per class
-(and importing the standard module that does so, with `inspect` and `ast`)
-took most of the package's start-up.
+A record is a slotted class whose fields are named by its `__slots__`.  This
+base binds them: `Name(*values)` in slot order, or by keyword, with the
+class's `_defaults` mapping filling the fields left out.  A record that checks
+its arguments keeps its own `__init__` and ends it with one
+`super().__init__(...)`.  The base also gives every record value equality and
+hashing, a `Name(field=value, ...)` repr, read-only fields and an
+`inspect.signature` that lists the slots.  Written once here, these cost
+nothing at import; generating them per class (and importing the standard
+module that does so, with `inspect` and `ast`) took most of the package's
+start-up.
 """
+
+
+class _Signature:
+    """`inspect.signature` of a record class built from its slots and defaults.
+
+    None for a class with its own `__init__`, so that `inspect` reads that.
+    `inspect` is imported only when a signature is asked for.
+    """
+
+    def __get__(self, instance, owner):
+        if "__init__" in owner.__dict__:
+            return None
+        from inspect import Parameter, Signature
+        return Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                                    default=owner._defaults.get(name, Parameter.empty))
+                          for name in owner.__slots__])
 
 
 class Record:
     __slots__ = ()
+    _defaults = {}
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls):
+        # the slot descriptors' setters, which bypass the read-only __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if not kwargs and len(args) == len(setters):
+            # by index: a zip loop made binding a two-field record such as
+            # magnus.LowestTerm about 30 % slower
+            i = 0
+            for bind in setters:
+                bind(self, args[i])
+                i += 1
+            return
+        name = self.__class__.__name__
+        slots = self.__slots__
+        if len(args) > len(slots):
+            raise TypeError(f"{name}() takes {len(slots)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(slots, args))
+        for key, value in kwargs.items():
+            if key not in slots:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        values = {**self._defaults, **values}
+        missing = [key for key in slots if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: "
+                            f"{', '.join(map(repr, missing))}")
+        for key, bind in zip(slots, setters):
+            bind(self, values[key])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -25,13 +25,6 @@ class CorpusEntry(Record):
     expected_rule: str
     expected_level: int
 
-    def __init__(self, record: KnotRecord, expected_outcome: str, expected_rule: str,
-                 expected_level: int):
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "expected_outcome", expected_outcome)
-        object.__setattr__(self, "expected_rule", expected_rule)
-        object.__setattr__(self, "expected_level", expected_level)
-
 
 def corpus_text(name: str) -> str:
     if name not in CORPUS_NAMES:

@@ -227,7 +227,7 @@ class IntMatrix(Record):
         for row in rows:
             if len(row) != d:
                 raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -584,14 +584,6 @@ class Factor(Record):
     negative_real_roots: int
     real_roots: int
 
-    def __init__(self, poly: Poly, multiplicity: int, positive_real_roots: int,
-                 negative_real_roots: int, real_roots: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "positive_real_roots", positive_real_roots)
-        object.__setattr__(self, "negative_real_roots", negative_real_roots)
-        object.__setattr__(self, "real_roots", real_roots)
-
 
 class FactorReport(Record):
     """Complete irreducible factorization over Q with per-factor root counts.
@@ -606,11 +598,6 @@ class FactorReport(Record):
     input: Poly
     content: int
     factors: tuple[Factor, ...]
-
-    def __init__(self, input: Poly, content: int, factors: tuple[Factor, ...]):
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "factors", factors)
 
     @property
     def has_rational_root(self) -> bool:
@@ -661,7 +648,7 @@ def factor_over_Q(p: Poly) -> FactorReport:
             factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
     factors.sort(key=lambda fm: fm[0].key())
     entries = tuple(Factor(poly, mult, *_root_counts(poly)) for poly, mult in factors)
-    return FactorReport(input=p, content=c, factors=entries)
+    return FactorReport(p, c, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +664,6 @@ class SturmChain(Record):
 
     __slots__ = ("polys",)
     polys: tuple[Poly, ...]
-
-    def __init__(self, polys: tuple[Poly, ...]):
-        object.__setattr__(self, "polys", polys)
 
     @classmethod
     def build(cls, p: Poly) -> "SturmChain":

@@ -51,8 +51,7 @@ class Word(Record):
         for (g1, s1), (g2, s2) in zip(letters, letters[1:]):
             if g1 == g2 and s1 == -s2:
                 raise ValueError("word is not freely reduced")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
+        super().__init__(rank, letters)
 
     def __len__(self):
         return len(self.letters)
@@ -180,9 +179,7 @@ class FreeMap(Record):
             for w in inverse_images:
                 if w.rank != rank:
                     raise RankMismatchError("inverse image word has wrong rank")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inverse_images)
+        super().__init__(rank, images, inverse_images)
 
 
 def identity_map(rank: int) -> FreeMap:
@@ -247,12 +244,9 @@ NOT_AN_AUTOMORPHISM = "NOT_AN_AUTOMORPHISM"
 
 class AutomorphismReport(Record):
     __slots__ = ("status", "detail")
+    _defaults = {"detail": ""}
     status: str
     detail: str
-
-    def __init__(self, status: str, detail: str = ""):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
 
     @property
     def is_automorphism_candidate(self) -> bool:

@@ -122,10 +122,6 @@ class QuotientAction(Record):
     basis: tuple[Monomial, ...]   # lyndon_basis(n, k)
     matrix: IntMatrix
 
-    def __init__(self, basis: tuple[Monomial, ...], matrix: IntMatrix):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", matrix)
-
 
 def _lie_coordinates(part: dict[Monomial, int], basis: tuple[Monomial, ...],
                      basis_parts: tuple[dict[Monomial, int], ...]) -> list[int]:

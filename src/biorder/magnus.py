@@ -130,10 +130,6 @@ class LowestTerm(Record):
     degree: int
     part: tuple[tuple[Monomial, int], ...]  # grlex-sorted, all coefficients nonzero
 
-    def __init__(self, degree: int, part: tuple[tuple[Monomial, int], ...]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "part", part)
-
 
 def _points(rank: int, top: int) -> list[list[int]]:
     """Fresh random values a[g][j] of X_g at monomial positions j < top.

@@ -50,10 +50,7 @@ class ProbeConfig(Record):
             raise ValueError("samples must be >= 1")
         if max_word_length < 1:
             raise ValueError("max_word_length must be >= 1")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "max_word_length", max_word_length)
-        object.__setattr__(self, "search_bound", search_bound)
+        super().__init__(seed, samples, max_word_length, search_bound)
 
 
 # Random words one rejection-sampled probe may draw in all.  It is what the
@@ -65,17 +62,11 @@ _DRAW_BUDGET = 2 * _SAMPLES * _DRAWS
 
 class ProbeResult(Record):
     __slots__ = ("name", "trials", "failures", "warnings")
+    _defaults = {"warnings": ()}
     name: str
     trials: int
     failures: tuple
     warnings: tuple[str, ...]
-
-    def __init__(self, name: str, trials: int, failures: tuple,
-                 warnings: tuple[str, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "warnings", warnings)
 
     @property
     def status(self) -> str:
@@ -346,11 +337,6 @@ class WeakComparabilityResult(Record):
     status: str
     witness: Word | None
     checked: int
-
-    def __init__(self, status: str, witness: Word | None, checked: int):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "checked", checked)
 
 
 def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakComparabilityResult:

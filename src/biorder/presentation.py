@@ -39,22 +39,13 @@ class PresentationError(ValueError):
 class PresentationFile(Record):
     __slots__ = ("name", "fibered", "generator_names", "images", "inverse_images",
                  "comments")
+    _defaults = {"comments": ()}
     name: str
     fibered: bool
     generator_names: tuple[str, ...]
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None
     comments: tuple[str, ...]
-
-    def __init__(self, name: str, fibered: bool, generator_names: tuple[str, ...],
-                 images: tuple[Word, ...], inverse_images: tuple[Word, ...] | None,
-                 comments: tuple[str, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "fibered", fibered)
-        object.__setattr__(self, "generator_names", generator_names)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inverse_images)
-        object.__setattr__(self, "comments", comments)
 
     def free_map(self) -> FreeMap:
         return FreeMap(len(self.generator_names), self.images, self.inverse_images)
@@ -138,9 +129,8 @@ def parse_presentation(text: str) -> PresentationFile:
             if g not in maps["inverse"]:
                 raise PresentationError(f"missing inverse line for generator {g!r}")
         inverse_images = tuple(maps["inverse"][g] for g in names)
-    return PresentationFile(name=name, fibered=fibered, generator_names=tuple(names),
-                            images=images, inverse_images=inverse_images,
-                            comments=tuple(comments))
+    return PresentationFile(name, fibered, tuple(names), images, inverse_images,
+                            tuple(comments))
 
 
 def serialize_presentation(pf: PresentationFile) -> str:

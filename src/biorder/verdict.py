@@ -77,10 +77,7 @@ class KnotRecord(Record):
             generator_names = default_names(phi.rank)
         if len(generator_names) != phi.rank:
             raise ValueError("need one generator name per generator")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "fibered", fibered)
-        object.__setattr__(self, "generator_names", generator_names)
+        super().__init__(name, phi, fibered, generator_names)
 
     @property
     def rank(self) -> int:
@@ -95,11 +92,6 @@ class LevelReport(Record):
     action: QuotientAction
     factors: FactorReport            # factors.input is the characteristic polynomial
 
-    def __init__(self, level: int, action: QuotientAction, factors: FactorReport):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "factors", factors)
-
 
 class Verdict(Record):
     __slots__ = ("outcome", "level", "rule", "justification")
@@ -108,13 +100,6 @@ class Verdict(Record):
     rule: str | None
     justification: str
 
-    def __init__(self, outcome: str, level: int | None, rule: str | None,
-                 justification: str):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "justification", justification)
-
 
 class AnalysisReport(Record):
     __slots__ = ("record", "levels", "premises", "verdict")
@@ -122,13 +107,6 @@ class AnalysisReport(Record):
     levels: tuple[LevelReport, ...]
     premises: dict[str, bool | None]
     verdict: Verdict
-
-    def __init__(self, record: KnotRecord, levels: tuple[LevelReport, ...],
-                 premises: dict[str, bool | None], verdict: Verdict):
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "verdict", verdict)
 
 
 def level_report(m: IntMatrix, traces: list[int], level: int) -> LevelReport:

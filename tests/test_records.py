@@ -2,6 +2,7 @@
 checked against a frozen dataclass with the same fields, and an import of the
 CLI that loads no module generating such methods."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -188,3 +189,84 @@ def test_cli_import_loads_no_method_generating_module():
     assert loaded == ""
     for path in sorted((SRC / "biorder").glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+# A record that binds through the base alone, and one with a `_defaults` entry.
+CONTRACT = [
+    (Verdict, ("BIORDERABLE", 0, "R4", "j")),
+    (ProbeResult, ("subgroup", 5, (), ("w",))),
+]
+
+
+@pytest.mark.parametrize("cls, values", CONTRACT, ids=[c.__name__ for c, _ in CONTRACT])
+def test_constructor_binds_by_position_or_keyword(cls, values):
+    by_position = cls(*values)
+    assert by_position._values() == values
+    assert cls(**dict(reversed(list(zip(cls.__slots__, values))))) == by_position
+    assert cls(*values[:2], **dict(zip(cls.__slots__[2:], values[2:]))) == by_position
+
+
+@pytest.mark.parametrize("cls, values", CONTRACT, ids=[c.__name__ for c, _ in CONTRACT])
+def test_constructor_rejects_what_a_signature_would(cls, values):
+    name, first, last = cls.__name__, cls.__slots__[0], cls.__slots__[-1]
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing required arguments: '{first}'$"):
+        cls(**dict(zip(cls.__slots__[1:], values[1:])))
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected keyword argument 'extra'$"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes 4 positional arguments but 5 were given$"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got multiple values for argument '{first}'$"):
+        cls(*values[:-1], **{first: values[0]})
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got multiple values for argument '{last}'$"):
+        cls(*values, **{last: values[-1]})
+
+
+def test_defaults_fill_only_what_is_left_out():
+    assert ProbeResult("subgroup", 5, ()).warnings == ()
+    assert ProbeResult("subgroup", 5, (), ("w",)).warnings == ("w",)
+    with pytest.raises(TypeError, match=r"^ProbeResult\(\) missing required arguments: "
+                                        r"'trials', 'failures'$"):
+        ProbeResult("subgroup")
+    with pytest.raises(TypeError, match=r"^Verdict\(\) missing required arguments: "
+                                        r"'justification'$"):
+        Verdict("BIORDERABLE", 0, "R4")
+
+
+# The signature defaults; KnotRecord's () stands for names chosen by rank.
+SIGNATURE_DEFAULTS = {**{cls: DEFAULTS[cls] for cls in DEFAULTS if cls is not KnotRecord},
+                      KnotRecord: dict(generator_names=())}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURE_DEFAULTS),
+                         ids=[c.__name__ for c in SIGNATURE_DEFAULTS])
+def test_signature_shows_the_defaults(cls):
+    parameters = inspect.signature(cls).parameters
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not inspect.Parameter.empty} == SIGNATURE_DEFAULTS[cls]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters.values())
+
+
+def _binds_a_slot(node) -> bool:
+    """object.__setattr__, or a descriptor's __set__."""
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "__set__" or (node.attr == "__setattr__"
+                                   and isinstance(node.value, ast.Name)
+                                   and node.value.id == "object"))
+
+
+def test_only_the_base_binds_fields():
+    """Checked records end in the base's constructor and the rest have none of
+    their own.  Only the base collects the slots' setters, and only
+    freegroup._word, the unchecked constructor of a Word, sets slots with
+    object.__setattr__."""
+    assert {cls for cls, _, _ in FROZEN if "__init__" in vars(cls)} == {
+        Word, IntMatrix, FreeMap, ProbeConfig, KnotRecord}
+    binds = {}
+    for path in sorted((SRC / "biorder").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            count = sum(map(_binds_a_slot, ast.walk(scope)))
+            if count:
+                binds[path.name, getattr(scope, "name", None)] = count
+    assert binds == {("_record.py", None): 1, ("_record.py", "__init_subclass__"): 1,
+                     ("freegroup.py", None): 2, ("freegroup.py", "_word"): 2}

@@ -142,6 +142,21 @@ def test_r4_makes_every_level1_root_positive_real():
     assert r4
 
 
+def test_r3_and_r4_never_fire_together():
+    """Under R4 every root of char(M) is a positive real, so is every root
+    lambda_i lambda_j of char(N), and every factor of char(N) has a positive
+    root: R3 cannot hold beside R4."""
+    rng = random.Random(5)
+    records = [knot("figure8")] + [
+        KnotRecord(f"r{i}", random_automorphism(rng, 2 + i % 3), True) for i in range(400)]
+    r4 = 0
+    for record in records:
+        premises = analyze(record, max_level=1).premises
+        assert not (premises["R3"] and premises["R4"]), record
+        r4 += premises["R4"]
+    assert r4 >= 50
+
+
 def test_verdict_is_a_group_invariant():
     """Z x| F_n is the same group for phi, for psi phi psi^-1 (through
     (m, w) -> (m, psi(w))) and for phi^-1 (through t -> t^-1), so the three
@@ -198,6 +213,26 @@ def test_torus_knot_family(p, q):
         report = analyze(record, max_level=level, max_degree=100)
         assert report.levels[0].factors.input == alexander
         assert (report.verdict.outcome, report.verdict.rule) == (NOT_BIORDERABLE, "R1")
+
+
+@pytest.mark.parametrize("p, q", TORUS_PAIRS)
+def test_torus_level1_has_root_one_g_times(p, q):
+    """The monodromy keeps the fiber's intersection form, so M is symplectic
+    on Z^2g and its roots pair up as lambda, 1/lambda.  Each pair gives one
+    root lambda * (1/lambda) = 1 of N on the level-1 quotient.  The roots of
+    the torus knot's Alexander polynomial are simple pq-th roots of unity,
+    none of them +-1, so no other product of two is 1: t - 1 divides char(N)
+    exactly g times."""
+    phi = torus_monodromy(p, q)
+    g = phi.rank // 2
+    traces = exactalg.power_traces(abelianized(phi), 2 * lcs.witt_number(phi.rank, 2))
+    char_n, multiplicity = lcs.level_char_poly(traces, 2), 0
+    while True:
+        quotient, rest = divmod_q(char_n, Poly([-1, 1]))
+        if not rest.is_zero:
+            break
+        char_n, multiplicity = quotient, multiplicity + 1
+    assert multiplicity == g
 
 
 def test_inner_conjugator_finds_only_inner_maps():
