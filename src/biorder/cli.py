@@ -2,25 +2,30 @@
 
 Exit codes: 0 ok, 2 parse/input error, 3 analysis error, 4 usage error.
 Output is deterministic: the same input and flags produce identical bytes.
+
+Each command is a function of its parsed arguments that returns its exit code
+and its stdout text, and writes nothing.  `main` alone writes: the command's
+text, then the one stderr line of a refused flag, word or target, or of an
+analysis error.  A reader that closes stdout early ends the output quietly,
+with the command's own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import corpus as corpus_mod
 from . import orderprops
-from .exactalg import NonSquarefreeError, Poly, ZeroPolynomialError
-from .freegroup import (NotAnAutomorphismError, check_generator_names,
-                        format_word, parse_word)
+from .exactalg import Poly
+from .freegroup import check_generator_names, format_word, parse_word
 from .lcs import DEGREE_CAP, bracket_name
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
-from .verdict import (AnalysisError, AnalysisReport, InconsistentPremisesError,
-                      KnotRecord, analyze, require_automorphism)
+from .verdict import (AnalysisReport, InconsistentPremisesError, KnotRecord,
+                      analyze, require_automorphism)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,11 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Refusal(Exception):
+    """A flag, word or target that a command refuses: `main` writes
+    `error: <message>` to stderr and exits with `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def poly_text(p: Poly, var: str = "t") -> str:
+def poly_text(p: Poly) -> str:
     if p.is_zero:
         return "0"
     terms = []
@@ -55,9 +69,9 @@ def poly_text(p: Poly, var: str = "t") -> str:
         if i == 0:
             body = str(mag)
         elif i == 1:
-            body = f"{var}" if mag == 1 else f"{mag}{var}"
+            body = "t" if mag == 1 else f"{mag}t"
         else:
-            body = f"{var}^{i}" if mag == 1 else f"{mag}{var}^{i}"
+            body = f"t^{i}" if mag == 1 else f"{mag}t^{i}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
         else:
@@ -142,8 +156,9 @@ def analysis_to_text(report: AnalysisReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _json_text(obj) -> str:
+    import json  # only `--format json` needs it
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -152,67 +167,48 @@ def _emit_json(obj) -> None:
 
 def _load_record(target: str) -> KnotRecord:
     """The record of corpus:NAME or of a presentation file; a target that does
-    not load prints `error: ...` and exits with EXIT_PARSE."""
+    not load is refused with EXIT_PARSE."""
     try:
         if target.startswith("corpus:"):
             return corpus_mod.corpus_entry(target[len("corpus:"):]).record
         with open(target, "r", encoding="utf-8") as fh:
             return parse_presentation(fh.read()).record()
     except (OSError, UnicodeDecodeError, LookupError, PresentationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise _Refusal(EXIT_PARSE, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _in_ranges(*checks) -> bool:
-    """Print `error: FLAG: must be in LOW..HIGH` for the first (flag, value,
-    low, high) whose value is out of range; True when every value is in it."""
+def _check_ranges(*checks) -> None:
+    """Refuse the first (flag, value, low, high) whose value is out of range."""
     for flag, value, low, high in checks:
         if not low <= value <= high:
-            print(f"error: {flag}: must be in {low}..{high}", file=sys.stderr)
-            return False
-    return True
+            raise _Refusal(EXIT_USAGE, f"{flag}: must be in {low}..{high}")
 
 
-def _cmd_analyze(ns) -> int:
-    if not _in_ranges(("--max-degree", ns.max_degree, 1, MAX_DEGREE)):
-        return EXIT_USAGE
+def _cmd_analyze(ns) -> tuple[int, str]:
+    _check_ranges(("--max-degree", ns.max_degree, 1, MAX_DEGREE))
     record = _load_record(ns.target)
-    try:
-        report = analyze(record, max_level=ns.max_level, max_degree=ns.max_degree)
-    except (AnalysisError, NotAnAutomorphismError, InconsistentPremisesError,
-            NonSquarefreeError, ZeroPolynomialError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    report = analyze(record, max_level=ns.max_level, max_degree=ns.max_degree)
     if ns.format == "json":
-        _emit_json(analysis_to_dict(report))
-    else:
-        sys.stdout.write(analysis_to_text(report))
-    return EXIT_OK
+        return EXIT_OK, _json_text(analysis_to_dict(report))
+    return EXIT_OK, analysis_to_text(report)
 
 
-def _cmd_corpus(ns) -> int:
+def _cmd_corpus(ns) -> tuple[int, str]:
     if ns.action == "list":
         if ns.format == "json":
-            _emit_json(list(corpus_mod.CORPUS_NAMES))
-        else:
-            for name in corpus_mod.CORPUS_NAMES:
-                print(name)
-        return EXIT_OK
+            return EXIT_OK, _json_text(list(corpus_mod.CORPUS_NAMES))
+        return EXIT_OK, "".join(f"{name}\n" for name in corpus_mod.CORPUS_NAMES)
     if ns.action == "show":
         if not ns.name:
-            print("error: corpus show needs a name", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, "corpus show needs a name")
         try:
-            text = corpus_mod.corpus_text(ns.name)
+            return EXIT_OK, corpus_mod.corpus_text(ns.name)
         except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        sys.stdout.write(text)
-        return EXIT_OK
+            raise _Refusal(EXIT_PARSE, str(exc)) from None
     # verify
     results = []
     all_ok = True
@@ -222,8 +218,9 @@ def _cmd_corpus(ns) -> int:
               and report.verdict.rule == entry.expected_rule)
         all_ok = all_ok and ok
         results.append((entry, report, ok))
+    code = EXIT_OK if all_ok else EXIT_ANALYSIS
     if ns.format == "json":
-        _emit_json({
+        return code, _json_text({
             "results": [
                 {
                     "name": entry.record.name,
@@ -238,12 +235,11 @@ def _cmd_corpus(ns) -> int:
             ],
             "ok": all_ok,
         })
-    else:
-        for entry, report, ok in results:
-            print(f"{entry.record.name}: {report.verdict.outcome} via {report.verdict.rule}"
-                  f" (expected {entry.expected_outcome}) {'OK' if ok else 'MISMATCH'}")
-        print(f"{'all' if all_ok else 'NOT all'} {len(results)} corpus verdicts match")
-    return EXIT_OK if all_ok else EXIT_ANALYSIS
+    out = [f"{entry.record.name}: {report.verdict.outcome} via {report.verdict.rule}"
+           f" (expected {entry.expected_outcome}) {'OK' if ok else 'MISMATCH'}"
+           for entry, report, ok in results]
+    out.append(f"{'all' if all_ok else 'NOT all'} {len(results)} corpus verdicts match")
+    return code, "\n".join(out) + "\n"
 
 
 def _config_json(cfg: ProbeConfig) -> dict:
@@ -292,18 +288,16 @@ _MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
                "semidirect": orderprops.semidirect_order_probe}
 
 
-def _cmd_probe(ns) -> int:
-    if not _in_ranges(("--bound", ns.bound, 0, MAX_BOUND),
-                      ("--samples", ns.samples, 1, MAX_SAMPLES),
-                      ("--max-word-length", ns.max_word_length, 1, MAX_WORD_LENGTH)):
-        return EXIT_USAGE
+def _cmd_probe(ns) -> tuple[int, str]:
+    _check_ranges(("--bound", ns.bound, 0, MAX_BOUND),
+                  ("--samples", ns.samples, 1, MAX_SAMPLES),
+                  ("--max-word-length", ns.max_word_length, 1, MAX_WORD_LENGTH))
     cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
                       max_word_length=ns.max_word_length, search_bound=ns.bound)
     try:
         names = check_generator_names(ns.generators.split())
     except ValueError as exc:
-        print(f"error: --generators: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"--generators: {exc}") from None
     record = None
     if ns.map:
         record = _load_record(ns.map)
@@ -311,13 +305,11 @@ def _cmd_probe(ns) -> int:
 
     def word_arg(text, flag):
         if text is None:
-            print(f"error: probe {ns.name} needs {flag}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise _Refusal(EXIT_USAGE, f"probe {ns.name} needs {flag}")
         try:
             return parse_word(text, names)
         except ValueError as exc:
-            print(f"error: {flag}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise _Refusal(EXIT_USAGE, f"{flag}: {exc}") from None
 
     try:
         if ns.name in _WORD_PROBES:
@@ -331,8 +323,7 @@ def _cmd_probe(ns) -> int:
                                         exc.premise_result) from None
         elif ns.name in _MAP_PROBES:
             if record is None:
-                print(f"error: probe {ns.name} needs --map", file=sys.stderr)
-                return EXIT_USAGE
+                raise _Refusal(EXIT_USAGE, f"probe {ns.name} needs --map")
             require_automorphism(record)
             result = _MAP_PROBES[ns.name](record.phi, cfg)
         elif ns.name == "commutator":
@@ -341,40 +332,28 @@ def _cmd_probe(ns) -> int:
             f = word_arg(ns.f, "--f")
             g = word_arg(ns.g, "--g")
             search = orderprops.weak_comparability_search(f, g, cfg)
+            witness = (format_word(search.witness, names)
+                       if search.witness is not None else None)
             if ns.format == "json":
-                _emit_json({
+                return EXIT_OK, _json_text({
                     "probe": "weak-comparability",
                     "config": _config_json(cfg),
                     "status": search.status,
-                    "witness": (format_word(search.witness, names)
-                                if search.witness is not None else None),
+                    "witness": witness,
                     "checked": search.checked,
                 })
-            else:
-                print("probe: weak-comparability")
-                print(f"config: bound={cfg.search_bound}")
-                print(f"status: {search.status}")
-                if search.witness is not None:
-                    print(f"witness: {format_word(search.witness, names)}")
-                print(f"checked: {search.checked}")
-            return EXIT_OK
+            found = f"witness: {witness}\n" if witness is not None else ""
+            return EXIT_OK, (f"probe: weak-comparability\nconfig: bound={cfg.search_bound}\n"
+                             f"status: {search.status}\n{found}checked: {search.checked}\n")
     except PremiseUnmetError as exc:
         if ns.format == "json":
-            _emit_json({"probe": ns.name, "status": "PREMISE_UNMET", "detail": str(exc)})
-        else:
-            print(f"probe: {ns.name}")
-            print("status: PREMISE_UNMET")
-            print(f"detail: {exc}")
-        return EXIT_OK
-    except (NotPositiveError, NotAnAutomorphismError, ValueError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+            return EXIT_OK, _json_text({"probe": ns.name, "status": "PREMISE_UNMET",
+                                        "detail": str(exc)})
+        return EXIT_OK, f"probe: {ns.name}\nstatus: PREMISE_UNMET\ndetail: {exc}\n"
 
     if ns.format == "json":
-        _emit_json(_probe_json(result, cfg, names))
-    else:
-        sys.stdout.write(_probe_text(result, cfg, names))
-    return EXIT_OK
+        return EXIT_OK, _json_text(_probe_json(result, cfg, names))
+    return EXIT_OK, _probe_text(result, cfg, names)
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +402,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write what it returns; the one writer of the CLI."""
+    out = err = ""
     try:
         ns = build_parser().parse_args(argv)
-        return ns.func(ns)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        code, out = ns.func(ns)
+    except SystemExit as exc:  # argparse has written --help, or usage and error
+        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _Refusal as exc:
+        code, err = exc.code, f"error: {exc}\n"
+    except (ValueError, InconsistentPremisesError) as exc:
+        code, err = EXIT_ANALYSIS, f"analysis error: {exc}\n"
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left of the output goes to
+        # devnull, so the interpreter's flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.stderr.write(err)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ integers, and real-root counts come from Sturm chains rather than floating
 point.  Gcds and Sturm chains are primitive pseudo-remainder sequences (Knuth,
 TAOCP vol. 2, 4.6.1, Algorithm R), and exact divisions stay in Z[x] (Gauss's
 lemma: every divisor there is primitive), so the analysis builds no Fraction;
-only rational_roots and non-integer sturm_count endpoints do.  The pieces fit
-together as
+only rational_roots and a non-integer SturmChain.variations_at endpoint do.
+Those two import `fractions` themselves, so the analysis never loads it.  The
+pieces fit together as
 
     power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
     char_poly           -- Newton's identities on tr(A^j), every division exact;
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from ._record import Record
 
@@ -686,7 +686,9 @@ class SturmChain(Record):
         return cls(tuple(chain))
 
     def variations_at(self, x) -> int:
-        x = x if isinstance(x, int) else Fraction(x)
+        if not isinstance(x, int):
+            from fractions import Fraction
+            x = Fraction(x)
         return _sign_changes([q(x) for q in self.polys])
 
     def variations_at_infinity(self, direction: int) -> int:
@@ -752,16 +754,17 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots with multiplicity, by divisor enumeration.
+def rational_roots(p: Poly) -> list:
+    """All rational roots with multiplicity, as Fractions, by divisor enumeration.
 
     Roots at 0 come first, then candidates in order of increasing numerator
     and denominator, positive sign before negative.
     """
     if p.is_zero:
         raise ZeroPolynomialError("rational roots of zero polynomial")
+    from fractions import Fraction
     q = p.primitive()
-    roots: list[Fraction] = []
+    roots = []
     while q.degree >= 1 and q.constant == 0:
         roots.append(Fraction(0))
         q = Poly(q.coeffs[1:])

@@ -7,8 +7,8 @@ fail stop a probe with PremiseUnmetError rather than letting it overstate.
 The concrete order quantifies over one bi-order (graded-lex Magnus), so a
 PASS instantiates a theorem's claim in that order only.
 
-All sampling is deterministic given the config seed; trials use derived
-sub-seeds so serial and parallel runs would emit identical results.
+All sampling is deterministic given the config seed; each trial draws from
+its own sub-seed, derived from the seed and the trial's index.
 """
 
 from __future__ import annotations

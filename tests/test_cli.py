@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -622,3 +623,30 @@ def test_package_import_loads_no_submodule():
     where, loaded = run.stdout.split("\n")[:2]
     assert Path(where).resolve().is_relative_to(SRC)
     assert loaded == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["corpus", "list"],
+    ["corpus", "verify"],
+    ["corpus", "verify", "--format", "json"],
+    ["analyze", "corpus:figure8"],
+    ["analyze", "corpus:figure8", "--format", "json"],
+    ["probe", "dominance", "--g", "y"],
+    ["probe", "weak-comparability", "--f", "x", "--g", "y"],
+    ["probe", "invariance", "--map", "corpus:trefoil"],
+    ["--help"],
+], ids=" ".join)
+def test_closed_stdout_ends_quietly(args):
+    """A reader that closed stdout before the command wrote (`| head -1` that
+    has read its line) stops the output: the command keeps its exit code and
+    writes nothing to stderr."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "from biorder.cli import main; sys.exit(main())")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-I", "-c", code, *args], stdout=write,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (cli.EXIT_OK, "")

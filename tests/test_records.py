@@ -270,3 +270,24 @@ def test_only_the_base_binds_fields():
                 binds[path.name, getattr(scope, "name", None)] = count
     assert binds == {("_record.py", None): 1, ("_record.py", "__init_subclass__"): 1,
                      ("freegroup.py", None): 2, ("freegroup.py", "_word"): 2}
+
+
+def test_only_main_writes_in_the_cli():
+    """The commands return their output; in cli.py only `main` and the
+    parser's usage error name print, sys.stdout or sys.stderr."""
+    tree = ast.parse((SRC / "biorder" / "cli.py").read_text())
+    scopes = []  # (name, node): every function and method, and the other statements
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{getattr(item, 'name', None)}", item)
+                       for item in node.body]
+        else:
+            scopes.append((getattr(node, "name", None), node))
+    writers = set()
+    for name, scope in scopes:
+        for node in ast.walk(scope):
+            if ((isinstance(node, ast.Name) and node.id == "print")
+                    or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys")):
+                writers.add(name)
+    assert writers == {"main", "_Parser.error"}

@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +17,16 @@ from biorder.freegroup import (CONFIRMED, FreeMap, NotAnAutomorphismError, Word,
                                abelianized, compose, conjugate, invert,
                                inverse_map, iterate_map, letter, multiply,
                                power, verify_automorphism)
+from biorder.presentation import (PresentationFile, parse_presentation,
+                                  serialize_presentation)
 from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
 from helpers import (W, cofactor_char_poly, divmod_q, random_automorphism,
                      random_unimodular_matrix, torus_monodromy)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def knot(name):
@@ -315,20 +322,34 @@ class TestAnalyze:
         with pytest.raises(AnalysisError, match=r"^max_level must be in 0\.\.3$"):
             analyze(knot("trefoil"), max_level=lcs.DEGREE_CAP)
 
-    def test_analysis_builds_no_fraction(self, monkeypatch):
-        class NoFraction:
-            def __new__(cls, *args):
-                raise AssertionError("Fraction built on the analysis path")
-
-        monkeypatch.setattr(exactalg, "Fraction", NoFraction)
-        records = [entry.record for entry in corpus_entries()]
+    def test_analysis_builds_no_fraction(self):
+        """The corpus and 60 random maps, analyzed at levels 0 and 1 in a
+        fresh interpreter, load none of fractions, decimal and json.  The maps
+        travel as presentation text, since the helpers import fractions."""
         rng = random.Random(44)
+        texts = []
         for i in range(60):
-            records.append(KnotRecord(name=f"r{i}", fibered=True,
-                                      phi=random_automorphism(rng, 2 + i % 3)))
-        for record in records:
-            for level in (0, 1):
-                analyze(record, max_level=level)
+            phi = random_automorphism(rng, 2 + i % 3)
+            names = tuple("abcd"[:phi.rank])
+            texts.append(serialize_presentation(PresentationFile(
+                f"r{i}", True, names, phi.images, phi.inverse_images)))
+            assert parse_presentation(texts[-1]).free_map() == phi
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+                "from biorder.corpus import corpus_entries\n"
+                "from biorder.presentation import parse_presentation\n"
+                "from biorder.verdict import analyze\n"
+                "records = [entry.record for entry in corpus_entries()]\n"
+                "records += [parse_presentation(text).record()\n"
+                "            for text in sys.stdin.read().split('\\n\\n')]\n"
+                "for record in records:\n"
+                "    for level in (0, 1):\n"
+                "        analyze(record, max_level=level)\n"
+                "print(len(records), *[m for m in ('fractions', 'decimal', 'json')\n"
+                "                      if m in sys.modules])\n")
+        run = subprocess.run([sys.executable, "-I", "-c", code], input="\n\n".join(texts),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{len(corpus_entries()) + 60}\n"
 
     def test_deeper_levels_inform_but_do_not_fire_rules(self):
         # obstruction rules are pinned to levels 0 and 1; deeper reports are
