@@ -1,15 +1,17 @@
 """Base class of the package's immutable records.
 
-A record is a slotted class whose fields are named by its `__slots__`.  This
-base binds them: `Name(*values)` in slot order, or by keyword, with the
-class's `_defaults` mapping filling the fields left out.  A record that checks
-its arguments keeps its own `__init__` and ends it with one
-`super().__init__(...)`.  The base also gives every record value equality and
-hashing, a `Name(field=value, ...)` repr, read-only fields and an
-`inspect.signature` that lists the slots.  Written once here, these cost
-nothing at import; generating them per class (and importing the standard
-module that does so, with `inspect` and `ast`) took most of the package's
-start-up.
+A record declares each field once, as an annotation in its class body: the
+annotated names are its fields, in order, and a class-level value is the
+field's default (`detail: str = ""`); they become the class's `__slots__` and
+`_defaults`.  This base binds them: `Name(*values)` in field order, or by
+keyword, with the defaults filling the fields left out.  Only a record that
+checks its arguments writes an `__init__`, ending in `super().__init__(...)`.
+The base also gives every record value equality and hashing, a
+`Name(field=value, ...)` repr, read-only fields and an `inspect.signature`;
+written once here, they cost nothing at import, where generating them per
+class (with `dataclasses`, `inspect` and `ast`) took most of the start-up.
+Record modules import `from __future__ import annotations`, which keeps the
+body's `__annotations__` mapping, and so the fields, on every Python version.
 """
 
 
@@ -29,9 +31,17 @@ class _Signature:
                           for name in owner.__slots__])
 
 
-class Record:
-    __slots__ = ()
-    _defaults = {}
+class _Fields(type):
+    """Makes a class body's annotated names its __slots__, their values its _defaults."""
+
+    def __new__(mcls, name, bases, namespace):
+        slots = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {key: namespace.pop(key) for key in slots if key in namespace}
+        namespace["__slots__"] = slots
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_Fields):
     __signature__ = _Signature()
 
     def __init_subclass__(cls):

@@ -19,7 +19,6 @@ _EXPECTED = {
 
 
 class CorpusEntry(Record):
-    __slots__ = ("record", "expected_outcome", "expected_rule", "expected_level")
     record: KnotRecord
     expected_outcome: str
     expected_rule: str

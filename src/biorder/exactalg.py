@@ -2,8 +2,9 @@
 
 Everything here is exact: matrices and polynomials hold Python big
 integers, and real-root counts come from Sturm chains rather than floating
-point.  Gcds and Sturm chains are primitive pseudo-remainder sequences (Knuth,
-TAOCP vol. 2, 4.6.1, Algorithm R), and exact divisions stay in Z[x] (Gauss's
+point.  Gcds and Sturm chains read one primitive pseudo-remainder sequence,
+_remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): a gcd is its last
+entry, a Sturm chain all of it.  Exact divisions stay in Z[x] (Gauss's
 lemma: every divisor there is primitive), so the analysis builds no Fraction;
 only rational_roots and a non-integer SturmChain.variations_at endpoint do.
 Those two import `fractions` themselves, so the analysis never loads it.  The
@@ -217,7 +218,6 @@ class Poly:
 class IntMatrix(Record):
     """Square matrix of exact integers, stored as a tuple of row tuples."""
 
-    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
@@ -289,12 +289,26 @@ def char_poly(a: IntMatrix) -> Poly:
 # gcd, squarefree decomposition
 # ---------------------------------------------------------------------------
 
+def _remainders(a: Poly, b: Poly) -> list[Poly]:
+    """Primitive parts of a, b and of the negated remainders until one is zero.
+
+    prem(a, b) = lc(b)^(d+1) * rem(a, b), so -sign(lc(b))^(d+1) * prem is a
+    positive multiple of -rem(a, b): same entries as Euclid over Q.
+    """
+    chain = [a.primitive(), b.primitive()]
+    while True:
+        a, b = chain[-2], chain[-1]
+        r = a.pseudo_rem(b)
+        if r.is_zero:
+            return chain
+        if b.leading > 0 or (a.degree - b.degree) % 2:
+            r = -r
+        chain.append(r.primitive())
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (primitive PRS in Z[x])."""
-    a, b = p.canonical(), q.canonical()
-    while not b.is_zero:
-        a, b = b, a.pseudo_rem(b).primitive()
-    return a.canonical()
+    """Primitive gcd with positive leading coefficient: the last remainder."""
+    return _remainders(p, q)[-1].canonical() if not q.is_zero else p.canonical()
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -576,8 +590,6 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 class Factor(Record):
-    __slots__ = ("poly", "multiplicity", "positive_real_roots", "negative_real_roots",
-                 "real_roots")
     poly: Poly
     multiplicity: int
     positive_real_roots: int
@@ -594,7 +606,6 @@ class FactorReport(Record):
     leading coefficient, sorted by degree then ascending coefficient tuple.
     """
 
-    __slots__ = ("input", "content", "factors")
     input: Poly
     content: int
     factors: tuple[Factor, ...]
@@ -656,31 +667,16 @@ def factor_over_Q(p: Poly) -> FactorReport:
 # ---------------------------------------------------------------------------
 
 class SturmChain(Record):
-    """Sturm chain of p: p, p' and the negated remainders, each primitive.
+    """Sturm chain of p: p, p' and the negated remainders, each primitive."""
 
-    prem(a, b) = lc(b)^(d+1) * rem(a, b), so -sign(lc(b))^(d+1) * prem is a
-    positive multiple of -rem(a, b): same entries as Euclid over Q.
-    """
-
-    __slots__ = ("polys",)
     polys: tuple[Poly, ...]
 
     @classmethod
     def build(cls, p: Poly) -> "SturmChain":
         if p.is_zero:
             raise ZeroPolynomialError("Sturm chain of zero polynomial")
-        chain = [p.primitive()]
         d = p.derivative()
-        if not d.is_zero:
-            chain.append(d.primitive())
-            while True:
-                a, b = chain[-2], chain[-1]
-                r = a.pseudo_rem(b)
-                if r.is_zero:
-                    break
-                if b.leading > 0 or (a.degree - b.degree) % 2:
-                    r = -r
-                chain.append(r.primitive())
+        chain = _remainders(p, d) if not d.is_zero else [p.primitive()]
         if chain[-1].degree >= 1:
             raise NonSquarefreeError("Sturm count requires a squarefree polynomial")
         return cls(tuple(chain))

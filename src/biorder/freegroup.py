@@ -38,7 +38,6 @@ class NotAnAutomorphismError(ValueError):
 class Word(Record):
     """Freely reduced word; letters are (generator index, sign) pairs."""
 
-    __slots__ = ("rank", "letters")
     rank: int
     letters: tuple[tuple[int, int], ...]
 
@@ -161,7 +160,6 @@ class FreeMap(Record):
     because F_n is Hopfian.
     """
 
-    __slots__ = ("rank", "images", "inverse_images")
     rank: int
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None
@@ -243,10 +241,8 @@ NOT_AN_AUTOMORPHISM = "NOT_AN_AUTOMORPHISM"
 
 
 class AutomorphismReport(Record):
-    __slots__ = ("status", "detail")
-    _defaults = {"detail": ""}
     status: str
-    detail: str
+    detail: str = ""
 
     @property
     def is_automorphism_candidate(self) -> bool:

@@ -4,8 +4,9 @@ For a free group F_n the degree-k quotient is free abelian with a basis given
 by standard bracketings of Lyndon words of length k.  A basis is the tuple of
 its Lyndon words (lyndon_basis); the program never builds a bracketing as a
 group word, only its Lie polynomial and its display name (bracket_name), both
-by one fold along the standard factorization.  A free-group endomorphism
-acts on the quotient by an integer matrix whose column j holds the coordinates
+by one fold along the standard factorization, which splits a Lyndon word
+before its smallest proper suffix.  A free-group endomorphism acts on the
+quotient by an integer matrix whose column j holds the coordinates
 of the image of the j-th basis bracket; for k = 1 this is the abelianization
 matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
 
@@ -70,13 +71,11 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def _is_lyndon(t: tuple[int, ...]) -> bool:
-    return all(t < t[i:] + t[:i] for i in range(1, len(t)))
-
-
 def _standard_factorization(lw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a Lyndon word of length >= 2 before its longest proper Lyndon suffix."""
-    i = next(i for i in range(1, len(lw)) if _is_lyndon(lw[i:]))
+    """Split a Lyndon word of length >= 2 before its longest proper Lyndon
+    suffix, which is its lexicographically smallest proper suffix (Viennot,
+    1978; Reutenauer, Free Lie Algebras, 1993)."""
+    i = min(range(1, len(lw)), key=lambda i: lw[i:])
     return lw[:i], lw[i:]
 
 
@@ -118,7 +117,6 @@ def lyndon_basis(n: int, k: int) -> tuple[Monomial, ...]:
 class QuotientAction(Record):
     """Matrix of an endomorphism on a degree-k quotient; columns are images."""
 
-    __slots__ = ("basis", "matrix")
     basis: tuple[Monomial, ...]   # lyndon_basis(n, k)
     matrix: IntMatrix
 

@@ -126,7 +126,6 @@ def expand(w: Word, truncation: int) -> Series:
 class LowestTerm(Record):
     """First nonvanishing homogeneous part of a nontrivial word's expansion."""
 
-    __slots__ = ("degree", "part")
     degree: int
     part: tuple[tuple[Monomial, int], ...]  # grlex-sorted, all coefficients nonzero
 

@@ -38,7 +38,6 @@ class PremiseUnmetError(ValueError):
 
 
 class ProbeConfig(Record):
-    __slots__ = ("seed", "samples", "max_word_length", "search_bound")
     seed: int
     samples: int
     max_word_length: int
@@ -61,12 +60,10 @@ _DRAW_BUDGET = 2 * _SAMPLES * _DRAWS
 
 
 class ProbeResult(Record):
-    __slots__ = ("name", "trials", "failures", "warnings")
-    _defaults = {"warnings": ()}
     name: str
     trials: int
     failures: tuple
-    warnings: tuple[str, ...]
+    warnings: tuple[str, ...] = ()
 
     @property
     def status(self) -> str:
@@ -333,7 +330,6 @@ WITNESS_FOUND = "WITNESS_FOUND"
 
 
 class WeakComparabilityResult(Record):
-    __slots__ = ("status", "witness", "checked")
     status: str
     witness: Word | None
     checked: int

@@ -37,15 +37,12 @@ class PresentationError(ValueError):
 
 
 class PresentationFile(Record):
-    __slots__ = ("name", "fibered", "generator_names", "images", "inverse_images",
-                 "comments")
-    _defaults = {"comments": ()}
     name: str
     fibered: bool
     generator_names: tuple[str, ...]
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None
-    comments: tuple[str, ...]
+    comments: tuple[str, ...] = ()
 
     def free_map(self) -> FreeMap:
         return FreeMap(len(self.generator_names), self.images, self.inverse_images)

@@ -65,7 +65,6 @@ JUSTIFICATIONS = {
 class KnotRecord(Record):
     """A knot group Z x| F_n: name, monodromy phi, and fiberedness flag."""
 
-    __slots__ = ("name", "phi", "fibered", "generator_names")
     name: str
     phi: FreeMap
     fibered: bool
@@ -87,14 +86,12 @@ class KnotRecord(Record):
 class LevelReport(Record):
     """Everything computed about one quotient level."""
 
-    __slots__ = ("level", "action", "factors")
     level: int                       # 0 = abelianization, 1 = basic commutators, ...
     action: QuotientAction
     factors: FactorReport            # factors.input is the characteristic polynomial
 
 
 class Verdict(Record):
-    __slots__ = ("outcome", "level", "rule", "justification")
     outcome: str
     level: int | None
     rule: str | None
@@ -102,7 +99,6 @@ class Verdict(Record):
 
 
 class AnalysisReport(Record):
-    __slots__ = ("record", "levels", "premises", "verdict")
     record: KnotRecord
     levels: tuple[LevelReport, ...]
     premises: dict[str, bool | None]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -54,6 +55,20 @@ class TestLyndonBasis:
             lyndon_basis(2, 5)
         with pytest.raises(ValueError):
             lyndon_basis(2, 0)
+
+    def test_standard_factorization_splits_before_longest_lyndon_suffix(self):
+        """Every Lyndon word of lengths 2-8 over 2 letters and 2-6 over 3 and 4
+        letters splits before its longest proper suffix that is strictly
+        smaller than each of its proper rotations."""
+        def is_lyndon(w):
+            return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+        words = [w for n, top in ((2, 8), (3, 6), (4, 6)) for k in range(2, top + 1)
+                 for w in itertools.product(range(n), repeat=k) if is_lyndon(w)]
+        assert len(words) == 1222
+        for w in words:
+            i = next(i for i in range(1, len(w)) if is_lyndon(w[i:]))
+            assert lcs._standard_factorization(w) == (w[:i], w[i:])
 
     def test_bracketings_have_unit_leading_monomial(self):
         # the Lyndon word itself is the lex-least monomial, with coefficient 1

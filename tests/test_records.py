@@ -2,6 +2,8 @@
 checked against a frozen dataclass with the same fields, and an import of the
 CLI that loads no module generating such methods."""
 
+from __future__ import annotations
+
 import ast
 import dataclasses
 import inspect
@@ -291,3 +293,40 @@ def test_only_main_writes_in_the_cli():
                         and isinstance(node.value, ast.Name) and node.value.id == "sys")):
                 writers.add(name)
     assert writers == {"main", "_Parser.error"}
+
+
+class Pair(Record):
+    left: int
+    right: str = "r"
+
+
+def test_annotations_are_the_fields_and_values_the_defaults():
+    assert Pair.__slots__ == ("left", "right")
+    assert Pair._defaults == {"right": "r"}
+    assert Pair(1).right == Pair(left=1).right == "r"
+    assert Pair(1) == Pair(left=1) == Pair(1, "r") != Pair(1, "s")
+    assert str(inspect.signature(Pair)) == "(left, right='r')"
+    assert not hasattr(Pair(1), "__dict__")
+
+
+def test_record_modules_keep_annotations_as_a_mapping():
+    """A record's fields are its class body's __annotations__, which every
+    Python version keeps as a mapping under `from __future__ import
+    annotations`; no record names its slots or defaults a second time."""
+    with_records = set()
+    for path in sorted((SRC / "biorder").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        records = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                   and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)]
+        if not records:
+            continue
+        with_records.add(path.stem)
+        assert any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                   and any(a.name == "annotations" for a in node.names)
+                   for node in tree.body), path
+        for record in records:
+            assigned = {target.id for node in record.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)}
+            assert not assigned & {"__slots__", "_defaults"}, (path, record.name)
+    assert with_records == {"corpus", "exactalg", "freegroup", "lcs", "magnus",
+                            "orderprops", "presentation", "verdict"}
