@@ -6,8 +6,8 @@ Output is deterministic: the same input and flags produce identical bytes.
 Each command is a function of its parsed arguments that returns its exit code
 and its stdout text, and writes nothing.  `main` alone writes: the command's
 text, then the one stderr line of a refused flag, word or target, or of an
-analysis error.  A reader that closes stdout early ends the output quietly,
-with the command's own exit code.
+analysis error.  A reader that closes stdout or stderr early ends that
+output quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -39,9 +39,21 @@ MAX_DEGREE = 100  # corpus level 3 needs 60; degree 5200 ran out of 2 GB
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _write(sys.stderr, f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it.  If the reader has closed the
+    stream, the rest of its output goes to devnull, so the interpreter's
+    flush at exit stays quiet and the command keeps its exit code."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 class _Refusal(Exception):
@@ -413,16 +425,8 @@ def main(argv=None) -> int:
         code, err = exc.code, f"error: {exc}\n"
     except (ValueError, InconsistentPremisesError) as exc:
         code, err = EXIT_ANALYSIS, f"analysis error: {exc}\n"
-    try:
-        sys.stdout.write(out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: what is left of the output goes to
-        # devnull, so the interpreter's flush at exit stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    sys.stderr.write(err)
+    _write(sys.stdout, out)
+    _write(sys.stderr, err)
     return code
 
 

@@ -19,8 +19,9 @@ pieces fit together as
                            irreducible; other parts go through distinct- and
                            equal-degree splitting mod p (Cantor-Zassenhaus),
                            Hensel lifting to p^l and Zassenhaus subset
-                           recombination, all three on coefficient tuples in
-                           (Z/m)[x]
+                           recombination, all three on Poly: (Z/m)[x] is
+                           Z[x] arithmetic followed by `% m`, plus division,
+                           gcd, extended gcd, powers and monic mod m
     sturm_count         -- sign variations of a Sturm chain whose entries are
                            the primitive parts of the signed remainders
 """
@@ -57,10 +58,11 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        self.coeffs = cs[:n]
 
     # -- basic structure ----------------------------------------------------
 
@@ -97,13 +99,12 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n)])
+        return Poly([a + b for a, b in
+                     itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other):
-        return self + (-other)
+        return Poly([a - b for a, b in
+                     itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
@@ -122,6 +123,10 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __mod__(self, m: int) -> "Poly":
+        """The image in (Z/m)[x]: each coefficient reduced into [0, m)."""
+        return Poly([c % m for c in self.coeffs])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -352,174 +357,141 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in (Z/m)[x] (ascending coefficient tuples): mul, sub, add and
-# division by a monic divisor work mod any m; gcd, gcdex, monic and pow_mod
-# need m prime
+# (Z/m)[x] = Z[x]/(m): Poly arithmetic followed by `% m`.  The kernels below
+# are what Z[x] lacks: division by a divisor whose leading coefficient
+# inverts mod m (any m when the divisor is monic), and gcd, extended gcd,
+# powers mod g and the monic associate, which need m prime
 # ---------------------------------------------------------------------------
 
-def _gf_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _gf_add(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_trim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-                          for i in range(n)))
-
-
-def _gf_sub(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_trim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-                          for i in range(n)))
-
-
-def _gf_mul(a, b, m):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _gf_trim(tuple(out))
-
-
-def _gf_divmod(a, b, m):
-    """Division in (Z/m)[x]; lc(b) must invert mod m, as it does when m is
-    prime or b is monic."""
-    if not b:
-        raise ZeroDivisionError("gf division by zero")
-    inv = pow(b[-1], -1, m)
-    rem = list(a)
-    dq = len(a) - len(b)
+def _divmod_mod(a: Poly, b: Poly, m: int) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b in (Z/m)[x], coefficients in [0, m);
+    lc(b) must invert mod m."""
+    if b.is_zero:
+        raise ZeroPolynomialError("polynomial division by zero")
+    bs = b.coeffs
+    db = len(bs) - 1
+    inv = pow(bs[-1], -1, m)
+    rem = [c % m for c in a.coeffs]
+    dq = len(rem) - 1 - db
     if dq < 0:
-        return (), _gf_trim(tuple(rem))
+        return Poly(), Poly(rem)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = (rem[k + len(b) - 1] * inv) % m
+        c = rem[k + db] * inv % m
         quo[k] = c
         if c:
-            for j, y in enumerate(b):
-                rem[k + j] = (rem[k + j] - c * y) % m
-    return _gf_trim(tuple(quo)), _gf_trim(tuple(rem[: len(b) - 1]))
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * bs[j]) % m
+    return Poly(quo), Poly(rem[:db])
 
 
-def _gf_monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return tuple((c * inv) % p for c in a)
+def _monic_mod(a: Poly, m: int) -> Poly:
+    """a times the inverse of its leading coefficient, mod m."""
+    return a * pow(a.leading, -1, m) % m if a else a
 
 
-def _gf_gcd(a, b, p):
+def _gcd_mod(a: Poly, b: Poly, p: int) -> Poly:
+    """Monic gcd in GF(p)[x]."""
     while b:
-        _, r = _gf_divmod(a, b, p)
-        a, b = b, r
-    return _gf_monic(a, p)
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
 
 
-def _gf_gcdex(a, b, p):
-    """Extended Euclid: returns (s, t, g) monic g with s*a + t*b = g in GF(p)[x]."""
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
+def _gcdex_mod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly, Poly]:
+    """Extended Euclid: (s, t, g), g monic, with s*a + t*b = g in GF(p)[x]."""
+    s0, s1 = Poly([1]), Poly()
+    t0, t1 = Poly(), Poly([1])
     r0, r1 = a, b
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    inv = pow(r0[-1], -1, p)
-    scale = lambda u: _gf_trim(tuple((c * inv) % p for c in u))
-    return scale(s0), scale(t0), scale(r0)
+        s0, s1 = s1, (s0 - q * s1) % p
+        t0, t1 = t1, (t0 - q * t1) % p
+    inv = pow(r0.leading, -1, p)
+    return s0 * inv % p, t0 * inv % p, r0 * inv % p
 
 
-def _gf_pow_mod(a, n, g, p):
-    out = (1,)
-    base = _gf_divmod(a, g, p)[1]
+def _pow_mod(a: Poly, n: int, g: Poly, p: int) -> Poly:
+    """a^n mod g in GF(p)[x], by repeated squaring."""
+    out = Poly([1])
+    base = _divmod_mod(a, g, p)[1]
     while n:
         if n & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), g, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), g, p)[1]
+            out = _divmod_mod(out * base, g, p)[1]
+        base = _divmod_mod(base * base, g, p)[1]
         n >>= 1
     return out
 
 
-def _distinct_degree(f, p):
+def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
     """[(g, d)]: g is the product of the degree-d irreducible factors of a monic
     squarefree f in GF(p)[x], since x^(p^d) - x is the product of all monic
     irreducibles of degree dividing d."""
     out = []
-    xpd = (0, 1)
+    x = xpd = Poly([0, 1])
     d = 0
-    while len(f) - 1 >= 2 * (d + 1):
+    while f.degree >= 2 * (d + 1):
         d += 1
-        xpd = _gf_pow_mod(xpd, p, f, p)
-        g = _gf_gcd(f, _gf_sub(xpd, (0, 1), p), p)
-        if len(g) > 1:
+        xpd = _pow_mod(xpd, p, f, p)
+        g = _gcd_mod(f, (xpd - x) % p, p)
+        if g.degree > 0:
             out.append((g, d))
-            f = _gf_divmod(f, g, p)[0]
-            xpd = _gf_divmod(xpd, f, p)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
+            f = _divmod_mod(f, g, p)[0]
+            xpd = _divmod_mod(xpd, f, p)[1]
+    if f.degree > 0:
+        out.append((f, f.degree))
     return out
 
 
-def _equal_degree(g, d, p, rng):
+def _equal_degree(g: Poly, d: int, p: int, rng) -> list[Poly]:
     """Monic irreducible factors, all of degree d, of a monic squarefree g in
     GF(p)[x], p odd: for random a, gcd(g, a^((p^d - 1)/2) - 1) is a proper
     factor with probability about 1/2 (Cantor-Zassenhaus)."""
-    if len(g) - 1 == d:
+    if g.degree == d:
         return [g]
     while True:
-        a = _gf_trim(tuple(rng.randrange(p) for _ in range(len(g) - 1)))
-        u = _gf_gcd(g, _gf_sub(_gf_pow_mod(a, (p ** d - 1) // 2, g, p), (1,), p), p)
-        if 0 < len(u) - 1 < len(g) - 1:
+        a = Poly([rng.randrange(p) for _ in range(g.degree)])
+        u = _gcd_mod(g, (_pow_mod(a, (p ** d - 1) // 2, g, p) - Poly([1])) % p, p)
+        if 0 < u.degree < g.degree:
             return (_equal_degree(u, d, p, rng)
-                    + _equal_degree(_gf_divmod(g, u, p)[0], d, p, rng))
+                    + _equal_degree(_divmod_mod(g, u, p)[0], d, p, rng))
 
 
 # ---------------------------------------------------------------------------
 # Hensel lifting and Zassenhaus recombination
 # ---------------------------------------------------------------------------
 
-def _sym_poly(u, m: int) -> Poly:
-    """The integer polynomial with u's residues mod m taken in (-m/2, m/2]."""
-    return Poly([c - m if 2 * c > m else c for c in u])
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic Hensel step (von zur Gathen-Gerhard, Alg. 15.10): lifts
     f = g*h and s*g + t*h = 1 mod m, h monic, to mod m^2."""
     mm = m * m
-    e = _gf_sub(f, _gf_mul(g, h, mm), mm)
-    q, r = _gf_divmod(_gf_mul(s, e, mm), h, mm)
-    g1 = _gf_add(g, _gf_add(_gf_mul(t, e, mm), _gf_mul(q, g, mm), mm), mm)
-    h1 = _gf_add(h, r, mm)
-    b = _gf_sub(_gf_add(_gf_mul(s, g1, mm), _gf_mul(t, h1, mm), mm), (1,), mm)
-    c, d = _gf_divmod(_gf_mul(s, b, mm), h1, mm)
-    s1 = _gf_sub(s, d, mm)
-    t1 = _gf_sub(t, _gf_add(_gf_mul(t, b, mm), _gf_mul(c, g1, mm), mm), mm)
+    e = (f - g * h) % mm
+    q, r = _divmod_mod(s * e, h, mm)
+    g1 = (g + t * e + q * g) % mm
+    h1 = (h + r) % mm
+    b = (s * g1 + t * h1 - Poly([1])) % mm
+    c, d = _divmod_mod(s * b, h1, mm)
+    s1 = (s - d) % mm
+    t1 = (t - t * b - c * g1) % mm
     return g1, h1, s1, t1
 
 
-def _hensel_lift(p, f, modular_factors, pl):
+def _hensel_lift(p: int, f: Poly, modular_factors: list[Poly], pl: int) -> list[Poly]:
     """Lift f = lc(f) * prod(modular_factors) (mod p) to mod pl, a power of p.
 
-    f is a coefficient tuple known mod pl, modular_factors are monic in
-    GF(p)[x]; returns the monic lifts as tuples mod pl, in the same order.
+    f is known mod pl, modular_factors are monic in GF(p)[x]; returns their
+    monic lifts mod pl, coefficients in [0, pl), in the same order.
     """
     r = len(modular_factors)
     if r == 1:
-        return [_gf_mul((pow(f[-1], -1, pl),), f, pl)]
+        return [_monic_mod(f, pl)]
     k = r // 2
-    h = (1,)
+    h = Poly([1])
     for mf in modular_factors[k:]:
-        h = _gf_mul(h, mf, p)
-    g = _gf_divmod(f, h, p)[0]  # f = g*h mod p and h is monic
-    s, t, one = _gf_gcdex(g, h, p)
-    assert one == (1,), "modular factors not coprime"
+        h = h * mf % p
+    g = _divmod_mod(f, h, p)[0]  # f = g*h mod p and h is monic
+    s, t, one = _gcdex_mod(g, h, p)
+    assert one == Poly([1]), "modular factors not coprime"
     m = p
     while m < pl:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -548,29 +520,29 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     # only the finitely many primes dividing lc * disc(f) are unsuitable
     for p in _odd_primes():
         if lc % p:
-            fp = _gf_monic(f.coeffs, p)
-            dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
-            if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
+            fp = _monic_mod(f, p)
+            dfp = fp.derivative() % p
+            if dfp and _gcd_mod(fp, dfp, p).degree == 0:
                 break
     rng = random.Random(p)  # the draws change the work done, never the factors
     modular = sorted((u for g, d in _distinct_degree(fp, p)
-                      for u in _equal_degree(g, d, p, rng)),
-                     key=lambda u: (len(u), u))
+                      for u in _equal_degree(g, d, p, rng)), key=Poly.key)
     if len(modular) == 1:
         return [f]
     pl = p
     while pl <= 2 * bound:
         pl *= p
-    lifted = _hensel_lift(p, f.coeffs, modular, pl)
+    lifted = _hensel_lift(p, f, modular, pl)
     found = []
     current = f
     size = 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
-            cand = (current.leading % pl,)
+            cand = Poly([current.leading])
             for i in subset:
-                cand = _gf_mul(cand, lifted[i], pl)
-            cand = _sym_poly(cand, pl).canonical()
+                cand = cand * lifted[i] % pl
+            # the integer candidate has its residues in (-pl/2, pl/2]
+            cand = Poly([c - pl if 2 * c > pl else c for c in cand.coeffs]).canonical()
             q = current.div_z(cand)
             if q is not None:
                 found.append(cand)

@@ -67,6 +67,8 @@ class Word(Record):
         return tuple(v)
 
     def __repr__(self):
+        if self.rank > 25:  # past the default names: the constructor's own form
+            return f"Word({self.rank}, {self.letters!r})"
         return f"Word({format_word(self, default_names(self.rank))!r}, rank={self.rank})"
 
 

@@ -650,3 +650,24 @@ def test_closed_stdout_ends_quietly(args):
     finally:
         os.close(write)
     assert (run.returncode, run.stderr) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["analyze", "corpus:nope"], cli.EXIT_PARSE),
+    (["analyze", "corpus:6_2", "--max-degree", "4"], cli.EXIT_ANALYSIS),
+    (["probe", "subgroup", "--g", "x", "--samples", "0"], cli.EXIT_USAGE),
+    (["probe", "subgroup", "--format", "xml"], cli.EXIT_USAGE),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_closed_stderr_keeps_the_exit_code(args, code):
+    """A reader that closed stderr before the error line was written does not
+    turn a refusal into a traceback: the command keeps its exit code."""
+    code_text = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                 "from biorder.cli import main; sys.exit(main())")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-I", "-c", code_text, *args],
+                             stdout=subprocess.PIPE, stderr=write, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stdout) == (code, "")

@@ -10,8 +10,9 @@ from biorder import exactalg
 from biorder.corpus import corpus_entries
 from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, _distinct_degree,
-                              _equal_degree, _gf_gcd, _gf_monic, _gf_trim,
-                              _hensel_lift, _odd_primes, all_roots_positive_real,
+                              _divmod_mod, _equal_degree, _gcd_mod, _gcdex_mod,
+                              _hensel_lift, _monic_mod, _odd_primes, _pow_mod,
+                              all_roots_positive_real,
                               char_poly, count_positive_roots,
                               factor_over_Q, has_positive_real_root,
                               power_traces, rational_roots,
@@ -94,6 +95,22 @@ class TestPowerTraces:
             m = random_matrix(rng, rng.randint(1, 5))
             count = rng.randint(0, 12)
             assert power_traces(m, count) == explicit_power_traces(m, count), (m, count)
+
+
+class TestPolyConstructor:
+    def test_trailing_zeros_are_stripped_from_any_iterable(self):
+        given = [3, 0, -2, 0, 0]
+        for coeffs in (given, tuple(given), (c for c in given)):
+            assert Poly(coeffs).coeffs == (3, 0, -2)
+        assert given == [3, 0, -2, 0, 0]
+        for zeros in ([], [0], (0, 0), (c for c in [0, 0, 0])):
+            assert Poly(zeros).coeffs == ()
+
+    def test_the_callers_list_stays_its_own(self):
+        given = [1, 2, 0]
+        p = Poly(given)
+        given[0] = 5
+        assert p.coeffs == (1, 2)
 
 
 class TestPolyDivmod:
@@ -315,13 +332,13 @@ class TestModularFactoring:
                 if len(set(expected)) < len(expected):
                     continue  # not squarefree
                 for seed in (0, 1):
-                    parts = _distinct_degree(f, p)
-                    assert all((len(g) - 1) % d == 0 for g, d in parts)
+                    parts = _distinct_degree(Poly(f), p)
+                    assert all(g.degree % d == 0 for g, d in parts)
                     got = [u for g, d in parts
                            for u in _equal_degree(g, d, p, random.Random(seed))]
-                    assert sorted(got, key=lambda u: (len(u), u)) == expected, (f, p)
+                    assert sorted(got, key=Poly.key) == [Poly(u) for u in expected], (f, p)
                 cases += 1
-                equal_degree_splits += any(len(g) - 1 > d for g, d in parts)
+                equal_degree_splits += any(g.degree > d for g, d in parts)
         assert cases >= 200 and equal_degree_splits >= 50
 
     def test_factor_over_q_matches_sympy(self):
@@ -341,6 +358,87 @@ class TestModularFactoring:
                         for f, m in expected]
             got = [(f.poly.coeffs, f.multiplicity) for f in factor_over_Q(p).factors]
             assert sorted(got) == sorted(expected), p
+
+
+def _mul_by_hand(a: Poly, b: Poly, m: int) -> tuple:
+    """Coefficients of a*b mod m: the convolution, each entry reduced."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            out[i + j] = (out[i + j] + u * v) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _sub_by_hand(a: Poly, b: Poly, m: int) -> tuple:
+    """Coefficients of a - b mod m, position by position."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    x, y = a.coeffs + (0,) * n, b.coeffs + (0,) * n
+    out = [(x[i] - y[i]) % m for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class TestModKernels:
+    """Poly arithmetic followed by `% m`, and the division, gcd, extended gcd
+    and powers of (Z/m)[x], at prime and prime-power m."""
+
+    PRIMES = (2, 3, 5, 7, 11, 101)
+    MODULI = PRIMES + (4, 9, 25, 27, 3 ** 7, 11 ** 3)
+
+    @staticmethod
+    def _poly(rng, m, length):
+        """Coefficients in [-m, 2m), so inputs need not be reduced."""
+        return Poly([rng.randrange(-m, 2 * m) for _ in range(length)])
+
+    def test_mul_and_sub_match_coefficientwise(self):
+        rng = random.Random(101)
+        for m in self.MODULI:
+            for _ in range(40):
+                a = self._poly(rng, m, rng.randint(0, 7))
+                b = self._poly(rng, m, rng.randint(0, 7))
+                assert ((a * b) % m).coeffs == _mul_by_hand(a, b, m), (a, b, m)
+                assert ((a - b) % m).coeffs == _sub_by_hand(a, b, m), (a, b, m)
+
+    def test_division_identity(self):
+        rng = random.Random(103)
+        for m in self.MODULI:
+            for _ in range(40):
+                a = self._poly(rng, m, rng.randint(0, 9))
+                lead = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+                b = Poly([rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 4))] + [lead])
+                q, r = _divmod_mod(a, b, m)
+                assert (a - q * b - r) % m == Poly(), (a, b, m)
+                assert r.degree < b.degree, (a, b, m)
+                assert all(0 <= c < m for c in q.coeffs + r.coeffs), (a, b, m)
+
+    def test_extended_gcd_identity(self):
+        rng = random.Random(107)
+        for p in self.PRIMES:
+            for _ in range(40):
+                common = self._poly(rng, p, rng.randint(1, 3))
+                a = common * self._poly(rng, p, rng.randint(1, 5)) % p
+                b = common * self._poly(rng, p, rng.randint(1, 5)) % p
+                if b == Poly():
+                    continue
+                s, t, g = _gcdex_mod(a, b, p)
+                assert (s * a + t * b - g) % p == Poly(), (a, b, p)
+                assert g.leading == 1 and g == _gcd_mod(a, b, p), (a, b, p)
+                assert _divmod_mod(a, g, p)[1] == _divmod_mod(b, g, p)[1] == Poly()
+
+    def test_monic_and_pow_mod(self):
+        rng = random.Random(109)
+        for p in self.PRIMES:
+            for _ in range(20):
+                g = self._poly(rng, p, rng.randint(2, 5))
+                if g.degree < 1 or g.leading % p == 0:
+                    continue
+                monic = _monic_mod(g, p)
+                assert monic.leading == 1 and (monic * g.leading - g) % p == Poly()
+                a, n = self._poly(rng, p, rng.randint(0, 6)), rng.randint(0, 12)
+                assert _pow_mod(a, n, monic, p) == _divmod_mod(a ** n, monic, p)[1]
 
 
 X_MINUS_1, X_PLUS_1 = Poly([-1, 1]), Poly([1, 1])
@@ -462,9 +560,9 @@ class TestHenselLift:
         the monic factors of f mod p."""
         for p in _odd_primes():
             if f.leading % p:
-                fp = _gf_monic(f.coeffs, p)
-                dfp = _gf_trim(tuple((i * c) % p for i, c in enumerate(fp))[1:])
-                if dfp and len(_gf_gcd(fp, dfp, p)) == 1:
+                fp = _monic_mod(f, p)
+                dfp = fp.derivative() % p
+                if dfp and _gcd_mod(fp, dfp, p).degree == 0:
                     return p, [u for g, d in _distinct_degree(fp, p)
                                for u in _equal_degree(g, d, p, random.Random(p))]
 
@@ -485,12 +583,12 @@ class TestHenselLift:
                 continue
             p, modular = self._modular_factors(f)
             pl = p ** rng.randint(1, 9)
-            lifted = _hensel_lift(p, f.coeffs, modular, pl)
+            lifted = _hensel_lift(p, f, modular, pl)
             product = Poly([f.leading])
             for u, mf in zip(lifted, modular, strict=True):
-                assert len(u) == len(mf) and u[-1] == 1, (f, p, u)
-                assert tuple(c % p for c in u) == mf, (f, p, u)
-                product = product * Poly(u)
+                assert u.degree == mf.degree and u.leading == 1, (f, p, u)
+                assert u % p == mf, (f, p, u)
+                product = product * u
             assert all((x - y) % pl == 0 for x, y in zip(product.coeffs, f.coeffs,
                                                           strict=True)), (f, pl)
             split += len(modular) >= 3

@@ -269,6 +269,16 @@ class TestDefaultNames:
         assert repr(identity(5)) == "Word('e', rank=5)"
         assert repr(letter(5, 4)) == "Word('f', rank=5)"
 
+    def test_past_rank_25_the_repr_names_no_letter(self):
+        w = Word(26, ((25, 1), (0, -1)))
+        assert repr(w) == "Word(26, ((25, 1), (0, -1)))"
+        assert eval(repr(w), {"Word": Word}) == w
+        assert repr(identity(26)) == "Word(26, ())"
+        assert repr(letter(26, 25)) in repr(identity_map(26))
+        names = tuple(f"g{i}" for i in range(26))
+        record = KnotRecord("r26", identity_map(26), fibered=True, generator_names=names)
+        assert repr(letter(26, 25)) in repr(record)
+
     def test_every_default_name_list_passes_the_name_check(self):
         assert default_names(4) == ("a", "b", "c", "d")
         for rank in range(1, 26):

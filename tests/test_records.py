@@ -295,6 +295,20 @@ def test_only_main_writes_in_the_cli():
     assert writers == {"main", "_Parser.error"}
 
 
+def test_exactalg_has_one_polynomial_type():
+    """(Z/m)[x] arithmetic is Poly arithmetic followed by `% m`: exactalg
+    defines no `_gf_*` helper on coefficient tuples and no `_sym_poly`."""
+    tree = ast.parse((SRC / "biorder" / "exactalg.py").read_text())
+    names = set()  # every function, class and assigned name, at any depth
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    second = {name for name in names if name.startswith("_gf_") or name == "_sym_poly"}
+    assert second == set() and "_divmod_mod" in names
+
+
 class Pair(Record):
     left: int
     right: str = "r"
