@@ -12,10 +12,12 @@ matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
 
 M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  The quotient is
 the degree-k part of the free Lie algebra, and phi acts by the Lie homomorphism
-X_i -> sum_j M[j][i] X_j, [u, v] -> [image(u), image(v)]: one recursion along a
-bracket's standard factorization, column i of M at each letter and ab - ba at
-each bracket.  The Lyndon-to-monomial change of basis is unitriangular in lex
-order, so leading-monomial elimination is exact.
+X_i -> sum_j M[j][i] X_j, [u, v] -> [image(u), image(v)].  So the levels are
+built in one pass from M up: the column of l = uv is sum_(p,q) col_u[p]
+col_v[q] [b_p, b_q], and the integer structure constants [b_p, b_q] depend
+only on the rank and the two degrees.  Each table is computed once by
+leading-monomial elimination, exact as the Lyndon-to-monomial change of basis
+is unitriangular in lex order.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
 polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
@@ -156,26 +158,63 @@ def _lie_bracket(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomia
     return {mono: c for mono, c in out.items() if c}
 
 
-def _lie_images(basis: tuple[Monomial, ...], m: IntMatrix) -> tuple[dict[Monomial, int], ...]:
-    """Each basis bracket's image under the Lie homomorphism X_i -> sum_j m[j][i] X_j."""
-    columns = [{(j,): row[i] for j, row in enumerate(m.rows) if row[i]}
-               for i in range(m.dim)]
-    return tuple(_fold(lw, columns.__getitem__, _lie_bracket) for lw in basis)
-
-
 @cache
 def _basis_parts(n: int, k: int) -> tuple[tuple[Monomial, ...], tuple[dict[Monomial, int], ...]]:
     """The basis and each bracket's Lie polynomial; shared, so never mutate them."""
     basis = lyndon_basis(n, k)
-    return basis, _lie_images(basis, IntMatrix.identity(n))
+    return basis, tuple(_fold(lw, lambda i: {(i,): 1}, _lie_bracket) for lw in basis)
+
+
+@cache
+def _splits(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Each degree-k basis word's standard factorization uv, k >= 2, as
+    (len u, index of u, index of v), each index in the basis of its degree."""
+    index = {lw: i for d in range(1, k) for i, lw in enumerate(_basis_parts(n, d)[0])}
+    return tuple((len(u), index[u], index[v])
+                 for u, v in map(_standard_factorization, _basis_parts(n, k)[0]))
+
+
+@cache
+def _structure(n: int, i: int, j: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Structure constants: table[p][q] holds the nonzero (r, c) with
+    [b_p, b_q] = sum c b_r, for b_p, b_q, b_r in the degree-i, -j and -(i+j) bases."""
+    basis, parts = _basis_parts(n, i + j)
+    return tuple(tuple(tuple((r, c) for r, c in enumerate(
+        _lie_coordinates(_lie_bracket(a, b), basis, parts)) if c)
+        for b in _basis_parts(n, j)[1]) for a in _basis_parts(n, i)[1])
+
+
+def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
+    """Actions on gamma_k / gamma_k+1, k = 1..top, of every endomorphism with
+    abelianization m.  Level 1 is m; the column of a basis word l = uv at a
+    higher level is bilinear in the columns of u and v, through the structure
+    constants of the bracket [u, v]."""
+    if not 1 <= top <= DEGREE_CAP:
+        raise ValueError(f"degree {top} outside 1..{DEGREE_CAP}")
+    n = m.dim
+    levels = [list(zip(*m.rows))]  # levels[k - 1][l]: image of basis word l of degree k
+    for k in range(2, top + 1):
+        splits = _splits(n, k)
+        columns = []
+        for i, a, b in splits:
+            column = [0] * len(splits)
+            table = _structure(n, i, k - i)
+            right = levels[k - i - 1][b]
+            for row, x in zip(table, levels[i - 1][a]):
+                if x:
+                    for entries, y in zip(row, right):
+                        if y:
+                            for r, c in entries:
+                                column[r] += x * y * c
+            columns.append(column)
+        levels.append(columns)
+    return [QuotientAction(_basis_parts(n, k)[0], IntMatrix(tuple(zip(*columns))))
+            for k, columns in enumerate(levels, 1)]
 
 
 def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
     """Action on gamma_k / gamma_k+1 of every endomorphism with abelianization m."""
-    basis, basis_parts = _basis_parts(m.dim, k)
-    columns = [_lie_coordinates(image, basis, basis_parts)
-               for image in _lie_images(basis, m)]
-    return QuotientAction(basis, IntMatrix(tuple(zip(*columns))))
+    return quotient_actions(m, k)[-1]
 
 
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:

@@ -24,10 +24,10 @@ rule are recorded even when the rule does not fire.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import FactorReport, IntMatrix, factor_over_Q, power_traces
+from .exactalg import FactorReport, factor_over_Q, power_traces
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                        default_names, verify_automorphism)
-from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_action,
+                        check_generator_names, default_names, verify_automorphism)
+from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_actions,
                   witt_number)
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
@@ -72,8 +72,7 @@ class KnotRecord(Record):
 
     def __init__(self, name: str, phi: FreeMap, fibered: bool,
                  generator_names: tuple[str, ...] = ()):
-        if not generator_names:
-            generator_names = default_names(phi.rank)
+        generator_names = check_generator_names(generator_names or default_names(phi.rank))
         if len(generator_names) != phi.rank:
             raise ValueError("need one generator name per generator")
         super().__init__(name, phi, fibered, generator_names)
@@ -105,11 +104,10 @@ class AnalysisReport(Record):
     verdict: Verdict
 
 
-def level_report(m: IntMatrix, traces: list[int], level: int) -> LevelReport:
+def level_report(action: QuotientAction, traces: list[int], level: int) -> LevelReport:
     """The level's characteristic polynomial from traces, the power sums of
-    M = abelianized(phi), its factor report, and its matrix for display."""
-    return LevelReport(level, quotient_action(m, level + 1),
-                       factor_over_Q(level_char_poly(traces, level + 1)))
+    M = abelianized(phi), its factor report, and its action for display."""
+    return LevelReport(level, action, factor_over_Q(level_char_poly(traces, level + 1)))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -151,7 +149,8 @@ def analyze(record: KnotRecord, max_level: int = 1,
                 f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
     m = abelianized(record.phi)
     traces = power_traces(m, max((lv + 1) * d for lv, d in enumerate(degrees)))
-    levels = tuple(level_report(m, traces, lv) for lv in range(max_level + 1))
+    levels = tuple(level_report(action, traces, lv)
+                   for lv, action in enumerate(quotient_actions(m, max_level + 1)))
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)

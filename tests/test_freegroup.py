@@ -275,9 +275,10 @@ class TestDefaultNames:
         assert eval(repr(w), {"Word": Word}) == w
         assert repr(identity(26)) == "Word(26, ())"
         assert repr(letter(26, 25)) in repr(identity_map(26))
+        # a record checks its names, and no 26 of them are valid
         names = tuple(f"g{i}" for i in range(26))
-        record = KnotRecord("r26", identity_map(26), fibered=True, generator_names=names)
-        assert repr(letter(26, 25)) in repr(record)
+        with pytest.raises(ValueError, match="^generator 'g0' must be one lowercase letter$"):
+            KnotRecord("r26", identity_map(26), fibered=True, generator_names=names)
 
     def test_every_default_name_list_passes_the_name_check(self):
         assert default_names(4) == ("a", "b", "c", "d")
@@ -291,6 +292,15 @@ class TestDefaultNames:
         assert record.generator_names == default_names(5) == ("a", "b", "c", "d", "f")
         with pytest.raises(ValueError, match="^need one generator name per generator$"):
             KnotRecord("r5", identity_map(5), fibered=True, generator_names=("a", "b"))
+
+    @pytest.mark.parametrize("names, message", [
+        (("e", "e"), "^generator 'e' is reserved for the identity word$"),
+        (("a", "a"), "^duplicate generator names$"),
+        (("A", "b"), "^generator 'A' must be one lowercase letter$"),
+    ])
+    def test_knot_record_checks_its_names(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            KnotRecord("r2", identity_map(2), fibered=True, generator_names=names)
 
 
 class TestWordSyntax:

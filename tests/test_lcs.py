@@ -185,6 +185,24 @@ class TestLcsAction:
                 rhs = lcs_action(phi, k).matrix @ lcs_action(psi, k).matrix
                 assert lhs == rhs
 
+    def test_functoriality_at_every_level(self):
+        # L_k(AB) = L_k(A) L_k(B) for all integer matrices, singular ones too;
+        # levels 3 and 4 are built from levels 1 and 2 by the structure tables
+        rng = random.Random(47)
+        singular = 0
+        for rank in (2, 3, 4):
+            for trial in range(4):
+                a, b = ([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+                        for _ in range(2))
+                if trial % 2:
+                    a[-1] = [2 * x for x in a[0]]
+                a, b = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+                singular += bareiss_det(a) == 0
+                for k in (1, 2, 3, 4):
+                    assert (quotient_action(a @ b, k).matrix
+                            == quotient_action(a, k).matrix @ quotient_action(b, k).matrix)
+        assert singular >= 6
+
     def test_rank2_deeper_levels(self):
         trefoil = corpus_entry("trefoil").record.phi
         assert char_poly(lcs_action(trefoil, 3).matrix) == Poly([1, -1, 1])
@@ -218,24 +236,32 @@ class TestLcsAction:
                 assert quotient_action(m, k).matrix == _action_with_flipped_bracket(phi, k)
 
     def test_basis_parts_built_once_per_rank_and_degree(self, monkeypatch):
+        # each basis and split list is built once per (n, k), each structure
+        # table once per (n, i, j), however many maps and levels ask for them
         built = []
 
         def counting_basis(n, k):
             built.append((n, k))
             return lyndon_basis(n, k)
 
+        tables = (lcs._basis_parts, lcs._splits, lcs._structure)
         monkeypatch.setattr(lcs, "lyndon_basis", counting_basis)
-        lcs._basis_parts.cache_clear()
+        for table in tables:
+            table.cache_clear()
         try:
-            phi = corpus_entry("6_2").record.phi
-            m = abelianized(phi)
-            first = quotient_action(m, 3)
-            assert built == [(4, 3)]
-            second = quotient_action(m, 3)
-            assert built == [(4, 3)]
-            assert first.matrix == second.matrix == _action_with_flipped_bracket(phi, 3)
+            ms = [abelianized(corpus_entry(name).record.phi)
+                  for name in ("6_2", "7_6", "trefoil")]
+            first = [lcs.quotient_actions(m, 4) for m in ms]
+            assert [lcs.quotient_actions(m, 4) for m in ms] == first
+            assert [quotient_action(m, 3) for m in ms] == [levels[2] for levels in first]
+            assert sorted(built) == [(n, k) for n in (2, 4) for k in (1, 2, 3, 4)]
+            pairs = {(n, i, k - i) for n in (2, 4) for k in (2, 3, 4)
+                     for i, _, _ in lcs._splits(n, k)}
+            assert len(pairs) == 11  # rank 2 splits no degree-4 word as (2, 2)
+            assert [t.cache_info().misses for t in tables] == [8, 6, len(pairs)]
         finally:
-            lcs._basis_parts.cache_clear()
+            for table in tables:
+                table.cache_clear()
 
     def test_basis_polynomials_match_magnus_expansion(self):
         # the bracket recursion against the degree-k part of the Magnus
@@ -253,6 +279,55 @@ class TestLcsAction:
         reference = char_poly(lcs_action(phi, 2).matrix)
         for flip in range(6):
             assert char_poly(_action_with_flipped_bracket(phi, 2, flip)) == reference
+
+
+class TestStructureConstants:
+    """The tables [b_p, b_q] that the level recursion reads, against Lie
+    identities and against the Magnus expansion of group commutators."""
+
+    PAIRS = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i + j <= lcs.DEGREE_CAP]
+
+    def test_antisymmetric(self):
+        for n in (2, 3, 4):
+            for i, j in self.PAIRS:
+                table, transpose = lcs._structure(n, i, j), lcs._structure(n, j, i)
+                for p, row in enumerate(table):
+                    for q, entries in enumerate(row):
+                        assert entries == tuple((r, -c) for r, c in transpose[q][p])
+
+    def test_jacobi_identity_at_degree_3(self):
+        for n in (2, 3, 4):
+            t11, t21 = lcs._structure(n, 1, 1), lcs._structure(n, 2, 1)
+
+            def nested(a, b, c):
+                """Coordinates of [[x_a, x_b], x_c]."""
+                out = [0] * witt_number(n, 3)
+                for r, s in t11[a][b]:
+                    for t, c3 in t21[r][c]:
+                        out[t] += s * c3
+                return out
+
+            triples = list(itertools.product(range(n), repeat=3))
+            assert any(any(nested(*abc)) for abc in triples)
+            for a, b, c in triples:
+                terms = zip(nested(a, b, c), nested(b, c, a), nested(c, a, b))
+                assert not any(sum(t) for t in terms), (n, a, b, c)
+
+    def test_entries_match_magnus_expansion_of_commutators(self):
+        # the degree-(i + j) part of the group commutator of two standard
+        # bracketings is the bracket of their Lie polynomials
+        for n in (2, 3):
+            words = {k: [standard_bracketing(lw, n) for lw in lyndon_basis(n, k)]
+                     for k in (1, 2, 3, 4)}
+            parts = {k: [expand(w, k).homogeneous_part(k) for w in words[k]]
+                     for k in (1, 2, 3, 4)}
+            for i, j in self.PAIRS:
+                k = i + j
+                table = lcs._structure(n, i, j)
+                for p, q in itertools.product(range(len(words[i])), range(len(words[j]))):
+                    part = expand(commutator(words[i][p], words[j][q]), k).homogeneous_part(k)
+                    coords = _lie_coordinates(part, lyndon_basis(n, k), parts[k])
+                    assert table[p][q] == tuple((r, c) for r, c in enumerate(coords) if c)
 
 
 class TestLevelCharPoly:

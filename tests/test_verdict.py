@@ -379,10 +379,22 @@ class TestLevelWork:
         def no_level_matrix(m, k):
             raise AssertionError("level matrix built before the degree check")
 
-        monkeypatch.setattr(verdict, "quotient_action", no_level_matrix)
+        monkeypatch.setattr(verdict, "quotient_actions", no_level_matrix)
         with pytest.raises(AnalysisError,
                            match=r"^characteristic polynomial degree 20 exceeds cap 10$"):
             analyze(knot("6_2"), max_level=3, max_degree=10)
+
+    def test_warm_tables_leave_no_polynomial_work(self, monkeypatch):
+        # with the structure tables built, every level matrix is read off M
+        # through them: no Lie polynomial is bracketed or eliminated per map
+        def no_polynomial_work(*args):
+            raise AssertionError("Lie polynomial work on a warm analysis")
+
+        record = knot("6_2")
+        expected = analyze(record, max_level=3, max_degree=100)
+        monkeypatch.setattr(lcs, "_lie_bracket", no_polynomial_work)
+        monkeypatch.setattr(lcs, "_lie_coordinates", no_polynomial_work)
+        assert analyze(record, max_level=3, max_degree=100) == expected
 
     def test_matrix_powers_stop_at_the_rank(self, monkeypatch):
         # level 3 of 6_2 needs tr(M^e) for e up to 240; only M^2..M^4 are formed
