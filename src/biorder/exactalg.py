@@ -10,15 +10,20 @@ only rational_roots and a non-integer SturmChain.variations_at endpoint do.
 Those two import `fractions` themselves, so the analysis never loads it.  The
 pieces fit together as
 
-    power_traces        -- tr(A^e): powers up to A^n, then Cayley-Hamilton
+    power_sums          -- p_e of a monic polynomial's roots: Newton's
+                           identities up to its degree, then its recurrence
+    power_traces        -- tr(A^e): powers up to A^n, then power_sums of char(A)
     char_poly           -- Newton's identities on tr(A^j), every division exact;
                            det(A) = (-1)^n char(A)(0) is read off it
     squarefree_decomposition -- Yun's algorithm
-    factor_over_Q       -- x - 1 and x + 1 divided off first; a squarefree
-                           part of degree <= 3 of a unit polynomial is
-                           irreducible; other parts go through distinct- and
-                           equal-degree splitting mod p (Cantor-Zassenhaus),
-                           Hensel lifting to p^l and Zassenhaus subset
+    factor_over_Q       -- of a polynomial, or of the product of pieces, each
+                           piece on its own and equal factors merged;
+                           x - 1 and x + 1 divided off first, by synthetic
+                           division; a squarefree part of degree <= 3 of a
+                           unit polynomial is irreducible; other parts go
+                           through distinct- and equal-degree splitting mod p
+                           (Cantor-Zassenhaus), Hensel lifting to exactly p^l
+                           and Zassenhaus subset
                            recombination, all three on Poly: (Z/m)[x] is
                            Z[x] arithmetic followed by `% m`, plus division,
                            gcd, extended gcd, powers and monic mod m
@@ -258,19 +263,32 @@ class IntMatrix(Record):
 def power_traces(a: IntMatrix, count: int) -> list[int]:
     """[tr(A^0), tr(A^1), ..., tr(A^count)]: the power sums of A's eigenvalues.
 
-    Powers are formed up to A^n, n = dim A.  Past that, Cayley-Hamilton with
-    char(A) = x^n + c_1 x^(n-1) + ... + c_n gives p_e = -(c_1 p_(e-1) + ... +
-    c_n p_(e-n))."""
+    Powers are formed up to A^n, n = dim A; past that the sums are those of
+    char(A), by power_sums."""
     n = a.dim
     traces = [n]
     for e in range(1, min(count, n) + 1):
         power = power @ a if e > 1 else a
         traces.append(sum(power.rows[i][i] for i in range(n)))
-    if count > n:
-        c = poly_from_power_sums(traces[1:]).coeffs[::-1]  # c[i] = c_i
-        for e in range(n + 1, count + 1):
-            traces.append(-sum(c[i] * traces[e - i] for i in range(1, n + 1)))
-    return traces
+    return traces if count <= n else power_sums(poly_from_power_sums(traces[1:]), count)
+
+
+def power_sums(f: Poly, count: int) -> list[int]:
+    """[p_0, p_1, ..., p_count], p_e the e-th power sum of the roots of a monic
+    f = x^n + c_1 x^(n-1) + ... + c_n, so p_0 = n: Newton's identities
+    p_e = -(e c_e + c_1 p_(e-1) + ... + c_(e-1) p_1) up to e = n, then the
+    linear recurrence p_e = -(c_1 p_(e-1) + ... + c_n p_(e-n))."""
+    if f.is_zero or f.leading != 1:
+        raise ValueError("power sums need a monic polynomial")
+    n = f.degree
+    c = f.coeffs[::-1]  # c[i] = c_i
+    sums = [n]
+    for e in range(1, count + 1):
+        total = e * c[e] if e <= n else 0
+        for i in range(1, min(e - 1, n) + 1):
+            total += c[i] * sums[e - i]
+        sums.append(-total)
+    return sums
 
 
 def poly_from_power_sums(sums) -> Poly:
@@ -461,10 +479,10 @@ def _equal_degree(g: Poly, d: int, p: int, rng) -> list[Poly]:
 # Hensel lifting and Zassenhaus recombination
 # ---------------------------------------------------------------------------
 
-def _hensel_step(f, g, h, s, t, m):
+def _hensel_step(f, g, h, s, t, mm):
     """One quadratic Hensel step (von zur Gathen-Gerhard, Alg. 15.10): lifts
-    f = g*h and s*g + t*h = 1 mod m, h monic, to mod m^2."""
-    mm = m * m
+    f = g*h and s*g + t*h = 1 mod m, h monic, to mod mm, for any mm with
+    m | mm | m^2 (the lift mod m^2 reduced mod mm)."""
     e = (f - g * h) % mm
     q, r = _divmod_mod(s * e, h, mm)
     g1 = (g + t * e + q * g) % mm
@@ -494,8 +512,8 @@ def _hensel_lift(p: int, f: Poly, modular_factors: list[Poly], pl: int) -> list[
     assert one == Poly([1]), "modular factors not coprime"
     m = p
     while m < pl:
+        m = min(m * m, pl)
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
     return (_hensel_lift(p, g, modular_factors[:k], pl)
             + _hensel_lift(p, h, modular_factors[k:], pl))
 
@@ -596,8 +614,13 @@ class FactorReport(Record):
         return any(f.positive_real_roots == 0 for f in self.factors)
 
 
-def factor_over_Q(p: Poly) -> FactorReport:
-    """Irreducible factorization over Q of the primitive part, with root counts.
+def factor_over_Q(*pieces: Poly) -> FactorReport:
+    """Irreducible factorization over Q of the primitive part of the product
+    p of the pieces, with root counts; factor_over_Q(p) takes p whole.
+
+    Each piece is factored on its own and the multiplicities of equal factors
+    are added, so the report is the one of p by unique factorization in
+    Z[x].  Every factor, however many pieces share it, gets one Sturm chain.
 
     A level polynomial is the characteristic polynomial of a matrix in GL(Z),
     so it is a unit polynomial: leading and constant coefficient are +-1, and
@@ -608,30 +631,51 @@ def factor_over_Q(p: Poly) -> FactorReport:
     so only parts of degree >= 4, and every part of a non-unit input, take
     the modular route of _factor_squarefree.
     """
+    p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     c = p.content()
     if p.leading < 0:
         c = -c
-    rest = p.canonical()
+    multiplicity: dict[Poly, int] = {}
+    for piece in pieces:
+        for irr, mult in _factor_canonical(piece.canonical()):
+            multiplicity[irr] = multiplicity.get(irr, 0) + mult
+    entries = tuple(Factor(poly, multiplicity[poly], *_root_counts(poly))
+                    for poly in sorted(multiplicity, key=Poly.key))
+    return FactorReport(p, c, entries)
+
+
+def _factor_canonical(rest: Poly) -> list[tuple[Poly, int]]:
+    """Irreducible factors with multiplicities of a canonical rest, unsorted."""
     factors = []
     for root in (1, -1):
-        linear = Poly([-root, 1])
         mult = 0
-        while rest(root) == 0:
-            rest = rest.exact_div(linear)
+        while rest.degree >= 1:
+            quotient, remainder = _divide_linear(rest, root)
+            if remainder:
+                break
+            rest = quotient
             mult += 1
         if mult:
-            factors.append((linear, mult))
+            factors.append((Poly([-root, 1]), mult))
     unit = rest.leading == 1 and rest.constant in (1, -1)
     for sq_factor, mult in squarefree_decomposition(rest):
         if unit and sq_factor.degree <= 3:
             factors.append((sq_factor, mult))
         else:
             factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
-    factors.sort(key=lambda fm: fm[0].key())
-    entries = tuple(Factor(poly, mult, *_root_counts(poly)) for poly, mult in factors)
-    return FactorReport(p, c, entries)
+    return factors
+
+
+def _divide_linear(f: Poly, root: int) -> tuple[Poly, int]:
+    """Quotient and remainder f(root) of f by x - root, by synthetic division."""
+    acc, quotient = 0, []
+    for coeff in reversed(f.coeffs):
+        acc = acc * root + coeff
+        quotient.append(acc)
+    remainder = quotient.pop()
+    return Poly(quotient[::-1]), remainder
 
 
 # ---------------------------------------------------------------------------

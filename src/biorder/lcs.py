@@ -21,16 +21,24 @@ is unitriangular in lex order.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
 polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
-sums tr(M^e), and Newton's identities turn those into the polynomial.  Every
-level reads the one list of power sums that the analysis takes of M.
+sums tr(M^e), and Newton's identities turn those into the polynomial
+(level_char_poly).  Over Q, V = Q^n splits into the blocks of char(M) =
+prod f_i^(e_i), and the free Lie algebra of a direct sum is multigraded, so
+char L_k(M) is the product of one piece per composition c of k over the
+blocks, the part of degree c_i in block i.  A multigraded Brandt formula
+gives each piece's traces from the blocks' power sums e_i p_j(f_i)
+(level_pieces); Brandt's own formula is its one-block case, so both routes
+read one Mobius sum, _lie_traces.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import cache
 
 from ._record import Record
-from .exactalg import IntMatrix, Poly, poly_from_power_sums
+from .exactalg import IntMatrix, Poly, poly_from_power_sums, power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         verify_automorphism)
 from .magnus import Monomial
@@ -38,27 +46,79 @@ from .magnus import Monomial
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
 
 
-def _brandt_trace(power_sums, k: int) -> int:
-    """tr L_k(A) = (1/k) sum_{d|k} mu(d) tr(A^d)^(k/d), where L_k is the
-    degree-k free Lie functor and power_sums[e - 1] = tr(A^e) (Brandt, Trans.
-    AMS 56, 1944; Reutenauer, Free Lie Algebras, 1993)."""
-    total = sum(_mobius(d) * power_sums[d - 1] ** (k // d)
-                for d in range(1, k + 1) if k % d == 0)
-    assert total % k == 0, "Brandt trace must be an integer"
-    return total // k
+def _lie_traces(block_sums, c):
+    """Yield tr(A^j) on L_c for j = 0, 1, 2, ..., so the first is dim L_c.
+
+    A = A_1 + ... + A_r acts on V = B_1 + ... + B_r, block_sums[i][e] =
+    tr(A_i^e), and L_c is the part of the free Lie algebra on V of degree
+    c_i in B_i, c a composition of k = sum c.  Expanding Brandt's
+    tr L_k(A^j) = (1/k) sum_{d|k} mu(d) tr(A^(jd))^(k/d) by multidegree gives
+
+        (1/k) sum_{d | gcd c} mu(d) (k/d)! / prod (c_i/d)! prod tr(A_i^(jd))^(c_i/d)
+
+    (Brandt, Trans. AMS 56, 1944; Reutenauer, Free Lie Algebras, 1993).
+    One block and c = (k,) is Brandt's formula itself.
+    """
+    k = sum(c)
+    g = math.gcd(*c)
+    parts = [(sums, ci) for sums, ci in zip(block_sums, c) if ci]
+    # per d | gcd c: d, mu(d) (k/d)! / prod (c_i/d)!, and each block's c_i/d
+    terms = [(d, _mobius(d) * math.factorial(k // d)
+              // math.prod(math.factorial(ci // d) for _, ci in parts),
+              [(sums, ci // d) for sums, ci in parts])
+             for d in range(1, g + 1) if g % d == 0]
+    for j in itertools.count():
+        total = 0
+        for d, term, powers in terms:
+            for sums, exponent in powers:
+                term *= sums[j * d] ** exponent
+            total += term
+        assert total % k == 0, "Brandt trace must be an integer"
+        yield total // k
 
 
+def _piece(block_sums, c) -> Poly:
+    """Characteristic polynomial of A on L_c: Newton's identities on its traces."""
+    traces = _lie_traces(block_sums, c)
+    return poly_from_power_sums(list(itertools.islice(traces, next(traces))))
+
+
+@cache
 def witt_number(n: int, k: int) -> int:
-    """Rank of the degree-k quotient: tr L_k(I_n) = (1/k) sum_{d|k} mu(d) n^(k/d)."""
-    return _brandt_trace([n] * k, k)
+    """Rank of the degree-k quotient: dim L_k(V), dim V = n, which is
+    (1/k) sum_{d|k} mu(d) n^(k/d)."""
+    return next(_lie_traces(([n],), (k,)))
 
 
 def level_char_poly(traces: list[int], k: int) -> Poly:
     """Characteristic polynomial of quotient_action(m, k) from traces =
-    power_traces(m, c), c >= k * witt_number(m.dim, k), so m.dim = traces[0]:
-    Newton's identities on tr L_k(m^j), each a Brandt trace of tr(m^(dj)), d | k."""
-    return poly_from_power_sums([_brandt_trace(traces[j::j], k)
-                                 for j in range(1, witt_number(traces[0], k) + 1)])
+    power_traces(m, c), c >= k * witt_number(m.dim, k): the one-block piece."""
+    return _piece((traces,), (k,))
+
+
+def level_pieces(blocks, k: int) -> list[Poly]:
+    """The nonconstant pieces char(L_c), one per composition c of k over the
+    blocks f^e of char(M) = prod f^e, blocks the (f, e) pairs; their product
+    is level_char_poly at degree k.  Block f^e has power sums e * p_j(f)."""
+    dims = [[e * f.degree] for f, e in blocks]
+    shapes = [(c, degree) for c in _compositions(k, len(dims))
+              if (degree := next(_lie_traces(dims, c)))]
+    # the traces on L_c read p_(jd) of the blocks in c, j <= deg L_c, d | gcd c
+    counts = [max((degree * math.gcd(*c) for c, degree in shapes if c[i]), default=0)
+              for i in range(len(dims))]
+    block_sums = [[e * p for p in power_sums(f, count)]
+                  for (f, e), count in zip(blocks, counts)]
+    return [_piece(block_sums, c) for c, _ in shapes]
+
+
+def _compositions(k: int, r: int):
+    """Tuples of r nonnegative integers with sum k."""
+    if r == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _compositions(k - first, r - 1):
+            yield (first, *rest)
 
 
 def _mobius(n: int) -> int:
@@ -192,6 +252,10 @@ def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
     if not 1 <= top <= DEGREE_CAP:
         raise ValueError(f"degree {top} outside 1..{DEGREE_CAP}")
     n = m.dim
+    for k in range(2, top + 1):
+        if witt_number(n, k) == 0:
+            raise ValueError(f"gamma_{k} / gamma_{k + 1} is trivial at rank {n} "
+                             f"(Witt number 0)")
     levels = [list(zip(*m.rows))]  # levels[k - 1][l]: image of basis word l of degree k
     for k in range(2, top + 1):
         splits = _splits(n, k)

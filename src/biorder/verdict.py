@@ -2,10 +2,13 @@
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
 free group).  The analyzer checks phi once, takes the power sums of
-M = abelianized(phi) once, as many as the deepest level needs, and reads each
-level's characteristic polynomial from that one list (Brandt, Newton; level 1
-= M's action on basic commutators).  It factors each over Q, counts positive
-real roots exactly, and combines these rules, in the order R1, R2, R4, R3, R5:
+M = abelianized(phi) once, and reads the characteristic polynomials of levels
+0 and 1 from that one list (Brandt, Newton; level 1 = M's action on basic
+commutators).  Levels 2 and 3 are read piece by piece, one piece per
+composition of the level's degree over the blocks of char(M) that level 0's
+factor report gives (lcs.level_pieces), and each piece is factored on its
+own.  It factors each level over Q, counts positive real roots exactly, and
+combines these rules, in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -24,11 +27,11 @@ rule are recorded even when the rule does not fire.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import FactorReport, factor_over_Q, power_traces
+from .exactalg import FactorReport, Poly, factor_over_Q, power_traces
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         check_generator_names, default_names, verify_automorphism)
-from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, quotient_actions,
-                  witt_number)
+from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, level_pieces,
+                  quotient_actions, witt_number)
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
 BIORDERABLE = "BIORDERABLE"
@@ -104,10 +107,10 @@ class AnalysisReport(Record):
     verdict: Verdict
 
 
-def level_report(action: QuotientAction, traces: list[int], level: int) -> LevelReport:
-    """The level's characteristic polynomial from traces, the power sums of
-    M = abelianized(phi), its factor report, and its action for display."""
-    return LevelReport(level, action, factor_over_Q(level_char_poly(traces, level + 1)))
+def level_report(action: QuotientAction, level: int, pieces: list[Poly]) -> LevelReport:
+    """The level's factor report, from pieces whose product is its
+    characteristic polynomial, and its action for display."""
+    return LevelReport(level, action, factor_over_Q(*pieces))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -148,9 +151,17 @@ def analyze(record: KnotRecord, max_level: int = 1,
             raise AnalysisError(
                 f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
     m = abelianized(record.phi)
-    traces = power_traces(m, max((lv + 1) * d for lv, d in enumerate(degrees)))
-    levels = tuple(level_report(action, traces, lv)
-                   for lv, action in enumerate(quotient_actions(m, max_level + 1)))
+    actions = quotient_actions(m, max_level + 1)
+    # levels 0 and 1 are factored whole; the split pays at levels 2 and 3,
+    # whose polynomials (degree 20 and 60 at rank 4) repeat small factors
+    low = min(max_level, 1)
+    traces = power_traces(m, (low + 1) * degrees[low])
+    levels = [level_report(actions[lv], lv, [level_char_poly(traces, lv + 1)])
+              for lv in range(low + 1)]
+    if max_level >= 2:
+        blocks = [(f.poly, f.multiplicity) for f in levels[0].factors.factors]
+        levels += [level_report(actions[lv], lv, level_pieces(blocks, lv + 1))
+                   for lv in range(2, max_level + 1)]
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)
@@ -161,4 +172,4 @@ def analyze(record: KnotRecord, max_level: int = 1,
         "R4": record.fibered and positive == char_m.input.degree,
     }
     verdict = combine_rules(premises, max_level)
-    return AnalysisReport(record, levels, premises, verdict)
+    return AnalysisReport(record, tuple(levels), premises, verdict)

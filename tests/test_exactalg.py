@@ -11,11 +11,11 @@ from biorder.corpus import corpus_entries
 from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               ZeroPolynomialError, _distinct_degree,
                               _divmod_mod, _equal_degree, _gcd_mod, _gcdex_mod,
-                              _hensel_lift, _monic_mod, _odd_primes, _pow_mod,
-                              all_roots_positive_real,
+                              _divide_linear, _hensel_lift, _monic_mod,
+                              _odd_primes, _pow_mod, all_roots_positive_real,
                               char_poly, count_positive_roots,
                               factor_over_Q, has_positive_real_root,
-                              power_traces, rational_roots,
+                              power_sums, power_traces, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
 from biorder.freegroup import abelianized
@@ -95,6 +95,35 @@ class TestPowerTraces:
             m = random_matrix(rng, rng.randint(1, 5))
             count = rng.randint(0, 12)
             assert power_traces(m, count) == explicit_power_traces(m, count), (m, count)
+
+
+class TestPowerSums:
+    """power_sums reads a monic polynomial's power sums off its coefficients."""
+
+    def test_char_poly_sums_are_the_traces(self):
+        rng = random.Random(39)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(1, 5))
+            count = rng.randint(0, 30)
+            assert power_sums(char_poly(m), count) == explicit_power_traces(m, count), m
+
+    def test_blocks_of_char_m_add_up_to_the_traces(self):
+        # char(M) = prod f_i^(e_i), so sum_i e_i p_j(f_i) = tr(M^j)
+        rng = random.Random(40)
+        matrices = [abelianized(entry.record.phi) for entry in corpus_entries()]
+        matrices += [abelianized(random_automorphism(rng, 2 + i % 3)) for i in range(60)]
+        repeated = 0
+        for m in matrices:
+            blocks = factor_over_Q(char_poly(m)).factors
+            sums = [[f.multiplicity * x for x in power_sums(f.poly, 40)] for f in blocks]
+            assert [sum(col) for col in zip(*sums)] == explicit_power_traces(m, 40), m
+            repeated += any(f.multiplicity > 1 for f in blocks)
+        assert repeated >= 10
+
+    def test_needs_a_monic_polynomial(self):
+        for p in (Poly(), Poly([1, 2]), Poly([1, -1])):
+            with pytest.raises(ValueError):
+                power_sums(p, 3)
 
 
 class TestPolyConstructor:
@@ -474,6 +503,44 @@ NON_UNIT_COFACTORS = (
 )
 
 
+def test_divide_linear_matches_synthetic_division():
+    rng = random.Random(91)
+    for _ in range(200):
+        f = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [rng.randint(1, 9)])
+        for root in (1, -1):
+            quotient, remainder = _divide_linear(f, root)
+            expected, rest = synthetic_division(list(reversed(f.coeffs)), root)
+            assert (quotient, remainder) == (Poly(reversed(expected)), rest), (f, root)
+            assert quotient * Poly([-root, 1]) + Poly([remainder]) == f
+
+
+class TestFactorPieces:
+    """factor_over_Q(*pieces) factors each piece and adds the multiplicities
+    of shared factors: the report of the product, by unique factorization."""
+
+    def test_pieces_give_the_report_of_their_product(self):
+        rng = random.Random(93)
+        shared = [X_MINUS_1, X_PLUS_1, Poly([1, 1, 1]), Poly([1, -3, 1]), QUARTIC_6_2,
+                  Poly([-1, 2]), Poly([3, 0, 2]), Poly([1, 0, 1, 0, 1])]
+        for _ in range(200):
+            pieces = [Poly([rng.choice((1, -1, 2, -3))])
+                      * math.prod(rng.choices(shared, k=rng.randint(0, 4)), start=Poly([1]))
+                      for _ in range(rng.randint(1, 5))]
+            p = math.prod(pieces, start=Poly([1]))
+            assert factor_over_Q(*pieces) == factor_over_Q(p), pieces
+
+    def test_one_sturm_chain_per_distinct_factor(self, monkeypatch):
+        built = []
+        build = SturmChain.build.__func__
+        monkeypatch.setattr(SturmChain, "build",
+                            classmethod(lambda cls, p: built.append(p) or build(cls, p)))
+        pieces = [QUARTIC_6_2 * X_MINUS_1, QUARTIC_6_2 ** 2, X_MINUS_1 * Poly([1, 1, 1])]
+        report = factor_over_Q(*pieces)
+        assert [(f.poly, f.multiplicity) for f in report.factors] == [
+            (X_MINUS_1, 2), (Poly([1, 1, 1]), 1), (QUARTIC_6_2, 3)]
+        assert sorted(built, key=Poly.key) == [X_MINUS_1, Poly([1, 1, 1]), QUARTIC_6_2]
+
+
 def _split_cases(rng: random.Random):
     """(x - 1)^a (x + 1)^b g for every cofactor, a and b in 0..60."""
     fixed = [(0, 0), (1, 0), (0, 1), (2, 3), (60, 0), (0, 60), (60, 60)]
@@ -593,6 +660,20 @@ class TestHenselLift:
                                                           strict=True)), (f, pl)
             split += len(modular) >= 3
         assert split >= 40
+
+
+def test_hensel_lift_stops_at_the_target_modulus(monkeypatch):
+    moduli = []
+    step = exactalg._hensel_step
+    monkeypatch.setattr(exactalg, "_hensel_step",
+                        lambda f, g, h, s, t, mm: moduli.append(mm) or step(f, g, h, s, t, mm))
+    f = Poly([1, 0, 0, 0, 0, 0, 0, 0, 1])  # x^8 + 1, reducible mod every prime
+    p, modular = TestHenselLift._modular_factors(f)
+    for e in (2, 3, 5, 9, 16, 17):
+        moduli.clear()
+        lifted = _hensel_lift(p, f, modular, p ** e)
+        assert moduli and max(moduli) == p ** e, (e, moduli)
+        assert all(u % p == mf for u, mf in zip(lifted, modular, strict=True))
 
 
 class TestIrreducibilityCertificate:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -6,16 +7,17 @@ import pytest
 
 from biorder import lcs
 from biorder.corpus import CORPUS_NAMES, corpus_entry
-from biorder.exactalg import IntMatrix, Poly, char_poly, power_traces
+from biorder.exactalg import IntMatrix, Poly, char_poly, factor_over_Q, power_traces
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                                apply_map, commutator, identity_map, invert,
                                letter, multiply, power, random_word)
-from biorder.lcs import (lcs_action, level_char_poly, lyndon_basis,
-                         quotient_action, witt_number, _lie_coordinates)
+from biorder.lcs import (lcs_action, level_char_poly, level_pieces, lyndon_basis,
+                         quotient_action, quotient_actions, witt_number,
+                         _lie_coordinates)
 from biorder.magnus import expand, lowest_term
 from helpers import (W, bareiss_det, count_real_roots, divmod_q,
                      faddeev_leverrier_char_poly, random_automorphism,
-                     standard_bracketing)
+                     standard_bracketing, torus_monodromy)
 
 
 class TestLyndonBasis:
@@ -358,6 +360,91 @@ class TestLevelCharPoly:
             for k in (1, 2, 3, 4):
                 traces = power_traces(IntMatrix.identity(n), k * witt_number(n, k))
                 assert level_char_poly(traces, k) == Poly([-1, 1]) ** witt_number(n, k)
+
+
+def _blocks(m: IntMatrix) -> list[tuple[Poly, int]]:
+    """The blocks f^e of char(M) = prod f^e, as (f, e) pairs."""
+    return [(f.poly, f.multiplicity) for f in factor_over_Q(char_poly(m)).factors]
+
+
+def _piece_maps() -> list[FreeMap]:
+    """The corpus, the torus knots T(2, 3), T(2, 5) and T(3, 4) (ranks 2, 4
+    and 6) and 300 seeded random automorphisms of rank 2-4."""
+    rng = random.Random(103)
+    return ([corpus_entry(name).record.phi for name in CORPUS_NAMES]
+            + [torus_monodromy(p, q) for p, q in ((2, 3), (2, 5), (3, 4))]
+            + [random_automorphism(rng, 2 + i % 3, rng.randint(1, 8)) for i in range(300)])
+
+
+class TestLevelPieces:
+    """char L_k(M) splits into one piece per composition of k over the blocks
+    of char(M), each from the multigraded Brandt formula."""
+
+    def test_product_of_pieces_is_the_level_polynomial(self):
+        multi = repeated = 0
+        for phi in _piece_maps():
+            m = abelianized(phi)
+            blocks = _blocks(m)
+            traces = power_traces(m, 4 * witt_number(m.dim, 4))
+            for k in (1, 2, 3, 4):
+                pieces = level_pieces(blocks, k)
+                assert all(piece.degree > 0 for piece in pieces)
+                assert math.prod(pieces, start=Poly([1])) == level_char_poly(traces, k), (phi, k)
+            multi += len(blocks) >= 2
+            repeated += any(e > 1 for _, e in blocks)
+        assert multi >= 150 and repeated >= 30
+
+    def test_pieces_at_rank_6_torus_knots(self):
+        # rank 6, level polynomials up to degree 315; char(M) is Phi_14 for
+        # T(2, 7), one block, and Phi_6 Phi_12 for T(3, 4)
+        for p, q in ((2, 7), (3, 4)):
+            m = abelianized(torus_monodromy(p, q))
+            traces = power_traces(m, 4 * witt_number(m.dim, 4))
+            for k in (2, 3, 4):
+                pieces = level_pieces(_blocks(m), k)
+                assert len(pieces) == (1 if p == 2 else k + 1)
+                assert math.prod(pieces, start=Poly([1])) == level_char_poly(traces, k), (p, q, k)
+
+    def test_one_block_is_the_whole_level(self):
+        m = abelianized(corpus_entry("6_2").record.phi)  # char(M) irreducible
+        traces = power_traces(m, 4 * witt_number(4, 4))
+        for k in (1, 2, 3, 4):
+            assert level_pieces(_blocks(m), k) == [level_char_poly(traces, k)]
+
+    def test_pieces_give_the_report_of_the_level(self):
+        for phi in _piece_maps():
+            m = abelianized(phi)
+            blocks = _blocks(m)
+            traces = power_traces(m, 4 * witt_number(m.dim, 4))
+            for k in (2, 3, 4):
+                whole = level_char_poly(traces, k)
+                assert (factor_over_Q(*level_pieces(blocks, k))
+                        == factor_over_Q(whole)), (phi, k)
+
+    def test_pieces_report_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for phi in _piece_maps()[::15]:
+            m = abelianized(phi)
+            traces = power_traces(m, 3 * witt_number(m.dim, 3))
+            for k in (2, 3):
+                whole = level_char_poly(traces, k)
+                report = factor_over_Q(*level_pieces(_blocks(m), k))
+                _, expected = sympy.Poly(list(reversed(whole.coeffs)), t).factor_list()
+                expected = [(Poly(reversed(f.all_coeffs())).canonical(), e) for f, e in expected]
+                assert sorted((f.poly.key(), f.multiplicity) for f in report.factors) == sorted(
+                    (f.key(), e) for f, e in expected), (phi, k)
+
+
+def test_trivial_quotient_is_named():
+    # rank 1 has Witt number 0 at every degree k >= 2
+    for k in (2, 3, 4):
+        with pytest.raises(ValueError, match=r"gamma_2 / gamma_3 is trivial at rank 1 "
+                                             r"\(Witt number 0\)"):
+            quotient_action(IntMatrix(((1,),)), k)
+    with pytest.raises(ValueError, match="Witt number 0"):
+        lcs_action(identity_map(1), 2)
+    assert [a.matrix for a in quotient_actions(IntMatrix(((-1,),)), 1)] == [IntMatrix(((-1,),))]
 
 
 def _action_with_flipped_bracket(phi, k, flip_index=None) -> IntMatrix:

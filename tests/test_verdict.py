@@ -410,6 +410,22 @@ class TestLevelWork:
         analyze(record, max_level=3, max_degree=100)
         assert 0 < len(products) <= record.rank
 
+    def test_only_levels_2_and_3_are_split_into_pieces(self, monkeypatch):
+        def no_pieces(blocks, k):
+            raise AssertionError("pieces built at max_level <= 1")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verdict, "level_pieces", no_pieces)
+            for entry in corpus_entries():
+                for level in (0, 1):
+                    analyze(entry.record, max_level=level)
+        degrees = []
+        pieces = verdict.level_pieces
+        monkeypatch.setattr(verdict, "level_pieces",
+                            lambda blocks, k: degrees.append(k) or pieces(blocks, k))
+        analyze(knot("7_6"), max_level=3, max_degree=100)
+        assert degrees == [3, 4]
+
     def test_analysis_never_takes_a_matrix_char_poly(self, monkeypatch):
         def no_char_poly(a):
             raise AssertionError("char_poly called on the analysis path")
