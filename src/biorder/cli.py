@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import orderprops
 from .exactalg import Poly
 from .freegroup import check_generator_names, format_word, parse_word
-from .lcs import DEGREE_CAP, bracket_name
+from .lcs import DEGREE_CAP, _splits
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
 from .presentation import PresentationError, parse_presentation
@@ -91,10 +91,22 @@ def poly_text(p: Poly) -> str:
     return " ".join(terms)
 
 
-def _level_dict(level, names) -> dict:
+def _basis_names(report: AnalysisReport) -> list[list[str]]:
+    """Each level's basis names, each level's from the ones below it: the
+    name of a basis word l = uv is [name(u),name(v)], as lcs.bracket_name
+    gives it."""
+    names = [list(report.record.generator_names)]
+    n = len(names[0])
+    for k in range(2, len(report.levels) + 1):
+        names.append([f"[{names[i - 1][a]},{names[k - i - 1][b]}]"
+                      for i, a, b in _splits(n, k)])
+    return names
+
+
+def _level_dict(level, basis: list[str]) -> dict:
     return {
         "level": level.level,
-        "basis": [bracket_name(lw, names) for lw in level.action.basis],
+        "basis": basis,
         "matrix": [list(row) for row in level.action.matrix.rows],
         "charpoly": list(level.factors.input.coeffs),
         "factors": [
@@ -115,8 +127,8 @@ def _level_dict(level, names) -> dict:
 
 
 def analysis_to_dict(report: AnalysisReport) -> dict:
-    names = report.record.generator_names
-    levels = [_level_dict(level, names) for level in report.levels]
+    levels = [_level_dict(level, basis)
+              for level, basis in zip(report.levels, _basis_names(report))]
     return {
         "name": report.record.name,
         "levels": levels,
@@ -140,10 +152,10 @@ def analysis_to_text(report: AnalysisReport) -> str:
     rec = report.record
     out = [f"knot: {rec.name} ({'fibered' if rec.fibered else 'not fibered'})",
            f"generators: {' '.join(rec.generator_names)}"]
-    for level in report.levels:
+    for level, basis in zip(report.levels, _basis_names(report)):
         out.append("")
         out.append(f"level {level.level}")
-        out.append(f"  basis: {' '.join(bracket_name(lw, rec.generator_names) for lw in level.action.basis)}")
+        out.append(f"  basis: {' '.join(basis)}")
         out.append("  matrix:")
         out.extend("    " + line for line in _matrix_lines(level.action.matrix))
         out.append(f"  char poly: {poly_text(level.factors.input)}")

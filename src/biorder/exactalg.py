@@ -19,12 +19,15 @@ pieces fit together as
     factor_over_Q       -- of a polynomial, or of the product of pieces, each
                            piece on its own and equal factors merged;
                            x - 1 and x + 1 divided off first, by synthetic
-                           division; a squarefree part of degree <= 3 of a
+                           division, then every irreducible in the record
+                           of one analysis (each gets one Sturm chain per
+                           record); a squarefree part of degree <= 3 of a
                            unit polynomial is irreducible; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
-                           and Zassenhaus subset
-                           recombination, all three on Poly: (Z/m)[x] is
+                           and Zassenhaus subset recombination (at half size
+                           only the subsets that hold the first factor),
+                           all three on Poly: (Z/m)[x] is
                            Z[x] arithmetic followed by `% m`, plus division,
                            gcd, extended gcd, powers and monic mod m
     sturm_count         -- sign variations of a Sturm chain whose entries are
@@ -555,7 +558,12 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     current = f
     size = 1
     while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
+        subsets = itertools.combinations(range(len(lifted)), size)
+        if 2 * size == len(lifted):
+            # a subset and its complement make the same split, and the
+            # subsets that hold index 0 come first: try only those
+            subsets = itertools.islice(subsets, math.comb(len(lifted) - 1, size - 1))
+        for subset in subsets:
             cand = Poly([current.leading])
             for i in subset:
                 cand = cand * lifted[i] % pl
@@ -614,13 +622,21 @@ class FactorReport(Record):
         return any(f.positive_real_roots == 0 for f in self.factors)
 
 
-def factor_over_Q(*pieces: Poly) -> FactorReport:
+def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     """Irreducible factorization over Q of the primitive part of the product
     p of the pieces, with root counts; factor_over_Q(p) takes p whole.
 
     Each piece is factored on its own and the multiplicities of equal factors
     are added, so the report is the one of p by unique factorization in
     Z[x].  Every factor, however many pieces share it, gets one Sturm chain.
+
+    known, when given, is the record of one analysis: each irreducible found
+    so far maps to its (positive, negative, real) root counts.  A piece is
+    divided by every known irreducible, as often as it divides, and only the
+    cofactor is factored; its new irreducibles join the record.  So a factor
+    that comes back at a later level, or in a later piece, is found by trial
+    division and gets no second Yun pass, Zassenhaus search or Sturm chain.
+    Without a record each call starts from none.
 
     A level polynomial is the characteristic polynomial of a matrix in GL(Z),
     so it is a unit polynomial: leading and constant coefficient are +-1, and
@@ -637,17 +653,27 @@ def factor_over_Q(*pieces: Poly) -> FactorReport:
     c = p.content()
     if p.leading < 0:
         c = -c
+    if known is None:
+        known = {}
     multiplicity: dict[Poly, int] = {}
     for piece in pieces:
-        for irr, mult in _factor_canonical(piece.canonical()):
+        for irr, mult in _factor_canonical(piece.canonical(), known):
             multiplicity[irr] = multiplicity.get(irr, 0) + mult
-    entries = tuple(Factor(poly, multiplicity[poly], *_root_counts(poly))
+    for poly in multiplicity:
+        if poly not in known:
+            known[poly] = _root_counts(poly)
+    entries = tuple(Factor(poly, multiplicity[poly], *known[poly])
                     for poly in sorted(multiplicity, key=Poly.key))
     return FactorReport(p, c, entries)
 
 
-def _factor_canonical(rest: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible factors with multiplicities of a canonical rest, unsorted."""
+_X_MINUS_PLUS_1 = (Poly([-1, 1]), Poly([1, 1]))
+
+
+def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
+    """Irreducible factors with multiplicities of a canonical rest, unsorted:
+    x - 1 and x + 1 by synthetic division, then the other known
+    irreducibles by trial division, then the cofactor's own."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -659,6 +685,17 @@ def _factor_canonical(rest: Poly) -> list[tuple[Poly, int]]:
             mult += 1
         if mult:
             factors.append((Poly([-root, 1]), mult))
+    for irr in known:
+        if irr in _X_MINUS_PLUS_1:  # divided off above
+            continue
+        mult = 0
+        while irr.degree <= rest.degree and (quotient := rest.div_z(irr)) is not None:
+            rest = quotient
+            mult += 1
+        if mult:
+            factors.append((irr, mult))
+    if rest.degree < 1:
+        return factors
     unit = rest.leading == 1 and rest.constant in (1, -1)
     for sq_factor, mult in squarefree_decomposition(rest):
         if unit and sq_factor.degree <= 3:

@@ -22,6 +22,13 @@ Every premise is a function of the fibered flag and the factor reports of
 levels 0 and 1 alone: the irreducible factors of char(M) and char(N) over Q,
 their multiplicities and their positive-root counts.  Premise flags for every
 rule are recorded even when the rule does not fire.
+
+The roots of a level are products of roots of char(M), so factors of lower
+levels come back: 6_2's char(M) divides its level-2 polynomial three times.
+One analysis keeps one record of the irreducibles found so far and their
+root counts, passed to factor_over_Q at every level: each piece is divided
+by them first, and only what is left is factored and gets Sturm chains.
+The record is made by analyze and dropped with it.
 """
 
 from __future__ import annotations
@@ -107,10 +114,12 @@ class AnalysisReport(Record):
     verdict: Verdict
 
 
-def level_report(action: QuotientAction, level: int, pieces: list[Poly]) -> LevelReport:
+def level_report(action: QuotientAction, level: int, pieces: list[Poly],
+                 known: dict) -> LevelReport:
     """The level's factor report, from pieces whose product is its
-    characteristic polynomial, and its action for display."""
-    return LevelReport(level, action, factor_over_Q(*pieces))
+    characteristic polynomial, and its action for display; known is the
+    analysis's record of irreducibles (see factor_over_Q), which it extends."""
+    return LevelReport(level, action, factor_over_Q(*pieces, known=known))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -156,11 +165,12 @@ def analyze(record: KnotRecord, max_level: int = 1,
     # whose polynomials (degree 20 and 60 at rank 4) repeat small factors
     low = min(max_level, 1)
     traces = power_traces(m, (low + 1) * degrees[low])
-    levels = [level_report(actions[lv], lv, [level_char_poly(traces, lv + 1)])
+    known: dict = {}  # irreducibles found so far -> root counts, for this analysis only
+    levels = [level_report(actions[lv], lv, [level_char_poly(traces, lv + 1)], known)
               for lv in range(low + 1)]
     if max_level >= 2:
         blocks = [(f.poly, f.multiplicity) for f in levels[0].factors.factors]
-        levels += [level_report(actions[lv], lv, level_pieces(blocks, lv + 1))
+        levels += [level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known)
                    for lv in range(2, max_level + 1)]
     char_m = levels[0].factors
     # positive roots of char(M), counted with multiplicity

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -593,6 +594,20 @@ def test_analysis_stream_is_pinned(name, capsys):
                              "--max-degree", "100", "--format", fmt]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_basis_names_match_bracket_name():
+    """The renderer builds each level's names from the splits of the level
+    below; lcs.bracket_name, one fold per word, is the oracle."""
+    from biorder.lcs import bracket_name
+    from biorder.verdict import KnotRecord, analyze
+    from helpers import random_automorphism
+    rng = random.Random(127)
+    for names in (("x", "y"), ("p", "q", "r"), ("d", "c", "b", "a")):
+        record = KnotRecord("r", random_automorphism(rng, len(names), 5), True, names)
+        report = analyze(record, max_level=3, max_degree=100)
+        assert cli._basis_names(report) == [
+            [bracket_name(lw, names) for lw in level.action.basis] for level in report.levels]
 
 
 def test_corpus_loads_no_archive_or_temp_file_module():

@@ -541,6 +541,39 @@ class TestFactorPieces:
         assert sorted(built, key=Poly.key) == [X_MINUS_1, Poly([1, 1, 1]), QUARTIC_6_2]
 
 
+    def test_a_shared_record_changes_no_report(self, monkeypatch):
+        built = []
+        build = SturmChain.build.__func__
+        monkeypatch.setattr(SturmChain, "build",
+                            classmethod(lambda cls, p: built.append(p) or build(cls, p)))
+        rng = random.Random(113)
+        shared = [X_MINUS_1, X_PLUS_1, Poly([1, 1, 1]), Poly([1, -3, 1]), QUARTIC_6_2,
+                  QUARTIC_7_6, Poly([-1, 2]), Poly([3, 0, 2]), Poly([1, 0, 1, 0, 1])]
+        cases = [[Poly([rng.choice((1, -1, 2, -3))])
+                  * math.prod(rng.choices(shared, k=rng.randint(0, 5)), start=Poly([1]))
+                  for _ in range(rng.randint(1, 4))] for _ in range(150)]
+        alone = [factor_over_Q(*pieces) for pieces in cases]
+        built.clear()
+        known = {}
+        for pieces, expected in zip(cases, alone):
+            assert factor_over_Q(*pieces, known=known) == expected, pieces
+        assert sorted(built, key=Poly.key) == sorted(known, key=Poly.key)
+        assert set(known) == {f.poly for report in alone for f in report.factors}
+        assert all(known[f] == exactalg._root_counts(f) for f in known)
+
+
+def test_half_size_recombination_skips_complements(monkeypatch):
+    # 6_2's char(M) is irreducible and splits mod 3 into two quadratics: the
+    # subset {0} and its complement {1} are one split, tried once
+    trials = []
+    div_z = Poly.div_z
+    monkeypatch.setattr(Poly, "div_z", lambda a, b: trials.append(b) or div_z(a, b))
+    fp = exactalg._monic_mod(QUARTIC_6_2, 3)
+    assert [(g.degree, d) for g, d in exactalg._distinct_degree(fp, 3)] == [(4, 2)]
+    assert exactalg._factor_squarefree(QUARTIC_6_2) == [QUARTIC_6_2]
+    assert len(trials) == 1
+
+
 def _split_cases(rng: random.Random):
     """(x - 1)^a (x + 1)^b g for every cofactor, a and b in 0..60."""
     fixed = [(0, 0), (1, 0), (0, 1), (2, 3), (60, 0), (0, 60), (60, 60)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -436,6 +437,101 @@ class TestLevelWork:
             for level in range(lcs.DEGREE_CAP):
                 report = analyze(entry.record, max_level=level, max_degree=100)
                 assert len(report.levels) == level + 1
+
+
+def _record_maps() -> list[tuple[FreeMap, list[int]]]:
+    """(phi, levels) for the corpus, the torus family and 300 seeded random
+    automorphisms of rank 2-4: every level 0..3 of degree <= 100."""
+    rng = random.Random(107)
+    maps = ([entry.record.phi for entry in corpus_entries()]
+            + [torus_monodromy(p, q) for p, q in TORUS_PAIRS]
+            + [random_automorphism(rng, 2 + i % 3, rng.randint(1, 8)) for i in range(300)])
+    return [(phi, [lv for lv in range(lcs.DEGREE_CAP)
+                   if lcs.witt_number(phi.rank, lv + 1) <= 100]) for phi in maps]
+
+
+def _deepest(phi: FreeMap, levels: list[int]):
+    return analyze(KnotRecord("r", phi, True), max_level=levels[-1], max_degree=100)
+
+
+def _whole_level_polys(phi: FreeMap, levels: list[int]) -> list[Poly]:
+    m = abelianized(phi)
+    traces = exactalg.power_traces(m, (levels[-1] + 1) * lcs.witt_number(m.dim, levels[-1] + 1))
+    return [lcs.level_char_poly(traces, lv + 1) for lv in levels]
+
+
+class TestFactorRecord:
+    """One analysis keeps one record of the irreducibles it has found: each
+    level piece is divided by them, and each gets one Sturm chain."""
+
+    def test_each_level_matches_its_whole_polynomial(self):
+        multi = 0
+        for phi, levels in _record_maps():
+            report = _deepest(phi, levels)
+            for level, whole in zip(report.levels, _whole_level_polys(phi, levels)):
+                assert level.factors == factor_over_Q(whole), (phi, level.level)
+            multi += len(report.levels[0].factors.factors) >= 2
+        assert multi >= 150
+
+    def test_sample_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for phi, levels in _record_maps()[::12]:
+            report = _deepest(phi, levels)
+            for level, whole in zip(report.levels, _whole_level_polys(phi, levels)):
+                _, expected = sympy.Poly(list(reversed(whole.coeffs)), t).factor_list()
+                expected = [(Poly(reversed(f.all_coeffs())).canonical().key(), e)
+                            for f, e in expected]
+                assert sorted((f.poly.key(), f.multiplicity)
+                              for f in level.factors.factors) == sorted(expected), (phi, level.level)
+
+    def test_one_sturm_chain_per_distinct_factor_per_analysis(self, monkeypatch):
+        built = []
+        build = exactalg.SturmChain.build.__func__
+        monkeypatch.setattr(exactalg.SturmChain, "build",
+                            classmethod(lambda cls, p: built.append(p) or build(cls, p)))
+        returning = 0
+        for phi, levels in _record_maps()[::5]:
+            built.clear()
+            report = _deepest(phi, levels)
+            found = [f.poly for level in report.levels for f in level.factors.factors]
+            assert sorted(built, key=Poly.key) == sorted(set(found), key=Poly.key), phi
+            returning += len(found) > len(set(found))
+        assert returning >= 30
+
+
+class TestNoStateAcrossAnalyses:
+    """The record lives and dies with one analysis."""
+
+    def test_same_record_twice_does_the_same_work(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        build = exactalg.SturmChain.build.__func__
+        monkeypatch.setattr(exactalg.SturmChain, "build",
+                            classmethod(lambda cls, p: calls.update(["sturm"]) or build(cls, p)))
+        for name in ("squarefree_decomposition", "_factor_squarefree"):
+            monkeypatch.setattr(exactalg, name, counting(name, getattr(exactalg, name)))
+        for record in (knot("6_2"), knot("7_6"),
+                       KnotRecord("r", random_automorphism(random.Random(5), 4, 6), True)):
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                analyze(record, max_level=3, max_degree=100)
+                counts.append(dict(calls))
+            assert counts[0] == counts[1] and counts[0]["sturm"] > 0, record.name
+
+    def test_order_of_analyses_changes_no_report(self):
+        rng = random.Random(109)
+        records = [knot("6_2"), knot("7_6")] + [
+            KnotRecord(f"r{i}", random_automorphism(rng, 2 + i % 3, rng.randint(2, 8)), True)
+            for i in range(6)]
+        once = [analyze(record, max_level=3, max_degree=100) for record in records]
+        for i, j in itertools.permutations(range(len(records)), 2):
+            assert analyze(records[i], max_level=3, max_degree=100) == once[i]
+            assert analyze(records[j], max_level=3, max_degree=100) == once[j]
 
 
 class TestCombineRules:
