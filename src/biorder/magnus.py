@@ -1,10 +1,10 @@
 """Truncated noncommutative series expansion of free-group words.
 
 The generator x_i maps to 1 + X_i and its inverse to the truncated geometric
-series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  Per letter,
-expand updates each degree-k layer P[k] of the running product: x_g gives
-P[k] + P[k-1] X_g, k falling so P[k-1] is still old; x_g^-1 gives
-Q[k] = P[k] - Q[k-1] X_g (Q (1 + X_g) = P), k rising so Q[k-1] is already new.
+series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  expand packs
+each degree-k layer of the running product into one int of signed fields,
+one per monomial, wide enough for C(L+k-1, k), the largest degree-k
+coefficient of L letters, so a letter costs one shift-and-add per degree.
 The first nonvanishing homogeneous part of a word orders the free group: a
 word is positive when that part's first coefficient in graded-lex monomial
 order is positive.  The degree-1 part is the exponent-sum vector, and a
@@ -30,6 +30,8 @@ generator dominates every other element.
 from __future__ import annotations
 
 import random
+import re
+from math import comb
 
 from ._record import Record
 from .freegroup import Word, invert, multiply
@@ -103,24 +105,38 @@ def series_mul(s: Series, t: Series) -> Series:
 def expand(w: Word, truncation: int) -> Series:
     """Magnus expansion of w, truncated at the given total degree.
 
-    x_g adds P[k-1] X_g to layer P[k] for k from the top down (P[k-1] still
-    old); x_g^-1 subtracts Q[k-1] X_g for k from 1 up (Q[k-1] already new),
-    solving Q (1 + X_g) = P.  A layer keys each monomial by its letters read
-    as base-rank digits.
+    Layer P[k] is one int holding each degree-k coefficient in a signed W-bit
+    field, at the key whose base-rank digits are the monomial's letters, the
+    last one most significant; so P[k-1] X_g is P[k-1] << W g rank^(k-1).
+    x_g adds that to P[k] for k falling (P[k-1] still old); x_g^-1 subtracts
+    Q[k-1] X_g for k rising (Q[k-1] already new), solving Q (1 + X_g) = P.
+    A degree-k coefficient of L letter series is a signed count of the weak
+    compositions of k into L parts, so |c| <= C(L+k-1, k), which x^-L reaches;
+    W is that bound's bits plus a sign bit, in whole bytes.
     """
-    n = w.rank
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(truncation)]
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    n, top = w.rank, truncation
+    width = 8 * ((comb(max(len(w), 1) + top - 1, top).bit_length() + 8) // 8)
+    steps, layers = [width * n ** k for k in range(top)], [1] + [0] * top
     for g, s in w.letters:
-        for k in range(truncation, 0, -1) if s == 1 else range(1, truncation + 1):
-            layer = layers[k]
-            for m, c in layers[k - 1].items():
-                t = m * n + g
-                if v := layer.get(t, 0) + s * c:
-                    layer[t] = v
-                else:
-                    del layer[t]
-    return Series(n, truncation, {tuple(m // n ** i % n for i in range(k - 1, -1, -1)): c
-                                  for k, layer in enumerate(layers) for m, c in layer.items()})
+        if s == 1:
+            for k in range(top, 0, -1):
+                layers[k] += layers[k - 1] << g * steps[k - 1]
+        else:
+            for k in range(1, top + 1):
+                layers[k] -= layers[k - 1] << g * steps[k - 1]
+    # The offset adds 2^(W-1) to every field: a zero coefficient reads 2^(W-1).
+    coeffs, half, size = {(): 1}, 1 << width - 1, width // 8
+    for k, v in enumerate(layers):
+        if k and v:
+            off = ((1 << width * n ** k) - 1) // ((1 << width) - 1) * half
+            fields = (v + off).to_bytes(size * n ** k, "little")
+            for run in re.finditer(rb"[^\0]+", (v + off ^ off).to_bytes(len(fields), "little")):
+                for m in range(run.start() // size, (run.end() - 1) // size + 1):
+                    coeffs[tuple(m // n ** j % n for j in range(k))] = (
+                        int.from_bytes(fields[m * size:(m + 1) * size], "little") - half)
+    return Series(n, top, coeffs)
 
 
 class LowestTerm(Record):
@@ -262,14 +278,17 @@ def in_gamma(w: Word, k: int) -> bool:
     """Membership in the k-th lower central series term of the free group.
 
     w is in gamma_k iff every layer of expand(w, k - 1) but the constant one
-    is zero.  A nonzero exponent sum or a nonzero evaluated degree below k
-    refutes that without expanding; otherwise the expansion decides.
+    is zero.  Past the word's length only the identity is; a nonzero
+    exponent sum or a nonzero evaluated degree below k refutes it without
+    expanding; otherwise the expansion decides.
     """
     if k < 1:
         raise ValueError("central series index must be >= 1")
     if k == 1:
         return True
-    if any(w.exponent_vector()) or _evaluated_degree(w, min(k - 1, len(w))) is not None:
+    if k > len(w):  # a nontrivial reduced word of length L is not in gamma_(L+1)
+        return w.is_identity
+    if any(w.exponent_vector()) or _evaluated_degree(w, k - 1) is not None:
         return False
     s = expand(w, k - 1)
     return all(not m for m in s.coeffs)

@@ -6,7 +6,8 @@ characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
 instead of Newton's identities on power sums, power sums come from every
 explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
-are expanded from degree 1, semidirect products rebuild phi^n each time, and
+are expanded from degree 1, the expansion keeps one dict per degree instead
+of one packed integer, semidirect products rebuild phi^n each time, and
 random words come from the standard library's randint, randrange and choice
 instead of getrandbits.
 Division over Q, a factor report's product, the real and negative root
@@ -27,7 +28,7 @@ from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
                                commutator, compose, identity, invert, letter,
                                multiply, parse_word, power, random_word, reduce)
 from biorder.lcs import _fold
-from biorder.magnus import LowestTerm, expand
+from biorder.magnus import LowestTerm, Series, expand
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
 
@@ -210,6 +211,29 @@ def lowest_term_by_expansion(w: Word) -> LowestTerm:
         if part:
             return LowestTerm(d, tuple(sorted(part.items())))
     raise AssertionError("no nonzero homogeneous part up to the word length")
+
+
+def expand_by_dict_layers(w: Word, truncation: int) -> Series:
+    """Magnus expansion of w, truncated at the given total degree.
+
+    x_g adds P[k-1] X_g to layer P[k] for k from the top down (P[k-1] still
+    old); x_g^-1 subtracts Q[k-1] X_g for k from 1 up (Q[k-1] already new),
+    solving Q (1 + X_g) = P.  A layer is a dict that keys each monomial by
+    its letters read as base-rank digits, first letter most significant.
+    """
+    n = w.rank
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(truncation)]
+    for g, s in w.letters:
+        for k in range(truncation, 0, -1) if s == 1 else range(1, truncation + 1):
+            layer = layers[k]
+            for m, c in layers[k - 1].items():
+                t = m * n + g
+                if v := layer.get(t, 0) + s * c:
+                    layer[t] = v
+                else:
+                    del layer[t]
+    return Series(n, truncation, {tuple(m // n ** i % n for i in range(k - 1, -1, -1)): c
+                                  for k, layer in enumerate(layers) for m, c in layer.items()})
 
 
 def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
