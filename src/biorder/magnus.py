@@ -3,8 +3,11 @@
 The generator x_i maps to 1 + X_i and its inverse to the truncated geometric
 series 1 - X_i + X_i^2 - ...; coefficients are exact integers.  expand packs
 each degree-k layer of the running product into one int of signed fields,
-one per monomial, wide enough for C(L+k-1, k), the largest degree-k
-coefficient of L letters, so a letter costs one shift-and-add per degree.
+one per monomial in the u generators the word uses, wide enough for
+C(L+k-1, k), the largest degree-k coefficient of L letters, so a letter costs
+one shift-and-add per degree.  When the top layer would span more than 2^13
+fields (u^k), each layer keeps only its nonzero monomials, since a word over
+many letters reaches few of the u^k (8 distinct letters: 4677 of 8^8).
 The first nonvanishing homogeneous part of a word orders the free group: a
 word is positive when that part's first coefficient in graded-lex monomial
 order is positive.  The degree-1 part is the exponent-sum vector, and a
@@ -102,30 +105,58 @@ def series_mul(s: Series, t: Series) -> Series:
     return Series(s.nvars, d, out)  # drops the zeros
 
 
+_PACKED_FIELDS = 1 << 13  # the most fields (u^truncation) a packed top layer gets
+
+
 def expand(w: Word, truncation: int) -> Series:
     """Magnus expansion of w, truncated at the given total degree.
 
-    Layer P[k] is one int holding each degree-k coefficient in a signed W-bit
-    field, at the key whose base-rank digits are the monomial's letters, the
-    last one most significant; so P[k-1] X_g is P[k-1] << W g rank^(k-1).
-    x_g adds that to P[k] for k falling (P[k-1] still old); x_g^-1 subtracts
-    Q[k-1] X_g for k rising (Q[k-1] already new), solving Q (1 + X_g) = P.
-    A degree-k coefficient of L letter series is a signed count of the weak
-    compositions of k into L parts, so |c| <= C(L+k-1, k), which x^-L reaches;
-    W is that bound's bits plus a sign bit, in whole bytes.
+    The u generators that occur in w, in order, are the digits 0..u-1, and a
+    monomial's key has its letters as base-u digits.  x_g adds P[k-1] X_g to
+    layer P[k] for k falling (P[k-1] still old); x_g^-1 subtracts Q[k-1] X_g
+    for k rising (Q[k-1] already new), solving Q (1 + X_g) = P.
+
+    While u^truncation <= _PACKED_FIELDS, layer P[k] is one int of u^k signed
+    W-bit fields, whatever the rank, the last letter most significant, so
+    P[k-1] X_g is P[k-1] << W i u^(k-1) for g's digit i.  The top layer is
+    never read: it is kept as one sum of P[top-1] per last letter and shifted
+    into place at the end.  A degree-k coefficient of L letter series is a
+    signed count of weak compositions of k into L parts, so |c| is at most
+    C(L+k-1, k), which x^-L reaches; W is its bits plus a sign bit, in bytes.
+    Past that size each layer is a dict of its nonzero monomials, keyed the
+    first letter most significant.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    n, top = w.rank, truncation
+    used = sorted({g for g, _ in w.letters})
+    digit, n, top = {g: i for i, g in enumerate(used)}, len(used), truncation
+    if n ** top > _PACKED_FIELDS:
+        sparse: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(top)]
+        for g, s in w.letters:
+            g = digit[g]
+            for k in range(top, 0, -1) if s == 1 else range(1, top + 1):
+                layer = sparse[k]
+                for m, c in sparse[k - 1].items():  # the key m n + g appends X_g
+                    if v := layer.get(t := m * n + g, 0) + s * c:
+                        layer[t] = v
+                    else:
+                        del layer[t]
+        return Series(w.rank, top, {tuple(used[m // n ** j % n] for j in range(k - 1, -1, -1)): c
+                                    for k, layer in enumerate(sparse) for m, c in layer.items()})
     width = 8 * ((comb(max(len(w), 1) + top - 1, top).bit_length() + 8) // 8)
-    steps, layers = [width * n ** k for k in range(top)], [1] + [0] * top
+    steps, layers, last = [width * n ** k for k in range(top)], [1] + [0] * top, [0] * n
     for g, s in w.letters:
+        g = digit[g]
         if s == 1:
-            for k in range(top, 0, -1):
+            last[g] += layers[top - 1]
+            for k in range(top - 1, 0, -1):
                 layers[k] += layers[k - 1] << g * steps[k - 1]
         else:
-            for k in range(1, top + 1):
+            for k in range(1, top):
                 layers[k] -= layers[k - 1] << g * steps[k - 1]
+            last[g] -= layers[top - 1]
+    if top:  # at truncation 0, last summed the constant layer: unused
+        layers[top] = sum(v << i * steps[top - 1] for i, v in enumerate(last))
     # The offset adds 2^(W-1) to every field: a zero coefficient reads 2^(W-1).
     coeffs, half, size = {(): 1}, 1 << width - 1, width // 8
     for k, v in enumerate(layers):
@@ -134,9 +165,9 @@ def expand(w: Word, truncation: int) -> Series:
             fields = (v + off).to_bytes(size * n ** k, "little")
             for run in re.finditer(rb"[^\0]+", (v + off ^ off).to_bytes(len(fields), "little")):
                 for m in range(run.start() // size, (run.end() - 1) // size + 1):
-                    coeffs[tuple(m // n ** j % n for j in range(k))] = (
+                    coeffs[tuple(used[m // n ** j % n] for j in range(k))] = (
                         int.from_bytes(fields[m * size:(m + 1) * size], "little") - half)
-    return Series(n, top, coeffs)
+    return Series(w.rank, top, coeffs)
 
 
 class LowestTerm(Record):
@@ -278,9 +309,8 @@ def in_gamma(w: Word, k: int) -> bool:
     """Membership in the k-th lower central series term of the free group.
 
     w is in gamma_k iff every layer of expand(w, k - 1) but the constant one
-    is zero.  Past the word's length only the identity is; a nonzero
-    exponent sum or a nonzero evaluated degree below k refutes it without
-    expanding; otherwise the expansion decides.
+    is zero.  Past the word's length only the identity is; a nonzero exponent
+    sum or evaluated degree below k refutes it unexpanded, else expand decides.
     """
     if k < 1:
         raise ValueError("central series index must be >= 1")

@@ -6,8 +6,10 @@ characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
 instead of Newton's identities on power sums, power sums come from every
 explicit matrix power instead of a recurrence, root locations are planted
 rather than counted, a map is applied by a fold of multiply, lowest terms
-are expanded from degree 1, the expansion keeps one dict per degree instead
-of one packed integer, semidirect products rebuild phi^n each time, and
+are expanded from degree 1, the expansion keeps one dict per degree keyed
+over the whole rank (expand packs its layers over the letters a word uses,
+and its own dict layers are checked against a series_mul product too),
+semidirect products rebuild phi^n each time, and
 random words come from the standard library's randint, randrange and choice
 instead of getrandbits.
 Division over Q, a factor report's product, the real and negative root
