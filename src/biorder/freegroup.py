@@ -14,7 +14,8 @@ a caller checks generator range, signs and reduction; `reduce` (and so
 construction.  Words derived from valid words (`multiply`, `invert`,
 `apply_map`, and so `power`, `commutator` and `conjugate`) and the words
 `random_word` draws (generators in range, no letter followed by its inverse)
-are reduced by construction and skip the check.
+are reduced by construction and skip the check; `multiply` and `apply_map`
+cancel letters only at the seams where two such words meet.
 """
 
 from __future__ import annotations
@@ -118,13 +119,11 @@ def _check_rank(w1: Word, w2: Word):
 def multiply(w1: Word, w2: Word) -> Word:
     """Reduced product w1 * w2 (cancellation only happens at the seam)."""
     _check_rank(w1, w2)
-    left = list(w1.letters)
-    right = w2.letters
-    i = 0
-    while left and i < len(right) and left[-1][0] == right[i][0] and left[-1][1] == -right[i][1]:
-        left.pop()
+    a, b = w1.letters, w2.letters
+    n, i = len(a), 0
+    while i < n and i < len(b) and a[n - 1 - i][0] == b[i][0] and a[n - 1 - i][1] == -b[i][1]:
         i += 1
-    return _word(w1.rank, tuple(left) + right[i:])
+    return _word(w1.rank, a[:n - i] + b[i:])
 
 
 def invert(w: Word) -> Word:
@@ -188,19 +187,21 @@ def identity_map(rank: int) -> FreeMap:
 
 
 def apply_map(phi: FreeMap, w: Word) -> Word:
-    """Substitute each letter by its image (inverted image for negative letters),
-    freely reducing the image letters on one stack."""
+    """Substitute each letter by its image (inverted image for negative letters);
+    the images are reduced, so letters cancel only where each one meets the output."""
     if phi.rank != w.rank:
         raise RankMismatchError(f"rank mismatch: map {phi.rank} vs word {w.rank}")
-    stack: list[tuple[int, int]] = []
+    out: list[tuple[int, int]] = []
     for g, s in w.letters:
-        img = phi.images[g].letters
-        for h, t in img if s == 1 else reversed(img):
-            if stack and stack[-1] == (h, -s * t):
-                stack.pop()
-            else:
-                stack.append((h, s * t))
-    return _word(w.rank, tuple(stack))
+        block = phi.images[g].letters
+        if s == -1:
+            block = [(h, -t) for h, t in reversed(block)]
+        i = 0
+        while out and i < len(block) and out[-1][0] == block[i][0] and out[-1][1] == -block[i][1]:
+            out.pop()
+            i += 1
+        out.extend(block[i:])
+    return _word(w.rank, tuple(out))
 
 
 def compose(phi: FreeMap, psi: FreeMap) -> FreeMap:

@@ -10,8 +10,9 @@ fields (u^k), each layer keeps only its nonzero monomials, since a word over
 many letters reaches few of the u^k (8 distinct letters: 4677 of 8^8).
 The first nonvanishing homogeneous part of a word orders the free group: a
 word is positive when that part's first coefficient in graded-lex monomial
-order is positive.  The degree-1 part is the exponent-sum vector, and a
-zero-sum word's degree-2 part is read exactly in one pass over its letters,
+order is positive.  The degree-1 part is the exponent-sum vector, so a word
+with a nonzero sum is keyed and signed by its first one, with no LowestTerm;
+a zero-sum word's degree-2 part is read exactly in one pass over its letters,
 so only words in gamma_3 are expanded to find it.  This yields a
 concrete bi-order and lower-central-series membership.  Infinitesimality (and
 so weak comparability) is read off one key per element, (lowest degree,
@@ -37,7 +38,7 @@ import re
 from math import comb
 
 from ._record import Record
-from .freegroup import Word, invert, multiply
+from .freegroup import Word, _check_rank, invert, multiply
 
 Monomial = tuple[int, ...]
 
@@ -263,11 +264,23 @@ def lowest_term(w: Word) -> LowestTerm:
     return LowestTerm(d, tuple(sorted(s.homogeneous_part(d).items())))
 
 
+def _first_sum(w: Word) -> tuple[int, int] | None:
+    """(i, e_i) for the first generator i with a nonzero exponent sum e_i, or None."""
+    for i, e in enumerate(w.exponent_vector()):
+        if e:
+            return i, e
+    return None
+
+
 def archimedean_key(w: Word) -> tuple[int, Monomial]:
     """(lowest degree, first lowest monomial) of a nontrivial word.
 
     w and w^-1 share it, since their lowest parts are negatives of each other.
+    A nonzero exponent sum gives (1, (i,)) for the first such i; only a word
+    whose sums all vanish needs lowest_term.
     """
+    if first := _first_sum(w):
+        return (1, (first[0],))
     lt = lowest_term(w)
     return (lt.degree, lt.part[0][0])
 
@@ -276,10 +289,11 @@ LT, EQ, GT = -1, 0, 1
 
 
 def sign(w: Word) -> int:
-    """0 for the identity, else the sign of the first lowest-term coefficient."""
+    """0 for the identity, else the sign of the first lowest-term coefficient:
+    of the first nonzero exponent sum, when there is one."""
     if w.is_identity:
         return 0
-    first_coeff = lowest_term(w).part[0][1]
+    first_coeff = first[1] if (first := _first_sum(w)) else lowest_term(w).part[0][1]
     return 1 if first_coeff > 0 else -1
 
 
@@ -300,6 +314,7 @@ def is_infinitesimal(f: Word, g: Word) -> bool:
     and f's leading monomial comes strictly after g's in graded-lex order:
     archimedean_key(f) > archimedean_key(g).
     """
+    _check_rank(f, g)
     if f.is_identity or g.is_identity:
         raise TrivialElementError("infinitesimality is defined for non-identity elements")
     return archimedean_key(f) > archimedean_key(g)

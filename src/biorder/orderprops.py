@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 
 from ._record import Record
-from .freegroup import (FreeMap, Word, apply_map, commutator, conjugate,
-                        identity, invert, iterate_map, letter, multiply,
-                        random_word)
+from .freegroup import (FreeMap, Word, _check_rank, apply_map, commutator,
+                        conjugate, identity, invert, iterate_map, letter,
+                        multiply, random_word)
 from .magnus import GT, LT, archimedean_key, compare, sign
 
 _DRAWS = 500  # random words drawn for one infinitesimal sample before giving up
@@ -345,6 +345,7 @@ def weak_comparability_search(f: Word, g: Word, cfg: ProbeConfig) -> WeakCompara
     every reduced word of length <= bound would.  Absence within the bound is
     never reported as nonexistence.
     """
+    _check_rank(f, g)
     if f.is_identity or g.is_identity:
         raise ValueError("weak comparability search needs nontrivial f and g")
     if archimedean_key(f) == archimedean_key(g):

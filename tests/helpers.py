@@ -5,8 +5,10 @@ checks: the reducer scans for cancelling pairs instead of using a stack, the
 characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
 instead of Newton's identities on power sums, power sums come from every
 explicit matrix power instead of a recurrence, root locations are planted
-rather than counted, a map is applied by a fold of multiply, lowest terms
-are expanded from degree 1, the expansion keeps one dict per degree keyed
+rather than counted, a map is applied by a fold of multiply or by one
+stack over every image letter, lowest terms are expanded from degree 1,
+archimedean keys and signs are read off a LowestTerm record even when an
+exponent sum is nonzero, the expansion keeps one dict per degree keyed
 over the whole rank (expand packs its layers over the letters a word uses,
 and its own dict layers are checked against a series_mul product too),
 semidirect products rebuild phi^n each time, and
@@ -30,7 +32,7 @@ from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
                                commutator, compose, identity, invert, letter,
                                multiply, parse_word, power, random_word, reduce)
 from biorder.lcs import _fold
-from biorder.magnus import LowestTerm, Series, expand
+from biorder.magnus import LowestTerm, Series, expand, lowest_term
 from biorder.orderprops import GT, semidirect_compare, semidirect_mul
 
 
@@ -193,6 +195,20 @@ def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
     return out
 
 
+def apply_map_by_stack(phi: FreeMap, w: Word) -> Word:
+    """phi(w) with every image letter pushed on one stack, popping the top
+    when the next letter cancels it (no use of the images being reduced)."""
+    stack: list[tuple[int, int]] = []
+    for g, s in w.letters:
+        img = phi.images[g].letters
+        for h, t in img if s == 1 else reversed(img):
+            if stack and stack[-1] == (h, -s * t):
+                stack.pop()
+            else:
+                stack.append((h, s * t))
+    return Word(w.rank, tuple(stack))
+
+
 def automorphism_status_by_two_compositions(phi: FreeMap) -> str:
     """CONFIRMED when phi and its inverse images psi satisfy phi(psi(x)) = x
     and psi(phi(x)) = x for every generator x, each map applied by a fold of
@@ -213,6 +229,22 @@ def lowest_term_by_expansion(w: Word) -> LowestTerm:
         if part:
             return LowestTerm(d, tuple(sorted(part.items())))
     raise AssertionError("no nonzero homogeneous part up to the word length")
+
+
+def archimedean_key_by_lowest_term(w: Word) -> tuple:
+    """(lowest degree, first lowest monomial), read off a LowestTerm record
+    for every word, degree 1 included."""
+    lt = lowest_term(w)
+    return (lt.degree, lt.part[0][0])
+
+
+def sign_by_lowest_term(w: Word) -> int:
+    """0 for the identity, else the sign of the first coefficient of the
+    word's LowestTerm record, degree 1 included."""
+    if w.is_identity:
+        return 0
+    first_coeff = lowest_term(w).part[0][1]
+    return 1 if first_coeff > 0 else -1
 
 
 def expand_by_dict_layers(w: Word, truncation: int) -> Series:

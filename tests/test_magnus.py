@@ -112,7 +112,7 @@ class TestShiftAdd:
         assert expand(w, 5).homogeneous_part(5)
         assert lowest_term(w).degree == 5
         assert in_gamma(w, 5) and not in_gamma(w, 6)
-        assert is_infinitesimal(w, W("x"))
+        assert is_infinitesimal(w, letter(3, 0))
 
 
 class TestSeriesMul:
