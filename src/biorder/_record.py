@@ -7,28 +7,12 @@ field's default (`detail: str = ""`); they become the class's `__slots__` and
 keyword, with the defaults filling the fields left out.  Only a record that
 checks its arguments writes an `__init__`, ending in `super().__init__(...)`.
 The base also gives every record value equality and hashing, a
-`Name(field=value, ...)` repr, read-only fields and an `inspect.signature`;
-written once here, they cost nothing at import, where generating them per
-class (with `dataclasses`, `inspect` and `ast`) took most of the start-up.
+`Name(field=value, ...)` repr and read-only fields; written once here, they
+cost nothing at import, where generating them per class (with `dataclasses`,
+`inspect` and `ast`) took most of the start-up.
 Record modules import `from __future__ import annotations`, which keeps the
 body's `__annotations__` mapping, and so the fields, on every Python version.
 """
-
-
-class _Signature:
-    """`inspect.signature` of a record class built from its slots and defaults.
-
-    None for a class with its own `__init__`, so that `inspect` reads that.
-    `inspect` is imported only when a signature is asked for.
-    """
-
-    def __get__(self, instance, owner):
-        if "__init__" in owner.__dict__:
-            return None
-        from inspect import Parameter, Signature
-        return Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
-                                    default=owner._defaults.get(name, Parameter.empty))
-                          for name in owner.__slots__])
 
 
 class _Fields(type):
@@ -42,8 +26,6 @@ class _Fields(type):
 
 
 class Record(metaclass=_Fields):
-    __signature__ = _Signature()
-
     def __init_subclass__(cls):
         # the slot descriptors' setters, which bypass the read-only __setattr__
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

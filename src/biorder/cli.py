@@ -93,8 +93,8 @@ def poly_text(p: Poly) -> str:
 
 def _basis_names(report: AnalysisReport) -> list[list[str]]:
     """Each level's basis names, each level's from the ones below it: the
-    name of a basis word l = uv is [name(u),name(v)], as lcs.bracket_name
-    gives it."""
+    name of a basis word l = uv is [name(u),name(v)], its standard bracketing
+    with generator names at the letters."""
     names = [list(report.record.generator_names)]
     n = len(names[0])
     for k in range(2, len(report.levels) + 1):

@@ -6,9 +6,8 @@ point.  Gcds and Sturm chains read one primitive pseudo-remainder sequence,
 _remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): a gcd is its last
 entry, a Sturm chain all of it.  Exact divisions stay in Z[x] (Gauss's
 lemma: every divisor there is primitive), so the analysis builds no Fraction;
-only rational_roots and a non-integer SturmChain.variations_at endpoint do.
-Those two import `fractions` themselves, so the analysis never loads it.  The
-pieces fit together as
+only rational_roots does, and it imports `fractions` itself, so the analysis
+never loads it.  The pieces fit together as
 
     power_sums          -- p_e of a monic polynomial's roots: Newton's
                            identities up to its degree, then its recurrence
@@ -245,10 +244,6 @@ class IntMatrix(Record):
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, d: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
     @property
     def dim(self) -> int:
@@ -735,9 +730,6 @@ class SturmChain(Record):
         return cls(tuple(chain))
 
     def variations_at(self, x) -> int:
-        if not isinstance(x, int):
-            from fractions import Fraction
-            x = Fraction(x)
         return _sign_changes([q(x) for q in self.polys])
 
     def variations_at_infinity(self, direction: int) -> int:
@@ -754,8 +746,10 @@ def _sign_changes(values) -> int:
 def sturm_count(p: Poly, lo=None, hi=None) -> int:
     """Distinct real roots of squarefree p in (lo, hi]; None means -/+ infinity.
 
-    Raises NonSquarefreeError if p is not squarefree.
+    Raises NonSquarefreeError if p is not squarefree, and ValueError if lo > hi.
     """
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"empty interval ({lo}, {hi}]")
     if p.is_zero:
         raise ZeroPolynomialError("root count of zero polynomial")
     if p.degree < 1:
@@ -764,11 +758,6 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
     va = chain.variations_at(lo) if lo is not None else chain.variations_at_infinity(-1)
     vb = chain.variations_at(hi) if hi is not None else chain.variations_at_infinity(1)
     return va - vb
-
-
-def count_positive_roots(p: Poly) -> int:
-    """Distinct roots in the open interval (0, oo)."""
-    return sturm_count(p, 0, None)
 
 
 def _root_counts(p: Poly) -> tuple[int, int, int]:
@@ -837,7 +826,7 @@ def has_positive_real_root(p: Poly) -> bool:
         raise ZeroPolynomialError("root predicate on zero polynomial")
     if p.degree < 1:
         return False
-    return count_positive_roots(squarefree_part(p)) >= 1
+    return sturm_count(squarefree_part(p), 0, None) >= 1
 
 
 def all_roots_positive_real(p: Poly) -> bool:
@@ -846,5 +835,5 @@ def all_roots_positive_real(p: Poly) -> bool:
         raise ZeroPolynomialError("root predicate on zero polynomial")
     total = 0
     for factor, mult in squarefree_decomposition(p):
-        total += mult * count_positive_roots(factor)
+        total += mult * sturm_count(factor, 0, None)
     return total == p.degree

@@ -3,12 +3,12 @@
 For a free group F_n the degree-k quotient is free abelian with a basis given
 by standard bracketings of Lyndon words of length k.  A basis is the tuple of
 its Lyndon words (lyndon_basis); the program never builds a bracketing as a
-group word, only its Lie polynomial and its display name (bracket_name), both
-by one fold along the standard factorization, which splits a Lyndon word
-before its smallest proper suffix.  A free-group endomorphism acts on the
-quotient by an integer matrix whose column j holds the coordinates
-of the image of the j-th basis bracket; for k = 1 this is the abelianization
-matrix M, for k = 2 the action on basic commutators [x_i, x_j], i < j.
+group word, only its Lie polynomial, by one fold along the standard
+factorization, which splits a Lyndon word before its smallest proper suffix.
+A free-group endomorphism acts on the quotient by an integer matrix whose
+column j holds the coordinates of the image of the j-th basis bracket; for
+k = 1 this is the abelianization matrix M, for k = 2 the action on basic
+commutators [x_i, x_j], i < j.
 
 M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  The quotient is
 the degree-k part of the free Lie algebra, and phi acts by the Lie homomorphism
@@ -41,8 +41,8 @@ from ._record import Record
 from .exactalg import IntMatrix, Poly, poly_from_power_sums, power_sums
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         verify_automorphism)
-from .magnus import Monomial
 
+Monomial = tuple[int, ...]  # a Lyndon word, or a monomial of a Lie polynomial
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
 
 
@@ -91,7 +91,7 @@ def witt_number(n: int, k: int) -> int:
 
 
 def level_char_poly(traces: list[int], k: int) -> Poly:
-    """Characteristic polynomial of quotient_action(m, k) from traces =
+    """Characteristic polynomial of quotient_actions(m, k)[-1] from traces =
     power_traces(m, c), c >= k * witt_number(m.dim, k): the one-block piece."""
     return _piece((traces,), (k,))
 
@@ -150,16 +150,12 @@ def _fold(lw: tuple[int, ...], leaf, node):
     return node(_fold(u, leaf, node), _fold(v, leaf, node))
 
 
-def bracket_name(lw: tuple[int, ...], names) -> str:
-    """Display name of a basis element, as [a,[a,b]]: its standard bracketing
-    with generator names at the letters."""
-    return _fold(lw, names.__getitem__, lambda a, b: f"[{a},{b}]")
-
-
 def lyndon_basis(n: int, k: int) -> tuple[Monomial, ...]:
     """Basis of gamma_k / gamma_k+1 for F_n: the Lyndon words of length
     exactly k over {0..n-1} in lex order (Duval), each standing for its
     standard bracketing; their count is the Witt number."""
+    if n < 1:
+        raise ValueError(f"rank {n} below 1")
     if not 1 <= k <= DEGREE_CAP:
         raise ValueError(f"degree {k} outside 1..{DEGREE_CAP}")
     out = []
@@ -276,11 +272,6 @@ def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
             for k, columns in enumerate(levels, 1)]
 
 
-def quotient_action(m: IntMatrix, k: int) -> QuotientAction:
-    """Action on gamma_k / gamma_k+1 of every endomorphism with abelianization m."""
-    return quotient_actions(m, k)[-1]
-
-
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:
     """Action induced by phi on gamma_k / gamma_k+1 in the Lyndon basis.
 
@@ -289,4 +280,4 @@ def lcs_action(phi: FreeMap, k: int) -> QuotientAction:
     report = verify_automorphism(phi)
     if not report.is_automorphism_candidate:
         raise NotAnAutomorphismError(report.detail)
-    return quotient_action(abelianized(phi), k)
+    return quotient_actions(abelianized(phi), k)[-1]

@@ -71,10 +71,6 @@ class Series:
         self.truncation = truncation
         self.coeffs = {m: c for m, c in (coeffs or {}).items() if c != 0}
 
-    @classmethod
-    def one(cls, nvars: int, truncation: int) -> "Series":
-        return cls(nvars, truncation, {(): 1})
-
     def homogeneous_part(self, d: int) -> dict[Monomial, int]:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 

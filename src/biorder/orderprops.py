@@ -262,18 +262,6 @@ Pair = tuple[int, Word]
 _MAX_SHIFT = 3  # the semidirect probe samples stable-letter exponents in -3..3
 
 
-def _times(p1: Pair, p2: Pair, phi_n: FreeMap) -> Pair:
-    """(m, w) * (n, v) = (m + n, phi^n(w) v), given phi_n = phi^n."""
-    m, w = p1
-    n, v = p2
-    return (m + n, multiply(apply_map(phi_n, w), v))
-
-
-def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
-    """(m, w) * (n, v) = (m + n, phi^n(w) v); negative n needs an invertible phi."""
-    return _times(p1, p2, iterate_map(phi, p2[0]))
-
-
 def semidirect_compare(p1: Pair, p2: Pair) -> int:
     """Lexicographic order on Z x| F_n: integers first, then the word order."""
     m, w = p1
@@ -296,7 +284,9 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     powers = {n: iterate_map(phi, n) for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
 
     def mul(p1: Pair, p2: Pair) -> Pair:
-        return _times(p1, p2, powers[p2[0]])
+        """(m, w) * (n, v) = (m + n, phi^n(w) v)."""
+        (m, w), (n, v) = p1, p2
+        return m + n, multiply(apply_map(powers[n], w), v)
 
     def trial(rng):
         def sample_pair():

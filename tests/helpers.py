@@ -11,13 +11,13 @@ archimedean keys and signs are read off a LowestTerm record even when an
 exponent sum is nonzero, the expansion keeps one dict per degree keyed
 over the whole rank (expand packs its layers over the letters a word uses,
 and its own dict layers are checked against a series_mul product too),
-semidirect products rebuild phi^n each time, and
+semidirect products rebuild phi^n each time and apply it to the word, and
 random words come from the standard library's randint, randrange and choice
 instead of getrandbits.
-Division over Q, a factor report's product, the real and negative root
-counts, the shortlex word list, the Bareiss determinant and the standard
-bracketing of a Lyndon word as a group word live here too, because only tests
-use them.
+Division over Q, a factor report's product, the real, positive and negative
+root counts, the shortlex word list, the Bareiss determinant, the identity
+matrix, the series 1, and the standard bracketing of a Lyndon word as a group
+word and as a display name live here too, because only tests use them.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from biorder import exactalg, orderprops
 from biorder.exactalg import (FactorReport, IntMatrix, Poly,
                               ZeroPolynomialError, sturm_count)
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
-                               commutator, compose, identity, invert, letter,
-                               multiply, parse_word, power, random_word, reduce)
+                               apply_map, commutator, compose, identity, invert,
+                               iterate_map, letter, multiply, parse_word, power,
+                               random_word, reduce)
 from biorder.lcs import _fold
 from biorder.magnus import LowestTerm, Series, expand, lowest_term
-from biorder.orderprops import GT, semidirect_compare, semidirect_mul
+from biorder.orderprops import GT, Pair, semidirect_compare
 
 
 def W(text: str, names: str = "xy") -> Word:
@@ -53,6 +54,10 @@ def naive_reduce(letters) -> tuple:
                 changed = True
                 break
     return tuple(letters)
+
+
+def identity_matrix(d: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
 
 def cofactor_char_poly(m: IntMatrix) -> Poly:
@@ -170,6 +175,11 @@ def count_real_roots(p: Poly) -> int:
     return sturm_count(p, None, None)
 
 
+def count_positive_roots(p: Poly) -> int:
+    """Distinct roots in the open interval (0, oo)."""
+    return sturm_count(p, 0, None)
+
+
 def count_negative_roots(p: Poly) -> int:
     """Distinct roots in the open interval (-oo, 0)."""
     return exactalg._root_counts(p)[1]
@@ -183,6 +193,12 @@ def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
     """Nested commutator word of a Lyndon word, bracketed along its standard
     factorization recursively."""
     return _fold(lw, lambda i: letter(rank, i), commutator)
+
+
+def bracket_name(lw: tuple[int, ...], names) -> str:
+    """Display name of a basis element, as [a,[a,b]]: its standard bracketing
+    with generator names at the letters."""
+    return _fold(lw, names.__getitem__, lambda a, b: f"[{a},{b}]")
 
 
 def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
@@ -247,6 +263,10 @@ def sign_by_lowest_term(w: Word) -> int:
     return 1 if first_coeff > 0 else -1
 
 
+def series_one(nvars: int, truncation: int) -> Series:
+    return Series(nvars, truncation, {(): 1})
+
+
 def expand_by_dict_layers(w: Word, truncation: int) -> Series:
     """Magnus expansion of w, truncated at the given total degree.
 
@@ -270,10 +290,17 @@ def expand_by_dict_layers(w: Word, truncation: int) -> Series:
                                   for k, layer in enumerate(layers) for m, c in layer.items()})
 
 
+def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
+    """(m, w) * (n, v) = (m + n, phi^n(w) v) in Z x| F_n, phi^n built anew;
+    negative n needs an invertible phi."""
+    (m, w), (n, v) = p1, p2
+    return m + n, multiply(apply_map(iterate_map(phi, n), w), v)
+
+
 def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
     """(trials, failures) of semidirect_order_probe, drawing the same pairs
-    but taking every product through the public semidirect_mul, which
-    builds phi^n anew for each one."""
+    but taking every product through semidirect_mul above, which builds
+    phi^n anew for each one."""
     failures = []
     for i in range(cfg.samples):
         rng = orderprops._trial_rng(cfg, i)

@@ -10,9 +10,8 @@ import random
 
 from biorder import cli
 from biorder.corpus import corpus_entry
-from biorder.exactalg import (Poly, char_poly, count_positive_roots,
-                              factor_over_Q, rational_roots, sturm_count,
-                              all_roots_positive_real)
+from biorder.exactalg import (Poly, char_poly, factor_over_Q, rational_roots,
+                              sturm_count, all_roots_positive_real)
 from biorder.freegroup import compose, multiply, random_word
 from biorder.lcs import lcs_action
 from biorder.magnus import compare, expand, series_mul
@@ -20,8 +19,8 @@ from biorder.orderprops import (ProbeConfig, commutator_infinitesimal_probe,
                                 dominant_check, normality_probe,
                                 subgroup_probe)
 from biorder.verdict import analyze
-from helpers import (W, cofactor_char_poly, count_real_roots, divmod_q,
-                     random_automorphism, random_matrix, synthetic_division)
+from helpers import (W, cofactor_char_poly, count_positive_roots, count_real_roots,
+                     divmod_q, random_automorphism, random_matrix, synthetic_division)
 
 
 def _report(number: int, text: str):

@@ -598,10 +598,9 @@ def test_analysis_stream_is_pinned(name, capsys):
 
 def test_basis_names_match_bracket_name():
     """The renderer builds each level's names from the splits of the level
-    below; lcs.bracket_name, one fold per word, is the oracle."""
-    from biorder.lcs import bracket_name
+    below; bracket_name, one fold per word, is the oracle."""
     from biorder.verdict import KnotRecord, analyze
-    from helpers import random_automorphism
+    from helpers import bracket_name, random_automorphism
     rng = random.Random(127)
     for names in (("x", "y"), ("p", "q", "r"), ("d", "c", "b", "a")):
         record = KnotRecord("r", random_automorphism(rng, len(names), 5), True, names)

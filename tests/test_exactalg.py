@@ -13,8 +13,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               _divmod_mod, _equal_degree, _gcd_mod, _gcdex_mod,
                               _divide_linear, _hensel_lift, _monic_mod,
                               _odd_primes, _pow_mod, all_roots_positive_real,
-                              char_poly, count_positive_roots,
-                              factor_over_Q, has_positive_real_root,
+                              char_poly, factor_over_Q, has_positive_real_root,
                               power_sums, power_traces, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
@@ -22,9 +21,9 @@ from biorder.freegroup import abelianized
 from biorder.lcs import level_char_poly, witt_number
 from biorder.verdict import KnotRecord, analyze
 from helpers import (_gfp_divmod, bareiss_det, cofactor_char_poly, count_negative_roots,
-                     count_real_roots, divmod_q, explicit_power_traces,
-                     faddeev_leverrier_char_poly,
-                     irreducible_by_degree_patterns, random_automorphism,
+                     count_positive_roots, count_real_roots, divmod_q,
+                     explicit_power_traces, faddeev_leverrier_char_poly,
+                     identity_matrix, irreducible_by_degree_patterns, random_automorphism,
                      random_matrix, random_unimodular_matrix, reconstruct,
                      synthetic_division)
 
@@ -47,7 +46,7 @@ class TestCharPoly:
         assert char_poly(M_7_6) == QUARTIC_7_6
 
     def test_identity_3x3(self):
-        assert char_poly(IntMatrix.identity(3)) == Poly([-1, 3, -3, 1])
+        assert char_poly(identity_matrix(3)) == Poly([-1, 3, -3, 1])
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(31)
@@ -752,6 +751,16 @@ class TestSturm:
     def test_non_squarefree_rejected(self):
         with pytest.raises(NonSquarefreeError):
             sturm_count(Poly([-1, 1]) ** 2, None, None)
+
+    def test_reversed_interval_rejected(self):
+        # (2, -2] is empty; counting it would give v(2) - v(-2) = -2
+        p = Poly([-2, 0, 1])
+        with pytest.raises(ValueError, match=r"^empty interval \(2, -2\]$"):
+            sturm_count(p, 2, -2)
+        with pytest.raises(ValueError, match="empty interval"):
+            sturm_count(p, Fraction(1, 2), Fraction(1, 3))
+        assert sturm_count(p, 2, 2) == 0
+        assert sturm_count(p, -2, 2) == 2
 
     def test_planted_roots_oracle(self):
         rng = random.Random(36)

@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +15,13 @@ from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                                apply_map, commutator, identity_map, invert,
                                letter, multiply, power, random_word)
 from biorder.lcs import (lcs_action, level_char_poly, level_pieces, lyndon_basis,
-                         quotient_action, quotient_actions, witt_number,
-                         _lie_coordinates)
+                         quotient_actions, witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
 from helpers import (W, bareiss_det, count_real_roots, divmod_q,
-                     faddeev_leverrier_char_poly, random_automorphism,
-                     standard_bracketing, torus_monodromy)
+                     faddeev_leverrier_char_poly, identity_matrix,
+                     random_automorphism, standard_bracketing, torus_monodromy)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLyndonBasis:
@@ -58,6 +62,21 @@ class TestLyndonBasis:
         with pytest.raises(ValueError):
             lyndon_basis(2, 0)
 
+    def test_rank_below_one_is_refused_not_a_hang(self):
+        # Duval's loop waits for a last letter n - 1, which no word over
+        # {0..n-1} has when n < 1; run apart, so a regression fails by timeout
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+                "from biorder.lcs import lyndon_basis\n"
+                "for n, k in ((0, 1), (0, 3), (-1, 2)):\n"
+                "    try:\n"
+                "        lyndon_basis(n, k)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        run = subprocess.run([sys.executable, "-I", "-c", code],
+                             capture_output=True, text=True, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "rank 0 below 1\nrank 0 below 1\nrank -1 below 1\n"
+
     def test_standard_factorization_splits_before_longest_lyndon_suffix(self):
         """Every Lyndon word of lengths 2-8 over 2 letters and 2-6 over 3 and 4
         letters splits before its longest proper suffix that is strictly
@@ -95,7 +114,7 @@ class TestAbelianization:
         assert char_poly(m) == Poly([1, -3, 1])
 
     def test_identity_rank4(self):
-        assert abelianized(identity_map(4)) == IntMatrix.identity(4)
+        assert abelianized(identity_map(4)) == identity_matrix(4)
 
     def test_equals_level_one_action(self):
         phi = corpus_entry("6_2").record.phi
@@ -131,7 +150,7 @@ class TestLcsAction:
     def test_identity_map_gives_identity_matrix(self):
         for k in (1, 2, 3):
             action = lcs_action(identity_map(2), k)
-            assert action.matrix == IntMatrix.identity(witt_number(2, k))
+            assert action.matrix == identity_matrix(witt_number(2, k))
 
     def test_6_2_level1_matrix_and_char_poly(self):
         action = lcs_action(corpus_entry("6_2").record.phi, 2)
@@ -201,8 +220,8 @@ class TestLcsAction:
                 a, b = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
                 singular += bareiss_det(a) == 0
                 for k in (1, 2, 3, 4):
-                    assert (quotient_action(a @ b, k).matrix
-                            == quotient_action(a, k).matrix @ quotient_action(b, k).matrix)
+                    ab, a_k, b_k = (quotient_actions(x, k)[-1].matrix for x in (a @ b, a, b))
+                    assert ab == a_k @ b_k
         assert singular >= 6
 
     def test_rank2_deeper_levels(self):
@@ -235,7 +254,7 @@ class TestLcsAction:
         for phi in maps:
             m = abelianized(phi)
             for k in (1, 2, 3, 4):
-                assert quotient_action(m, k).matrix == _action_with_flipped_bracket(phi, k)
+                assert quotient_actions(m, k)[-1].matrix == _action_with_flipped_bracket(phi, k)
 
     def test_basis_parts_built_once_per_rank_and_degree(self, monkeypatch):
         # each basis and split list is built once per (n, k), each structure
@@ -255,7 +274,7 @@ class TestLcsAction:
                   for name in ("6_2", "7_6", "trefoil")]
             first = [lcs.quotient_actions(m, 4) for m in ms]
             assert [lcs.quotient_actions(m, 4) for m in ms] == first
-            assert [quotient_action(m, 3) for m in ms] == [levels[2] for levels in first]
+            assert [quotient_actions(m, 3)[-1] for m in ms] == [levels[2] for levels in first]
             assert sorted(built) == [(n, k) for n in (2, 4) for k in (1, 2, 3, 4)]
             pairs = {(n, i, k - i) for n in (2, 4) for k in (2, 3, 4)
                      for i, _, _ in lcs._splits(n, k)}
@@ -340,7 +359,7 @@ class TestLevelCharPoly:
     def check(phi):
         m = abelianized(phi)
         for k in (1, 2, 3, 4):
-            expected = faddeev_leverrier_char_poly(quotient_action(m, k).matrix)
+            expected = faddeev_leverrier_char_poly(quotient_actions(m, k)[-1].matrix)
             traces = power_traces(m, k * witt_number(m.dim, k))
             assert level_char_poly(traces, k) == expected, (phi, k)
 
@@ -358,7 +377,7 @@ class TestLevelCharPoly:
     def test_identity_acts_trivially_on_every_level(self):
         for n in (2, 3, 4):
             for k in (1, 2, 3, 4):
-                traces = power_traces(IntMatrix.identity(n), k * witt_number(n, k))
+                traces = power_traces(identity_matrix(n), k * witt_number(n, k))
                 assert level_char_poly(traces, k) == Poly([-1, 1]) ** witt_number(n, k)
 
 
@@ -441,7 +460,7 @@ def test_trivial_quotient_is_named():
     for k in (2, 3, 4):
         with pytest.raises(ValueError, match=r"gamma_2 / gamma_3 is trivial at rank 1 "
                                              r"\(Witt number 0\)"):
-            quotient_action(IntMatrix(((1,),)), k)
+            quotient_actions(IntMatrix(((1,),)), k)
     with pytest.raises(ValueError, match="Witt number 0"):
         lcs_action(identity_map(1), 2)
     assert [a.matrix for a in quotient_actions(IntMatrix(((-1,),)), 1)] == [IntMatrix(((-1,),))]

@@ -13,7 +13,7 @@ from biorder import magnus
 from biorder.freegroup import (Word, commutator, identity, letter, multiply,
                                power, random_word)
 from biorder.magnus import Series, expand, in_gamma, series_mul
-from helpers import W, expand_by_dict_layers
+from helpers import W, expand_by_dict_layers, series_one
 
 # The bench's nest letters a1..a8 as generator numbers; every battery renames
 # the generators by a permutation of 0, 1, 2.
@@ -56,7 +56,7 @@ def spelled_with(w, rank: int, alphabet):
 def product_of_letter_series(w, top: int) -> Series:
     """The product of 1 + X_g for x_g and 1 - X_g + X_g^2 - ... for x_g^-1,
     multiplied out by series_mul at truncation top."""
-    product = Series.one(w.rank, top)
+    product = series_one(w.rank, top)
     for g, s in w.letters:
         degrees = range(top + 1) if s < 0 else range(min(top, 1) + 1)
         product = series_mul(product, Series(w.rank, top, {(g,) * j: s ** j for j in degrees}))

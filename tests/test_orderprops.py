@@ -14,10 +14,9 @@ from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 ProbeConfig, commutator_infinitesimal_probe,
                                 dominant_check, invariance_probe,
                                 normality_probe, order_preservation_probe,
-                                semidirect_compare, semidirect_mul,
-                                semidirect_order_probe, subgroup_probe,
-                                weak_comparability_search)
-from helpers import (W, enumerate_words, random_automorphism,
+                                semidirect_compare, semidirect_order_probe,
+                                subgroup_probe, weak_comparability_search)
+from helpers import (W, enumerate_words, random_automorphism, semidirect_mul,
                      semidirect_trials_by_mul)
 
 CFG = ProbeConfig(seed=7, samples=300, max_word_length=10)
