@@ -18,9 +18,10 @@ never loads it.  The pieces fit together as
     factor_over_Q       -- of a polynomial, or of the product of pieces, each
                            piece on its own and equal factors merged;
                            x - 1 and x + 1 divided off first, by synthetic
-                           division, then every irreducible in the record
-                           of one analysis (each gets one Sturm chain per
-                           record); a squarefree part of degree <= 3 of a
+                           division while f(+-1), a coefficient sum, is 0,
+                           then every irreducible in the record of one
+                           analysis (one Sturm chain each per record, none
+                           at degree 1); a squarefree part of degree <= 3 of a
                            unit polynomial is irreducible; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 
 from ._record import Record
@@ -254,7 +256,7 @@ class IntMatrix(Record):
             raise ValueError("dimension mismatch")
         cols = list(zip(*other.rows))
         return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+            tuple(sum(map(operator.mul, row, col)) for col in cols)
             for row in self.rows))
 
 
@@ -623,7 +625,8 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
 
     Each piece is factored on its own and the multiplicities of equal factors
     are added, so the report is the one of p by unique factorization in
-    Z[x].  Every factor, however many pieces share it, gets one Sturm chain.
+    Z[x].  Every factor, however many pieces share it, gets its root counts
+    once: one Sturm chain at degree >= 2, none at degree 1.
 
     known, when given, is the record of one analysis: each irreducible found
     so far maps to its (positive, negative, real) root counts.  A piece is
@@ -667,16 +670,14 @@ _X_MINUS_PLUS_1 = (Poly([-1, 1]), Poly([1, 1]))
 
 def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     """Irreducible factors with multiplicities of a canonical rest, unsorted:
-    x - 1 and x + 1 by synthetic division, then the other known
-    irreducibles by trial division, then the cofactor's own."""
+    x - 1 and x + 1 by synthetic division, each while rest(1), the
+    coefficient sum, or rest(-1), the alternating sum, is 0; then the other
+    known irreducibles by trial division, then the cofactor's own."""
     factors = []
     for root in (1, -1):
         mult = 0
-        while rest.degree >= 1:
-            quotient, remainder = _divide_linear(rest, root)
-            if remainder:
-                break
-            rest = quotient
+        while not sum(rest.coeffs[::2]) + root * sum(rest.coeffs[1::2]):
+            rest = _divide_linear(rest, root)[0]
             mult += 1
         if mult:
             factors.append((Poly([-root, 1]), mult))
@@ -746,8 +747,13 @@ def _sign_changes(values) -> int:
 def sturm_count(p: Poly, lo=None, hi=None) -> int:
     """Distinct real roots of squarefree p in (lo, hi]; None means -/+ infinity.
 
-    Raises NonSquarefreeError if p is not squarefree, and ValueError if lo > hi.
+    Raises TypeError for an end other than None, int or Fraction (a float
+    makes the count inexact), NonSquarefreeError if p is not squarefree,
+    and ValueError if lo > hi.
     """
+    from fractions import Fraction
+    if not all(end is None or isinstance(end, (int, Fraction)) for end in (lo, hi)):
+        raise TypeError(f"interval ends must be None, int or Fraction: ({lo!r}, {hi!r}]")
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
     if p.is_zero:
@@ -761,11 +767,16 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
 
 
 def _root_counts(p: Poly) -> tuple[int, int, int]:
-    """Distinct (positive, negative, real) roots of squarefree p, one Sturm chain."""
+    """Distinct (positive, negative, real) roots of squarefree p.  A linear
+    a x + b has the one root -b/a, positive iff ab < 0 and negative iff
+    ab > 0; a higher degree takes one Sturm chain."""
     if p.is_zero:
         raise ZeroPolynomialError("root count of zero polynomial")
     if p.degree < 1:
         return 0, 0, 0
+    if p.degree == 1:
+        ab = p.coeffs[0] * p.coeffs[1]
+        return int(ab < 0), int(ab > 0), 1
     chain = SturmChain.build(p)
     below = chain.variations_at_infinity(-1)
     at_zero = chain.variations_at(0)

@@ -265,7 +265,7 @@ def verify_automorphism(phi: FreeMap) -> AutomorphismReport:
     """
     if phi.inverse_images is not None:
         for g, w in enumerate(phi.inverse_images):
-            if apply_map(phi, w) != letter(phi.rank, g):
+            if apply_map(phi, w).letters != ((g, 1),):
                 return AutomorphismReport(NOT_AN_AUTOMORPHISM,
                                           f"phi(inverse(x{g})) != x{g}")
         return AutomorphismReport(CONFIRMED,

@@ -60,13 +60,8 @@ def _lie_traces(block_sums, c):
     One block and c = (k,) is Brandt's formula itself.
     """
     k = sum(c)
-    g = math.gcd(*c)
-    parts = [(sums, ci) for sums, ci in zip(block_sums, c) if ci]
-    # per d | gcd c: d, mu(d) (k/d)! / prod (c_i/d)!, and each block's c_i/d
-    terms = [(d, _mobius(d) * math.factorial(k // d)
-              // math.prod(math.factorial(ci // d) for _, ci in parts),
-              [(sums, ci // d) for sums, ci in parts])
-             for d in range(1, g + 1) if g % d == 0]
+    terms = [(d, coeff, [(block_sums[i], e) for i, e in powers])
+             for d, coeff, powers in _brandt_terms(c)]
     for j in itertools.count():
         total = 0
         for d, term, powers in terms:
@@ -75,6 +70,17 @@ def _lie_traces(block_sums, c):
             total += term
         assert total % k == 0, "Brandt trace must be an integer"
         yield total // k
+
+
+@cache
+def _brandt_terms(c: tuple[int, ...]) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The terms of _lie_traces on L_c, per d | gcd c: d, mu(d) (k/d)! /
+    prod (c_i/d)!, and (i, c_i/d) for each block i with c_i > 0."""
+    k, g = sum(c), math.gcd(*c)
+    return tuple((d, _mobius(d) * math.factorial(k // d)
+                  // math.prod(math.factorial(ci // d) for ci in c),
+                  tuple((i, ci // d) for i, ci in enumerate(c) if ci))
+                 for d in range(1, g + 1) if g % d == 0)
 
 
 def _piece(block_sums, c) -> Poly:

@@ -13,7 +13,11 @@ over the whole rank (expand packs its layers over the letters a word uses,
 and its own dict layers are checked against a series_mul product too),
 semidirect products rebuild phi^n each time and apply it to the word, and
 random words come from the standard library's randint, randrange and choice
-instead of getrandbits.
+instead of getrandbits, a linear factor's root counts come from a Sturm
+chain (_root_counts reads them off the root), the multiplicities of x - 1
+and x + 1 from dividing until a remainder is nonzero (_factor_canonical
+tests f(1) and f(-1) by coefficient sums first), and the inverse-image
+check compares each phi(psi(x)) with a letter() Word.
 Division over Q, a factor report's product, the real, positive and negative
 root counts, the shortlex word list, the Bareiss determinant, the identity
 matrix, the series 1, and the standard bracketing of a Lyndon word as a group
@@ -26,7 +30,7 @@ import random
 from fractions import Fraction
 
 from biorder import exactalg, orderprops
-from biorder.exactalg import (FactorReport, IntMatrix, Poly,
+from biorder.exactalg import (FactorReport, IntMatrix, Poly, SturmChain,
                               ZeroPolynomialError, sturm_count)
 from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
                                apply_map, commutator, compose, identity, invert,
@@ -185,6 +189,36 @@ def count_negative_roots(p: Poly) -> int:
     return exactalg._root_counts(p)[1]
 
 
+def root_counts_by_sturm_chain(p: Poly) -> tuple[int, int, int]:
+    """Distinct (positive, negative, real) roots of squarefree p from one
+    Sturm chain, linear p included."""
+    if p.degree < 1:
+        return 0, 0, 0
+    chain = SturmChain.build(p)
+    below = chain.variations_at_infinity(-1)
+    at_zero = chain.variations_at(0)
+    above = chain.variations_at_infinity(1)
+    # (-oo, 0] includes a root at 0; the open interval (-oo, 0) must not
+    root_at_zero = p.constant == 0
+    return at_zero - above, below - at_zero - root_at_zero, below - above
+
+
+def unit_root_multiplicities_by_division(f: Poly) -> tuple[int, int]:
+    """Multiplicities of x - 1 and x + 1 in a nonconstant f: synthetic
+    division by each, as often as the remainder is zero."""
+    mults = []
+    for root in (1, -1):
+        mult = 0
+        while f.degree >= 1:
+            quotient, remainder = exactalg._divide_linear(f, root)
+            if remainder:
+                break
+            f = quotient
+            mult += 1
+        mults.append(mult)
+    return mults[0], mults[1]
+
+
 # ---------------------------------------------------------------------------
 # reference forms of the probe hot path
 # ---------------------------------------------------------------------------
@@ -236,6 +270,15 @@ def automorphism_status_by_two_compositions(phi: FreeMap) -> str:
                 or apply_map_by_fold(psi, phi.images[g]) != x):
             return NOT_AN_AUTOMORPHISM
     return CONFIRMED
+
+
+def automorphism_check_by_letter(phi: FreeMap) -> tuple[str, str]:
+    """(status, detail) of the inverse-image check: phi(psi(x_g)) compared
+    with the Word letter(rank, g) for each generator in turn."""
+    for g, w in enumerate(phi.inverse_images):
+        if apply_map(phi, w) != letter(phi.rank, g):
+            return NOT_AN_AUTOMORPHISM, f"phi(inverse(x{g})) != x{g}"
+    return CONFIRMED, "phi(inverse(x)) = x for every generator x; F_n is Hopfian"
 
 
 def lowest_term_by_expansion(w: Word) -> LowestTerm:

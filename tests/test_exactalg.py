@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import math
@@ -25,7 +26,8 @@ from helpers import (_gfp_divmod, bareiss_det, cofactor_char_poly, count_negativ
                      explicit_power_traces, faddeev_leverrier_char_poly,
                      identity_matrix, irreducible_by_degree_patterns, random_automorphism,
                      random_matrix, random_unimodular_matrix, reconstruct,
-                     synthetic_division)
+                     root_counts_by_sturm_chain, synthetic_division,
+                     unit_root_multiplicities_by_division)
 
 # corpus abelianization matrices (columns are generator images)
 M_6_2 = IntMatrix.from_rows([[2, -1, 0, 0], [0, 0, 0, 1], [1, -1, 0, 1], [0, 0, -1, 1]])
@@ -513,6 +515,55 @@ def test_divide_linear_matches_synthetic_division():
             assert quotient * Poly([-root, 1]) + Poly([remainder]) == f
 
 
+def test_unit_root_multiplicities_match_division():
+    """_factor_canonical divides by x - 1 and x + 1 only while f(1), the
+    coefficient sum, or f(-1), the alternating sum, is zero: the
+    multiplicities that dividing until a remainder gives, large coefficients
+    included."""
+    rng = random.Random(117)
+    beyond_planted = 0
+    for _ in range(1000):
+        height = rng.choice((3, 9, 2 ** 20, 2 ** 70))
+        g = Poly([rng.randint(-height, height) for _ in range(rng.randint(0, 6))]
+                 + [rng.randint(1, height)])
+        i, j = rng.randint(0, 8), rng.randint(0, 8)
+        f = (X_MINUS_1 ** i * X_PLUS_1 ** j * g).canonical()
+        expected = unit_root_multiplicities_by_division(f)
+        factors = exactalg._factor_canonical(f, {})
+        got = dict(factors)
+        assert (got.get(X_MINUS_1, 0), got.get(X_PLUS_1, 0)) == expected, f
+        assert math.prod((irr ** m for irr, m in factors), start=Poly([1])) == f
+        beyond_planted += expected != (i, j)
+    assert beyond_planted >= 50  # some cofactors g have g(1) = 0 or g(-1) = 0
+
+
+class TestLinearRootCounts:
+    """_root_counts reads the counts of a x + b off its one root -b/a."""
+
+    CASES = [Poly([b, a]) for a in range(-9, 10) if a for b in range(-9, 10)]
+
+    def test_matches_the_sturm_chain_and_builds_none(self, monkeypatch):
+        def refuse(cls, p):
+            raise AssertionError(f"Sturm chain built for {p}")
+
+        monkeypatch.setattr(SturmChain, "build", classmethod(refuse))
+        got = [exactalg._root_counts(p) for p in self.CASES]
+        monkeypatch.undo()
+        for p, counts in zip(self.CASES, got):
+            assert counts == root_counts_by_sturm_chain(p), p
+            assert all(type(c) is int for c in counts), p  # a bool would print as True
+        assert {counts[:2] for counts in got} == {(1, 0), (0, 1), (0, 0)}
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for p in self.CASES:
+            roots = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), t))
+            assert exactalg._root_counts(p) == (sum(1 for r in roots if r > 0),
+                                                sum(1 for r in roots if r < 0),
+                                                len(roots)), p
+
+
 class TestFactorPieces:
     """factor_over_Q(*pieces) factors each piece and adds the multiplicities
     of shared factors: the report of the product, by unique factorization."""
@@ -537,7 +588,9 @@ class TestFactorPieces:
         report = factor_over_Q(*pieces)
         assert [(f.poly, f.multiplicity) for f in report.factors] == [
             (X_MINUS_1, 2), (Poly([1, 1, 1]), 1), (QUARTIC_6_2, 3)]
-        assert sorted(built, key=Poly.key) == [X_MINUS_1, Poly([1, 1, 1]), QUARTIC_6_2]
+        # one chain per factor of degree >= 2; x - 1's root is read off
+        assert sorted(built, key=Poly.key) == [Poly([1, 1, 1]), QUARTIC_6_2]
+        assert all(p.degree >= 2 for p in built)
 
 
     def test_a_shared_record_changes_no_report(self, monkeypatch):
@@ -556,8 +609,11 @@ class TestFactorPieces:
         known = {}
         for pieces, expected in zip(cases, alone):
             assert factor_over_Q(*pieces, known=known) == expected, pieces
-        assert sorted(built, key=Poly.key) == sorted(known, key=Poly.key)
+        assert sorted(built, key=Poly.key) == sorted((f for f in known if f.degree >= 2),
+                                                     key=Poly.key)
+        assert all(p.degree >= 2 for p in built)
         assert set(known) == {f.poly for report in alone for f in report.factors}
+        assert {f for f in known if f.degree == 1} == {X_MINUS_1, X_PLUS_1, Poly([-1, 2])}
         assert all(known[f] == exactalg._root_counts(f) for f in known)
 
 
@@ -761,6 +817,21 @@ class TestSturm:
             sturm_count(p, Fraction(1, 2), Fraction(1, 3))
         assert sturm_count(p, 2, 2) == 0
         assert sturm_count(p, -2, 2) == 2
+
+    def test_ends_must_be_int_or_fraction(self):
+        # at the float end 1.0, 2**60 * 1.0 - (2**60 + 1) rounds to 0, and the
+        # root just above 1 went uncounted
+        p = Poly([-(2 ** 60 + 1), 2 ** 60])
+        assert sturm_count(p, 1, None) == sturm_count(p, Fraction(1), None) == 1
+        assert sturm_count(p, None, 1) == sturm_count(p, None, Fraction(1)) == 0
+        assert sturm_count(p, True, Fraction(2 ** 60 + 1, 2 ** 60)) == 1
+        for end in (1.0, decimal.Decimal(1), "1"):
+            with pytest.raises(TypeError, match=r"^interval ends must be None, int or Fraction"):
+                sturm_count(p, end, None)
+            with pytest.raises(TypeError, match=r"^interval ends must be None, int or Fraction"):
+                sturm_count(p, None, end)
+        with pytest.raises(TypeError, match=r": \(1\.0, None\]$"):
+            sturm_count(p, 1.0, None)
 
     def test_planted_roots_oracle(self):
         rng = random.Random(36)

@@ -11,9 +11,9 @@ from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
                                random_word, reduce, verify_automorphism)
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
-from helpers import (W, apply_map_by_fold, automorphism_status_by_two_compositions,
-                     bareiss_det, naive_reduce, random_automorphism,
-                     random_word_by_stdlib)
+from helpers import (W, apply_map_by_fold, automorphism_check_by_letter,
+                     automorphism_status_by_two_compositions, bareiss_det,
+                     naive_reduce, random_automorphism, random_word_by_stdlib)
 
 
 X, Y = (0, 1), (1, 1)
@@ -262,6 +262,28 @@ class TestVerifyAutomorphism:
                 statuses.append(status)
         assert statuses.count(CONFIRMED) == 400
         assert statuses.count(NOT_AN_AUTOMORPHISM) == 200
+
+    def test_status_and_detail_match_the_letter_comparison(self):
+        """Each phi(psi(x_g)) is compared by its letters with ((g, 1),): the
+        status and detail a comparison with the Word letter(rank, g) gives.
+        One inverse image is perturbed: a letter appended, the image
+        inverted (phi(psi(x_g)) = x_g^-1), or another generator's taken."""
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(300):
+            rank = rng.randint(2, 4)
+            phi = random_automorphism(rng, rank)
+            g, h = rng.sample(range(rank), 2)
+            off = list(phi.inverse_images)
+            off[g] = rng.choice((
+                multiply(off[g], letter(rank, rng.randrange(rank), rng.choice((1, -1)))),
+                invert(off[g]), off[h]))
+            for case in (phi, FreeMap(rank, phi.images, tuple(off))):
+                report = verify_automorphism(case)
+                assert (report.status, report.detail) == automorphism_check_by_letter(case)
+                seen.add(report.detail)
+            assert report.detail == f"phi(inverse(x{g})) != x{g}"
+        assert len(seen) == 5  # CONFIRMED, and a failure at each of x0..x3
 
 
 class TestDefaultNames:

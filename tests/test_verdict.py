@@ -486,18 +486,58 @@ class TestFactorRecord:
                               for f in level.factors.factors) == sorted(expected), (phi, level.level)
 
     def test_one_sturm_chain_per_distinct_factor_per_analysis(self, monkeypatch):
+        """One chain per distinct factor of degree >= 2; none for a linear
+        factor, whose root is read off."""
         built = []
         build = exactalg.SturmChain.build.__func__
         monkeypatch.setattr(exactalg.SturmChain, "build",
                             classmethod(lambda cls, p: built.append(p) or build(cls, p)))
-        returning = 0
+        returning = linear = 0
         for phi, levels in _record_maps()[::5]:
             built.clear()
             report = _deepest(phi, levels)
             found = [f.poly for level in report.levels for f in level.factors.factors]
-            assert sorted(built, key=Poly.key) == sorted(set(found), key=Poly.key), phi
+            assert sorted(built, key=Poly.key) == sorted(
+                {f for f in found if f.degree >= 2}, key=Poly.key), phi
+            assert all(p.degree >= 2 for p in built), phi
             returning += len(found) > len(set(found))
-        assert returning >= 30
+            linear += any(f.degree == 1 for f in found)
+        assert returning >= 30 and linear >= 30
+
+
+class TestLinearWork:
+    """x - 1 and x + 1 are divided off only when f(1) or f(-1) is zero, and
+    a linear factor's root counts take no Sturm chain."""
+
+    def test_divisions_match_the_multiplicities(self, monkeypatch):
+        calls = Counter()
+        divide = exactalg._divide_linear
+
+        def counted(f, root):
+            quotient, remainder = divide(f, root)
+            calls.update(["division"] + ["failed"] * bool(remainder))
+            return quotient, remainder
+
+        built = []
+        build = exactalg.SturmChain.build.__func__
+        monkeypatch.setattr(exactalg, "_divide_linear", counted)
+        monkeypatch.setattr(exactalg.SturmChain, "build",
+                            classmethod(lambda cls, p: built.append(p) or build(cls, p)))
+        rng = random.Random(119)
+        # the corpus at every level, and census-style maps at the CLI's defaults
+        runs = [(entry.record, levels[-1], 100) for entry in corpus_entries()
+                for levels in [[lv for lv in range(lcs.DEGREE_CAP)
+                                if lcs.witt_number(entry.record.rank, lv + 1) <= 100]]]
+        runs += [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
+                             i % 4 != 3), 1, 8) for i in range(200)]
+        multiplicity = 0
+        for record, max_level, max_degree in runs:
+            report = analyze(record, max_level=max_level, max_degree=max_degree)
+            multiplicity += sum(f.multiplicity for level in report.levels
+                                for f in level.factors.factors
+                                if f.poly in (Poly([-1, 1]), Poly([1, 1])))
+        assert calls == Counter(division=multiplicity) and multiplicity >= 200
+        assert built and all(p.degree >= 2 for p in built)
 
 
 class TestNoStateAcrossAnalyses:
