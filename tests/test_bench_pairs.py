@@ -1,0 +1,95 @@
+"""tools/bench_pairs.py on two stub checkouts whose bench/run.py prints fixed
+metrics: the pairs alternate which side runs first, and the record holds
+each side's medians and quartiles and the median change."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+STUB = """
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+args = sys.argv[1:]
+with open(here.parent / "order.txt", "a") as log:
+    log.write(here.name + " " + " ".join(args) + "\\n")
+count = len((here.parent / "order.txt").read_text().splitlines())
+op = {OP} + count * 1e-6
+print("noise")
+print(json.dumps({{"correct": {CORRECT}, "attempted": 10, "failed": 0, "metrics": {{
+    "setup_s": {{"value": 0.01, "unit": "s"}},
+    "op_s.p50": {{"value": op, "unit": "s"}},
+    "ops_per_s": {{"value": 1 / op, "unit": "1/s"}},
+    "peak_rss_mb": {{"value": 20.0, "unit": "MB"}}}}}}))
+"""
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(root: Path, name: str, op: float, correct: bool = True) -> Path:
+    (root / name / "bench").mkdir(parents=True)
+    (root / name / "bench" / "run.py").write_text(
+        STUB.format(OP=op, CORRECT=correct))
+    return root / name
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    module = _load()
+    (tmp_path / "repo").mkdir()
+    (tmp_path / "repo" / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(module, "ROOT", tmp_path / "repo")
+    return module
+
+
+def test_pairs_alternate_and_the_record_holds_both_sides(tool, tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 0.002)
+    change = _checkout(tmp_path, "change", 0.001)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--seed", "3", "--pairs", "3"]) == 0
+    runs = (tmp_path / "order.txt").read_text().splitlines()
+    seconds = json.loads((REPO / "BENCHMARK.json").read_text())["run_seconds"]
+    assert [line.split()[0] for line in runs] == ["parent", "change", "change",
+                                                  "parent", "parent", "change"]
+    assert all(line.split()[1:] == ["--workload", "census-l1", "--seed", "3",
+                                    "--seconds", str(seconds)] for line in runs)
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    assert (record["workload"], record["seed"], record["pairs"]) == ("census-l1", 3, 3)
+    assert record["parent"]["commit"] is None  # the stubs are not git work trees
+    op = record["parent"]["metrics"]["op_s.p50"]
+    assert op["values"] == pytest.approx([0.002001, 0.002004, 0.002005])
+    assert op["median"] == pytest.approx(0.002004)
+    assert op["iqr"] == pytest.approx(op["q3"] - op["q1"]) and op["iqr"] > 0
+    assert record["change"]["metrics"]["op_s.p50"]["median"] == pytest.approx(0.001003)
+    assert record["median_change"]["op_s.p50"] == pytest.approx(0.001003 / 0.002004 - 1)
+    assert record["median_change"]["setup_s"] == 0
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["op_s.p50"].startswith("op_s.p50: median 0.002004 -> 0.001003 (-")
+    assert lines["op_s.p50"].endswith("change better in 3/3 pairs")
+    assert lines["ops_per_s"].endswith("change better in 3/3 pairs")
+    assert lines["setup_s"].endswith("(+0.0%), change better in 0/3 pairs")
+    assert lines["pair 2/3 (change first)"]
+
+
+def test_a_wrong_output_stops_the_pairs(tool, tmp_path):
+    parent = _checkout(tmp_path, "parent", 0.002)
+    change = _checkout(tmp_path, "change", 0.001, correct=False)
+    with pytest.raises(SystemExit, match="failed"):
+        tool.main([str(parent), str(change), "--workload", "census-l1", "--pairs", "2"])
+    assert not (tmp_path / "repo" / "BENCH_census-l1.json").exists()
+
+
+def test_a_checkout_without_the_bench_is_refused(tool, tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 0.002)
+    with pytest.raises(SystemExit):
+        tool.main([str(parent), str(tmp_path), "--workload", "census-l1"])
+    assert "has no bench/run.py" in capsys.readouterr().err

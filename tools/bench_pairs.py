@@ -2,11 +2,12 @@
 """Alternating benchmark pairs of two checkouts on one workload and seed.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload census-l1 \\
-        --seed 0 --pairs 10 --seconds 25
+        --seed 0 --pairs 10
 
-Each pair runs `bench/run.py` of both checkouts, one after the other, and the
-side that goes first alternates from pair to pair, so a drift in machine
-speed falls on both sides alike.  Every run must report `correct: true`.
+Each pair runs `bench/run.py` of both checkouts, one after the other, for the
+`run_seconds` of BENCHMARK.json, and the side that goes first alternates from
+pair to pair, so a drift in machine speed falls on both sides alike.  Every
+run must report `correct: true`.
 The script prints each pair and, per end-to-end metric of BENCHMARK.json,
 the median change of the change against the parent and how many pairs the
 change won.  It writes BENCH_<workload>.json at the root of the repository
@@ -28,15 +29,15 @@ SIDES = ("parent", "change")
 
 
 def commit_of(checkout: Path) -> str | None:
-    """HEAD of the checkout, with `+dirty` when tracked files differ from it;
-    None when it is not a git work tree."""
+    """HEAD of the checkout, with `+dirty` when its src or bench, which the
+    benchmark runs, differ from it; None when it is not a git work tree."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args],
                               capture_output=True, text=True)
     head = git("rev-parse", "HEAD")
     if head.returncode:
         return None
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    dirty = git("status", "--porcelain", "--", "src", "bench").stdout.strip()
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
@@ -69,7 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -79,12 +79,13 @@ def main(argv=None) -> int:
             parser.error(f"{side} checkout {checkout} has no bench/run.py")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     values = {side: {name: [] for name in better} for side in SIDES}
     wins = dict.fromkeys(better, 0)
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        results = {side: run_once(checkouts[side], args.workload, args.seed, args.seconds)
+        results = {side: run_once(checkouts[side], args.workload, args.seed, seconds)
                    for side in order}
         cells = []
         for name, direction in better.items():
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
             cells.append(f"{name} {got['parent']:.6g} -> {got['change']:.6g}")
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + "; ".join(cells), flush=True)
 
-    record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+    record = {"workload": args.workload, "seed": args.seed, "seconds": seconds,
               "pairs": args.pairs}
     for side in SIDES:
         record[side] = {"commit": commit_of(checkouts[side]),
@@ -109,10 +110,8 @@ def main(argv=None) -> int:
             continue
         before = record["parent"]["metrics"][name]["median"]
         after = record["change"]["metrics"][name]["median"]
-        change = after / before - 1 if before else None
-        record["median_change"][name] = change
-        shown = f"{change:+.1%}" if change is not None else "n/a"
-        print(f"{name}: median {before:.6g} -> {after:.6g} ({shown}), "
+        change = record["median_change"][name] = after / before - 1
+        print(f"{name}: median {before:.6g} -> {after:.6g} ({change:+.1%}), "
               f"change better in {wins[name]}/{len(values['parent'][name])} pairs")
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
