@@ -1,8 +1,9 @@
 """Exact integer linear algebra and univariate polynomial algebra.
 
 Everything here is exact: matrices and polynomials hold Python big
-integers, and real-root counts come from Sturm chains rather than floating
-point.  Gcds and Sturm chains read one primitive pseudo-remainder sequence,
+integers, and real-root counts come from Sturm chains, or at degree <= 3 from
+the discriminant's sign and Descartes' rule, rather than floating point.
+Gcds and Sturm chains read one primitive pseudo-remainder sequence,
 _remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): a gcd is its last
 entry, a Sturm chain all of it.  Exact divisions stay in Z[x] (Gauss's
 lemma: every divisor there is primitive), so the analysis builds no Fraction;
@@ -20,9 +21,11 @@ never loads it.  The pieces fit together as
                            x - 1 and x + 1 divided off first, by synthetic
                            division while f(+-1), a coefficient sum, is 0,
                            then every irreducible in the record of one
-                           analysis (one Sturm chain each per record, none
-                           at degree 1); a squarefree part of degree <= 3 of a
-                           unit polynomial is irreducible; other parts go
+                           analysis (one Sturm chain each per record at
+                           degree >= 4; degree <= 3 read off the discriminant
+                           and Descartes' rule); a unit cofactor of degree
+                           <= 3, and a squarefree part of degree <= 3 of a
+                           unit polynomial, is irreducible; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
@@ -626,7 +629,7 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     Each piece is factored on its own and the multiplicities of equal factors
     are added, so the report is the one of p by unique factorization in
     Z[x].  Every factor, however many pieces share it, gets its root counts
-    once: one Sturm chain at degree >= 2, none at degree 1.
+    once: a Sturm chain at degree >= 4, discriminant and Descartes' rule below.
 
     known, when given, is the record of one analysis: each irreducible found
     so far maps to its (positive, negative, real) root counts.  A piece is
@@ -640,10 +643,11 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     so it is a unit polynomial: leading and constant coefficient are +-1, and
     its only possible rational roots are +-1.  The factors x - 1 and x + 1
     are divided off first, each as often as it divides.  When what is left is
-    a unit polynomial, its squarefree parts have no rational root, and one of
-    degree <= 3 is irreducible (a reducible one would have a linear factor),
-    so only parts of degree >= 4, and every part of a non-unit input, take
-    the modular route of _factor_squarefree.
+    a unit polynomial, it and its squarefree parts have no rational root, and
+    one of degree <= 3 is irreducible (a reducible one would have a linear
+    factor): a unit cofactor of degree <= 3 takes no Yun pass, and only parts
+    of degree >= 4, and every part of a non-unit input, take the modular
+    route of _factor_squarefree.
     """
     p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
@@ -672,7 +676,8 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     """Irreducible factors with multiplicities of a canonical rest, unsorted:
     x - 1 and x + 1 by synthetic division, each while rest(1), the
     coefficient sum, or rest(-1), the alternating sum, is 0; then the other
-    known irreducibles by trial division, then the cofactor's own."""
+    known irreducibles by trial division, then the cofactor's own: a unit
+    cofactor of degree <= 3 is one irreducible, with no Yun pass."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -693,6 +698,8 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     if rest.degree < 1:
         return factors
     unit = rest.leading == 1 and rest.constant in (1, -1)
+    if unit and rest.degree <= 3:
+        return factors + [(rest, 1)]
     for sq_factor, mult in squarefree_decomposition(rest):
         if unit and sq_factor.degree <= 3:
             factors.append((sq_factor, mult))
@@ -767,16 +774,26 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
 
 
 def _root_counts(p: Poly) -> tuple[int, int, int]:
-    """Distinct (positive, negative, real) roots of squarefree p.  A linear
-    a x + b has the one root -b/a, positive iff ab < 0 and negative iff
-    ab > 0; a higher degree takes one Sturm chain."""
+    """Distinct (positive, negative, real) roots of squarefree p.  Up to
+    degree 3 they are read off the discriminant: when it is positive (always
+    at degree 1) every root is real, so Descartes' rule of signs is exact
+    and the other nonzero roots are negative; when it is negative a cubic
+    has one real root, of the sign of -p(0)/lc(p), and a quadratic none.  A
+    higher degree takes one Sturm chain."""
     if p.is_zero:
         raise ZeroPolynomialError("root count of zero polynomial")
     if p.degree < 1:
         return 0, 0, 0
-    if p.degree == 1:
-        ab = p.coeffs[0] * p.coeffs[1]
-        return int(ab < 0), int(ab > 0), 1
+    if p.degree <= 3:
+        d, c, b, a = p.coeffs + (0,) * (3 - p.degree)
+        # disc(a x^3 + b x^2 + c x + d); at a = 0 it is b^2 disc(b x^2 + c x + d)
+        disc = 1 if p.degree == 1 else b*b*c*c - 4*a*c**3 - 4*b**3*d - 27*a*a*d*d + 18*a*b*c*d
+        if not disc:
+            raise NonSquarefreeError("root count requires a squarefree polynomial")
+        if disc > 0:
+            positive = _sign_changes(p.coeffs)
+            return positive, p.degree - positive - (d == 0), p.degree
+        return (int(a * d < 0), int(a * d > 0), 1) if a else (0, 0, 0)
     chain = SturmChain.build(p)
     below = chain.variations_at_infinity(-1)
     at_zero = chain.variations_at(0)

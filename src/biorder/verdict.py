@@ -27,8 +27,10 @@ The roots of a level are products of roots of char(M), so factors of lower
 levels come back: 6_2's char(M) divides its level-2 polynomial three times.
 One analysis keeps one record of the irreducibles found so far and their
 root counts, passed to factor_over_Q at every level: each piece is divided
-by them first, and only what is left is factored and gets Sturm chains.
-The record is made by analyze and dropped with it.
+by them first, and only what is left is factored and gets root counts:
+one Sturm chain per factor of degree >= 4, while degree <= 3 is read off
+the discriminant and Descartes' rule.  The record is made by analyze and
+dropped with it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on two stub checkouts whose bench/run.py prints fixed
-metrics: the pairs alternate which side runs first, and the record holds
-each side's medians and quartiles and the median change."""
+metrics: the pairs alternate which side runs first, the record holds each
+side's medians and quartiles and the median change, and a far-out run is
+named."""
 
 import importlib.util
 import json
@@ -18,7 +19,7 @@ args = sys.argv[1:]
 with open(here.parent / "order.txt", "a") as log:
     log.write(here.name + " " + " ".join(args) + "\\n")
 count = len((here.parent / "order.txt").read_text().splitlines())
-op = {OP} + count * 1e-6
+op = ({OP} + count * 1e-6) * (5 if count == {FAR} else 1)
 print("noise")
 print(json.dumps({{"correct": {CORRECT}, "attempted": 10, "failed": 0, "metrics": {{
     "setup_s": {{"value": 0.01, "unit": "s"}},
@@ -35,10 +36,12 @@ def _load():
     return module
 
 
-def _checkout(root: Path, name: str, op: float, correct: bool = True) -> Path:
+def _checkout(root: Path, name: str, op: float, correct: bool = True, far: int = 0) -> Path:
+    """A stub whose op time grows by 1 us per run so far, and is five times
+    as long in the run that is the far-th of both sides."""
     (root / name / "bench").mkdir(parents=True)
     (root / name / "bench" / "run.py").write_text(
-        STUB.format(OP=op, CORRECT=correct))
+        STUB.format(OP=op, CORRECT=correct, FAR=far))
     return root / name
 
 
@@ -72,12 +75,31 @@ def test_pairs_alternate_and_the_record_holds_both_sides(tool, tmp_path, capsys)
     assert record["change"]["metrics"]["op_s.p50"]["median"] == pytest.approx(0.001003)
     assert record["median_change"]["op_s.p50"] == pytest.approx(0.001003 / 0.002004 - 1)
     assert record["median_change"]["setup_s"] == 0
+    assert record["outliers"] == []
     lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
     assert lines["op_s.p50"].startswith("op_s.p50: median 0.002004 -> 0.001003 (-")
     assert lines["op_s.p50"].endswith("change better in 3/3 pairs")
     assert lines["ops_per_s"].endswith("change better in 3/3 pairs")
     assert lines["setup_s"].endswith("(+0.0%), change better in 0/3 pairs")
     assert lines["pair 2/3 (change first)"]
+
+
+def test_a_far_out_run_is_named(tool, tmp_path, capsys):
+    # the parent runs 1st, 4th, 5th, 8th and 9th of the ten, so its third
+    # pair reads five times its neighbours
+    parent = _checkout(tmp_path, "parent", 0.002, far=5)
+    change = _checkout(tmp_path, "change", 0.001)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "5"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    assert record["parent"]["metrics"]["op_s.p50"]["values"][2] == pytest.approx(0.010025)
+    assert [(o["side"], o["metric"], o["pair"]) for o in record["outliers"]] == [
+        ("parent", "op_s.p50", 3), ("parent", "ops_per_s", 3)]
+    assert record["outliers"][0]["value"] == pytest.approx(0.010025)
+    out = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("outlier:")]
+    assert len(out) == 2
+    assert out[0].startswith("outlier: parent op_s.p50 in pair 3: 0.010025 outside [")
 
 
 def test_a_wrong_output_stops_the_pairs(tool, tmp_path):

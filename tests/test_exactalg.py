@@ -588,10 +588,8 @@ class TestFactorPieces:
         report = factor_over_Q(*pieces)
         assert [(f.poly, f.multiplicity) for f in report.factors] == [
             (X_MINUS_1, 2), (Poly([1, 1, 1]), 1), (QUARTIC_6_2, 3)]
-        # one chain per factor of degree >= 2; x - 1's root is read off
-        assert sorted(built, key=Poly.key) == [Poly([1, 1, 1]), QUARTIC_6_2]
-        assert all(p.degree >= 2 for p in built)
-
+        # one chain per factor of degree >= 4; x - 1 and x^2 + x + 1 take none
+        assert built == [QUARTIC_6_2]
 
     def test_a_shared_record_changes_no_report(self, monkeypatch):
         built = []
@@ -609,9 +607,10 @@ class TestFactorPieces:
         known = {}
         for pieces, expected in zip(cases, alone):
             assert factor_over_Q(*pieces, known=known) == expected, pieces
-        assert sorted(built, key=Poly.key) == sorted((f for f in known if f.degree >= 2),
+        assert sorted(built, key=Poly.key) == sorted((f for f in known if f.degree >= 4),
                                                      key=Poly.key)
-        assert all(p.degree >= 2 for p in built)
+        assert {f for f in known if 2 <= f.degree <= 3} == {
+            Poly([1, 1, 1]), Poly([1, -1, 1]), Poly([1, -3, 1]), Poly([3, 0, 2])}
         assert set(known) == {f.poly for report in alone for f in report.factors}
         assert {f for f in known if f.degree == 1} == {X_MINUS_1, X_PLUS_1, Poly([-1, 2])}
         assert all(known[f] == exactalg._root_counts(f) for f in known)

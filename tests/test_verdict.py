@@ -462,7 +462,8 @@ def _whole_level_polys(phi: FreeMap, levels: list[int]) -> list[Poly]:
 
 class TestFactorRecord:
     """One analysis keeps one record of the irreducibles it has found: each
-    level piece is divided by them, and each gets one Sturm chain."""
+    level piece is divided by them, and each of degree >= 4 gets one Sturm
+    chain."""
 
     def test_each_level_matches_its_whole_polynomial(self):
         multi = 0
@@ -486,23 +487,24 @@ class TestFactorRecord:
                               for f in level.factors.factors) == sorted(expected), (phi, level.level)
 
     def test_one_sturm_chain_per_distinct_factor_per_analysis(self, monkeypatch):
-        """One chain per distinct factor of degree >= 2; none for a linear
-        factor, whose root is read off."""
+        """One chain per distinct factor of degree >= 4; none for a factor
+        of degree <= 3, whose counts are read off its discriminant and
+        Descartes' rule."""
         built = []
         build = exactalg.SturmChain.build.__func__
         monkeypatch.setattr(exactalg.SturmChain, "build",
                             classmethod(lambda cls, p: built.append(p) or build(cls, p)))
-        returning = linear = 0
+        returning = small = large = 0
         for phi, levels in _record_maps()[::5]:
             built.clear()
             report = _deepest(phi, levels)
             found = [f.poly for level in report.levels for f in level.factors.factors]
             assert sorted(built, key=Poly.key) == sorted(
-                {f for f in found if f.degree >= 2}, key=Poly.key), phi
-            assert all(p.degree >= 2 for p in built), phi
+                {f for f in found if f.degree >= 4}, key=Poly.key), phi
             returning += len(found) > len(set(found))
-            linear += any(f.degree == 1 for f in found)
-        assert returning >= 30 and linear >= 30
+            small += any(2 <= f.degree <= 3 for f in found)
+            large += bool(built)
+        assert returning >= 30 and small >= 30 and large >= 10
 
 
 class TestLinearWork:

@@ -10,9 +10,12 @@ pair to pair, so a drift in machine speed falls on both sides alike.  Every
 run must report `correct: true`.
 The script prints each pair and, per end-to-end metric of BENCHMARK.json,
 the median change of the change against the parent and how many pairs the
-change won.  It writes BENCH_<workload>.json at the root of the repository
-it sits in: for each side the commit, and the median, quartiles, IQR and
-raw values of each end-to-end metric.  Standard library only.
+change won, and then every far-out run: a value outside
+[q1 - 3 IQR, q3 + 3 IQR] of its side, which alone can move a median of few
+pairs.  It writes BENCH_<workload>.json at the root of the repository it
+sits in: for each side the commit, and the median, quartiles, IQR and raw
+values of each end-to-end metric, and under `outliers` the far-out values
+with their side, metric and pair.  Standard library only.
 """
 
 from __future__ import annotations
@@ -113,6 +116,16 @@ def main(argv=None) -> int:
         change = record["median_change"][name] = after / before - 1
         print(f"{name}: median {before:.6g} -> {after:.6g} ({change:+.1%}), "
               f"change better in {wins[name]}/{len(values['parent'][name])} pairs")
+    record["outliers"] = []
+    for side in SIDES:
+        for name, stats in record[side]["metrics"].items():
+            lo, hi = stats["q1"] - 3 * stats["iqr"], stats["q3"] + 3 * stats["iqr"]
+            for i, value in enumerate(stats["values"]):
+                if not lo <= value <= hi:
+                    record["outliers"].append(
+                        {"side": side, "metric": name, "pair": i + 1, "value": value})
+                    print(f"outlier: {side} {name} in pair {i + 1}: {value:.6g} "
+                          f"outside [{lo:.6g}, {hi:.6g}]")
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out.name}")
