@@ -13,11 +13,13 @@ over the whole rank (expand packs its layers over the letters a word uses,
 and its own dict layers are checked against a series_mul product too),
 semidirect products rebuild phi^n each time and apply it to the word, and
 random words come from the standard library's randint, randrange and choice
-instead of getrandbits, a linear factor's root counts come from a Sturm
-chain (_root_counts reads them off the root), the multiplicities of x - 1
-and x + 1 from dividing until a remainder is nonzero (_factor_canonical
-tests f(1) and f(-1) by coefficient sums first), and the inverse-image
-check compares each phi(psi(x)) with a letter() Word.
+instead of getrandbits, the root counts of a factor of degree <= 3 come
+from a Sturm chain (_root_counts reads them off the discriminant and
+Descartes' rule), the multiplicities of x - 1 and x + 1 from dividing until
+a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
+coefficient sums first), a unit cofactor of degree <= 3 goes through Yun's
+algorithm (_factor_canonical takes it whole), and the inverse-image check
+compares each phi(psi(x)) with a letter() Word.
 Division over Q, a factor report's product, the real, positive and negative
 root counts, the shortlex word list, the Bareiss determinant, the identity
 matrix, the series 1, and the standard bracketing of a Lyndon word as a group
@@ -191,7 +193,7 @@ def count_negative_roots(p: Poly) -> int:
 
 def root_counts_by_sturm_chain(p: Poly) -> tuple[int, int, int]:
     """Distinct (positive, negative, real) roots of squarefree p from one
-    Sturm chain, linear p included."""
+    Sturm chain, at every degree."""
     if p.degree < 1:
         return 0, 0, 0
     chain = SturmChain.build(p)
@@ -217,6 +219,42 @@ def unit_root_multiplicities_by_division(f: Poly) -> tuple[int, int]:
             mult += 1
         mults.append(mult)
     return mults[0], mults[1]
+
+
+def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
+    """exactalg._factor_canonical with every cofactor through Yun's
+    algorithm: x - 1 and x + 1 and the known irreducibles divided off, then
+    the squarefree parts of what is left, one of degree <= 3 of a unit
+    cofactor taken as irreducible and every other one factored mod p."""
+    factors = []
+    for root in (1, -1):
+        mult = 0
+        while rest.degree >= 1:
+            quotient, remainder = exactalg._divide_linear(rest, root)
+            if remainder:
+                break
+            rest = quotient
+            mult += 1
+        if mult:
+            factors.append((Poly([-root, 1]), mult))
+    for irr in known:
+        if irr in (Poly([-1, 1]), Poly([1, 1])):  # divided off above
+            continue
+        mult = 0
+        while irr.degree <= rest.degree and (quotient := rest.div_z(irr)) is not None:
+            rest = quotient
+            mult += 1
+        if mult:
+            factors.append((irr, mult))
+    if rest.degree < 1:
+        return factors
+    unit = rest.leading == 1 and rest.constant in (1, -1)
+    for sq_factor, mult in exactalg.squarefree_decomposition(rest):
+        if unit and sq_factor.degree <= 3:
+            factors.append((sq_factor, mult))
+        else:
+            factors.extend((irr, mult) for irr in exactalg._factor_squarefree(sq_factor))
+    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -537,31 +538,95 @@ def test_unit_root_multiplicities_match_division():
     assert beyond_planted >= 50  # some cofactors g have g(1) = 0 or g(-1) = 0
 
 
-class TestLinearRootCounts:
-    """_root_counts reads the counts of a x + b off its one root -b/a."""
+def _counts_or_refusal(count, p):
+    """count(p), or None when it raises NonSquarefreeError."""
+    try:
+        return count(p)
+    except NonSquarefreeError:
+        return None
 
-    CASES = [Poly([b, a]) for a in range(-9, 10) if a for b in range(-9, 10)]
+
+class TestClosedFormRootCounts:
+    """_root_counts reads the counts of a factor of degree <= 3 off the sign
+    of its discriminant and Descartes' rule of signs, with no Sturm chain."""
+
+    LINEAR = [Poly([b, a]) for a in range(-9, 10) if a for b in range(-9, 10)]
 
     def test_matches_the_sturm_chain_and_builds_none(self, monkeypatch):
+        # every polynomial of degree 1-3 with coefficients in [-6, 6]
+        cases = [Poly(cs) for n in (2, 3, 4) for cs in itertools.product(range(-6, 7), repeat=n)
+                 if cs[-1]]
+
         def refuse(cls, p):
             raise AssertionError(f"Sturm chain built for {p}")
 
         monkeypatch.setattr(SturmChain, "build", classmethod(refuse))
-        got = [exactalg._root_counts(p) for p in self.CASES]
+        got = [_counts_or_refusal(exactalg._root_counts, p) for p in cases]
         monkeypatch.undo()
-        for p, counts in zip(self.CASES, got):
-            assert counts == root_counts_by_sturm_chain(p), p
-            assert all(type(c) is int for c in counts), p  # a bool would print as True
-        assert {counts[:2] for counts in got} == {(1, 0), (0, 1), (0, 0)}
+        kinds = Counter()
+        for p, counts in zip(cases, got):
+            assert counts == _counts_or_refusal(root_counts_by_sturm_chain, p), p
+            if counts is not None:
+                assert all(type(c) is int for c in counts), p  # a bool would print as True
+            kinds[p.degree, counts] += 1
+        # every real-root count of each degree, each sign, roots at 0, and
+        # refusals at degrees 2 and 3
+        assert {(d, c[2]) for d, c in kinds if c} == {(1, 1), (2, 0), (2, 2), (3, 1), (3, 3)}
+        for degree in (1, 3):
+            assert {c[:2] for d, c in kinds if d == degree and c and c[2] == 1} == {
+                (1, 0), (0, 1), (0, 0)}
+        assert {c for d, c in kinds if d == 3 and c and c[2] == 3} >= {
+            (3, 0, 3), (2, 1, 3), (1, 2, 3), (0, 3, 3), (1, 1, 3)}
+        assert kinds[2, None] > 0 and kinds[3, None] > 0
 
     def test_matches_sympy(self):
+        """The linear grid, then 300 seeded quadratics and cubics, many with
+        coefficients near 2^70."""
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t")
-        for p in self.CASES:
-            roots = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), t))
-            assert exactalg._root_counts(p) == (sum(1 for r in roots if r > 0),
-                                                sum(1 for r in roots if r < 0),
-                                                len(roots)), p
+        rng = random.Random(127)
+        big = 2 ** 70
+        cases = list(self.LINEAR)
+        for i in range(300):
+            degree = 2 + i % 2
+            if i % 3 == 0:  # coefficients near +-2^70 or small
+                cs = [rng.choice((1, -1)) * (big + rng.randint(-9, 9)) if rng.random() < 0.6
+                      else rng.randint(-6, 6) for _ in range(degree + 1)]
+                cases.append(Poly(cs[:-1] + [cs[-1] or 1]))
+            elif i % 3 == 1:  # real roots near +-2^70, some close or repeated
+                roots = [rng.choice((1, -1)) * big + rng.randint(-2, 2) if rng.random() < 0.7
+                         else rng.randint(-3, 3) for _ in range(degree)]
+                cases.append(math.prod((Poly([-r, 1]) for r in roots),
+                                       start=Poly([rng.randint(1, 3)])))
+            else:  # a near-double root 2^35 + k, nudged by a small constant
+                r = 2 ** 35 + rng.randint(-3, 3)
+                p = Poly([r * r, -2 * r, 1]) * Poly([rng.randint(-3, 3), 1]) ** (degree - 2)
+                cases.append(p + Poly([rng.randint(-2, 2)]))
+        kinds, refused = Counter(), 0
+        for p in cases:
+            expected = sympy.Poly(list(reversed(p.coeffs)), t)
+            if expected.discriminant() == 0:
+                with pytest.raises(NonSquarefreeError):
+                    exactalg._root_counts(p)
+                refused += 1
+                continue
+            roots = sympy.real_roots(expected)
+            counts = exactalg._root_counts(p)
+            assert counts == (sum(1 for r in roots if r > 0), sum(1 for r in roots if r < 0),
+                              len(roots)), p
+            kinds[p.degree, counts[2], max(abs(c) for c in p.coeffs) > 2 ** 60] += 1
+        assert refused >= 5
+        assert {k for k in kinds if k[2]} == {
+            (2, 0, True), (2, 2, True), (3, 1, True), (3, 3, True)}
+
+    def test_a_zero_discriminant_raises(self):
+        for p in (X_MINUS_1 ** 2, Poly([0, 0, 1]), Poly([1, 2, 1]) * Poly([3, 1]),
+                  X_PLUS_1 ** 3, Poly([-1, 2]) ** 2 * X_MINUS_1, Poly([0, 0, 1]) * X_PLUS_1,
+                  Poly([-2 ** 70, 1]) ** 2 * Poly([5, 1]), Poly([4, -4, 1]) * -3):
+            with pytest.raises(NonSquarefreeError):
+                exactalg._root_counts(p)
+            with pytest.raises(NonSquarefreeError):  # as the Sturm chain route does
+                root_counts_by_sturm_chain(p)
 
 
 class TestFactorPieces:

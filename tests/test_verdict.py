@@ -24,8 +24,9 @@ from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
-from helpers import (W, cofactor_char_poly, divmod_q, random_automorphism,
-                     random_unimodular_matrix, torus_monodromy)
+from helpers import (W, cofactor_char_poly, divmod_q, factor_canonical_by_yun,
+                     random_automorphism, random_unimodular_matrix,
+                     root_counts_by_sturm_chain, torus_monodromy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -507,6 +508,17 @@ class TestFactorRecord:
         assert returning >= 30 and small >= 30 and large >= 10
 
 
+def _corpus_and_census_runs(seed: int, count: int) -> list[tuple[KnotRecord, int, int]]:
+    """(record, max_level, max_degree): the corpus at every level of degree
+    <= 100, and count census-style maps at the CLI's defaults."""
+    rng = random.Random(seed)
+    runs = [(entry.record, levels[-1], 100) for entry in corpus_entries()
+            for levels in [[lv for lv in range(lcs.DEGREE_CAP)
+                            if lcs.witt_number(entry.record.rank, lv + 1) <= 100]]]
+    return runs + [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
+                               i % 4 != 3), 1, 8) for i in range(count)]
+
+
 class TestLinearWork:
     """x - 1 and x + 1 are divided off only when f(1) or f(-1) is zero, and
     a linear factor's root counts take no Sturm chain."""
@@ -525,21 +537,40 @@ class TestLinearWork:
         monkeypatch.setattr(exactalg, "_divide_linear", counted)
         monkeypatch.setattr(exactalg.SturmChain, "build",
                             classmethod(lambda cls, p: built.append(p) or build(cls, p)))
-        rng = random.Random(119)
-        # the corpus at every level, and census-style maps at the CLI's defaults
-        runs = [(entry.record, levels[-1], 100) for entry in corpus_entries()
-                for levels in [[lv for lv in range(lcs.DEGREE_CAP)
-                                if lcs.witt_number(entry.record.rank, lv + 1) <= 100]]]
-        runs += [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
-                             i % 4 != 3), 1, 8) for i in range(200)]
         multiplicity = 0
-        for record, max_level, max_degree in runs:
+        for record, max_level, max_degree in _corpus_and_census_runs(119, 200):
             report = analyze(record, max_level=max_level, max_degree=max_degree)
             multiplicity += sum(f.multiplicity for level in report.levels
                                 for f in level.factors.factors
                                 if f.poly in (Poly([-1, 1]), Poly([1, 1])))
         assert calls == Counter(division=multiplicity) and multiplicity >= 200
-        assert built and all(p.degree >= 2 for p in built)
+        assert built and all(p.degree >= 4 for p in built)
+
+
+class TestSmallCofactors:
+    """A unit cofactor of degree <= 3 is one irreducible: with x - 1 and
+    x + 1 divided off it has no rational root, hence no linear factor."""
+
+    def test_no_yun_pass_and_the_reports_of_the_yun_route(self, monkeypatch):
+        small = []
+        decompose = exactalg.squarefree_decomposition
+
+        def watched(p):
+            if p.degree <= 3 and p.leading == 1 and p.constant in (1, -1):
+                small.append(p)
+            return decompose(p)
+
+        monkeypatch.setattr(exactalg, "squarefree_decomposition", watched)
+        runs = _corpus_and_census_runs(131, 300)
+        reports = [analyze(record, max_level=max_level, max_degree=max_degree)
+                   for record, max_level, max_degree in runs]
+        assert small == []
+        # every cofactor through Yun's algorithm and every count off a Sturm chain
+        monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
+        monkeypatch.setattr(exactalg, "_root_counts", root_counts_by_sturm_chain)
+        for (record, max_level, max_degree), report in zip(runs, reports):
+            assert analyze(record, max_level=max_level, max_degree=max_degree) == report, record
+        assert len(small) >= 200
 
 
 class TestNoStateAcrossAnalyses:
