@@ -227,16 +227,10 @@ def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
     the squarefree parts of what is left, one of degree <= 3 of a unit
     cofactor taken as irreducible and every other one factored mod p."""
     factors = []
-    for root in (1, -1):
-        mult = 0
-        while rest.degree >= 1:
-            quotient, remainder = exactalg._divide_linear(rest, root)
-            if remainder:
-                break
-            rest = quotient
-            mult += 1
+    for root, mult in zip((1, -1), unit_root_multiplicities_by_division(rest)):
         if mult:
             factors.append((Poly([-root, 1]), mult))
+            rest = rest.exact_div(Poly([-root, 1]) ** mult)
     for irr in known:
         if irr in (Poly([-1, 1]), Poly([1, 1])):  # divided off above
             continue
