@@ -11,9 +11,10 @@ only rational_roots does, and it imports `fractions` itself, so the analysis
 never loads it.  The pieces fit together as
 
     power_sums          -- p_e of a monic polynomial's roots: Newton's
-                           identities up to its degree, then its recurrence
-    power_traces        -- tr(A^e): powers up to A^n, then power_sums of char(A)
-    char_poly           -- Newton's identities on tr(A^j), every division exact;
+                           identities up to its degree, then its recurrence;
+                           on char(A) these are tr(A^e) at every e
+    char_poly           -- Newton's identities on tr(A^j), j <= n, from the
+                           powers up to A^n, every division exact;
                            det(A) = (-1)^n char(A)(0) is read off it
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- of a polynomial, or of the product of pieces, each
@@ -263,19 +264,6 @@ class IntMatrix(Record):
             for row in self.rows))
 
 
-def power_traces(a: IntMatrix, count: int) -> list[int]:
-    """[tr(A^0), tr(A^1), ..., tr(A^count)]: the power sums of A's eigenvalues.
-
-    Powers are formed up to A^n, n = dim A; past that the sums are those of
-    char(A), by power_sums."""
-    n = a.dim
-    traces = [n]
-    for e in range(1, min(count, n) + 1):
-        power = power @ a if e > 1 else a
-        traces.append(sum(power.rows[i][i] for i in range(n)))
-    return traces if count <= n else power_sums(poly_from_power_sums(traces[1:]), count)
-
-
 def power_sums(f: Poly, count: int) -> list[int]:
     """[p_0, p_1, ..., p_count], p_e the e-th power sum of the roots of a monic
     f = x^n + c_1 x^(n-1) + ... + c_n, so p_0 = n: Newton's identities
@@ -307,8 +295,11 @@ def poly_from_power_sums(sums) -> Poly:
 
 
 def char_poly(a: IntMatrix) -> Poly:
-    """Monic characteristic polynomial det(lambda*I - A), from tr(A^j), j <= dim."""
-    return poly_from_power_sums(power_traces(a, a.dim)[1:])
+    """Monic characteristic polynomial det(lambda*I - A): Newton's identities
+    on tr(A^j), j = 1..n, n = dim A, from the powers A, A^2, ..., A^n."""
+    n = a.dim
+    powers = itertools.accumulate(itertools.repeat(a, n), operator.matmul)
+    return poly_from_power_sums([sum(p.rows[i][i] for i in range(n)) for p in powers])
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ leading-monomial elimination, exact as the Lyndon-to-monomial change of basis
 is unitriangular in lex order.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
-polynomial needs no matrix: Brandt's formula gives tr L_k(M)^j from the power
-sums tr(M^e), and Newton's identities turn those into the polynomial
-(level_char_poly).  Over Q, V = Q^n splits into the blocks of char(M) =
-prod f_i^(e_i), and the free Lie algebra of a direct sum is multigraded, so
-char L_k(M) is the product of one piece per composition c of k over the
-blocks, the part of degree c_i in block i.  A multigraded Brandt formula
-gives each piece's traces from the blocks' power sums e_i p_j(f_i)
-(level_pieces); Brandt's own formula is its one-block case, so both routes
-read one Mobius sum, _lie_traces.
+polynomial needs no matrix, only char(M): Brandt's formula gives
+tr L_k(M)^j from the power sums tr(M^e), which are those of char(M)'s roots,
+and Newton's identities turn those into the polynomial.  Over Q, V = Q^n
+splits into the blocks of char(M) = prod f_i^(e_i), and the free Lie algebra
+of a direct sum is multigraded, so char L_k(M) is the product of one piece
+per composition c of k over the blocks, the part of degree c_i in block i.
+A multigraded Brandt formula gives each piece's traces from the blocks'
+power sums e_i p_j(f_i) (level_pieces).  Brandt's own formula is its
+one-block case, so level_pieces([(char(M), 1)], k) is [char L_k(M)], whole;
+every piece, and the Witt number, read one Mobius sum, _lie_traces.
 """
 
 from __future__ import annotations
@@ -96,16 +97,11 @@ def witt_number(n: int, k: int) -> int:
     return next(_lie_traces(([n],), (k,)))
 
 
-def level_char_poly(traces: list[int], k: int) -> Poly:
-    """Characteristic polynomial of quotient_actions(m, k)[-1] from traces =
-    power_traces(m, c), c >= k * witt_number(m.dim, k): the one-block piece."""
-    return _piece((traces,), (k,))
-
-
 def level_pieces(blocks, k: int) -> list[Poly]:
     """The nonconstant pieces char(L_c), one per composition c of k over the
-    blocks f^e of char(M) = prod f^e, blocks the (f, e) pairs; their product
-    is level_char_poly at degree k.  Block f^e has power sums e * p_j(f)."""
+    blocks f^e of char(M) = prod f^e, blocks the (f, e) pairs of monic f;
+    their product is the characteristic polynomial of
+    quotient_actions(m, k)[-1].  Block f^e has power sums e * p_j(f)."""
     dims = [[e * f.degree] for f, e in blocks]
     shapes = [(c, degree) for c in _compositions(k, len(dims))
               if (degree := next(_lie_traces(dims, c)))]

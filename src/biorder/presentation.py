@@ -15,8 +15,10 @@ Format (canonical serialization is byte-exact):
 
 Words use the usual convention: lowercase = generator, uppercase = inverse,
 `e` = identity, so `e` cannot name a generator.  The `inverse:` block is
-optional; when present it must be complete and lets verification confirm the
-map is an automorphism.  `name:`, `fibered:` and `generators:` appear once.
+optional; when its header is present the block must be complete and lets
+verification confirm the map is an automorphism.  `name:`, `fibered:` and
+`generators:` appear once, and `name:` is not empty.  A `map:` or `inverse:`
+header stands alone on its line.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ def parse_presentation(text: str) -> PresentationFile:
             raise PresentationError(f"repeated `{key}:` line", lineno)
         seen.add(key)
         if key == "name":
+            if not value:
+                raise PresentationError("empty `name:` value", lineno)
             name = value
         elif key == "fibered":
             if value not in ("true", "false"):
@@ -106,6 +110,8 @@ def parse_presentation(text: str) -> PresentationFile:
         elif key in maps:
             if not names:
                 raise PresentationError(f"{key} block before generators", lineno)
+            if value:
+                raise PresentationError(f"text after `{key}:` header", lineno)
             block = key
         else:
             raise PresentationError(f"unknown directive {key!r}", lineno)
@@ -121,7 +127,7 @@ def parse_presentation(text: str) -> PresentationFile:
             raise PresentationError(f"missing map line for generator {g!r}")
     images = tuple(maps["map"][g] for g in names)
     inverse_images = None
-    if maps["inverse"]:
+    if "inverse" in seen:
         for g in names:
             if g not in maps["inverse"]:
                 raise PresentationError(f"missing inverse line for generator {g!r}")

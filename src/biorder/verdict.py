@@ -1,14 +1,15 @@
 """Bi-orderability decision procedures for groups presented as Z x| F_n.
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
-free group).  The analyzer checks phi once, takes the power sums of
-M = abelianized(phi) once, and reads the characteristic polynomials of levels
-0 and 1 from that one list (Brandt, Newton; level 1 = M's action on basic
-commutators).  Levels 2 and 3 are read piece by piece, one piece per
-composition of the level's degree over the blocks of char(M) that level 0's
-factor report gives (lcs.level_pieces), and each piece is factored on its
-own.  It factors each level over Q, counts positive real roots exactly, and
-combines these rules, in the order R1, R2, R4, R3, R5:
+free group).  The analyzer checks phi once and takes char(M) of
+M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
+polynomial is read from it by lcs.level_pieces (Brandt, Newton), one piece
+per composition of the level's degree over blocks of char(M): level 1
+(M's action on basic commutators) has the one block char(M), so one piece,
+factored whole; levels 2 and 3 have the blocks of char(M) that level 0's
+factor report gives, and each piece is factored on its own.  It factors each
+level over Q, counts positive real roots exactly, and combines these rules,
+in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -36,11 +37,11 @@ dropped with it.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import FactorReport, Poly, factor_over_Q, power_traces
+from .exactalg import FactorReport, Poly, char_poly, factor_over_Q
 from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                         check_generator_names, default_names, verify_automorphism)
-from .lcs import (DEGREE_CAP, QuotientAction, level_char_poly, level_pieces,
-                  quotient_actions, witt_number)
+from .lcs import (DEGREE_CAP, QuotientAction, level_pieces, quotient_actions,
+                  witt_number)
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
 BIORDERABLE = "BIORDERABLE"
@@ -152,8 +153,8 @@ def analyze(record: KnotRecord, max_level: int = 1,
     if not 0 <= max_level <= DEGREE_CAP - 1:
         raise AnalysisError(f"max_level must be in 0..{DEGREE_CAP - 1}")
     require_automorphism(record)
-    degrees = [witt_number(record.rank, lv + 1) for lv in range(max_level + 1)]
-    for lv, degree in enumerate(degrees):  # a level's degree is its Witt number
+    for lv in range(max_level + 1):
+        degree = witt_number(record.rank, lv + 1)  # the level's polynomial degree
         if degree == 0:
             raise AnalysisError(
                 f"level {lv} is trivial at rank {record.rank} (Witt number 0); "
@@ -163,18 +164,16 @@ def analyze(record: KnotRecord, max_level: int = 1,
                 f"characteristic polynomial degree {degree} exceeds cap {max_degree}")
     m = abelianized(record.phi)
     actions = quotient_actions(m, max_level + 1)
-    # levels 0 and 1 are factored whole; the split pays at levels 2 and 3,
-    # whose polynomials (degree 20 and 60 at rank 4) repeat small factors
-    low = min(max_level, 1)
-    traces = power_traces(m, (low + 1) * degrees[low])
     known: dict = {}  # irreducibles found so far -> root counts, for this analysis only
-    levels = [level_report(actions[lv], lv, [level_char_poly(traces, lv + 1)], known)
-              for lv in range(low + 1)]
-    if max_level >= 2:
-        blocks = [(f.poly, f.multiplicity) for f in levels[0].factors.factors]
-        levels += [level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known)
-                   for lv in range(2, max_level + 1)]
+    levels = [level_report(actions[0], 0, [char_poly(m)], known)]
     char_m = levels[0].factors
+    # level 1 has the one block char(M), so it is factored whole; the split
+    # by factor pays at levels 2 and 3, whose polynomials (degree 20 and 60
+    # at rank 4) repeat small factors
+    for lv in range(1, max_level + 1):
+        blocks = ([(char_m.input, 1)] if lv == 1
+                  else [(f.poly, f.multiplicity) for f in char_m.factors])
+        levels.append(level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known))
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)
     premises: dict[str, bool | None] = {

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the implementation paths it
 checks: the reducer scans for cancelling pairs instead of using a stack, the
 characteristic polynomial comes from cofactor expansion or Faddeev-LeVerrier
 instead of Newton's identities on power sums, power sums come from every
-explicit matrix power instead of a recurrence, root locations are planted
+explicit matrix power instead of a recurrence, a level polynomial from
+Brandt's formula on those, not from char(M) split into blocks, root locations are planted
 rather than counted, a map is applied by a fold of multiply or by one
 stack over every image letter, lowest terms are expanded from degree 1,
 archimedean keys and signs are read off a LowestTerm record even when an
@@ -104,6 +105,33 @@ def explicit_power_traces(m: IntMatrix, count: int) -> list[int]:
                  for i in range(d)]
         traces.append(sum(power[i][i] for i in range(d)))
     return traces
+
+
+def brandt_level_char_poly(m: IntMatrix, k: int) -> Poly:
+    """Characteristic polynomial of M's action on gamma_k / gamma_k+1, of
+    dimension D = (1/k) sum_(d|k) mu(d) n^(k/d): Brandt's formula
+    tr L_k(M^j) = (1/k) sum_(d|k) mu(d) tr(M^(jd))^(k/d) for j = 1..D on
+    explicit_power_traces, then Newton's identities in the elementary
+    symmetric functions, i e_i = sum_(j=1..i) (-1)^(j-1) e_(i-j) p_j."""
+    def mobius(d):
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+        return 0 if any(d % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    def brandt(trace_of_power):  # trace_of_power(d) = tr(A^d) for the A in question
+        total = sum(mobius(d) * trace_of_power(d) ** (k // d)
+                    for d in range(1, k + 1) if k % d == 0)
+        assert total % k == 0, "Brandt trace must be an integer"
+        return total // k
+
+    dim = brandt(lambda d: m.dim)
+    traces = explicit_power_traces(m, k * dim)
+    sums = [brandt(lambda d: traces[j * d]) for j in range(1, dim + 1)]
+    e = [1]
+    for i in range(1, dim + 1):
+        total = sum((-1) ** (j - 1) * e[i - j] * sums[j - 1] for j in range(1, i + 1))
+        assert total % i == 0, "Newton identity division must be exact"
+        e.append(total // i)
+    return Poly([(-1) ** i * e[i] for i in range(dim, -1, -1)])
 
 
 def bareiss_det(m: IntMatrix) -> int:

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py on two stub checkouts whose bench/run.py prints fixed
 metrics: the pairs alternate which side runs first, the record holds each
 side's medians and quartiles and the median change, and a far-out run is
-named."""
+named, but only when it is off its side's median by more than the metric's
+bound."""
 
 import importlib.util
 import json
@@ -19,7 +20,7 @@ args = sys.argv[1:]
 with open(here.parent / "order.txt", "a") as log:
     log.write(here.name + " " + " ".join(args) + "\\n")
 count = len((here.parent / "order.txt").read_text().splitlines())
-op = ({OP} + count * 1e-6) * (5 if count == {FAR} else 1)
+op = ({OP} + count * 1e-6) * {SCALE}.get(count, 1)
 print("noise")
 print(json.dumps({{"correct": {CORRECT}, "attempted": 10, "failed": 0, "metrics": {{
     "setup_s": {{"value": 0.01, "unit": "s"}},
@@ -36,12 +37,13 @@ def _load():
     return module
 
 
-def _checkout(root: Path, name: str, op: float, correct: bool = True, far: int = 0) -> Path:
-    """A stub whose op time grows by 1 us per run so far, and is five times
-    as long in the run that is the far-th of both sides."""
+def _checkout(root: Path, name: str, op: float, correct: bool = True,
+              scale: dict | None = None) -> Path:
+    """A stub whose op time grows by 1 us per run so far, times scale[n] in
+    the run that is the n-th of both sides."""
     (root / name / "bench").mkdir(parents=True)
     (root / name / "bench" / "run.py").write_text(
-        STUB.format(OP=op, CORRECT=correct, FAR=far))
+        STUB.format(OP=op, CORRECT=correct, SCALE=scale or {}))
     return root / name
 
 
@@ -87,7 +89,7 @@ def test_pairs_alternate_and_the_record_holds_both_sides(tool, tmp_path, capsys)
 def test_a_far_out_run_is_named(tool, tmp_path, capsys):
     # the parent runs 1st, 4th, 5th, 8th and 9th of the ten, so its third
     # pair reads five times its neighbours
-    parent = _checkout(tmp_path, "parent", 0.002, far=5)
+    parent = _checkout(tmp_path, "parent", 0.002, scale={5: 5})
     change = _checkout(tmp_path, "change", 0.001)
     assert tool.main([str(parent), str(change), "--workload", "census-l1",
                       "--pairs", "5"]) == 0
@@ -100,6 +102,35 @@ def test_a_far_out_run_is_named(tool, tmp_path, capsys):
            if line.startswith("outlier:")]
     assert len(out) == 2
     assert out[0].startswith("outlier: parent op_s.p50 in pair 3: 0.010025 outside [")
+
+
+def test_runs_within_the_bound_are_not_named(tool, tmp_path, capsys):
+    # the parent's 2nd and 4th pairs (runs 4 and 8) read +5 % and -4 %: far
+    # outside the 3 IQR fence of steady runs, well inside the 25 % bound
+    parent = _checkout(tmp_path, "parent", 0.002, scale={4: 1.05, 8: 0.96})
+    change = _checkout(tmp_path, "change", 0.001)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "5"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    op = record["parent"]["metrics"]["op_s.p50"]
+    lo, hi = op["q1"] - 3 * op["iqr"], op["q3"] + 3 * op["iqr"]
+    assert not lo <= op["values"][1] <= hi and not lo <= op["values"][3] <= hi
+    assert record["outliers"] == []
+    assert not any(line.startswith("outlier:") for line in capsys.readouterr().out.splitlines())
+
+
+def test_a_run_far_below_the_others_is_named(tool, tmp_path):
+    # the parent reads 6.0, 7.5, 1.29, 9.0 and 6.6 ms: the third run is off
+    # the median by 80 %, past the 25 % bound and the fence
+    parent = _checkout(tmp_path, "parent", 0.006,
+                       scale={4: 1.25, 5: 0.215, 8: 1.5, 9: 1.1})
+    change = _checkout(tmp_path, "change", 0.006)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "5"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    assert record["parent"]["metrics"]["op_s.p50"]["values"][2] == pytest.approx(0.001291075)
+    assert [(o["side"], o["metric"], o["pair"]) for o in record["outliers"]] == [
+        ("parent", "op_s.p50", 3), ("parent", "ops_per_s", 3)]
 
 
 def test_a_wrong_output_stops_the_pairs(tool, tmp_path):

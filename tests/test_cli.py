@@ -91,6 +91,12 @@ HEADER = "name: t\nfibered: true\ngenerators: a b\n"
     ("name: t\nfibered: true\n", None, "missing `generators:` line"),
     (HEADER + "map:\n  a -> b\n  b -> a\ninverse:\n  a -> b\n", None,
      "missing inverse line for generator 'b'"),
+    (HEADER + "map:\n  a -> b\n  b -> a\ninverse:\n", None,
+     "missing inverse line for generator 'a'"),
+    (HEADER + "map: a -> zzz\n  a -> b\n  b -> a\n", 4, "text after `map:` header"),
+    (HEADER + "map:\n  a -> b\n  b -> a\ninverse: a -> b\n", 7,
+     "text after `inverse:` header"),
+    ("name:\nfibered: true\n", 1, "empty `name:` value"),
 ])
 def test_presentation_error_paths(text, line, message):
     with pytest.raises(PresentationError) as info:

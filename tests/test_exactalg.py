@@ -16,13 +16,13 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               _divide_linear, _hensel_lift, _monic_mod,
                               _odd_primes, _pow_mod, all_roots_positive_real,
                               char_poly, factor_over_Q, has_positive_real_root,
-                              power_sums, power_traces, rational_roots,
+                              power_sums, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
 from biorder.freegroup import abelianized
-from biorder.lcs import level_char_poly, witt_number
 from biorder.verdict import KnotRecord, analyze
-from helpers import (_gfp_divmod, bareiss_det, cofactor_char_poly, count_negative_roots,
+from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
+                     cofactor_char_poly, count_negative_roots,
                      count_positive_roots, count_real_roots, divmod_q,
                      explicit_power_traces, faddeev_leverrier_char_poly,
                      identity_matrix, irreducible_by_degree_patterns, random_automorphism,
@@ -81,22 +81,16 @@ class TestCharPoly:
 
 
 class TestPowerTraces:
-    """Past A^n the traces follow char(A) (Cayley-Hamilton); every one must
-    equal the trace of the explicit power."""
+    """tr(A^e) is p_e of char(A)'s roots, past A^n too (Cayley-Hamilton):
+    power_sums of char_poly must equal the trace of every explicit power,
+    as far as level 3 reads them (240 at rank 4)."""
 
     def test_unimodular_matrices_match_explicit_powers(self):
         rng = random.Random(37)
         matrices = [abelianized(entry.record.phi) for entry in corpus_entries()]
         matrices += [random_unimodular_matrix(rng, d) for d in (2, 3, 4, 5) for _ in range(3)]
         for m in matrices:
-            assert power_traces(m, 240) == explicit_power_traces(m, 240), m
-
-    def test_any_matrix_and_count_matches_explicit_powers(self):
-        rng = random.Random(38)
-        for _ in range(40):
-            m = random_matrix(rng, rng.randint(1, 5))
-            count = rng.randint(0, 12)
-            assert power_traces(m, count) == explicit_power_traces(m, count), (m, count)
+            assert power_sums(char_poly(m), 240) == explicit_power_traces(m, 240), m
 
 
 class TestPowerSums:
@@ -751,8 +745,7 @@ def _factor_battery() -> list[Poly]:
     polys = [Poly([s] + [0] * (n - 1) + [1]) for n in range(1, 41) for s in (1, -1)]
     for entry in corpus_entries():
         m = abelianized(entry.record.phi)
-        traces = power_traces(m, 4 * witt_number(m.dim, 4))
-        polys += [level_char_poly(traces, k) for k in range(1, 5)]
+        polys += [brandt_level_char_poly(m, k) for k in range(1, 5)]
     rng = random.Random(73)
     for _ in range(300):
         p = Poly([rng.choice((1, -1, 2, -3, 6))])
@@ -790,8 +783,7 @@ class TestHenselLift:
         inputs = []
         for entry in corpus_entries():
             m = abelianized(entry.record.phi)
-            traces = power_traces(m, 3 * witt_number(m.dim, 3))
-            inputs += [squarefree_part(level_char_poly(traces, k)) for k in (1, 2, 3)]
+            inputs += [squarefree_part(brandt_level_char_poly(m, k)) for k in (1, 2, 3)]
         inputs += _random_squarefree(rng, 60)
         for _ in range(40):
             a, b = _random_squarefree(rng, 2)

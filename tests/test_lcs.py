@@ -10,15 +10,15 @@ import pytest
 
 from biorder import lcs
 from biorder.corpus import CORPUS_NAMES, corpus_entry
-from biorder.exactalg import IntMatrix, Poly, char_poly, factor_over_Q, power_traces
+from biorder.exactalg import IntMatrix, Poly, char_poly, factor_over_Q
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
                                apply_map, commutator, identity_map, invert,
                                letter, multiply, power, random_word)
-from biorder.lcs import (lcs_action, level_char_poly, level_pieces, lyndon_basis,
-                         quotient_actions, witt_number, _lie_coordinates)
+from biorder.lcs import (lcs_action, level_pieces, lyndon_basis, quotient_actions,
+                         witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
-from helpers import (W, bareiss_det, count_real_roots, divmod_q,
-                     faddeev_leverrier_char_poly, identity_matrix,
+from helpers import (W, bareiss_det, brandt_level_char_poly, count_real_roots,
+                     divmod_q, faddeev_leverrier_char_poly, identity_matrix,
                      random_automorphism, standard_bracketing, torus_monodromy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -352,16 +352,17 @@ class TestStructureConstants:
 
 
 class TestLevelCharPoly:
-    """The analysis's polynomial (Brandt traces of M's power sums, then
-    Newton's identities) against Faddeev-LeVerrier on the printed matrix."""
+    """The analysis's polynomials (level_pieces of the one block char(M), and
+    the product of the pieces over char(M)'s factor blocks) against
+    Faddeev-LeVerrier on the printed matrix."""
 
     @staticmethod
     def check(phi):
         m = abelianized(phi)
         for k in (1, 2, 3, 4):
             expected = faddeev_leverrier_char_poly(quotient_actions(m, k)[-1].matrix)
-            traces = power_traces(m, k * witt_number(m.dim, k))
-            assert level_char_poly(traces, k) == expected, (phi, k)
+            assert level_pieces([(char_poly(m), 1)], k) == [expected], (phi, k)
+            assert math.prod(level_pieces(_blocks(m), k), start=Poly([1])) == expected, (phi, k)
 
     def test_corpus_matches_faddeev_leverrier_of_level_matrix(self):
         for name in CORPUS_NAMES:
@@ -377,8 +378,8 @@ class TestLevelCharPoly:
     def test_identity_acts_trivially_on_every_level(self):
         for n in (2, 3, 4):
             for k in (1, 2, 3, 4):
-                traces = power_traces(identity_matrix(n), k * witt_number(n, k))
-                assert level_char_poly(traces, k) == Poly([-1, 1]) ** witt_number(n, k)
+                blocks = [(char_poly(identity_matrix(n)), 1)]
+                assert level_pieces(blocks, k) == [Poly([-1, 1]) ** witt_number(n, k)]
 
 
 def _blocks(m: IntMatrix) -> list[tuple[Poly, int]]:
@@ -404,11 +405,11 @@ class TestLevelPieces:
         for phi in _piece_maps():
             m = abelianized(phi)
             blocks = _blocks(m)
-            traces = power_traces(m, 4 * witt_number(m.dim, 4))
             for k in (1, 2, 3, 4):
                 pieces = level_pieces(blocks, k)
                 assert all(piece.degree > 0 for piece in pieces)
-                assert math.prod(pieces, start=Poly([1])) == level_char_poly(traces, k), (phi, k)
+                assert (math.prod(pieces, start=Poly([1]))
+                        == brandt_level_char_poly(m, k)), (phi, k)
             multi += len(blocks) >= 2
             repeated += any(e > 1 for _, e in blocks)
         assert multi >= 150 and repeated >= 30
@@ -418,25 +419,23 @@ class TestLevelPieces:
         # T(2, 7), one block, and Phi_6 Phi_12 for T(3, 4)
         for p, q in ((2, 7), (3, 4)):
             m = abelianized(torus_monodromy(p, q))
-            traces = power_traces(m, 4 * witt_number(m.dim, 4))
             for k in (2, 3, 4):
                 pieces = level_pieces(_blocks(m), k)
                 assert len(pieces) == (1 if p == 2 else k + 1)
-                assert math.prod(pieces, start=Poly([1])) == level_char_poly(traces, k), (p, q, k)
+                assert (math.prod(pieces, start=Poly([1]))
+                        == brandt_level_char_poly(m, k)), (p, q, k)
 
     def test_one_block_is_the_whole_level(self):
         m = abelianized(corpus_entry("6_2").record.phi)  # char(M) irreducible
-        traces = power_traces(m, 4 * witt_number(4, 4))
         for k in (1, 2, 3, 4):
-            assert level_pieces(_blocks(m), k) == [level_char_poly(traces, k)]
+            assert level_pieces(_blocks(m), k) == [brandt_level_char_poly(m, k)]
 
     def test_pieces_give_the_report_of_the_level(self):
         for phi in _piece_maps():
             m = abelianized(phi)
             blocks = _blocks(m)
-            traces = power_traces(m, 4 * witt_number(m.dim, 4))
             for k in (2, 3, 4):
-                whole = level_char_poly(traces, k)
+                whole = brandt_level_char_poly(m, k)
                 assert (factor_over_Q(*level_pieces(blocks, k))
                         == factor_over_Q(whole)), (phi, k)
 
@@ -445,9 +444,8 @@ class TestLevelPieces:
         t = sympy.Symbol("t")
         for phi in _piece_maps()[::15]:
             m = abelianized(phi)
-            traces = power_traces(m, 3 * witt_number(m.dim, 3))
             for k in (2, 3):
-                whole = level_char_poly(traces, k)
+                whole = brandt_level_char_poly(m, k)
                 report = factor_over_Q(*level_pieces(_blocks(m), k))
                 _, expected = sympy.Poly(list(reversed(whole.coeffs)), t).factor_list()
                 expected = [(Poly(reversed(f.all_coeffs())).canonical(), e) for f, e in expected]

@@ -24,7 +24,8 @@ from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError, KnotRecord,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
-from helpers import (W, cofactor_char_poly, divmod_q, factor_canonical_by_yun,
+from helpers import (W, brandt_level_char_poly, cofactor_char_poly, divmod_q,
+                     factor_canonical_by_yun,
                      random_automorphism, random_unimodular_matrix,
                      root_counts_by_sturm_chain, torus_monodromy)
 
@@ -234,8 +235,7 @@ def test_torus_level1_has_root_one_g_times(p, q):
     exactly g times."""
     phi = torus_monodromy(p, q)
     g = phi.rank // 2
-    traces = exactalg.power_traces(abelianized(phi), 2 * lcs.witt_number(phi.rank, 2))
-    char_n, multiplicity = lcs.level_char_poly(traces, 2), 0
+    char_n, multiplicity = brandt_level_char_poly(abelianized(phi), 2), 0
     while True:
         quotient, rest = divmod_q(char_n, Poly([-1, 1]))
         if not rest.is_zero:
@@ -412,32 +412,37 @@ class TestLevelWork:
         analyze(record, max_level=3, max_degree=100)
         assert 0 < len(products) <= record.rank
 
-    def test_only_levels_2_and_3_are_split_into_pieces(self, monkeypatch):
-        def no_pieces(blocks, k):
-            raise AssertionError("pieces built at max_level <= 1")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(verdict, "level_pieces", no_pieces)
-            for entry in corpus_entries():
-                for level in (0, 1):
-                    analyze(entry.record, max_level=level)
-        degrees = []
+    def test_level_1_is_one_block_and_levels_2_and_3_split_by_factor(self, monkeypatch):
+        calls = []
         pieces = verdict.level_pieces
         monkeypatch.setattr(verdict, "level_pieces",
-                            lambda blocks, k: degrees.append(k) or pieces(blocks, k))
-        analyze(knot("7_6"), max_level=3, max_degree=100)
-        assert degrees == [3, 4]
+                            lambda blocks, k: calls.append((blocks, k)) or pieces(blocks, k))
+        for entry in corpus_entries():
+            calls.clear()
+            report = analyze(entry.record, max_level=3, max_degree=100)
+            char_m = report.levels[0].factors
+            split = [(f.poly, f.multiplicity) for f in char_m.factors]
+            assert calls == [([(char_m.input, 1)], 2), (split, 3), (split, 4)], entry.name
+            assert len(pieces(*calls[0])) == 1
+        calls.clear()
+        analyze(knot("7_6"), max_level=0)
+        assert calls == []
 
-    def test_analysis_never_takes_a_matrix_char_poly(self, monkeypatch):
-        def no_char_poly(a):
-            raise AssertionError("char_poly called on the analysis path")
-
-        for module in (biorder, exactalg, lcs, verdict):
-            monkeypatch.setattr(module, "char_poly", no_char_poly, raising=False)
+    def test_char_poly_runs_once_per_analysis_on_m(self, monkeypatch):
+        # every level polynomial is read from char(M); the corpus maps carry
+        # an inverse block, so the automorphism check takes no determinant
+        dims = []
+        char_poly = exactalg.char_poly
+        for module in (biorder, exactalg, freegroup, lcs, verdict):
+            monkeypatch.setattr(module, "char_poly",
+                                lambda a: dims.append(a.dim) or char_poly(a), raising=False)
         for entry in corpus_entries():
             for level in range(lcs.DEGREE_CAP):
+                dims.clear()
                 report = analyze(entry.record, max_level=level, max_degree=100)
                 assert len(report.levels) == level + 1
+                assert dims == [entry.record.rank], (entry.name, level)
+                assert report.levels[0].factors.input == char_poly(abelianized(entry.record.phi))
 
 
 def _record_maps() -> list[tuple[FreeMap, list[int]]]:
@@ -456,9 +461,7 @@ def _deepest(phi: FreeMap, levels: list[int]):
 
 
 def _whole_level_polys(phi: FreeMap, levels: list[int]) -> list[Poly]:
-    m = abelianized(phi)
-    traces = exactalg.power_traces(m, (levels[-1] + 1) * lcs.witt_number(m.dim, levels[-1] + 1))
-    return [lcs.level_char_poly(traces, lv + 1) for lv in levels]
+    return [brandt_level_char_poly(abelianized(phi), lv + 1) for lv in levels]
 
 
 class TestFactorRecord:

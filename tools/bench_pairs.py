@@ -10,12 +10,15 @@ pair to pair, so a drift in machine speed falls on both sides alike.  Every
 run must report `correct: true`.
 The script prints each pair and, per end-to-end metric of BENCHMARK.json,
 the median change of the change against the parent and how many pairs the
-change won, and then every far-out run: a value outside
-[q1 - 3 IQR, q3 + 3 IQR] of its side, which alone can move a median of few
-pairs.  It writes BENCH_<workload>.json at the root of the repository it
-sits in: for each side the commit, and the median, quartiles, IQR and raw
-values of each end-to-end metric, and under `outliers` the far-out values
-with their side, metric and pair.  Standard library only.
+change won, and then every far-out run, which alone can move a median of
+few pairs: a value outside [q1 - 3 IQR, q3 + 3 IQR] of its side that also
+differs from its side's median by more than the metric's `bound` in
+BENCHMARK.json (at five pairs the IQR of a steady metric is so small that
+the fence alone names runs a few percent off).  It writes
+BENCH_<workload>.json at the root of the repository it sits in: for each
+side the commit, and the median, quartiles, IQR and raw values of each
+end-to-end metric, and under `outliers` the far-out values with their side,
+metric and pair.  Standard library only.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ def main(argv=None) -> int:
             parser.error(f"{side} checkout {checkout} has no bench/run.py")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
     values = {side: {name: [] for name in better} for side in SIDES}
@@ -121,7 +125,8 @@ def main(argv=None) -> int:
         for name, stats in record[side]["metrics"].items():
             lo, hi = stats["q1"] - 3 * stats["iqr"], stats["q3"] + 3 * stats["iqr"]
             for i, value in enumerate(stats["values"]):
-                if not lo <= value <= hi:
+                off = abs(value - stats["median"]) > bound[name] * abs(stats["median"])
+                if off and not lo <= value <= hi:
                     record["outliers"].append(
                         {"side": side, "metric": name, "pair": i + 1, "value": value})
                     print(f"outlier: {side} {name} in pair {i + 1}: {value:.6g} "
