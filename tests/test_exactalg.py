@@ -92,6 +92,13 @@ class TestPowerTraces:
         for m in matrices:
             assert power_sums(char_poly(m), 240) == explicit_power_traces(m, 240), m
 
+    def test_any_matrix_and_count_matches_explicit_powers(self):
+        rng = random.Random(38)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(1, 5))
+            count = rng.randint(0, 12)
+            assert power_sums(char_poly(m), count) == explicit_power_traces(m, count), (m, count)
+
 
 class TestPowerSums:
     """power_sums reads a monic polynomial's power sums off its coefficients."""
