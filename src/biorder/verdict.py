@@ -4,12 +4,10 @@ A knot record carries the monodromy map phi (the t-conjugation on the fiber
 free group).  The analyzer checks phi once and takes char(M) of
 M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
 polynomial is read from it by lcs.level_pieces (Brandt, Newton), one piece
-per composition of the level's degree over blocks of char(M): level 1
-(M's action on basic commutators) has the one block char(M), so one piece,
-factored whole; levels 2 and 3 have the blocks of char(M) that level 0's
-factor report gives, and each piece is factored on its own.  It factors each
-level over Q, counts positive real roots exactly, and combines these rules,
-in the order R1, R2, R4, R3, R5:
+per composition of the level's degree over the factor blocks f^e of char(M)
+that level 0's factor report gives, and each piece is factored on its own:
+one rule for every level.  It factors each level over Q, counts positive
+real roots exactly, and combines these rules in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -167,12 +165,8 @@ def analyze(record: KnotRecord, max_level: int = 1,
     known: dict = {}  # irreducibles found so far -> root counts, for this analysis only
     levels = [level_report(actions[0], 0, [char_poly(m)], known)]
     char_m = levels[0].factors
-    # level 1 has the one block char(M), so it is factored whole; the split
-    # by factor pays at levels 2 and 3, whose polynomials (degree 20 and 60
-    # at rank 4) repeat small factors
+    blocks = [(f.poly, f.multiplicity) for f in char_m.factors]
     for lv in range(1, max_level + 1):
-        blocks = ([(char_m.input, 1)] if lv == 1
-                  else [(f.poly, f.multiplicity) for f in char_m.factors])
         levels.append(level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known))
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)

@@ -553,6 +553,31 @@ def torus_monodromy(p: int, q: int) -> FreeMap:
                    tuple(word(back + loop(i, j) + delta, -1) for i, j in gens))
 
 
+def companion_map(blocks) -> FreeMap:
+    """The block-diagonal companion automorphism of monic unit polynomials
+    f = a_0 + a_1 x + ... + x^d (a_0 = +-1), so char(abelianized(phi)) is
+    their product.  On the generators x_1..x_d of a block, phi(x_i) = x_(i+1)
+    for i < d and phi(x_d) = x_1^(-a_0) ... x_d^(-a_(d-1)).  Its inverse
+    fixes the same block: psi(x_i) = x_(i-1) for i > 1, and, as a_0^2 = 1,
+    psi(x_1) = (x_d x_(d-1)^(a_(d-1)) ... x_1^(a_1))^(-a_0)."""
+    rank = sum(f.degree for f in blocks)
+    images, inverse = [], []
+    start = 0
+    for f in blocks:
+        a, d = f.coeffs, f.degree
+        x = [letter(rank, start + i) for i in range(d)]
+        last = identity(rank)
+        for i in range(d):
+            last = multiply(last, power(x[i], -a[i]))
+        first = x[d - 1]
+        for i in range(d - 1, 0, -1):
+            first = multiply(first, power(x[i - 1], a[i]))
+        images += x[1:] + [last]
+        inverse += [power(first, -a[0])] + x[:-1]
+        start += d
+    return FreeMap(rank, tuple(images), tuple(inverse))
+
+
 # ---------------------------------------------------------------------------
 # irreducibility certificate from factor degrees mod p
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ import pytest
 from biorder import lcs
 from biorder.corpus import CORPUS_NAMES, corpus_entry
 from biorder.exactalg import IntMatrix, Poly, char_poly, factor_over_Q
-from biorder.freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                               apply_map, commutator, identity_map, invert,
-                               letter, multiply, power, random_word)
+from biorder.freegroup import (CONFIRMED, FreeMap, NotAnAutomorphismError,
+                               abelianized, apply_map, commutator, identity_map,
+                               invert, letter, multiply, power, random_word,
+                               verify_automorphism)
 from biorder.lcs import (lcs_action, level_pieces, lyndon_basis, quotient_actions,
                          witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
-from helpers import (W, bareiss_det, brandt_level_char_poly, count_real_roots,
-                     divmod_q, faddeev_leverrier_char_poly, identity_matrix,
-                     random_automorphism, standard_bracketing, torus_monodromy)
+from helpers import (W, bareiss_det, brandt_level_char_poly, companion_map,
+                     count_real_roots, divmod_q, faddeev_leverrier_char_poly,
+                     identity_matrix, random_automorphism, standard_bracketing,
+                     torus_monodromy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -352,9 +354,9 @@ class TestStructureConstants:
 
 
 class TestLevelCharPoly:
-    """The analysis's polynomials (level_pieces of the one block char(M), and
-    the product of the pieces over char(M)'s factor blocks) against
-    Faddeev-LeVerrier on the printed matrix."""
+    """Level polynomials against Faddeev-LeVerrier on the printed matrix:
+    level_pieces of the one block char(M), and the product of the pieces over
+    char(M)'s factor blocks, which is what the analysis factors."""
 
     @staticmethod
     def check(phi):
@@ -438,6 +440,26 @@ class TestLevelPieces:
                 whole = brandt_level_char_poly(m, k)
                 assert (factor_over_Q(*level_pieces(blocks, k))
                         == factor_over_Q(whole)), (phi, k)
+
+    def test_companion_maps_have_their_blocks(self):
+        # no factoring: char(M) of a companion map is the product of its
+        # blocks, and the rank-14 blocks' level-1 pieces give Brandt's polynomial
+        rng = random.Random(41)
+        for _ in range(30):
+            blocks = [Poly([rng.choice((1, -1)), *(rng.randint(-3, 3) for _ in range(d - 1)), 1])
+                      for d in (rng.randint(1, 4) for _ in range(rng.randint(1, 3)))]
+            phi = companion_map(blocks)
+            assert verify_automorphism(phi).status == CONFIRMED, blocks
+            assert char_poly(abelianized(phi)) == math.prod(blocks, start=Poly([1])), blocks
+        blocks = [Poly([1, -8, -94, -48, 299, -48, -94, -8, 1]),
+                  Poly([1, -320, 654, -320, 1]), Poly([-1, -3, 1])]
+        phi = companion_map(blocks)
+        assert verify_automorphism(phi).status == CONFIRMED
+        m = abelianized(phi)
+        assert char_poly(m) == math.prod(blocks, start=Poly([1]))
+        pieces = level_pieces([(f, 1) for f in blocks], 2)
+        assert sorted(piece.degree for piece in pieces) == [1, 6, 8, 16, 28, 32]
+        assert math.prod(pieces, start=Poly([1])) == brandt_level_char_poly(m, 2)
 
     def test_pieces_report_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

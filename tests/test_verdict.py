@@ -412,18 +412,26 @@ class TestLevelWork:
         analyze(record, max_level=3, max_degree=100)
         assert 0 < len(products) <= record.rank
 
-    def test_level_1_is_one_block_and_levels_2_and_3_split_by_factor(self, monkeypatch):
+    def test_every_level_is_split_by_the_factor_blocks_of_char_m(self, monkeypatch):
         calls = []
         pieces = verdict.level_pieces
         monkeypatch.setattr(verdict, "level_pieces",
                             lambda blocks, k: calls.append((blocks, k)) or pieces(blocks, k))
+
+        def split_of(report):
+            return [(f.poly, f.multiplicity) for f in report.levels[0].factors.factors]
+
         for entry in corpus_entries():
             calls.clear()
-            report = analyze(entry.record, max_level=3, max_degree=100)
-            char_m = report.levels[0].factors
-            split = [(f.poly, f.multiplicity) for f in char_m.factors]
-            assert calls == [([(char_m.input, 1)], 2), (split, 3), (split, 4)], entry.name
-            assert len(pieces(*calls[0])) == 1
+            split = split_of(analyze(entry.record, max_level=3, max_degree=100))
+            assert calls == [(split, 2), (split, 3), (split, 4)], entry.name
+        # T(3, 4): char(M) = Phi_6 Phi_12, two blocks, so level 1 is split too
+        calls.clear()
+        torus = KnotRecord("T(3,4)", torus_monodromy(3, 4), True)
+        split = split_of(analyze(torus, max_level=2, max_degree=70))
+        assert len(split) == 2
+        assert calls == [(split, 2), (split, 3)]
+        assert len(pieces(*calls[0])) > 1
         calls.clear()
         analyze(knot("7_6"), max_level=0)
         assert calls == []
