@@ -21,7 +21,7 @@ cancel letters only at the seams where two such words meet.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import IntMatrix, char_poly
+from .exactalg import IntMatrix
 
 
 class GeneratorRangeError(ValueError):
@@ -157,8 +157,8 @@ class FreeMap(Record):
     """Endomorphism of F_n given by one image word per generator.
 
     inverse_images, when supplied, are the generator images of the claimed
-    inverse map; verify_automorphism checks one composition, which suffices
-    because F_n is Hopfian.
+    inverse map; verify_automorphism checks one composition with them, which
+    suffices because F_n is Hopfian, and without them folds the images.
     """
 
     rank: int
@@ -238,45 +238,49 @@ def abelianized(phi: FreeMap) -> IntMatrix:
                                 for i in range(phi.rank)])
 
 
-CONFIRMED = "CONFIRMED"
-NECESSARY_ONLY = "NECESSARY-ONLY"
-NOT_AN_AUTOMORPHISM = "NOT_AN_AUTOMORPHISM"
+def verify_automorphism(phi: FreeMap) -> None:
+    """Raise NotAnAutomorphismError unless phi is onto, and so an automorphism:
+    F_n is finitely generated and residually finite, so Hopfian.  With inverse
+    images psi, phi(psi(x)) = x for every generator x shows it, and makes
+    psi = phi^-1, so psi(phi(x)) = x needs no check; without them, Stallings
+    folding decides whether the images generate F_n (_images_generate)."""
+    if phi.inverse_images is None:
+        if not _images_generate(phi):
+            raise NotAnAutomorphismError("the images of phi do not generate F_n")
+        return
+    for g, w in enumerate(phi.inverse_images):
+        if apply_map(phi, w).letters != ((g, 1),):
+            raise NotAnAutomorphismError(f"phi(inverse(x{g})) != x{g}")
 
 
-class AutomorphismReport(Record):
-    status: str
-    detail: str = ""
+def _images_generate(phi: FreeMap) -> bool:
+    """Stallings folding (Invent. Math. 71, 1983; Kapovich-Myasnikov, J. Algebra
+    248, 2002): a closed path per image spells it from a base vertex 0, and the
+    ends of two edges that leave one vertex with one label merge (union-find)
+    until no such pair is left.  The result depends only on the subgroup the
+    images generate, and F_n's is one vertex that all 2n labels leave."""
+    out, merges = [{}], []  # out[v]: label (g, +-1) -> the end of an edge leaving v
+    for w in phi.images:
+        path = [0, *range(len(out), len(out) + len(w) - 1), 0]
+        out += ({} for _ in path[2:])
+        for u, v, (g, s) in zip(path, path[1:], w.letters):
+            merges += ((out[u].setdefault((g, s), v), v), (out[v].setdefault((g, -s), u), u))
+    root = list(range(len(out)))
 
-    @property
-    def is_automorphism_candidate(self) -> bool:
-        return self.status in (CONFIRMED, NECESSARY_ONLY)
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
 
-
-def verify_automorphism(phi: FreeMap) -> AutomorphismReport:
-    """Check whether phi is (or can be) an automorphism.
-
-    With inverse images psi present, phi(psi(x)) = x for every generator x
-    (CONFIRMED) makes phi surjective, and a surjective endomorphism of F_n is
-    bijective (F_n is finitely generated and residually finite, so Hopfian):
-    psi = phi^-1, and psi(phi(x)) = x needs no second check.  Without them,
-    only |det| = 1 of the abelianized matrix M can be checked (NECESSARY-ONLY):
-    it is necessary but not sufficient.  det M = (-1)^n char(M)(0), since
-    char(M)(0) = det(-M).
-    """
-    if phi.inverse_images is not None:
-        for g, w in enumerate(phi.inverse_images):
-            if apply_map(phi, w).letters != ((g, 1),):
-                return AutomorphismReport(NOT_AN_AUTOMORPHISM,
-                                          f"phi(inverse(x{g})) != x{g}")
-        return AutomorphismReport(CONFIRMED,
-                                  "phi(inverse(x)) = x for every generator x; "
-                                  "F_n is Hopfian")
-    det = (-1) ** phi.rank * char_poly(abelianized(phi)).constant
-    if abs(det) != 1:
-        return AutomorphismReport(NOT_AN_AUTOMORPHISM,
-                                  f"abelianized determinant is {det}, not +-1")
-    return AutomorphismReport(NECESSARY_ONLY,
-                              "no inverse supplied; determinant check passed")
+    while merges:
+        a, b = map(find, merges.pop())
+        if a != b:
+            if len(out[a]) < len(out[b]):
+                a, b = b, a
+            root[b] = a
+            merges += ((out[a].setdefault(label, t), t) for label, t in out[b].items())
+    base = find(0)
+    return len(out[base]) == 2 * phi.rank and all(find(v) == base for v in range(len(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ from functools import cache
 
 from ._record import Record
 from .exactalg import IntMatrix, Poly, poly_from_power_sums, power_sums
-from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                        verify_automorphism)
+from .freegroup import FreeMap, abelianized, verify_automorphism
 
 Monomial = tuple[int, ...]  # a Lyndon word, or a monomial of a Lie polynomial
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
@@ -275,11 +274,7 @@ def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
 
 
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:
-    """Action induced by phi on gamma_k / gamma_k+1 in the Lyndon basis.
-
-    Requires phi to pass verify_automorphism at NECESSARY-ONLY or better.
-    """
-    report = verify_automorphism(phi)
-    if not report.is_automorphism_candidate:
-        raise NotAnAutomorphismError(report.detail)
+    """Action induced by phi on gamma_k / gamma_k+1 in the Lyndon basis, once
+    verify_automorphism (whose NotAnAutomorphismError it raises) passes phi."""
+    verify_automorphism(phi)
     return quotient_actions(abelianized(phi), k)[-1]

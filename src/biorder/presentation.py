@@ -15,10 +15,10 @@ Format (canonical serialization is byte-exact):
 
 Words use the usual convention: lowercase = generator, uppercase = inverse,
 `e` = identity, so `e` cannot name a generator.  The `inverse:` block is
-optional; when its header is present the block must be complete and lets
-verification confirm the map is an automorphism.  `name:`, `fibered:` and
-`generators:` appear once, and `name:` is not empty.  A `map:` or `inverse:`
-header stands alone on its line.
+optional; when its header is present the block must be complete, and the map
+is checked by one composition with it, else by folding its images.
+`name:`, `fibered:` and `generators:` appear once, and `name:` is not empty.
+A `map:` or `inverse:` header stands alone on its line.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Bi-orderability decision procedures for groups presented as Z x| F_n.
 
 A knot record carries the monodromy map phi (the t-conjugation on the fiber
-free group).  The analyzer checks phi once and takes char(M) of
-M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
+free group).  The analyzer checks once that phi is an automorphism (by its
+inverse images, or by folding its images: freegroup.verify_automorphism),
+and takes char(M) of M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
 polynomial is read from it by lcs.level_pieces (Brandt, Newton), one piece
 per composition of the level's degree over the factor blocks f^e of char(M)
 that level 0's factor report gives, and each piece is factored on its own:
@@ -137,12 +138,12 @@ def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
 
 
 def require_automorphism(record: KnotRecord) -> None:
-    """Raise NotAnAutomorphismError unless the monodromy passes
-    verify_automorphism at NECESSARY-ONLY or better."""
-    report = verify_automorphism(record.phi)
-    if not report.is_automorphism_candidate:
+    """verify_automorphism on the monodromy, its error naming the knot."""
+    try:
+        verify_automorphism(record.phi)
+    except NotAnAutomorphismError as exc:
         raise NotAnAutomorphismError(
-            f"{record.name}: monodromy is not an automorphism ({report.detail})")
+            f"{record.name}: monodromy is not an automorphism ({exc})") from None
 
 
 def analyze(record: KnotRecord, max_level: int = 1,

@@ -19,8 +19,10 @@ from a Sturm chain (_root_counts reads them off the discriminant and
 Descartes' rule), the multiplicities of x - 1 and x + 1 from dividing until
 a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
 coefficient sums first), a unit cofactor of degree <= 3 goes through Yun's
-algorithm (_factor_canonical takes it whole), and the inverse-image check
-compares each phi(psi(x)) with a letter() Word.
+algorithm (_factor_canonical takes it whole), the inverse-image check
+compares each phi(psi(x)) with a letter() Word, and a map that is not onto
+is shown by a map to S_3 or S_4 that shrinks its images' group, read off
+Word.letters alone (verify_automorphism folds the images).
 Division over Q, a factor report's product, the real, positive and negative
 root counts, the shortlex word list, the Bareiss determinant, the identity
 matrix, the series 1, and the standard bracketing of a Lyndon word as a group
@@ -29,16 +31,16 @@ word and as a display name live here too, because only tests use them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from biorder import exactalg, orderprops
 from biorder.exactalg import (FactorReport, IntMatrix, Poly, SturmChain,
                               ZeroPolynomialError, sturm_count)
-from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, FreeMap, Word,
-                               apply_map, commutator, compose, identity, invert,
-                               iterate_map, letter, multiply, parse_word, power,
-                               random_word, reduce)
+from biorder.freegroup import (FreeMap, Word, apply_map, commutator, compose,
+                               identity, invert, iterate_map, letter, multiply,
+                               parse_word, power, random_word, reduce)
 from biorder.lcs import _fold
 from biorder.magnus import LowestTerm, Series, expand, lowest_term
 from biorder.orderprops import GT, Pair, semidirect_compare
@@ -319,26 +321,72 @@ def apply_map_by_stack(phi: FreeMap, w: Word) -> Word:
     return Word(w.rank, tuple(stack))
 
 
-def automorphism_status_by_two_compositions(phi: FreeMap) -> str:
-    """CONFIRMED when phi and its inverse images psi satisfy phi(psi(x)) = x
-    and psi(phi(x)) = x for every generator x, each map applied by a fold of
-    multiply; NOT_AN_AUTOMORPHISM otherwise."""
+def is_automorphism_by_two_compositions(phi: FreeMap) -> bool:
+    """Whether phi and its inverse images psi satisfy phi(psi(x)) = x and
+    psi(phi(x)) = x for every generator x, each map applied by a fold of
+    multiply."""
     psi = FreeMap(phi.rank, phi.inverse_images)
     for g in range(phi.rank):
         x = letter(phi.rank, g)
         if (apply_map_by_fold(phi, psi.images[g]) != x
                 or apply_map_by_fold(psi, phi.images[g]) != x):
-            return NOT_AN_AUTOMORPHISM
-    return CONFIRMED
+            return False
+    return True
 
 
-def automorphism_check_by_letter(phi: FreeMap) -> tuple[str, str]:
-    """(status, detail) of the inverse-image check: phi(psi(x_g)) compared
-    with the Word letter(rank, g) for each generator in turn."""
+def inverse_image_refusal_by_letter(phi: FreeMap) -> str | None:
+    """The detail of the inverse-image check, None when it passes: phi(psi(x_g))
+    compared with the Word letter(rank, g) for each generator in turn."""
     for g, w in enumerate(phi.inverse_images):
         if apply_map(phi, w) != letter(phi.rank, g):
-            return NOT_AN_AUTOMORPHISM, f"phi(inverse(x{g})) != x{g}"
-    return CONFIRMED, "phi(inverse(x)) = x for every generator x; F_n is Hopfian"
+            return f"phi(inverse(x{g})) != x{g}"
+    return None
+
+
+def not_onto_certificate(phi: FreeMap) -> tuple | None:
+    """A map rho of the generators to S_3 or S_4 under which phi's images
+    generate a smaller group than the generators do, or None if there is none.
+
+    F_n maps onto <rho(x)>, so a phi onto F_n gives <rho(phi(x))> = <rho(x)>:
+    a certificate shows that phi is not onto, with no free-group code, as it
+    reads only Word.letters.  Conjugating rho keeps both orders, so rho(x_0)
+    runs over one permutation per conjugacy class.  Permutations are indices
+    into a multiplication table, the identity 0; rho is returned as tuples.
+    """
+    for k in (3, 4):
+        perms = list(itertools.permutations(range(k)))
+        index = {p: i for i, p in enumerate(perms)}
+        mul = [[index[tuple(q[i] for i in p)] for q in perms] for p in perms]
+        inv = [row.index(0) for row in mul]
+        firsts = {min(mul[mul[inv[c]][p]][c] for c in range(len(perms)))
+                  for p in range(len(perms))}
+        sizes: dict = {}
+
+        def size(gens):  # order of the subgroup gens generate, memoized by set
+            key = sum({1 << g for g in gens})
+            if key not in sizes:
+                group, todo = {0}, [0]
+                while todo:
+                    a = todo.pop()
+                    for g in gens:
+                        if mul[a][g] not in group:
+                            group.add(mul[a][g])
+                            todo.append(mul[a][g])
+                sizes[key] = len(group)
+            return sizes[key]
+
+        for first in sorted(firsts):
+            for rest in itertools.product(range(len(perms)), repeat=phi.rank - 1):
+                rho = (first, *rest)
+                images = []
+                for w in phi.images:
+                    a = 0
+                    for g, s in w.letters:
+                        a = mul[a][rho[g] if s == 1 else inv[rho[g]]]
+                    images.append(a)
+                if size(images) < size(rho):
+                    return tuple(perms[a] for a in rho)
+    return None
 
 
 def lowest_term_by_expansion(w: Word) -> LowestTerm:

@@ -156,6 +156,37 @@ class TestAnalyzeCommand:
                             "map:\n  a -> a a\n  b -> b\n")
         assert cli.main(["analyze", str(doubling)]) == cli.EXIT_ANALYSIS
 
+    def test_fake_map_is_analysis_error(self, tmp_path, capsys):
+        """a -> a, b -> b a b A B has |det M| = 1 but is not onto: with no
+        inverse block its images are folded, and analyze and both map
+        probes that need no inverse refuse it alike."""
+        fake = tmp_path / "fake.knot"
+        fake.write_text("name: fake\nfibered: true\ngenerators: a b\n"
+                        "map:\n  a -> a\n  b -> b a b A B\n")
+        for argv in (["analyze", str(fake)],
+                     ["probe", "order-preservation", "--map", str(fake)],
+                     ["probe", "invariance", "--map", str(fake)]):
+            assert cli.main(argv) == cli.EXIT_ANALYSIS
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("analysis error: fake: monodromy is not an automorphism "
+                                    "(the images of phi do not generate F_n)\n")
+
+    def test_corpus_without_inverse_block_prints_the_same(self, tmp_path, capsys):
+        # folding confirms each corpus map, and the report does not show
+        # how the map was confirmed
+        for name in CORPUS_NAMES:
+            text = corpus_text(name)
+            cut = tmp_path / f"{name}.knot"
+            cut.write_text(text[:text.index("inverse:\n")])
+            for level in range(4):
+                for fmt in ("text", "json"):
+                    flags = ["--max-level", str(level), "--max-degree", "100", "--format", fmt]
+                    assert cli.main(["analyze", f"corpus:{name}", *flags]) == cli.EXIT_OK
+                    expected = capsys.readouterr().out
+                    assert cli.main(["analyze", str(cut), *flags]) == cli.EXIT_OK
+                    assert capsys.readouterr().out == expected, (name, level, fmt)
+
     def test_degree_cap_is_analysis_error(self, capsys):
         assert cli.main(["analyze", "corpus:6_2", "--max-degree", "4"]) == cli.EXIT_ANALYSIS
 

@@ -1,19 +1,22 @@
 import random
+import time
 
 import pytest
 
-from biorder.freegroup import (CONFIRMED, NECESSARY_ONLY, NOT_AN_AUTOMORPHISM,
-                               FreeMap, GeneratorRangeError, RankMismatchError,
-                               Word, abelianized, apply_map, check_generator_names,
-                               commutator, compose, conjugate, default_names,
-                               format_word, identity, identity_map, invert,
-                               inverse_map, letter, multiply, parse_word, power,
-                               random_word, reduce, verify_automorphism)
+from biorder.freegroup import (FreeMap, GeneratorRangeError, NotAnAutomorphismError,
+                               RankMismatchError, Word, abelianized, apply_map,
+                               check_generator_names, commutator, compose,
+                               conjugate, default_names, format_word, identity,
+                               identity_map, invert, inverse_map, letter,
+                               multiply, parse_word, power, random_word, reduce,
+                               verify_automorphism)
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
-from helpers import (W, apply_map_by_fold, automorphism_check_by_letter,
-                     automorphism_status_by_two_compositions, bareiss_det,
-                     naive_reduce, random_automorphism, random_word_by_stdlib)
+from helpers import (W, apply_map_by_fold, bareiss_det,
+                     inverse_image_refusal_by_letter,
+                     is_automorphism_by_two_compositions, naive_reduce,
+                     not_onto_certificate, random_automorphism,
+                     random_word_by_stdlib)
 
 
 X, Y = (0, 1), (1, 1)
@@ -202,54 +205,87 @@ class TestDerivedWords:
         assert rng.getstate() == state
 
 
+def refusal(phi: FreeMap) -> str | None:
+    """The detail verify_automorphism raises for phi, None when it passes."""
+    try:
+        verify_automorphism(phi)
+    except NotAnAutomorphismError as exc:
+        return str(exc)
+    return None
+
+
+FAKE = FreeMap(2, (W("a", "ab"), W("b a b A B", "ab")))  # |det| = 1, not onto
+
+
 class TestVerifyAutomorphism:
     def test_trefoil_with_inverse_confirmed(self):
         phi = FreeMap(2, (W("b", "ab"), W("b A", "ab")),
                       (W("B a", "ab"), W("a", "ab")))
-        assert verify_automorphism(phi).status == CONFIRMED
+        assert verify_automorphism(phi) is None
 
     def test_determinant_two_is_rejected(self):
         phi = FreeMap(2, (W("a a", "ab"), W("b", "ab")))
-        report = verify_automorphism(phi)
-        assert report.status == NOT_AN_AUTOMORPHISM
-        assert "determinant is 2" in report.detail
+        assert bareiss_det(abelianized(phi)) == 2
+        assert refusal(phi) == "the images of phi do not generate F_n"
 
     def test_identity_map_confirmed(self):
-        assert verify_automorphism(identity_map(3)).status == CONFIRMED
+        assert verify_automorphism(identity_map(3)) is None
 
-    def test_no_inverse_necessary_only(self):
-        assert verify_automorphism(trefoil_map()).status == NECESSARY_ONLY
+    def test_no_inverse_trefoil_confirmed_by_folding(self):
+        assert verify_automorphism(trefoil_map()) is None
+        assert verify_automorphism(figure8_map()) is None
 
-    def test_determinant_matches_bareiss(self):
-        """Without inverse images the determinant is read off char(M)(0);
-        Bareiss elimination on M is the independent oracle."""
+    def test_fake_map_is_refused_and_has_a_certificate(self):
+        # the determinant passes, so only folding can refuse it
+        assert abs(bareiss_det(abelianized(FAKE))) == 1
+        assert not_onto_certificate(FAKE) is not None
+        assert refusal(FAKE) == "the images of phi do not generate F_n"
+
+    def test_refusals_match_determinant_and_finite_quotients(self):
+        """Without inverse images, a map is refused exactly when its
+        abelianized determinant (by Bareiss elimination) is not +-1 or a map
+        to S_3 or S_4 shrinks its images' group: both are independent of the
+        folding, and on this sample nothing else refuses a map."""
         rng = random.Random(29)
-        statuses = set()
-        for i in range(200):
-            rank = rng.randint(2, 4)
-            phi = (random_endomorphism(rng, rank) if i % 2
-                   else FreeMap(rank, random_automorphism(rng, rank).images))
-            det = bareiss_det(abelianized(phi))
-            report = verify_automorphism(phi)
-            if abs(det) == 1:
-                assert report.status == NECESSARY_ONLY
+        kinds = []
+        for _ in range(500):
+            phi = random_endomorphism(rng, rng.randint(2, 3))
+            if abs(bareiss_det(abelianized(phi))) != 1:
+                kind = "determinant"
             else:
-                assert report.status == NOT_AN_AUTOMORPHISM
-                assert report.detail == f"abelianized determinant is {det}, not +-1"
-            statuses.add(report.status)
-        assert statuses == {NECESSARY_ONLY, NOT_AN_AUTOMORPHISM}
+                certificate = not_onto_certificate(phi)
+                kind = f"S_{len(certificate[0])}" if certificate else "onto"
+            assert (refusal(phi) is None) == (kind == "onto"), (phi, kind)
+            kinds.append(kind)
+        assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+            "determinant": 418, "S_3": 17, "S_4": 7, "onto": 58}
+
+    def test_nielsen_products_without_inverse_are_confirmed(self):
+        rng = random.Random(31)
+        for _ in range(1000):
+            phi = random_automorphism(rng, rng.randint(2, 5), rng.randint(1, 12))
+            assert verify_automorphism(FreeMap(phi.rank, phi.images)) is None, phi
+
+    def test_long_images_are_decided_quickly(self):
+        """Folding is near-linear in the images' length: x -> x y^20000 is
+        onto, x -> x^2 y^20000 is not, and neither takes long."""
+        for head, onto in (("x", True), ("x x", False)):
+            phi = FreeMap(2, (W(head + " y" * 20000), W("y")))
+            start = time.perf_counter()
+            assert (refusal(phi) is None) == onto
+            assert time.perf_counter() - start < 1.0
 
     def test_wrong_inverse_rejected(self):
         phi = FreeMap(2, (W("b", "ab"), W("b A", "ab")),
                       (W("a", "ab"), W("b", "ab")))
-        assert verify_automorphism(phi).status == NOT_AN_AUTOMORPHISM
+        assert refusal(phi) == "phi(inverse(x0)) != x0"
 
     def test_one_composition_agrees_with_two(self):
         """phi(psi(x)) = x for every generator makes phi onto, and F_n is
         Hopfian, so psi(phi(x)) = x follows: checking one composition gives
-        the status a check of both gives."""
+        the outcome a check of both gives."""
         rng = random.Random(23)
-        statuses = []
+        outcomes = []
         for _ in range(200):
             rank = rng.randint(2, 4)
             phi = random_automorphism(rng, rank)
@@ -257,15 +293,16 @@ class TestVerifyAutomorphism:
             off = list(phi.inverse_images)
             off[g] = multiply(off[g], letter(rank, rng.randrange(rank), rng.choice((1, -1))))
             for case in (phi, FreeMap(rank, phi.images, tuple(off)), inverse_map(phi)):
-                status = automorphism_status_by_two_compositions(case)
-                assert verify_automorphism(case).status == status
-                statuses.append(status)
-        assert statuses.count(CONFIRMED) == 400
-        assert statuses.count(NOT_AN_AUTOMORPHISM) == 200
+                confirmed = is_automorphism_by_two_compositions(case)
+                assert (refusal(case) is None) == confirmed
+                outcomes.append(confirmed)
+        assert outcomes.count(True) == 400
+        assert outcomes.count(False) == 200
 
     def test_status_and_detail_match_the_letter_comparison(self):
         """Each phi(psi(x_g)) is compared by its letters with ((g, 1),): the
-        status and detail a comparison with the Word letter(rank, g) gives.
+        status (passed or refused) and detail a comparison with the Word
+        letter(rank, g) gives.
         One inverse image is perturbed: a letter appended, the image
         inverted (phi(psi(x_g)) = x_g^-1), or another generator's taken."""
         rng = random.Random(41)
@@ -279,11 +316,11 @@ class TestVerifyAutomorphism:
                 multiply(off[g], letter(rank, rng.randrange(rank), rng.choice((1, -1)))),
                 invert(off[g]), off[h]))
             for case in (phi, FreeMap(rank, phi.images, tuple(off))):
-                report = verify_automorphism(case)
-                assert (report.status, report.detail) == automorphism_check_by_letter(case)
-                seen.add(report.detail)
-            assert report.detail == f"phi(inverse(x{g})) != x{g}"
-        assert len(seen) == 5  # CONFIRMED, and a failure at each of x0..x3
+                detail = refusal(case)
+                assert detail == inverse_image_refusal_by_letter(case)
+                seen.add(detail)
+            assert detail == f"phi(inverse(x{g})) != x{g}"
+        assert len(seen) == 5  # None, and a failure at each of x0..x3
 
 
 class TestDefaultNames:

@@ -17,8 +17,7 @@ import pytest
 from biorder._record import Record
 from biorder.corpus import CorpusEntry
 from biorder.exactalg import Factor, FactorReport, IntMatrix, Poly, SturmChain
-from biorder.freegroup import (CONFIRMED, NOT_AN_AUTOMORPHISM, AutomorphismReport,
-                               FreeMap, GeneratorRangeError, RankMismatchError, Word,
+from biorder.freegroup import (FreeMap, GeneratorRangeError, RankMismatchError, Word,
                                identity_map)
 from biorder.lcs import QuotientAction, lyndon_basis
 from biorder.magnus import LowestTerm
@@ -53,8 +52,6 @@ FROZEN = [
      dict(rank=3, letters=((0, 1), (1, -1)))),
     (FreeMap, dict(rank=2, images=(W("y"), W("x")), inverse_images=None),
      dict(rank=2, images=(W("y"), W("x")), inverse_images=(W("y"), W("x")))),
-    (AutomorphismReport, dict(status=CONFIRMED, detail="ok"),
-     dict(status=NOT_AN_AUTOMORPHISM, detail="ok")),
     (QuotientAction, dict(basis=BASIS, matrix=M2),
      dict(basis=BASIS, matrix=identity_matrix(2))),
     (LowestTerm, dict(degree=2, part=(((0, 1), 1), ((1, 0), -1))),
@@ -86,7 +83,6 @@ FROZEN = [
 # The defaults of the fields that have one, as constructed without them.
 DEFAULTS = {
     FreeMap: dict(inverse_images=None),
-    AutomorphismReport: dict(detail=""),
     ProbeConfig: dict(seed=0, samples=200, max_word_length=10, search_bound=4),
     ProbeResult: dict(warnings=()),
     PresentationFile: dict(comments=()),

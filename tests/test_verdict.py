@@ -14,7 +14,7 @@ from biorder.corpus import corpus_entries, corpus_entry
 from biorder.exactalg import (IntMatrix, Poly, all_roots_positive_real,
                               char_poly, factor_over_Q, has_positive_real_root,
                               rational_roots)
-from biorder.freegroup import (CONFIRMED, FreeMap, NotAnAutomorphismError, Word,
+from biorder.freegroup import (FreeMap, NotAnAutomorphismError, Word,
                                abelianized, compose, conjugate, invert,
                                inverse_map, iterate_map, letter, multiply,
                                power, verify_automorphism)
@@ -34,6 +34,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def knot(name):
     return corpus_entry(name).record
+
+
+def without_inverse(record: KnotRecord) -> KnotRecord:
+    """The record with its monodromy's inverse images dropped."""
+    phi = FreeMap(record.rank, record.phi.images)
+    return KnotRecord(record.name, phi, record.fibered, record.generator_names)
 
 
 def test_biorderable_matrix_has_positive_eigenvalue():
@@ -211,7 +217,8 @@ def test_torus_knot_family(p, q):
     """T(p, q), the paper's example: its group <x, y | x^p = y^q> has the
     central x^p, so it is not bi-orderable, and R1 says so at every level."""
     phi = torus_monodromy(p, q)
-    assert verify_automorphism(phi).status == CONFIRMED
+    for case in (phi, FreeMap(phi.rank, phi.images)):  # by composition, and by folding
+        assert verify_automorphism(case) is None
     t = lambda n: Poly([-1] + [0] * (n - 1) + [1])  # t^n - 1
     alexander, rest = divmod_q(t(p * q) * t(1), t(p) * t(q))
     assert rest.is_zero
@@ -313,8 +320,10 @@ class TestAnalyze:
 
         for module in (freegroup, lcs, verdict):
             monkeypatch.setattr(module, "verify_automorphism", counting)
-        analyze(knot("6_2"), max_level=3, max_degree=100)
-        assert len(calls) == 1
+        for record in (knot("6_2"), without_inverse(knot("6_2"))):
+            calls.clear()
+            analyze(record, max_level=3, max_degree=100)
+            assert calls == [record.phi]
 
     def test_level_out_of_range(self):
         with pytest.raises(AnalysisError):
@@ -437,20 +446,22 @@ class TestLevelWork:
         assert calls == []
 
     def test_char_poly_runs_once_per_analysis_on_m(self, monkeypatch):
-        # every level polynomial is read from char(M); the corpus maps carry
-        # an inverse block, so the automorphism check takes no determinant
+        # every level polynomial is read from char(M), and the automorphism
+        # check takes none, with or without the inverse block
         dims = []
         char_poly = exactalg.char_poly
         for module in (biorder, exactalg, freegroup, lcs, verdict):
             monkeypatch.setattr(module, "char_poly",
                                 lambda a: dims.append(a.dim) or char_poly(a), raising=False)
         for entry in corpus_entries():
-            for level in range(lcs.DEGREE_CAP):
-                dims.clear()
-                report = analyze(entry.record, max_level=level, max_degree=100)
-                assert len(report.levels) == level + 1
-                assert dims == [entry.record.rank], (entry.name, level)
-                assert report.levels[0].factors.input == char_poly(abelianized(entry.record.phi))
+            for record in (entry.record, without_inverse(entry.record)):
+                for level in range(lcs.DEGREE_CAP):
+                    dims.clear()
+                    report = analyze(record, max_level=level, max_degree=100)
+                    assert len(report.levels) == level + 1
+                    assert dims == [record.rank], (
+                        record.name, level, record.phi.inverse_images is None)
+                    assert report.levels[0].factors.input == char_poly(abelianized(record.phi))
 
 
 def _record_maps() -> list[tuple[FreeMap, list[int]]]:
