@@ -195,7 +195,7 @@ def _load_record(target: str) -> KnotRecord:
     try:
         if target.startswith("corpus:"):
             return corpus_mod.corpus_entry(target[len("corpus:"):]).record
-        with open(target, "r", encoding="utf-8") as fh:
+        with open(target, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             return parse_presentation(fh.read()).record()
     except (OSError, UnicodeDecodeError, LookupError, PresentationError) as exc:
         raise _Refusal(EXIT_PARSE, str(exc)) from None

@@ -14,7 +14,7 @@ never loads it.  The pieces fit together as
                            identities up to its degree, then its recurrence;
                            on char(A) these are tr(A^e) at every e
     char_poly           -- Newton's identities on tr(A^j), j <= n, from the
-                           powers up to A^n, every division exact;
+                           powers up to A^ceil(n/2), every division exact;
                            det(A) = (-1)^n char(A)(0) is read off it
     squarefree_decomposition -- Yun's algorithm
     factor_over_Q       -- of a polynomial, or of the product of pieces, each
@@ -72,10 +72,12 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = tuple(coeffs)
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        self.coeffs = cs[:n]
+        if cs and cs[-1] == 0:
+            n = len(cs) - 1
+            while n and cs[n - 1] == 0:
+                n -= 1
+            cs = cs[:n]
+        self.coeffs = cs
 
     # -- basic structure ----------------------------------------------------
 
@@ -247,10 +249,6 @@ class IntMatrix(Record):
                 raise ValueError("matrix must be square")
         super().__init__(rows)
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -288,7 +286,7 @@ def poly_from_power_sums(sums) -> Poly:
     i c_i = -(p_i + c_1 p_(i-1) + ... + c_(i-1) p_1); each division is asserted exact."""
     c = [1]
     for i in range(1, len(sums) + 1):
-        total = sum(c[i - j] * sums[j - 1] for j in range(1, i + 1))
+        total = sum(map(operator.mul, reversed(c), sums))  # c_(i-j) p_j, j = 1..i
         assert total % i == 0, "Newton identity division must be exact"
         c.append(-(total // i))
     return Poly(reversed(c))
@@ -296,10 +294,16 @@ def poly_from_power_sums(sums) -> Poly:
 
 def char_poly(a: IntMatrix) -> Poly:
     """Monic characteristic polynomial det(lambda*I - A): Newton's identities
-    on tr(A^j), j = 1..n, n = dim A, from the powers A, A^2, ..., A^n."""
-    n = a.dim
-    powers = itertools.accumulate(itertools.repeat(a, n), operator.matmul)
-    return poly_from_power_sums([sum(p.rows[i][i] for i in range(n)) for p in powers])
+    on tr(A^j), j = 1..n, n = dim A, from the powers A, A^2, ..., A^h only,
+    h = ceil(n/2): for b <= n - h, tr(A^(h+b)) = sum over i, k of
+    (A^h)_ik (A^b)_ki, row i of A^h times column i of A^b."""
+    n, h = a.dim, (a.dim + 1) // 2
+    powers = list(itertools.accumulate(itertools.repeat(a, h), operator.matmul))
+    top = powers[-1].rows
+    sums = [sum(p.rows[i][i] for i in range(n)) for p in powers]
+    sums += [sum(sum(map(operator.mul, row, col)) for row, col in zip(top, zip(*p.rows)))
+             for p in powers[:n - h]]
+    return poly_from_power_sums(sums)
 
 
 # ---------------------------------------------------------------------------

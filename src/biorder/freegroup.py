@@ -9,13 +9,14 @@ single letters, an uppercase letter is the inverse of the lowercase generator,
 and `e` (or an empty string) is the identity.
 
 A word is validated where its letters come from outside: `Word(...)` built by
-a caller checks generator range, signs and reduction; `reduce` (and so
-`parse_word`) checks range and signs once per letter and reduces by
-construction.  Words derived from valid words (`multiply`, `invert`,
-`apply_map`, and so `power`, `commutator` and `conjugate`) and the words
-`random_word` draws (generators in range, no letter followed by its inverse)
-are reduced by construction and skip the check; `multiply` and `apply_map`
-cancel letters only at the seams where two such words meet.
+a caller checks generator range, signs and reduction; `parse_word` reads each
+token through one table of the names and their upper cases, so every letter
+it makes is valid, and cancels letters on a stack as it reads them.  Words
+derived from valid words (`multiply`, `invert`, `apply_map`, and so `power`,
+`commutator` and `conjugate`) and the words `random_word` draws (generators in
+range, no letter followed by its inverse) are reduced by construction and skip
+the check; `multiply` and `apply_map` cancel letters only at the seams where
+two such words meet.
 """
 
 from __future__ import annotations
@@ -94,21 +95,6 @@ def identity(rank: int) -> Word:
 
 def letter(rank: int, gen: int, sign: int = 1) -> Word:
     return Word(rank, ((gen, sign),))
-
-
-def reduce(rank: int, letters) -> Word:
-    """Freely reduce a raw letter sequence of (generator, sign) pairs."""
-    stack: list[tuple[int, int]] = []
-    for g, s in letters:
-        if not 0 <= g < rank:
-            raise GeneratorRangeError(f"generator index {g} out of range for rank {rank}")
-        if s not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {s}")
-        if stack and stack[-1] == (g, -s):
-            stack.pop()
-        else:
-            stack.append((g, s))
-    return _word(rank, tuple(stack))
 
 
 def _check_rank(w1: Word, w2: Word):
@@ -233,9 +219,7 @@ def iterate_map(phi: FreeMap, n: int) -> FreeMap:
 
 def abelianized(phi: FreeMap) -> IntMatrix:
     """Exponent-sum matrix; column j is the abelianization of images[j]."""
-    cols = [w.exponent_vector() for w in phi.images]
-    return IntMatrix.from_rows([[cols[j][i] for j in range(phi.rank)]
-                                for i in range(phi.rank)])
+    return IntMatrix(tuple(zip(*(w.exponent_vector() for w in phi.images))))
 
 
 def verify_automorphism(phi: FreeMap) -> None:
@@ -304,21 +288,29 @@ def check_generator_names(names) -> tuple[str, ...]:
 
 
 def parse_word(text: str, names) -> Word:
-    """Parse `B X`-style text: lowercase = generator, uppercase = inverse, e = identity."""
-    names = list(names)
-    rank = len(names)
+    """Parse `B X`-style text: lowercase = generator, uppercase = inverse, e = identity.
+
+    Each token is looked up in one table of the names and their upper cases
+    (a repeated name keeps its first index), and cancels its inverse on a
+    stack as it is read."""
+    table = {}
+    for i, g in enumerate(names):
+        if g not in table:
+            table[g], table[g.upper()] = (i, 1), (i, -1)
     tokens = text.split()
-    if tokens == ["e"] or not tokens:
-        return identity(rank)
-    letters = []
+    if tokens == ["e"]:
+        tokens = []
+    stack = []
     for tok in tokens:
-        if len(tok) != 1:
-            raise ValueError(f"unreadable word token {tok!r}")
-        low = tok.lower()
-        if low not in names:
-            raise ValueError(f"unknown generator {tok!r}")
-        letters.append((names.index(low), 1 if tok.islower() else -1))
-    return reduce(rank, letters)
+        found = table.get(tok)
+        if found is None:
+            raise ValueError(f"unknown generator {tok!r}" if len(tok) == 1
+                             else f"unreadable word token {tok!r}")
+        if stack and stack[-1] == (found[0], -found[1]):
+            stack.pop()
+        else:
+            stack.append(found)
+    return _word(len(names), tuple(stack))
 
 
 def format_word(w: Word, names) -> str:

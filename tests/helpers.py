@@ -25,8 +25,9 @@ is shown by a map to S_3 or S_4 that shrinks its images' group, read off
 Word.letters alone (verify_automorphism folds the images).
 Division over Q, a factor report's product, the real, positive and negative
 root counts, the shortlex word list, the Bareiss determinant, the identity
-matrix, the series 1, and the standard bracketing of a Lyndon word as a group
-word and as a display name live here too, because only tests use them.
+matrix, a matrix from a list of rows, the stack reducer of raw (generator,
+sign) letters, the series 1, and the standard bracketing of a Lyndon word as
+a group word and as a display name live here too, because only tests use them.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from fractions import Fraction
 from biorder import exactalg, orderprops
 from biorder.exactalg import (FactorReport, IntMatrix, Poly, SturmChain,
                               ZeroPolynomialError, sturm_count)
-from biorder.freegroup import (FreeMap, Word, apply_map, commutator, compose,
-                               identity, invert, iterate_map, letter, multiply,
-                               parse_word, power, random_word, reduce)
+from biorder.freegroup import (FreeMap, GeneratorRangeError, Word, apply_map,
+                               commutator, compose, identity, invert, iterate_map,
+                               letter, multiply, parse_word, power, random_word)
 from biorder.lcs import _fold
 from biorder.magnus import LowestTerm, Series, expand, lowest_term
 from biorder.orderprops import GT, Pair, semidirect_compare
@@ -63,6 +64,27 @@ def naive_reduce(letters) -> tuple:
                 changed = True
                 break
     return tuple(letters)
+
+
+def reduce(rank: int, letters) -> Word:
+    """Freely reduce a raw letter sequence of (generator, sign) pairs on a
+    stack, checking each letter's generator range and sign."""
+    stack: list[tuple[int, int]] = []
+    for g, s in letters:
+        if not 0 <= g < rank:
+            raise GeneratorRangeError(f"generator index {g} out of range for rank {rank}")
+        if s not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {s}")
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    return Word(rank, tuple(stack))
+
+
+def from_rows(rows) -> IntMatrix:
+    """An IntMatrix from any iterable of rows of integers."""
+    return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
 
 
 def identity_matrix(d: int) -> IntMatrix:
@@ -478,7 +500,7 @@ def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
 # ---------------------------------------------------------------------------
 
 def random_matrix(rng: random.Random, d: int, lo: int = -5, hi: int = 5) -> IntMatrix:
-    return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)])
+    return from_rows([[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)])
 
 
 def random_unimodular_matrix(rng: random.Random, d: int, steps: int = 12) -> IntMatrix:
@@ -496,7 +518,7 @@ def random_unimodular_matrix(rng: random.Random, d: int, steps: int = 12) -> Int
             a[i], a[j] = a[j], a[i]
         elif op == 2:
             a[i] = [-x for x in a[i]]
-    return IntMatrix.from_rows(a)
+    return from_rows(a)
 
 
 def elementary_automorphisms(rank: int) -> list[FreeMap]:

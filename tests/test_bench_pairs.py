@@ -1,8 +1,9 @@
 """tools/bench_pairs.py on two stub checkouts whose bench/run.py prints fixed
 metrics: the pairs alternate which side runs first, the record holds each
-side's medians and quartiles and the median change, and a far-out run is
-named, but only when it is off its side's median by more than the metric's
-bound."""
+side's medians and quartiles and the median change, the claim rule (ten
+pairs or more, better in 9/10 of them, medians apart by more than the
+parent's IQR) is judged per metric, and a far-out run is named, but only when it is off its
+side's median by more than the metric's bound."""
 
 import importlib.util
 import json
@@ -84,6 +85,43 @@ def test_pairs_alternate_and_the_record_holds_both_sides(tool, tmp_path, capsys)
     assert lines["ops_per_s"].endswith("change better in 3/3 pairs")
     assert lines["setup_s"].endswith("(+0.0%), change better in 0/3 pairs")
     assert lines["pair 2/3 (change first)"]
+    # three pairs won of three are too few for a claim
+    assert record["claim"]["op_s.p50"] == {"wins": 3, "pairs": 3, "parent_iqr": op["iqr"],
+                                           "met": False}
+    assert lines["claim op_s.p50"].endswith("better in 3/3 pairs: claim rule not met")
+    assert lines["claim setup_s"].endswith("better in 0/3 pairs: claim rule not met")
+
+
+# The n-th run of both sides is pair (n + 1) // 2; the parent runs first in
+# odd pairs and second in even ones.  Scaling a change run by 3 makes the
+# change lose that pair.
+@pytest.mark.parametrize("lost, met", [({2: 3}, True), ({2: 3, 3: 3}, False)])
+def test_the_claim_needs_nine_of_ten_pairs(tool, tmp_path, capsys, lost, met):
+    parent = _checkout(tmp_path, "parent", 0.002)
+    change = _checkout(tmp_path, "change", 0.001, scale=lost)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "10"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    for name in ("op_s.p50", "ops_per_s"):
+        assert record["claim"][name]["wins"] == 10 - len(lost)
+        assert record["claim"][name]["met"] is met
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["claim op_s.p50"].endswith(f"claim rule {'met' if met else 'not met'}")
+
+
+def test_the_claim_needs_a_gain_past_the_parent_iqr(tool, tmp_path):
+    # both sides read 2 ms in odd pairs and 3 ms in even ones, the change about
+    # 1 % less: it wins every pair, by far less than the parent's IQR of 1 ms
+    parent = _checkout(tmp_path, "parent", 0.002, scale={n: 1.5 for n in (4, 8, 12, 16, 20)})
+    change = _checkout(tmp_path, "change", 0.002, scale={n: 0.99 for n in range(2, 20, 4)}
+                       | {n: 1.49 for n in range(3, 20, 4)})
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "10"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    claim = record["claim"]["op_s.p50"]
+    assert claim["wins"] == 10 and claim["parent_iqr"] == pytest.approx(0.001, rel=0.01)
+    assert claim["met"] is False
+    assert record["median_change"]["op_s.p50"] == pytest.approx(-0.008, abs=0.001)
 
 
 def test_a_far_out_run_is_named(tool, tmp_path, capsys):

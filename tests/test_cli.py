@@ -68,6 +68,20 @@ class TestPresentationFormat:
         with pytest.raises(PresentationError, match="line 5"):
             parse_presentation(text)
 
+    @pytest.mark.parametrize("line, word, message", [
+        (5, "b A q", "unknown generator 'q'"),
+        (6, "bA", "unreadable word token 'bA'"),
+        (9, "a e", "unknown generator 'e'"),
+    ])
+    def test_word_refusals_keep_their_line(self, line, word, message):
+        lines = ["name: t", "fibered: true", "generators: a b", "map:",
+                 "  a -> b", "  b -> a", "inverse:", "  a -> b", "  b -> a"]
+        lines[line - 1] = lines[line - 1].split("->")[0] + "-> " + word
+        with pytest.raises(PresentationError) as info:
+            parse_presentation("\n".join(lines) + "\n")
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
     def test_identity_image_spelled_e(self):
         text = "name: t\nfibered: false\ngenerators: a b\nmap:\n  a -> e\n  b -> a\n"
         pf = parse_presentation(text)
@@ -149,6 +163,16 @@ class TestAnalyzeCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        for name in CORPUS_NAMES:
+            marked = tmp_path / f"{name}.knot"
+            marked.write_bytes(b"\xef\xbb\xbf" + corpus_text(name).encode("utf-8"))
+            for fmt in ("text", "json"):
+                assert cli.main(["analyze", f"corpus:{name}", "--format", fmt]) == cli.EXIT_OK
+                expected = capsys.readouterr().out
+                assert cli.main(["analyze", str(marked), "--format", fmt]) == cli.EXIT_OK
+                assert capsys.readouterr() == (expected, ""), (name, fmt)
 
     def test_non_automorphism_is_analysis_error(self, tmp_path, capsys):
         doubling = tmp_path / "doubling.knot"

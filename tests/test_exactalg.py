@@ -24,17 +24,17 @@ from biorder.verdict import KnotRecord, analyze
 from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
                      cofactor_char_poly, count_negative_roots,
                      count_positive_roots, count_real_roots, divmod_q,
-                     explicit_power_traces, faddeev_leverrier_char_poly,
+                     explicit_power_traces, faddeev_leverrier_char_poly, from_rows,
                      identity_matrix, irreducible_by_degree_patterns, random_automorphism,
                      random_matrix, random_unimodular_matrix, reconstruct,
                      root_counts_by_sturm_chain, synthetic_division,
                      unit_root_multiplicities_by_division)
 
 # corpus abelianization matrices (columns are generator images)
-M_6_2 = IntMatrix.from_rows([[2, -1, 0, 0], [0, 0, 0, 1], [1, -1, 0, 1], [0, 0, -1, 1]])
-M_7_6 = IntMatrix.from_rows([[1, 1, 0, 0], [1, 3, -1, 0], [0, 0, 0, 1], [0, 1, -1, 1]])
-M_TREFOIL = IntMatrix.from_rows([[0, -1], [1, 1]])
-M_FIGURE8 = IntMatrix.from_rows([[2, 1], [1, 1]])
+M_6_2 = from_rows([[2, -1, 0, 0], [0, 0, 0, 1], [1, -1, 0, 1], [0, 0, -1, 1]])
+M_7_6 = from_rows([[1, 1, 0, 0], [1, 3, -1, 0], [0, 0, 0, 1], [0, 1, -1, 1]])
+M_TREFOIL = from_rows([[0, -1], [1, 1]])
+M_FIGURE8 = from_rows([[2, 1], [1, 1]])
 
 QUARTIC_6_2 = Poly([1, -3, 3, -3, 1])
 QUARTIC_7_6 = Poly([1, -5, 7, -5, 1])
@@ -71,6 +71,18 @@ class TestCharPoly:
             m = random_matrix(rng, d)
             expected = [int(c) for c in sympy.Matrix(m.rows).charpoly().all_coeffs()]
             assert char_poly(m) == Poly(reversed(expected))
+
+    def test_products_stop_at_half_the_dimension(self, monkeypatch):
+        rng = random.Random(36)
+        matmul = IntMatrix.__matmul__
+        products = []
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            lambda a, b: products.append(a.dim) or matmul(a, b))
+        for d in range(1, 10):
+            products.clear()
+            m = random_matrix(rng, d)
+            assert char_poly(m) == faddeev_leverrier_char_poly(m)
+            assert products == [d] * ((d + 1) // 2 - 1), d
 
     def test_determinant_consistency(self):
         rng = random.Random(32)

@@ -8,14 +8,14 @@ from biorder.freegroup import (FreeMap, GeneratorRangeError, NotAnAutomorphismEr
                                check_generator_names, commutator, compose,
                                conjugate, default_names, format_word, identity,
                                identity_map, invert, inverse_map, letter,
-                               multiply, parse_word, power, random_word, reduce,
+                               multiply, parse_word, power, random_word,
                                verify_automorphism)
 from biorder.corpus import corpus_entries
 from biorder.verdict import KnotRecord
 from helpers import (W, apply_map_by_fold, bareiss_det,
                      inverse_image_refusal_by_letter,
                      is_automorphism_by_two_compositions, naive_reduce,
-                     not_onto_certificate, random_automorphism,
+                     not_onto_certificate, random_automorphism, reduce,
                      random_word_by_stdlib)
 
 
@@ -381,3 +381,40 @@ class TestWordSyntax:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             parse_word("q", ("x", "y"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("q", "unknown generator 'q'"),
+        ("x Q", "unknown generator 'Q'"),
+        ("x bA", "unreadable word token 'bA'"),
+        ("x!", "unreadable word token 'x!'"),
+        ("x e", "unknown generator 'e'"),
+        ("e e", "unknown generator 'e'"),
+        ("E", "unknown generator 'E'"),
+        # the KELVIN SIGN lower-cases to k, but it is not the upper case of k
+        ("\u212a", "unknown generator '\u212a'"),
+    ])
+    def test_refusals_name_the_token(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_word(text, ("j", "k", "x"))
+        assert str(info.value) == message
+
+    def test_letters_cancel_across_tokens(self):
+        assert parse_word("x X y", ("x", "y")) == W("y")
+        assert parse_word("x y Y X", ("x", "y")) == identity(2)
+        assert parse_word("  y\tx X  Y x ", ("x", "y")) == W("x")
+
+    def test_cancellation_matches_naive_oracle(self):
+        rng = random.Random(16)
+        names = ("x", "a", "b")
+        for _ in range(300):
+            raw = [(rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(1, 14))]
+            text = " ".join(names[g] if s == 1 else names[g].upper() for g, s in raw)
+            assert parse_word(text, names).letters == naive_reduce(raw), text
+
+    def test_names_given_as_a_string(self):
+        assert parse_word("y X", "xy") == Word(2, ((1, 1), (0, -1)))
+        assert parse_word("e", "xyz") == identity(3)
+
+    def test_a_repeated_name_keeps_its_first_index(self):
+        assert parse_word("a", ("b", "a", "a")) == Word(3, ((1, 1),))
+        assert parse_word("A b", ("b", "a", "a")) == Word(3, ((1, -1), (0, 1)))

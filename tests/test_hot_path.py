@@ -14,13 +14,13 @@ from biorder import magnus, orderprops
 from biorder.corpus import corpus_entries
 from biorder.freegroup import (FreeMap, RankMismatchError, apply_map, commutator,
                                identity, invert, iterate_map, letter, multiply,
-                               parse_word, random_word, reduce)
+                               parse_word, random_word)
 from biorder.lcs import lyndon_basis
 from biorder.magnus import (NoLowestTermError, archimedean_key, is_infinitesimal,
                             sign)
 from biorder.orderprops import ProbeConfig, dominant_check, subgroup_probe
 from helpers import (apply_map_by_stack, archimedean_key_by_lowest_term,
-                     enumerate_words, random_word_by_stdlib,
+                     enumerate_words, random_word_by_stdlib, reduce,
                      sign_by_lowest_term, standard_bracketing)
 
 

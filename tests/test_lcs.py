@@ -19,7 +19,7 @@ from biorder.lcs import (lcs_action, level_pieces, lyndon_basis, quotient_action
                          witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
 from helpers import (W, bareiss_det, brandt_level_char_poly, companion_map,
-                     count_real_roots, divmod_q, faddeev_leverrier_char_poly,
+                     count_real_roots, divmod_q, faddeev_leverrier_char_poly, from_rows,
                      identity_matrix, random_automorphism, standard_bracketing,
                      torus_monodromy)
 
@@ -106,13 +106,13 @@ class TestAbelianization:
     def test_trefoil(self):
         phi = corpus_entry("trefoil").record.phi
         m = abelianized(phi)
-        assert m == IntMatrix.from_rows([[0, -1], [1, 1]])
+        assert m == from_rows([[0, -1], [1, 1]])
         assert char_poly(m) == Poly([1, -1, 1])
 
     def test_figure8(self):
         phi = corpus_entry("figure8").record.phi
         m = abelianized(phi)
-        assert m == IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert m == from_rows([[2, 1], [1, 1]])
         assert char_poly(m) == Poly([1, -3, 1])
 
     def test_identity_rank4(self):
@@ -130,7 +130,7 @@ class TestAbelianization:
 
 # level-1 action matrices in the columns-are-images convention, hand-checked
 # against the bilinear bracket expansions of the corpus monodromies
-N_6_2 = IntMatrix.from_rows([
+N_6_2 = from_rows([
     [0, 0, 2, 0, -1, 0],
     [-1, 0, 2, 0, -1, 0],
     [0, -2, 2, 1, -1, 0],
@@ -138,7 +138,7 @@ N_6_2 = IntMatrix.from_rows([
     [0, 0, 0, 0, 0, 1],
     [0, -1, 1, 1, -1, 1],
 ])
-N_7_6 = IntMatrix.from_rows([
+N_7_6 = from_rows([
     [2, -1, 0, -1, 0, 0],
     [0, 0, 1, 0, 1, 0],
     [1, -1, 1, -1, 1, 0],
@@ -190,7 +190,7 @@ class TestLcsAction:
         # rank 2 has a single basic commutator; both monodromies fix its class
         for name in ("trefoil", "figure8"):
             action = lcs_action(corpus_entry(name).record.phi, 2)
-            assert action.matrix == IntMatrix.from_rows([[1]])
+            assert action.matrix == from_rows([[1]])
 
     def test_rejects_non_automorphism(self):
         squaring = FreeMap(2, (W("x x"), W("y")))
@@ -219,7 +219,7 @@ class TestLcsAction:
                         for _ in range(2))
                 if trial % 2:
                     a[-1] = [2 * x for x in a[0]]
-                a, b = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+                a, b = from_rows(a), from_rows(b)
                 singular += bareiss_det(a) == 0
                 for k in (1, 2, 3, 4):
                     ab, a_k, b_k = (quotient_actions(x, k)[-1].matrix for x in (a @ b, a, b))
@@ -516,7 +516,7 @@ def _action_with_flipped_bracket(phi, k, flip_index=None) -> IntMatrix:
         assert not residue
         columns.append(coords)
     d = len(columns)
-    return IntMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
+    return from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
 
 
 def test_lowest_terms_are_lie_elements():

@@ -4,12 +4,12 @@ import pytest
 
 from biorder import magnus
 from biorder.freegroup import (Word, commutator, identity, invert, letter,
-                               multiply, power, random_word, reduce)
+                               multiply, power, random_word)
 from biorder.magnus import (EQ, GT, LT, NoLowestTermError, Series,
                             TrivialElementError, archimedean_key, compare,
                             expand, in_gamma, is_infinitesimal, lowest_term,
                             magnitude, series_mul, sign)
-from helpers import W, lowest_term_by_expansion, series_one
+from helpers import W, lowest_term_by_expansion, reduce, series_one
 
 
 class TestExpand:

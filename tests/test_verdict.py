@@ -408,7 +408,8 @@ class TestLevelWork:
         assert analyze(record, max_level=3, max_degree=100) == expected
 
     def test_matrix_powers_stop_at_the_rank(self, monkeypatch):
-        # level 3 of 6_2 needs tr(M^e) for e up to 240; only M^2..M^4 are formed
+        # level 3 of 6_2 needs tr(M^e) for e up to 240; char(M) needs
+        # tr(M^j) for j <= 4, paired from M and M^2, the one product formed
         products = []
         matmul = IntMatrix.__matmul__
 
@@ -419,7 +420,7 @@ class TestLevelWork:
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
         record = knot("6_2")
         analyze(record, max_level=3, max_degree=100)
-        assert 0 < len(products) <= record.rank
+        assert products == [record.rank] == [4]
 
     def test_every_level_is_split_by_the_factor_blocks_of_char_m(self, monkeypatch):
         calls = []

@@ -10,15 +10,19 @@ pair to pair, so a drift in machine speed falls on both sides alike.  Every
 run must report `correct: true`.
 The script prints each pair and, per end-to-end metric of BENCHMARK.json,
 the median change of the change against the parent and how many pairs the
-change won, and then every far-out run, which alone can move a median of
+change won, then the parent's IQR and whether the claim rule is met: at
+least ten pairs were run, the change is better in at least 9/10 of them (a
+tie counts for neither side), and its median is better than the parent's by
+more than the parent's IQR.  Then it prints every far-out run, which alone can move a median of
 few pairs: a value outside [q1 - 3 IQR, q3 + 3 IQR] of its side that also
 differs from its side's median by more than the metric's `bound` in
 BENCHMARK.json (at five pairs the IQR of a steady metric is so small that
 the fence alone names runs a few percent off).  It writes
 BENCH_<workload>.json at the root of the repository it sits in: for each
 side the commit, and the median, quartiles, IQR and raw values of each
-end-to-end metric, and under `outliers` the far-out values with their side,
-metric and pair.  Standard library only.
+end-to-end metric, under `claim` each metric's wins, pairs, parent IQR and
+whether the claim rule is met, and under `outliers` the far-out values with
+their side, metric and pair.  Standard library only.
 """
 
 from __future__ import annotations
@@ -111,15 +115,23 @@ def main(argv=None) -> int:
     for side in SIDES:
         record[side] = {"commit": commit_of(checkouts[side]),
                         "metrics": {name: summary(v) for name, v in values[side].items() if v}}
-    record["median_change"] = {}
+    record["median_change"], record["claim"] = {}, {}
     for name in better:
         if not values["parent"][name]:
             continue
         before = record["parent"]["metrics"][name]["median"]
         after = record["change"]["metrics"][name]["median"]
         change = record["median_change"][name] = after / before - 1
+        pairs = len(values["parent"][name])
         print(f"{name}: median {before:.6g} -> {after:.6g} ({change:+.1%}), "
-              f"change better in {wins[name]}/{len(values['parent'][name])} pairs")
+              f"change better in {wins[name]}/{pairs} pairs")
+        iqr = record["parent"]["metrics"][name]["iqr"]
+        gain = after - before if better[name] == "higher" else before - after
+        met = pairs >= 10 and 10 * wins[name] >= 9 * pairs and gain > iqr
+        record["claim"][name] = {"wins": wins[name], "pairs": pairs, "parent_iqr": iqr,
+                                 "met": met}
+        print(f"claim {name}: parent IQR {iqr:.6g}, median gain {gain:.6g}, "
+              f"better in {wins[name]}/{pairs} pairs: claim rule {'met' if met else 'not met'}")
     record["outliers"] = []
     for side in SIDES:
         for name, stats in record[side]["metrics"].items():
