@@ -15,8 +15,8 @@ from biorder.verdict import KnotRecord
 from helpers import (W, apply_map_by_fold, bareiss_det,
                      inverse_image_refusal_by_letter,
                      is_automorphism_by_two_compositions, naive_reduce,
-                     not_onto_certificate, random_automorphism, reduce,
-                     random_word_by_stdlib)
+                     not_onto_certificate, random_automorphism,
+                     random_word_by_stdlib, reduce)
 
 
 X, Y = (0, 1), (1, 1)

@@ -13,11 +13,11 @@ the median change of the change against the parent and how many pairs the
 change won, then the parent's IQR and whether the claim rule is met: at
 least ten pairs were run, the change is better in at least 9/10 of them (a
 tie counts for neither side), and its median is better than the parent's by
-more than the parent's IQR.  Then it prints every far-out run, which alone can move a median of
-few pairs: a value outside [q1 - 3 IQR, q3 + 3 IQR] of its side that also
-differs from its side's median by more than the metric's `bound` in
-BENCHMARK.json (at five pairs the IQR of a steady metric is so small that
-the fence alone names runs a few percent off).  It writes
+more than the parent's IQR.  Then it prints every far-out run, which alone
+can move a median of few pairs: a value outside [q1 - 3 IQR, q3 + 3 IQR] of
+its side that also differs from its side's median by more than the metric's
+`bound` in BENCHMARK.json (at five pairs the IQR of a steady metric is so
+small that the fence alone names runs a few percent off).  It writes
 BENCH_<workload>.json at the root of the repository it sits in: for each
 side the commit, and the median, quartiles, IQR and raw values of each
 end-to-end metric, under `claim` each metric's wins, pairs, parent IQR and
