@@ -23,9 +23,9 @@ from .freegroup import check_generator_names, format_word, parse_word
 from .lcs import DEGREE_CAP, _splits
 from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
                          ProbeResult)
-from .presentation import PresentationError, parse_presentation
-from .verdict import (AnalysisReport, InconsistentPremisesError, KnotRecord,
-                      analyze, require_automorphism)
+from .presentation import KnotRecord, PresentationError, parse_presentation
+from .verdict import (AnalysisReport, InconsistentPremisesError, analyze,
+                      require_automorphism)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -222,6 +222,8 @@ def _cmd_analyze(ns) -> tuple[int, str]:
 
 
 def _cmd_corpus(ns) -> tuple[int, str]:
+    if ns.action != "show" and ns.name is not None:
+        raise _Refusal(EXIT_USAGE, f"corpus {ns.action} takes no name")
     if ns.action == "list":
         if ns.format == "json":
             return EXIT_OK, _json_text(list(corpus_mod.CORPUS_NAMES))

@@ -5,8 +5,7 @@ from __future__ import annotations
 import os
 
 from ._record import Record
-from .presentation import parse_presentation
-from .verdict import KnotRecord
+from .presentation import KnotRecord, parse_presentation
 
 CORPUS_NAMES = ("trefoil", "figure8", "6_2", "7_6")
 

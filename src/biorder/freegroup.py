@@ -22,7 +22,6 @@ two such words meet.
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import IntMatrix
 
 
 class GeneratorRangeError(ValueError):
@@ -215,11 +214,6 @@ def iterate_map(phi: FreeMap, n: int) -> FreeMap:
     for _ in range(abs(n)):
         out = compose(base, out)
     return out
-
-
-def abelianized(phi: FreeMap) -> IntMatrix:
-    """Exponent-sum matrix; column j is the abelianization of images[j]."""
-    return IntMatrix(tuple(zip(*(w.exponent_vector() for w in phi.images))))
 
 
 def verify_automorphism(phi: FreeMap) -> None:

@@ -40,7 +40,7 @@ from functools import cache
 
 from ._record import Record
 from .exactalg import IntMatrix, Poly, poly_from_power_sums, power_sums
-from .freegroup import FreeMap, abelianized, verify_automorphism
+from .freegroup import FreeMap, verify_automorphism
 
 Monomial = tuple[int, ...]  # a Lyndon word, or a monomial of a Lie polynomial
 DEGREE_CAP = 4  # highest quotient degree k; analysis levels are 0..DEGREE_CAP - 1
@@ -241,6 +241,12 @@ def _structure(n: int, i: int, j: int) -> tuple[tuple[tuple[tuple[int, int], ...
         for b in _basis_parts(n, j)[1]) for a in _basis_parts(n, i)[1])
 
 
+def abelianized(phi: FreeMap) -> IntMatrix:
+    """M, the action on gamma_1 / gamma_2: column j is the exponent-sum
+    vector of images[j]."""
+    return IntMatrix(tuple(zip(*(w.exponent_vector() for w in phi.images))))
+
+
 def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
     """Actions on gamma_k / gamma_k+1, k = 1..top, of every endomorphism with
     abelianization m.  Level 1 is m; the column of a basis word l = uv at a
@@ -269,8 +275,8 @@ def quotient_actions(m: IntMatrix, top: int) -> list[QuotientAction]:
                                 column[r] += x * y * c
             columns.append(column)
         levels.append(columns)
-    return [QuotientAction(_basis_parts(n, k)[0], IntMatrix(tuple(zip(*columns))))
-            for k, columns in enumerate(levels, 1)]
+    return [QuotientAction(_basis_parts(n, k)[0], m if k == 1 else IntMatrix(tuple(zip(*cols))))
+            for k, cols in enumerate(levels, 1)]
 
 
 def lcs_action(phi: FreeMap, k: int) -> QuotientAction:

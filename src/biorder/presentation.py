@@ -24,9 +24,8 @@ A `map:` or `inverse:` header stands alone on its line.
 from __future__ import annotations
 
 from ._record import Record
-from .freegroup import (FreeMap, Word, check_generator_names, format_word,
-                        parse_word)
-from .verdict import KnotRecord
+from .freegroup import (FreeMap, Word, check_generator_names, default_names,
+                        format_word, parse_word)
 
 
 class PresentationError(ValueError):
@@ -38,20 +37,37 @@ class PresentationError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-class PresentationFile(Record):
+class KnotRecord(Record):
+    """A knot group Z x| F_n: name, monodromy phi, and fiberedness flag."""
+
     name: str
+    phi: FreeMap
     fibered: bool
     generator_names: tuple[str, ...]
-    images: tuple[Word, ...]
-    inverse_images: tuple[Word, ...] | None
+
+    def __init__(self, name: str, phi: FreeMap, fibered: bool,
+                 generator_names: tuple[str, ...] = ()):
+        generator_names = check_generator_names(generator_names or default_names(phi.rank))
+        if len(generator_names) != phi.rank:
+            raise ValueError("need one generator name per generator")
+        super().__init__(name, phi, fibered, generator_names)
+
+    @property
+    def rank(self) -> int:
+        return self.phi.rank
+
+
+class PresentationFile(Record):
+    """A parsed file: its knot record, built once, and its comment lines."""
+
+    knot: KnotRecord
     comments: tuple[str, ...] = ()
 
     def free_map(self) -> FreeMap:
-        return FreeMap(len(self.generator_names), self.images, self.inverse_images)
+        return self.knot.phi
 
     def record(self) -> KnotRecord:
-        return KnotRecord(name=self.name, phi=self.free_map(), fibered=self.fibered,
-                          generator_names=self.generator_names)
+        return self.knot
 
 
 def parse_presentation(text: str) -> PresentationFile:
@@ -132,21 +148,22 @@ def parse_presentation(text: str) -> PresentationFile:
             if g not in maps["inverse"]:
                 raise PresentationError(f"missing inverse line for generator {g!r}")
         inverse_images = tuple(maps["inverse"][g] for g in names)
-    return PresentationFile(name, fibered, tuple(names), images, inverse_images,
-                            tuple(comments))
+    phi = FreeMap(len(names), images, inverse_images)
+    return PresentationFile(KnotRecord(name, phi, fibered, tuple(names)), tuple(comments))
 
 
 def serialize_presentation(pf: PresentationFile) -> str:
     """Canonical byte-exact form: comments, name, fibered, generators, map, inverse."""
+    knot, names = pf.knot, pf.knot.generator_names
     lines = list(pf.comments)
-    lines.append(f"name: {pf.name}")
-    lines.append(f"fibered: {'true' if pf.fibered else 'false'}")
-    lines.append(f"generators: {' '.join(pf.generator_names)}")
+    lines.append(f"name: {knot.name}")
+    lines.append(f"fibered: {'true' if knot.fibered else 'false'}")
+    lines.append(f"generators: {' '.join(names)}")
     lines.append("map:")
-    for g, w in zip(pf.generator_names, pf.images):
-        lines.append(f"  {g} -> {format_word(w, pf.generator_names)}")
-    if pf.inverse_images is not None:
+    for g, w in zip(names, knot.phi.images):
+        lines.append(f"  {g} -> {format_word(w, names)}")
+    if knot.phi.inverse_images is not None:
         lines.append("inverse:")
-        for g, w in zip(pf.generator_names, pf.inverse_images):
-            lines.append(f"  {g} -> {format_word(w, pf.generator_names)}")
+        for g, w in zip(names, knot.phi.inverse_images):
+            lines.append(f"  {g} -> {format_word(w, names)}")
     return "\n".join(lines) + "\n"

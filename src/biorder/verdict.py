@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from ._record import Record
 from .exactalg import FactorReport, Poly, char_poly, factor_over_Q
-from .freegroup import (FreeMap, NotAnAutomorphismError, abelianized,
-                        check_generator_names, default_names, verify_automorphism)
-from .lcs import (DEGREE_CAP, QuotientAction, level_pieces, quotient_actions,
-                  witt_number)
+from .freegroup import NotAnAutomorphismError, verify_automorphism
+from .lcs import (DEGREE_CAP, QuotientAction, abelianized, level_pieces,
+                  quotient_actions, witt_number)
+from .presentation import KnotRecord
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
 BIORDERABLE = "BIORDERABLE"
@@ -72,26 +72,6 @@ JUSTIFICATIONS = {
     "R4": ("fibered sufficiency criterion: all roots of the Alexander polynomial "
            "are real and positive, so the knot group is bi-orderable"),
 }
-
-
-class KnotRecord(Record):
-    """A knot group Z x| F_n: name, monodromy phi, and fiberedness flag."""
-
-    name: str
-    phi: FreeMap
-    fibered: bool
-    generator_names: tuple[str, ...]
-
-    def __init__(self, name: str, phi: FreeMap, fibered: bool,
-                 generator_names: tuple[str, ...] = ()):
-        generator_names = check_generator_names(generator_names or default_names(phi.rank))
-        if len(generator_names) != phi.rank:
-            raise ValueError("need one generator name per generator")
-        super().__init__(name, phi, fibered, generator_names)
-
-    @property
-    def rank(self) -> int:
-        return self.phi.rank
 
 
 class LevelReport(Record):

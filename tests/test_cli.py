@@ -85,7 +85,7 @@ class TestPresentationFormat:
     def test_identity_image_spelled_e(self):
         text = "name: t\nfibered: false\ngenerators: a b\nmap:\n  a -> e\n  b -> a\n"
         pf = parse_presentation(text)
-        assert pf.images[0] == Word(2, ())
+        assert pf.record().phi.images[0] == Word(2, ())
 
 
 HEADER = "name: t\nfibered: true\ngenerators: a b\n"
@@ -283,6 +283,18 @@ class TestCorpusCommand:
     def test_show_without_name_is_usage_error(self, capsys):
         assert cli.main(["corpus", "show"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: corpus show needs a name\n"
+
+    @pytest.mark.parametrize("args", [
+        ["corpus", "list", "trefoil"],
+        ["corpus", "verify", "trefoil"],
+        ["corpus", "verify", "7_6", "--format", "json"],
+        ["corpus", "list", ""],
+    ], ids=["list", "verify", "verify-json", "list-empty"])
+    def test_stray_name_is_usage_error(self, args, capsys):
+        assert cli.main(args) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corpus {args[1]} takes no name\n"
 
     def test_list_json(self, capsys):
         assert cli.main(["corpus", "list", "--format", "json"]) == 0
@@ -660,7 +672,8 @@ def test_analysis_stream_is_pinned(name, capsys):
 def test_basis_names_match_bracket_name():
     """The renderer builds each level's names from the splits of the level
     below; bracket_name, one fold per word, is the oracle."""
-    from biorder.verdict import KnotRecord, analyze
+    from biorder.presentation import KnotRecord
+    from biorder.verdict import analyze
     from helpers import bracket_name, random_automorphism
     rng = random.Random(127)
     for names in (("x", "y"), ("p", "q", "r"), ("d", "c", "b", "a")):

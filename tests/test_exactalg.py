@@ -19,8 +19,9 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               power_sums, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
-from biorder.freegroup import abelianized
-from biorder.verdict import KnotRecord, analyze
+from biorder.lcs import abelianized
+from biorder.presentation import KnotRecord
+from biorder.verdict import analyze
 from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
                      cofactor_char_poly, count_negative_roots,
                      count_positive_roots, count_real_roots, divmod_q,

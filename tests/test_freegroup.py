@@ -4,14 +4,15 @@ import time
 import pytest
 
 from biorder.freegroup import (FreeMap, GeneratorRangeError, NotAnAutomorphismError,
-                               RankMismatchError, Word, abelianized, apply_map,
+                               RankMismatchError, Word, apply_map,
                                check_generator_names, commutator, compose,
                                conjugate, default_names, format_word, identity,
                                identity_map, invert, inverse_map, letter,
                                multiply, parse_word, power, random_word,
                                verify_automorphism)
 from biorder.corpus import corpus_entries
-from biorder.verdict import KnotRecord
+from biorder.lcs import abelianized
+from biorder.presentation import KnotRecord
 from helpers import (W, apply_map_by_fold, bareiss_det,
                      inverse_image_refusal_by_letter,
                      is_automorphism_by_two_compositions, naive_reduce,

@@ -12,11 +12,11 @@ from biorder import lcs
 from biorder.corpus import CORPUS_NAMES, corpus_entry
 from biorder.exactalg import IntMatrix, Poly, char_poly, factor_over_Q
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError,
-                               abelianized, apply_map, commutator, identity_map,
+                               apply_map, commutator, identity_map,
                                invert, letter, multiply, power, random_word,
                                verify_automorphism)
-from biorder.lcs import (lcs_action, level_pieces, lyndon_basis, quotient_actions,
-                         witt_number, _lie_coordinates)
+from biorder.lcs import (abelianized, lcs_action, level_pieces, lyndon_basis,
+                         quotient_actions, witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
 from helpers import (W, bareiss_det, brandt_level_char_poly, companion_map,
                      count_real_roots, divmod_q, faddeev_leverrier_char_poly, from_rows,
@@ -121,6 +121,14 @@ class TestAbelianization:
     def test_equals_level_one_action(self):
         phi = corpus_entry("6_2").record.phi
         assert lcs_action(phi, 1).matrix == abelianized(phi)
+
+    def test_level_one_is_m_itself(self):
+        """quotient_actions returns the M it is given as level 1, not a copy
+        rebuilt from its columns."""
+        for name in CORPUS_NAMES:
+            m = abelianized(corpus_entry(name).record.phi)
+            for k in range(1, 5):
+                assert quotient_actions(m, k)[0].matrix is m
 
     def test_corpus_determinants_are_units(self):
         for name in ("trefoil", "figure8", "6_2", "7_6"):

@@ -23,8 +23,8 @@ from biorder.lcs import QuotientAction, lyndon_basis
 from biorder.magnus import LowestTerm
 from biorder.orderprops import (ProbeConfig, ProbeResult, WeakComparabilityResult,
                                 _Drawn)
-from biorder.presentation import PresentationFile
-from biorder.verdict import AnalysisReport, KnotRecord, LevelReport, Verdict
+from biorder.presentation import KnotRecord, PresentationFile
+from biorder.verdict import AnalysisReport, LevelReport, Verdict
 from helpers import W, identity_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,10 +62,7 @@ FROZEN = [
      dict(name="subgroup", trials=5, failures=(), warnings=("w",))),
     (WeakComparabilityResult, dict(status="WITNESS_FOUND", witness=W("e"), checked=1),
      dict(status="WITNESS_FOUND", witness=W("e"), checked=2)),
-    (PresentationFile, dict(name="k", fibered=True, generator_names=("x", "y"),
-                            images=(W("y"), W("x")), inverse_images=None, comments=()),
-     dict(name="k", fibered=False, generator_names=("x", "y"),
-          images=(W("y"), W("x")), inverse_images=None, comments=())),
+    (PresentationFile, dict(knot=KNOT, comments=()), dict(knot=KNOT, comments=("# c",))),
     (KnotRecord, dict(name="k", phi=identity_map(2), fibered=True, generator_names=("x", "y")),
      dict(name="k", phi=identity_map(2), fibered=True, generator_names=("u", "v"))),
     (LevelReport, dict(level=0, action=ACTION, factors=REPORT),
@@ -187,6 +184,20 @@ def test_cli_import_loads_no_method_generating_module():
     assert loaded == ""
     for path in sorted((SRC / "biorder").glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+def test_input_layers_import_no_algebra():
+    """Words, files and probes come before the algebra: importing presentation,
+    corpus and orderprops (and so freegroup and magnus) in a fresh interpreter
+    loads none of exactalg, lcs and verdict."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+            "import biorder.presentation, biorder.corpus, biorder.orderprops\n"
+            "print(*sorted(m for m in sys.modules if m in "
+            "('biorder.exactalg', 'biorder.lcs', 'biorder.verdict')))")
+    run = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "\n"
 
 
 # A record that binds through the base alone, and one with a `_defaults` entry.

@@ -24,6 +24,8 @@ KEEP = {
     "freegroup.power": "a word operation of the free group, beside multiply, invert "
                        "and commutator; the Nielsen moves of the tests are built with it",
     "magnus.TrivialElementError": "raised by magnus.is_infinitesimal, a traced name",
+    "presentation.PresentationFile.free_map": "the benchmark's workloads._free_map calls "
+                                              "it as a method, which _bench_names cannot see",
     "presentation.serialize_presentation": "README: canonical files round-trip "
                                            "through parse_presentation and it",
 }

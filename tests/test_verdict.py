@@ -15,13 +15,14 @@ from biorder.exactalg import (IntMatrix, Poly, all_roots_positive_real,
                               char_poly, factor_over_Q, has_positive_real_root,
                               rational_roots)
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, Word,
-                               abelianized, compose, conjugate, invert,
+                               compose, conjugate, invert,
                                inverse_map, iterate_map, letter, multiply,
                                power, verify_automorphism)
-from biorder.presentation import (PresentationFile, parse_presentation,
+from biorder.lcs import abelianized
+from biorder.presentation import (KnotRecord, PresentationFile, parse_presentation,
                                   serialize_presentation)
 from biorder.verdict import (AnalysisError, BIORDERABLE,
-                             InconsistentPremisesError, KnotRecord,
+                             InconsistentPremisesError,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
 from helpers import (W, brandt_level_char_poly, cofactor_char_poly, divmod_q,
@@ -343,7 +344,7 @@ class TestAnalyze:
             phi = random_automorphism(rng, 2 + i % 3)
             names = tuple("abcd"[:phi.rank])
             texts.append(serialize_presentation(PresentationFile(
-                f"r{i}", True, names, phi.images, phi.inverse_images)))
+                KnotRecord(f"r{i}", phi, True, names))))
             assert parse_presentation(texts[-1]).free_map() == phi
         code = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
                 "from biorder.corpus import corpus_entries\n"
