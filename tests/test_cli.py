@@ -612,6 +612,61 @@ def test_probe_stream_is_pinned(name, tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# sha256 of the text view of each _PINNED_STREAM row, seeds 1 and 7, recorded
+# before the text and the JSON were rendered from one document.
+_PINNED_TEXT = {
+    "subgroup": ("fc275456a2faac661720eea369cad64d90fb1496fec59c04153006ea7281cb9f",
+                 "635e2121614951987b8020b93418b343e579967e468496e80012cc0764bcdb16"),
+    "normality": ("08b5132305df21ccc3dc749c4147d58f2ca863eb98cf853f7b793264cc9c49a4",
+                  "ba3bf1a69bbab7d481a049500d37bf624a621213dbed2f54b02d297b3fdd8dc5"),
+    "dominance": ("49413fabf7a84d148749280fb4fbce4bed21855d07800b8ef8034e34db97502a",
+                  "bbd87faa684a633a76cb05e2aeef2c7d91b0e45af5ebeebd1fa8aa3c46ee8bfb"),
+    "commutator": ("ae1c93c2c203f03733fad9cb60cf14b6490b564bdc9cfdad92634083c3857337",
+                   "60c20cd400f945ecdd21d6a75d07bcee6fabec40aa174ba3adec4efc9ea5e417"),
+    "order-preservation": ("fbcac746967f7f85e693b17f11385f1f789c16c86eefe167fbedbd994aa485ec",
+                           "0eed60bfe98ed861a97e109ad25e0ad657e852fb0b176a0a74486384df7c9d43"),
+    "invariance": ("4df57485bf303482ac0d3b5e45d2e20676ba81e20ca47434446b3d68017626bd",
+                   "435a210be85015698cac0e799ba231c011b4d50068e1b8af4f6c32b8145c3309"),
+    "semidirect": ("5a1cac3a51b902eeac522d053c49a51bf8361be1fa42f00faf4bfafb6ea34c8e",
+                   "7a4816666692856d84f8697e7c5bf0270085c2881df3623bf4da6540a8eb099f"),
+    "weak-comparability": ("35e9b68b278ebcacab20930c764fe2cb208407aca648c8719157330c148ce51c",
+                           "35e9b68b278ebcacab20930c764fe2cb208407aca648c8719157330c148ce51c"),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_TEXT)
+def test_probe_text_is_pinned(name, tmp_path, capsys):
+    inner = tmp_path / "inner.knot"
+    inner.write_text(_INNER)
+    args = [str(inner) if a == "INNER" else a for a in _PINNED_STREAM[name][0]]
+    for seed, digest in zip((1, 7), _PINNED_TEXT[name]):
+        assert cli.main(["probe", name, *args, "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# sha256 of the stdout of the commands whose view has no other pin: corpus
+# verify in both formats, a PREMISE_UNMET pair and a found witness.
+_PINNED_VIEWS = [
+    (["corpus", "verify"], "ce2061ecf81a18ef6bb74d46725bb4eedf00942e4ddc59b64aa08b118a535277"),
+    (["corpus", "verify", "--format", "json"],
+     "5f1e7ee68bf517e36cf593b373a12dc7c06466eaf53ed6ba7927a880e2cdd04a"),
+    (["probe", "invariance", "--map", "corpus:trefoil"],
+     "ba64f9234594cc68dd354fae99c6201cc1660184d24553c32f1fd765a36b47f0"),
+    (["probe", "invariance", "--map", "corpus:trefoil", "--format", "json"],
+     "bb2176d74bf58be5881b11d0f42a1dd84fe87b9160ac0e05c867a1d74eecc511"),
+    (["probe", "weak-comparability", "--f", "x", "--g", "x"],
+     "273836f8fb045bccb9b484a25bd3d6b751d6056eca5f1544fac6b28ca6756660"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _PINNED_VIEWS, ids=[" ".join(a) for a, _ in _PINNED_VIEWS])
+def test_view_is_pinned(args, digest, capsys):
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 # sha256 of `analyze corpus:K --max-level L --max-degree 100` stdout, one
 # (text, json) pair for each L = 0..3, recorded before every level read M's
 # power sums from one list.  Any change to an analysis byte fails here.
