@@ -3,11 +3,13 @@
 Exit codes: 0 ok, 2 parse/input error, 3 analysis error, 4 usage error.
 Output is deterministic: the same input and flags produce identical bytes.
 
-Each command is a function of its parsed arguments that returns its exit code
-and its stdout text, and writes nothing.  `main` alone writes: the command's
-text, then the one stderr line of a refused flag, word or target, or of an
-analysis error.  A reader that closes stdout or stderr early ends that
-output quietly, with the command's own exit code.
+Each command is a function of its parsed arguments that returns its exit code,
+one document and the function that renders the document as text, and writes
+nothing.  `main` alone reads `--format`, printing the document as JSON or as
+its text, and alone writes: that output, then the one stderr line of a
+refused flag, word or target, or of an analysis error.  A reader that closes
+stdout or stderr early ends that output quietly, with the command's own exit
+code.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from . import orderprops
 from .exactalg import Poly
 from .freegroup import check_generator_names, format_word, parse_word
 from .lcs import DEGREE_CAP, _splits
-from .orderprops import (NotPositiveError, PremiseUnmetError, ProbeConfig,
-                         ProbeResult)
+from .orderprops import NotPositiveError, PremiseUnmetError, ProbeConfig
 from .presentation import KnotRecord, PresentationError, parse_presentation
 from .verdict import (AnalysisReport, InconsistentPremisesError, analyze,
                       require_automorphism)
@@ -180,13 +181,8 @@ def analysis_to_text(report: AnalysisReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _json_text(obj) -> str:
-    import json  # only `--format json` needs it
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# target loading
+# subcommands
 # ---------------------------------------------------------------------------
 
 def _load_record(target: str) -> KnotRecord:
@@ -201,10 +197,6 @@ def _load_record(target: str) -> KnotRecord:
         raise _Refusal(EXIT_PARSE, str(exc)) from None
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
 def _check_ranges(*checks) -> None:
     """Refuse the first (flag, value, low, high) whose value is out of range."""
     for flag, value, low, high in checks:
@@ -212,76 +204,46 @@ def _check_ranges(*checks) -> None:
             raise _Refusal(EXIT_USAGE, f"{flag}: must be in {low}..{high}")
 
 
-def _cmd_analyze(ns) -> tuple[int, str]:
+def _lines(items) -> str:
+    return "".join(f"{item}\n" for item in items)
+
+
+def _cmd_analyze(ns):
     _check_ranges(("--max-degree", ns.max_degree, 1, MAX_DEGREE))
-    record = _load_record(ns.target)
-    report = analyze(record, max_level=ns.max_level, max_degree=ns.max_degree)
-    if ns.format == "json":
-        return EXIT_OK, _json_text(analysis_to_dict(report))
-    return EXIT_OK, analysis_to_text(report)
+    report = analyze(_load_record(ns.target), max_level=ns.max_level, max_degree=ns.max_degree)
+    # the text also shows the negative-root counts and the fibered flag, which the JSON lacks
+    return EXIT_OK, analysis_to_dict(report), lambda _: analysis_to_text(report)
 
 
-def _cmd_corpus(ns) -> tuple[int, str]:
-    if ns.action != "show" and ns.name is not None:
-        raise _Refusal(EXIT_USAGE, f"corpus {ns.action} takes no name")
-    if ns.action == "list":
-        if ns.format == "json":
-            return EXIT_OK, _json_text(list(corpus_mod.CORPUS_NAMES))
-        return EXIT_OK, "".join(f"{name}\n" for name in corpus_mod.CORPUS_NAMES)
-    if ns.action == "show":
-        if not ns.name:
-            raise _Refusal(EXIT_USAGE, "corpus show needs a name")
-        try:
-            return EXIT_OK, corpus_mod.corpus_text(ns.name)
-        except LookupError as exc:
-            raise _Refusal(EXIT_PARSE, str(exc)) from None
-    # verify
+def _cmd_list(ns):
+    return EXIT_OK, list(corpus_mod.CORPUS_NAMES), _lines
+
+
+def _cmd_show(ns):
+    try:
+        return EXIT_OK, corpus_mod.corpus_text(ns.name), str
+    except LookupError as exc:
+        raise _Refusal(EXIT_PARSE, str(exc)) from None
+
+
+def _cmd_verify(ns):
     results = []
-    all_ok = True
     for entry in corpus_mod.corpus_entries():
-        report = analyze(entry.record, max_level=entry.expected_level)
-        ok = (report.verdict.outcome == entry.expected_outcome
-              and report.verdict.rule == entry.expected_rule)
-        all_ok = all_ok and ok
-        results.append((entry, report, ok))
-    code = EXIT_OK if all_ok else EXIT_ANALYSIS
-    if ns.format == "json":
-        return code, _json_text({
-            "results": [
-                {
-                    "name": entry.record.name,
-                    "outcome": report.verdict.outcome,
-                    "rule": report.verdict.rule,
-                    "level": report.verdict.level,
-                    "expected_outcome": entry.expected_outcome,
-                    "expected_rule": entry.expected_rule,
-                    "ok": ok,
-                }
-                for entry, report, ok in results
-            ],
-            "ok": all_ok,
-        })
-    out = [f"{entry.record.name}: {report.verdict.outcome} via {report.verdict.rule}"
-           f" (expected {entry.expected_outcome}) {'OK' if ok else 'MISMATCH'}"
-           for entry, report, ok in results]
-    out.append(f"{'all' if all_ok else 'NOT all'} {len(results)} corpus verdicts match")
-    return code, "\n".join(out) + "\n"
+        v = analyze(entry.record, max_level=entry.expected_level).verdict
+        ok = v.outcome == entry.expected_outcome and v.rule == entry.expected_rule
+        results.append({"name": entry.record.name, "outcome": v.outcome, "rule": v.rule,
+                        "level": v.level, "expected_outcome": entry.expected_outcome,
+                        "expected_rule": entry.expected_rule, "ok": ok})
+    all_ok = all(r["ok"] for r in results)
+    return EXIT_OK if all_ok else EXIT_ANALYSIS, {"results": results, "ok": all_ok}, _verify_text
 
 
-def _config_json(cfg: ProbeConfig) -> dict:
-    return {"seed": cfg.seed, "samples": cfg.samples,
-            "max_word_length": cfg.max_word_length, "search_bound": cfg.search_bound}
-
-
-def _probe_json(result: ProbeResult, cfg: ProbeConfig, names) -> dict:
-    return {
-        "probe": result.name,
-        "config": _config_json(cfg),
-        "trials": result.trials,
-        "status": result.status,
-        "failures": [_failure_text(f, names) for f in result.failures],
-        "warnings": list(result.warnings),
-    }
+def _verify_text(doc: dict) -> str:
+    results = doc["results"]
+    return _lines([*(f"{r['name']}: {r['outcome']} via {r['rule']}"
+                     f" (expected {r['expected_outcome']}) {'OK' if r['ok'] else 'MISMATCH'}"
+                     for r in results),
+                   f"{'all' if doc['ok'] else 'NOT all'} {len(results)} corpus verdicts match"])
 
 
 def _failure_text(failure, names) -> str:
@@ -292,17 +254,22 @@ def _failure_text(failure, names) -> str:
     return str(failure)
 
 
-def _probe_text(result: ProbeResult, cfg: ProbeConfig, names) -> str:
-    out = [f"probe: {result.name}",
-           f"config: seed={cfg.seed} samples={cfg.samples}"
-           f" max_word_length={cfg.max_word_length} search_bound={cfg.search_bound}",
-           f"trials: {result.trials}",
-           f"status: {result.status}"]
-    for w in result.warnings:
-        out.append(f"warning: {w}")
-    for f in result.failures:
-        out.append(f"counterexample: {_failure_text(f, names)}")
-    return "\n".join(out) + "\n"
+def _probe_text(doc: dict) -> str:
+    return _lines([f"probe: {doc['probe']}",
+                   "config: " + " ".join(f"{k}={v}" for k, v in doc["config"].items()),
+                   f"trials: {doc['trials']}",
+                   f"status: {doc['status']}",
+                   *(f"warning: {w}" for w in doc["warnings"]),
+                   *(f"counterexample: {f}" for f in doc["failures"])])
+
+
+def _fields_text(doc: dict) -> str:
+    """One `key: value` line per field of doc that is not None."""
+    return _lines(f"{key}: {value}" for key, value in doc.items() if value is not None)
+
+
+def _search_text(doc: dict) -> str:
+    return _fields_text({**doc, "config": f"bound={doc['config']['search_bound']}"})
 
 
 # probes taking a word (--g) and probes taking a map (--map)
@@ -314,12 +281,13 @@ _MAP_PROBES = {"order-preservation": orderprops.order_preservation_probe,
                "semidirect": orderprops.semidirect_order_probe}
 
 
-def _cmd_probe(ns) -> tuple[int, str]:
+def _cmd_probe(ns):
     _check_ranges(("--bound", ns.bound, 0, MAX_BOUND),
                   ("--samples", ns.samples, 1, MAX_SAMPLES),
                   ("--max-word-length", ns.max_word_length, 1, MAX_WORD_LENGTH))
-    cfg = ProbeConfig(seed=ns.seed, samples=ns.samples,
-                      max_word_length=ns.max_word_length, search_bound=ns.bound)
+    config = {"seed": ns.seed, "samples": ns.samples,
+              "max_word_length": ns.max_word_length, "search_bound": ns.bound}
+    cfg = ProbeConfig(**config)
     try:
         names = check_generator_names(ns.generators.split())
     except ValueError as exc:
@@ -360,26 +328,16 @@ def _cmd_probe(ns) -> tuple[int, str]:
             search = orderprops.weak_comparability_search(f, g, cfg)
             witness = (format_word(search.witness, names)
                        if search.witness is not None else None)
-            if ns.format == "json":
-                return EXIT_OK, _json_text({
-                    "probe": "weak-comparability",
-                    "config": _config_json(cfg),
-                    "status": search.status,
-                    "witness": witness,
-                    "checked": search.checked,
-                })
-            found = f"witness: {witness}\n" if witness is not None else ""
-            return EXIT_OK, (f"probe: weak-comparability\nconfig: bound={cfg.search_bound}\n"
-                             f"status: {search.status}\n{found}checked: {search.checked}\n")
+            return EXIT_OK, {"probe": "weak-comparability", "config": config,
+                             "status": search.status, "witness": witness,
+                             "checked": search.checked}, _search_text
     except PremiseUnmetError as exc:
-        if ns.format == "json":
-            return EXIT_OK, _json_text({"probe": ns.name, "status": "PREMISE_UNMET",
-                                        "detail": str(exc)})
-        return EXIT_OK, f"probe: {ns.name}\nstatus: PREMISE_UNMET\ndetail: {exc}\n"
-
-    if ns.format == "json":
-        return EXIT_OK, _json_text(_probe_json(result, cfg, names))
-    return EXIT_OK, _probe_text(result, cfg, names)
+        return EXIT_OK, {"probe": ns.name, "status": "PREMISE_UNMET",
+                         "detail": str(exc)}, _fields_text
+    return EXIT_OK, {"probe": result.name, "config": config, "trials": result.trials,
+                     "status": result.status,
+                     "failures": [_failure_text(f, names) for f in result.failures],
+                     "warnings": list(result.warnings)}, _probe_text
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--max-level", type=int, default=1, choices=range(DEGREE_CAP))
     pa.add_argument("--max-degree", type=int, default=8,
                     help=f"cap on each level's char poly degree, 1..{MAX_DEGREE}")
-    pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=_cmd_analyze)
 
     pc = sub.add_parser("corpus", help="list, show, or verify the bundled corpus")
-    pc.add_argument("action", choices=("list", "show", "verify"))
-    pc.add_argument("name", nargs="?", help="knot name for `show`")
-    pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.set_defaults(func=_cmd_corpus)
+    actions = pc.add_subparsers(dest="action", required=True)
+    pl = actions.add_parser("list", help="the bundled knots' names")
+    pl.set_defaults(func=_cmd_list)
+    ps = actions.add_parser("show", help="a bundled knot's presentation file")
+    ps.add_argument("name", help="knot name")
+    ps.set_defaults(func=_cmd_show, format="text")  # the file is its one view
+    pv = actions.add_parser("verify", help="check each bundled knot's expected verdict")
+    pv.set_defaults(func=_cmd_verify)
 
     pp = sub.add_parser("probe", help="run a property probe in the Magnus bi-order")
     pp.add_argument("name", choices=(*_WORD_PROBES, "commutator", *_MAP_PROBES,
@@ -421,8 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"longest sampled word, 1..{MAX_WORD_LENGTH}")
     pp.add_argument("--bound", type=int, default=probe_defaults.search_bound,
                     help=f"bound on |h|, 0..{MAX_BOUND}")
-    pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.set_defaults(func=_cmd_probe)
+
+    for p in (pa, pl, pv, pp):  # last, so each usage line ends its options with it
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -432,7 +395,12 @@ def main(argv=None) -> int:
     out = err = ""
     try:
         ns = build_parser().parse_args(argv)
-        code, out = ns.func(ns)
+        code, doc, to_text = ns.func(ns)
+        if ns.format == "json":
+            import json  # only `--format json` needs it
+            out = json.dumps(doc, indent=2) + "\n"
+        else:
+            out = to_text(doc)
     except SystemExit as exc:  # argparse has written --help, or usage and error
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except _Refusal as exc:

@@ -282,19 +282,29 @@ class TestCorpusCommand:
 
     def test_show_without_name_is_usage_error(self, capsys):
         assert cli.main(["corpus", "show"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "error: corpus show needs a name\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.split("\n", 1)
+        assert usage.startswith("usage: biorder corpus show ")
+        assert message == ("biorder corpus show: error: "
+                           "the following arguments are required: name\n")
 
-    @pytest.mark.parametrize("args", [
-        ["corpus", "list", "trefoil"],
-        ["corpus", "verify", "trefoil"],
-        ["corpus", "verify", "7_6", "--format", "json"],
-        ["corpus", "list", ""],
-    ], ids=["list", "verify", "verify-json", "list-empty"])
-    def test_stray_name_is_usage_error(self, args, capsys):
+    @pytest.mark.parametrize("args, stray", [
+        (["corpus", "list", "trefoil"], "trefoil"),
+        (["corpus", "verify", "trefoil"], "trefoil"),
+        (["corpus", "verify", "7_6", "--format", "json"], "7_6"),
+        (["corpus", "list", ""], ""),
+        (["corpus", "show", "7_6", "--format", "json"], "--format json"),
+    ], ids=["list", "verify", "verify-json", "list-empty", "show-format"])
+    def test_stray_name_is_usage_error(self, args, stray, capsys):
+        """Each corpus action parses only its own arguments: a name after
+        list or verify, or a --format after show, is left over."""
         assert cli.main(args) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: corpus {args[1]} takes no name\n"
+        usage, message = captured.err.split("\n", 1)
+        assert usage.startswith("usage: biorder ")
+        assert message == f"biorder: error: unrecognized arguments: {stray}\n"
 
     def test_list_json(self, capsys):
         assert cli.main(["corpus", "list", "--format", "json"]) == 0
