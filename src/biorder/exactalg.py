@@ -30,7 +30,9 @@ never loads it.  The pieces fit together as
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
-                           only the subsets that hold the first factor),
+                           only the subsets that hold the first factor; a
+                           subset's product formed only when it passes the
+                           trace test, Abbott-Shoup-Zimmermann, ISSAC 2000),
                            all three on Poly: (Z/m)[x] is
                            Z[x] arithmetic followed by `% m`, plus division,
                            gcd, extended gcd, powers and monic mod m
@@ -533,6 +535,8 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     height = max(abs(c) for c in f.coeffs)
     # Landau-Mignotte style bound on factor coefficients
     bound = (math.isqrt(f.degree + 1) + 1) * (2 ** f.degree) * height * abs(lc)
+    # Cauchy: every root z of f has |z| < 1 + max|a_i| / |lc| <= radius
+    radius = 2 + height // abs(lc)
     # only the finitely many primes dividing lc * disc(f) are unsuitable
     for p in _odd_primes():
         if lc % p:
@@ -546,7 +550,7 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     if len(modular) == 1:
         return [f]
     pl = p
-    while pl <= 2 * bound:
+    while pl <= 2 * bound:  # bound >= |lc| deg f radius, as the trace test needs
         pl *= p
     lifted = _hensel_lift(p, f, modular, pl)
     found = []
@@ -558,8 +562,17 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
             # a subset and its complement make the same split, and the
             # subsets that hold index 0 come first: try only those
             subsets = itertools.islice(subsets, math.comb(len(lifted) - 1, size - 1))
+        lead = current.leading
+        # trace test: a true factor of degree D has x^(D-1) coefficient -lead
+        # times the sum of its D roots, so at most |lead| D radius in size;
+        # mod pl it is lead times the sum of the lifts' second coefficients
+        traces = [lead * u.coeffs[-2] % pl for u in lifted]
+        limits = [abs(lead) * u.degree * radius for u in lifted]
         for subset in subsets:
-            cand = Poly([current.leading])
+            trace = sum(map(traces.__getitem__, subset)) % pl
+            if min(trace, pl - trace) > sum(map(limits.__getitem__, subset)):
+                continue
+            cand = Poly([lead])
             for i in subset:
                 cand = cand * lifted[i] % pl
             # the integer candidate has its residues in (-pl/2, pl/2]

@@ -73,11 +73,15 @@ class Word(Record):
         return f"Word({format_word(self, default_names(self.rank))!r}, rank={self.rank})"
 
 
+_bind_rank, _bind_letters = Word._setters
+
+
 def _word(rank: int, letters: tuple[tuple[int, int], ...]) -> Word:
-    """A Word from letters already known to be valid and freely reduced."""
+    """A Word from letters already known to be valid and freely reduced,
+    its slots bound by the setters the Record base collected."""
     w = object.__new__(Word)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "letters", letters)
+    _bind_rank(w, rank)
+    _bind_letters(w, letters)
     return w
 
 
@@ -173,14 +177,38 @@ def identity_map(rank: int) -> FreeMap:
 
 def apply_map(phi: FreeMap, w: Word) -> Word:
     """Substitute each letter by its image (inverted image for negative letters);
-    the images are reduced, so letters cancel only where each one meets the output."""
+    the images are reduced, so letters cancel only where each one meets the output.
+    It inverts an image for each negative letter: substitution(phi) inverts
+    each image once, for a map applied to many words."""
     if phi.rank != w.rank:
         raise RankMismatchError(f"rank mismatch: map {phi.rank} vs word {w.rank}")
+    return _substitute(phi.images, None, w)
+
+
+def substitution(phi: FreeMap):
+    """w -> phi(w), the inverted images built once here, not per letter."""
+    images = phi.images
+    inverted = tuple(invert(x) for x in images)
+
+    def substitute(w: Word) -> Word:
+        if phi.rank != w.rank:
+            raise RankMismatchError(f"rank mismatch: map {phi.rank} vs word {w.rank}")
+        return _substitute(images, inverted, w)
+
+    return substitute
+
+
+def _substitute(images, inverted, w: Word) -> Word:
+    """phi(w) from the images of the generators and, unless None, of their
+    inverses; a missing inverse image is built for the letter that needs it."""
     out: list[tuple[int, int]] = []
     for g, s in w.letters:
-        block = phi.images[g].letters
-        if s == -1:
-            block = [(h, -t) for h, t in reversed(block)]
+        if s == 1:
+            block = images[g].letters
+        elif inverted is None:
+            block = [(h, -t) for h, t in reversed(images[g].letters)]
+        else:
+            block = inverted[g].letters
         i = 0
         while out and i < len(block) and out[-1][0] == block[i][0] and out[-1][1] == -block[i][1]:
             out.pop()

@@ -74,13 +74,14 @@ def _lie_traces(block_sums, c):
 
 @cache
 def _brandt_terms(c: tuple[int, ...]) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """The terms of _lie_traces on L_c, per d | gcd c: d, mu(d) (k/d)! /
-    prod (c_i/d)!, and (i, c_i/d) for each block i with c_i > 0."""
+    """The terms of _lie_traces on L_c, per squarefree d | gcd c (mu(d) = 0
+    drops the others): d, mu(d) (k/d)! / prod (c_i/d)!, and (i, c_i/d) for
+    each block i with c_i > 0."""
     k, g = sum(c), math.gcd(*c)
     return tuple((d, _mobius(d) * math.factorial(k // d)
                   // math.prod(math.factorial(ci // d) for ci in c),
                   tuple((i, ci // d) for i, ci in enumerate(c) if ci))
-                 for d in range(1, g + 1) if g % d == 0)
+                 for d in range(1, g + 1) if g % d == 0 and _mobius(d))
 
 
 def _piece(block_sums, c) -> Poly:
@@ -104,8 +105,10 @@ def level_pieces(blocks, k: int) -> list[Poly]:
     dims = [[e * f.degree] for f, e in blocks]
     shapes = [(c, degree) for c in _compositions(k, len(dims))
               if (degree := next(_lie_traces(dims, c)))]
-    # the traces on L_c read p_(jd) of the blocks in c, j <= deg L_c, d | gcd c
-    counts = [max((degree * math.gcd(*c) for c, degree in shapes if c[i]), default=0)
+    # the traces on L_c read p_(jd) of the blocks in c, j <= deg L_c, for
+    # each d of its Brandt terms
+    counts = [max((degree * _brandt_terms(c)[-1][0] for c, degree in shapes if c[i]),
+                  default=0)
               for i in range(len(dims))]
     block_sums = [[e * p for p in power_sums(f, count)]
                   for (f, e), count in zip(blocks, counts)]

@@ -19,13 +19,13 @@ so weak comparability) is read off one key per element, (lowest degree,
 leading monomial), which w and w^-1 share.
 
 Past degree 2, the degree of that part is located by evaluation, and one
-exact expansion decides the answer.  The same recurrences run on one row of
-integers mod a 61-bit prime, with X_g at monomial position j replaced by a
-random value a[g][j], so entry d of the row is the degree-d part evaluated
+exact expansion decides the answer.  The same recurrences run over Z on one
+row of integers, with X_g at monomial position j replaced by a random value
+a[g][j] in [0, 2^60), so entry d of the row is the degree-d part evaluated
 at a point.  A nonzero value proves the part nonzero.  A nonzero part of
 degree d vanishes at the point with probability at most d / 2^60
-(Schwartz-Zippel), and such a false zero only makes the one expansion
-deeper, never the answer different.
+(Schwartz-Zippel, over any integral domain), and such a false zero only
+makes the one expansion deeper, never the answer different.
 
 Monomial order is graded lex with X_0 < X_1 < ..., so the first declared
 generator dominates every other element.
@@ -42,7 +42,6 @@ from .freegroup import Word, _check_rank, invert, multiply
 
 Monomial = tuple[int, ...]
 
-_P = (1 << 61) - 1  # a Mersenne prime: the evaluations are integers mod _P
 # Evaluation points; they change the work a call does, never its answer.
 _RNG = random.Random(61)
 
@@ -177,8 +176,8 @@ class LowestTerm(Record):
 def _points(rank: int, top: int) -> list[list[int]]:
     """Fresh random values a[g][j] of X_g at monomial positions j < top.
 
-    They are uniform on [0, 2^60), a set of distinct residues mod _P, so a
-    nonzero part of degree d vanishes at them with probability <= d / 2^60.
+    They are uniform on the 2^60 integers in [0, 2^60), so a nonzero integer
+    part of degree d vanishes at them with probability <= d / 2^60.
     """
     return [[_RNG.getrandbits(60) for _ in range(top)] for _ in range(rank)]
 
@@ -204,7 +203,8 @@ def _degree2_part(w: Word) -> tuple[tuple[Monomial, int], ...]:
 def _evaluated_degree(w: Word, bound: int, top: int = 1) -> int | None:
     """Least d in 2..bound whose degree-d part of w evaluates nonzero, or None.
 
-    The row v[0..top] follows expand's recurrences with scalars for layers:
+    The row v[0..top] of integers, exact (no modulus), follows expand's
+    recurrences with scalars for layers:
     x_g does v[j] += v[j-1] a[g][j-1] with j falling, x_g^-1 does
     v[j] -= v[j-1] a[g][j-1] with j rising; v[0] stays 1, so v[1] only adds
     or subtracts a[g][0].  top runs 2 top, 4 top, ... up to bound, each at
@@ -221,12 +221,12 @@ def _evaluated_degree(w: Word, bound: int, top: int = 1) -> int | None:
             a = points[g]
             if s == 1:
                 for j in falling:
-                    v[j] = (v[j] + v[j - 1] * a[j - 1]) % _P
+                    v[j] += v[j - 1] * a[j - 1]
                 v[1] += a[0]
             else:
                 v[1] -= a[0]
                 for j in rising:
-                    v[j] = (v[j] - v[j - 1] * a[j - 1]) % _P
+                    v[j] -= v[j - 1] * a[j - 1]
         for d in range(2, top + 1):
             if v[d]:
                 return d
@@ -239,13 +239,13 @@ def lowest_term(w: Word) -> LowestTerm:
     Degree 1 is the exponent-sum vector: the coefficient of X_i is the
     exponent sum of x_i, and the monomials (0,), (1,), ... are in grlex
     order.  A word with zero exponent sums has its degree-2 part computed
-    exactly in one pass.  When that is zero too, w is evaluated mod a prime
-    from degree 3 on to locate its degree (a nontrivial reduced word of
-    length L never lies in gamma_{L+1}, so one exists by degree L; when
-    every evaluation up to L reads zero, fresh points are drawn).  Then w is
-    expanded once, at the first degree that evaluated nonzero, and the answer
-    is the first nonzero layer of that exact expansion, whatever the points
-    were.
+    exactly in one pass.  When that is zero too, w is evaluated at random
+    integer points from degree 3 on to locate its degree (a nontrivial
+    reduced word of length L never lies in gamma_{L+1}, so one exists by
+    degree L; when every evaluation up to L reads zero, fresh points are
+    drawn).  Then w is expanded once, at the first degree that evaluated
+    nonzero, and the answer is the first nonzero layer of that exact
+    expansion, whatever the points were.
     """
     if w.is_identity:
         raise NoLowestTermError("identity word has no lowest term")

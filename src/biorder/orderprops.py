@@ -7,8 +7,10 @@ fail stop a probe with PremiseUnmetError rather than letting it overstate.
 The concrete order quantifies over one bi-order (graded-lex Magnus), so a
 PASS instantiates a theorem's claim in that order only.
 
-All sampling is deterministic given the config seed; each trial draws from
-its own sub-seed, derived from the seed and the trial's index.
+All sampling is deterministic given the config seed.  A probe run keeps one
+generator and reseeds it before each trial with the trial's own sub-seed,
+derived from the seed and the trial's index (_trial_seed), so each trial
+draws the stream a fresh generator seeded with that sub-seed would.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import random
 
 from ._record import Record
-from .freegroup import (FreeMap, Word, _check_rank, apply_map, commutator,
-                        conjugate, identity, invert, iterate_map, letter,
-                        multiply, random_word)
+from .freegroup import (FreeMap, Word, _check_rank, commutator, conjugate,
+                        identity, invert, iterate_map, letter, multiply,
+                        random_word, substitution)
 from .magnus import GT, LT, archimedean_key, compare, sign
 
 _DRAWS = 500  # random words drawn for one infinitesimal sample before giving up
@@ -74,10 +76,9 @@ class ProbeResult(Record):
         return not self.failures
 
 
-def _trial_rng(cfg: ProbeConfig, index: int) -> random.Random:
-    # splitmix-style sub-seed so each trial is independently reproducible
-    z = (cfg.seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) % (1 << 63)
-    return random.Random(z)
+def _trial_seed(cfg: ProbeConfig, index: int) -> int:
+    """Splitmix-style sub-seed, so each trial is independently reproducible."""
+    return (cfg.seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) % (1 << 63)
 
 
 class _Drawn:
@@ -92,7 +93,7 @@ class _Drawn:
 
 def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
                 drawn: _Drawn | None = None) -> ProbeResult:
-    """Call trial(rng) once per sample, each with its own sub-seeded rng.
+    """Call trial(rng) once per sample, rng reseeded with the sample's sub-seed.
 
     trial returns None to skip the sample, else the list of failures it found.
     A rejection-sampled probe passes the tally its trials draw into: it skips
@@ -101,9 +102,10 @@ def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
     _DRAW_BUDGET, and then warns with the draws spent.  Any probe warns when
     no sample produced a trial, since its PASS then tested nothing.
     """
-    ran, tried = [], 0
+    ran, tried, rng = [], 0, random.Random()
     while tried < cfg.samples and (drawn is None or drawn.count < _DRAW_BUDGET):
-        if (found := trial(_trial_rng(cfg, tried))) is not None:
+        rng.seed(_trial_seed(cfg, tried))  # the stream of Random(sub-seed)
+        if (found := trial(rng)) is not None:
             ran.append(found)
         tried += 1
     if drawn is not None and len(ran) < tried:
@@ -226,11 +228,13 @@ def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
 
 def order_preservation_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     """Positive sampled elements must have positive images."""
+    image = substitution(phi)
+
     def trial(rng):
         w = random_word(rng, phi.rank, cfg.max_word_length)
         if sign(w) == -1:
             w = invert(w)
-        return [w] if sign(apply_map(phi, w)) != 1 else []
+        return [w] if sign(image(w)) != 1 else []
 
     return _run_trials("order-preservation", cfg, trial)
 
@@ -243,12 +247,13 @@ def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
                                 premise_result=premise)
     key_g = archimedean_key(letter(phi.rank, 0))
     drawn = _Drawn()
+    image = substitution(phi)
 
     def trial(rng):
         f = _sample_infinitesimal(rng, phi.rank, key_g, cfg.max_word_length, drawn)
         if f is None:
             return None
-        img = apply_map(phi, f)
+        img = image(f)
         return [(f, img)] if not img.is_identity and archimedean_key(img) <= key_g else []
 
     return _run_trials("invariance", cfg, trial, drawn=drawn)
@@ -275,18 +280,19 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     """Antisymmetry, transitivity, and bi-invariance of the semidirect order.
 
     The order-preservation premise is recorded as a warning when it fails;
-    comparisons are still exercised.  phi^n is built once for every sampled
-    exponent n, so phi needs inverse images.
+    comparisons are still exercised.  phi^n, and its substitution, is built
+    once for every sampled exponent n, so phi needs inverse images.
     """
     premise = order_preservation_probe(phi, cfg)
     warnings = () if premise.passed else ("order-preservation premise failed; the "
                                           "semidirect order need not be bi-invariant",)
-    powers = {n: iterate_map(phi, n) for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
+    powers = {n: substitution(iterate_map(phi, n))
+              for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
 
     def mul(p1: Pair, p2: Pair) -> Pair:
         """(m, w) * (n, v) = (m + n, phi^n(w) v)."""
         (m, w), (n, v) = p1, p2
-        return m + n, multiply(apply_map(powers[n], w), v)
+        return m + n, multiply(powers[n](w), v)
 
     def trial(rng):
         def sample_pair():

@@ -471,12 +471,13 @@ def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
 
 
 def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
-    """(trials, failures) of semidirect_order_probe, drawing the same pairs
-    but taking every product through semidirect_mul above, which builds
-    phi^n anew for each one."""
+    """(trials, failures) of semidirect_order_probe, drawing the same pairs,
+    each trial from a fresh random.Random of its sub-seed, but taking every
+    product through semidirect_mul above, which builds phi^n anew for each
+    one."""
     failures = []
     for i in range(cfg.samples):
-        rng = orderprops._trial_rng(cfg, i)
+        rng = random.Random(orderprops._trial_seed(cfg, i))
         p1, p2, p3, q = [(rng.randint(-3, 3),
                           random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
                          for _ in range(4)]
@@ -493,6 +494,17 @@ def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
                               semidirect_mul(p2, q, phi)) != c12:
             failures.append(("right-invariance", q, p1, p2))
     return cfg.samples, tuple(failures)
+
+
+def fresh_rng_trials(run_trials):
+    """orderprops._run_trials with every trial given a fresh
+    random.Random(orderprops._trial_seed(cfg, i)), i counting the trials
+    started, in place of the rng the probe run reseeds."""
+    def run(name, cfg, trial, *args, **kwargs):
+        started = itertools.count()
+        return run_trials(name, cfg, lambda _: trial(
+            random.Random(orderprops._trial_seed(cfg, next(started)))), *args, **kwargs)
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
                               power_sums, rational_roots,
                               squarefree_decomposition, squarefree_part,
                               sturm_count)
-from biorder.lcs import abelianized
+from biorder.lcs import abelianized, level_pieces
 from biorder.presentation import KnotRecord
 from biorder.verdict import analyze
 from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
@@ -695,16 +695,75 @@ class TestFactorPieces:
         assert all(known[f] == exactalg._root_counts(f) for f in known)
 
 
+def counted_subsets(monkeypatch) -> list:
+    """Route itertools.combinations through a recorder of the subsets it
+    yields, which are the subsets recombination takes to the trace test."""
+    subsets, combinations = [], itertools.combinations
+
+    def record(pool, size):
+        for subset in combinations(pool, size):
+            subsets.append(subset)
+            yield subset
+
+    monkeypatch.setattr(itertools, "combinations", record)
+    return subsets
+
+
 def test_half_size_recombination_skips_complements(monkeypatch):
     # 6_2's char(M) is irreducible and splits mod 3 into two quadratics: the
     # subset {0} and its complement {1} are one split, tried once
-    trials = []
-    div_z = Poly.div_z
-    monkeypatch.setattr(Poly, "div_z", lambda a, b: trials.append(b) or div_z(a, b))
+    trials = counted_subsets(monkeypatch)
     fp = exactalg._monic_mod(QUARTIC_6_2, 3)
     assert [(g.degree, d) for g, d in exactalg._distinct_degree(fp, 3)] == [(4, 2)]
     assert exactalg._factor_squarefree(QUARTIC_6_2) == [QUARTIC_6_2]
-    assert len(trials) == 1
+    assert trials == [(0,)]
+
+
+# Alexander polynomials of two-bridge knots whose level-1 pieces (t - 1)^g
+# times an irreducible of degree 60 or 40 split into many factors mod p: the
+# subset search tried tens of thousands of products on them before the trace
+# test, and 131, 21 and 1.3 s in `analyze --max-level 1 --max-degree 100`
+TWO_BRIDGE_DELTAS = {
+    "genus 6, 1 -11 51": [1, -11, 51, -139, 263, -375, 421, -375, 263, -139, 51, -11, 1],
+    "genus 6, 1 -13 75": [1, -13, 75, -259, 597, -971, 1141, -971, 597, -259, 75, -13, 1],
+    "genus 5, 1 -9 37": [1, -9, 37, -93, 159, -191, 159, -93, 37, -9, 1],
+}
+
+
+class TestTraceTest:
+    """Recombination forms a subset's product only when lead times the sum of
+    its lifts' second coefficients is small enough for a true factor."""
+
+    @staticmethod
+    def level1_pieces():
+        return {name: level_pieces([(Poly(delta), 1)], 2)[0]
+                for name, delta in TWO_BRIDGE_DELTAS.items()}
+
+    def test_two_bridge_pieces_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for name, piece in self.level1_pieces().items():
+            _, expected = sympy.Poly(list(reversed(piece.coeffs)), t).factor_list()
+            expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
+                        for f, m in expected]
+            got = [(f.poly.coeffs, f.multiplicity) for f in factor_over_Q(piece).factors]
+            assert sorted(got) == sorted(expected), name
+            assert sorted(len(coeffs) - 1 for coeffs, _ in got) in ([1, 40], [1, 60]), name
+
+    def test_few_divisions_per_true_factor(self, monkeypatch):
+        divisions, div_z = [], Poly.div_z
+        monkeypatch.setattr(Poly, "div_z", lambda a, b: divisions.append(b) or div_z(a, b))
+        subsets = counted_subsets(monkeypatch)
+        for name, piece in self.level1_pieces().items():
+            # squarefree: x - 1 once, and the irreducible
+            f = squarefree_part(piece)
+            divisions.clear()
+            subsets.clear()
+            factors = exactalg._factor_squarefree(f)
+            assert math.prod(factors, start=Poly([1])) == f, name
+            assert sorted(g.degree for g in factors) in ([1, 40], [1, 60]), name
+            assert len(divisions) <= 2 * len(factors), name
+            assert len(subsets) > 1000, name  # the search the test cut short
 
 
 def _split_cases(rng: random.Random):

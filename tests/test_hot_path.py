@@ -1,8 +1,8 @@
 """The probe hot path against the record-building and stack-reducing oracles.
 
 archimedean_key and sign read a word with a nonzero exponent sum off its
-first one and build no LowestTerm; multiply and apply_map cancel letters only
-at the seams between reduced words.  Each is checked against the plain
+first one and build no LowestTerm; multiply, apply_map and substitution cancel
+letters only at the seams between reduced words.  Each is checked against the plain
 version in helpers, and the skipped lowest_term calls are pinned.
 """
 
@@ -14,7 +14,7 @@ from biorder import magnus, orderprops
 from biorder.corpus import corpus_entries
 from biorder.freegroup import (FreeMap, RankMismatchError, apply_map, commutator,
                                identity, invert, iterate_map, letter, multiply,
-                               parse_word, random_word)
+                               parse_word, random_word, substitution)
 from biorder.lcs import lyndon_basis
 from biorder.magnus import (NoLowestTermError, archimedean_key, is_infinitesimal,
                             sign)
@@ -99,6 +99,25 @@ class TestSeamReduction:
                 phin = iterate_map(phi, n)
                 for w in ws:
                     assert apply_map(phin, w) == apply_map_by_stack(phin, w)
+
+    def test_substitution_of_corpus_map_powers(self):
+        # substitution(phi) inverts each image once; negative letters, whose
+        # inverted images meet the output, are in every word
+        rng = random.Random(46)
+        for entry in corpus_entries():
+            phi = entry.record.phi
+            words = []
+            while len(words) < 300:
+                w = random_word(rng, phi.rank, 12)
+                if any(s == -1 for _, s in w.letters):
+                    words.append(w)
+            for n in range(-3, 4):
+                phin = iterate_map(phi, n)
+                image = substitution(phin)
+                for w in words:
+                    assert image(w) == apply_map(phin, w) == apply_map_by_stack(phin, w)
+                with pytest.raises(RankMismatchError):
+                    image(letter(phi.rank + 1, 0))
 
     def test_random_endomorphisms_with_cancelling_seams(self):
         rng = random.Random(39)

@@ -471,6 +471,36 @@ class TestLevelPieces:
         assert sorted(piece.degree for piece in pieces) == [1, 6, 8, 16, 28, 32]
         assert math.prod(pieces, start=Poly([1])) == brandt_level_char_poly(m, 2)
 
+    def test_brandt_terms_have_nonzero_coefficients(self):
+        # mu(d) = 0 terms are dropped, so each kept d is a squarefree divisor
+        # of gcd c, and every squarefree divisor is kept
+        for k in range(1, 5):
+            for r in range(1, 5):
+                for c in lcs._compositions(k, r):
+                    terms = lcs._brandt_terms(c)
+                    assert all(coeff for _, coeff, _ in terms), c
+                    g = math.gcd(*c)
+                    assert [d for d, _, _ in terms] == [
+                        d for d in range(1, g + 1)
+                        if g % d == 0 and all(d % (q * q) for q in range(2, d + 1))], c
+
+    def test_power_sums_sized_by_the_kept_terms(self, monkeypatch):
+        # level 3 (k = 4) of one quartic block: 60 traces, d in {1, 2}, so
+        # p_1..p_120; and two quadratic blocks read up to degree 2 L_(2,2)
+        counts, power_sums = [], lcs.power_sums
+        monkeypatch.setattr(lcs, "power_sums",
+                            lambda f, count: counts.append(count) or power_sums(f, count))
+        quartic = Poly([1, -3, 3, -3, 1])
+        assert level_pieces([(quartic, 1)], 4) == [brandt_level_char_poly(
+            abelianized(corpus_entry("6_2").record.phi), 4)]
+        assert counts == [120]
+        counts.clear()
+        blocks = [(Poly([-1, -3, 1]), 1), (Poly([1, -3, 1]), 1)]
+        pieces = level_pieces(blocks, 4)
+        assert counts == [2 * next(lcs._lie_traces([[2], [2]], (2, 2)))] * 2
+        m = abelianized(companion_map([f for f, _ in blocks]))
+        assert math.prod(pieces, start=Poly([1])) == brandt_level_char_poly(m, 4)
+
     def test_pieces_report_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t")

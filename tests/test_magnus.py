@@ -262,7 +262,7 @@ def deep_zero_sum_words(seed: int, count: int) -> list:
 
 
 class TestLowestTermByEvaluation:
-    """Evaluation mod a prime picks the truncation; one expansion decides."""
+    """Evaluation at integer points picks the truncation; one expansion decides."""
 
     def test_matches_expansion_on_deep_zero_sum_words(self, monkeypatch):
         words = deep_zero_sum_words(31, 150)
@@ -403,6 +403,27 @@ class TestInGamma:
         w = commutator(commutator(W("x"), W("y")), W("x"))
         assert in_gamma(w, 3)
         assert not in_gamma(w, 4)
+
+    def test_integer_evaluation_keeps_the_expansion_answers(self):
+        # the evaluation runs over Z; whatever it reads, lowest_term and
+        # in_gamma give what expansion alone gives
+        def in_gamma_by_expansion(w, k):
+            return all(not m for m in expand(w, k - 1).coeffs)
+
+        nests = [nested_commutator(k) for k in range(2, 10)]
+        for k, w in enumerate(nests, start=2):
+            assert lowest_term(w) == lowest_term_by_expansion(w), k
+            for j in (k - 1, k, k + 1):
+                assert in_gamma(w, j) == in_gamma_by_expansion(w, j) == (j <= k), (k, j)
+        words = deep_zero_sum_words(47, 2000)
+        degrees = set()
+        for w in words:
+            lt = lowest_term(w)
+            assert lt == lowest_term_by_expansion(w), w
+            for j in range(2, lt.degree + 2):
+                assert in_gamma(w, j) == in_gamma_by_expansion(w, j) == (j <= lt.degree), (w, j)
+            degrees.add(lt.degree)
+        assert {2, 3, 4, 5} <= degrees
 
     def test_everything_in_gamma1(self):
         assert in_gamma(W("x"), 1)

@@ -11,13 +11,14 @@ from biorder.freegroup import (FreeMap, NotAnAutomorphismError, apply_map,
 from biorder.magnus import EQ, GT, is_infinitesimal, sign
 from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 NotPositiveError, PremiseUnmetError,
-                                ProbeConfig, commutator_infinitesimal_probe,
+                                ProbeConfig, ProbeResult,
+                                commutator_infinitesimal_probe,
                                 dominant_check, invariance_probe,
                                 normality_probe, order_preservation_probe,
                                 semidirect_compare, semidirect_order_probe,
                                 subgroup_probe, weak_comparability_search)
-from helpers import (W, enumerate_words, random_automorphism, semidirect_mul,
-                     semidirect_trials_by_mul)
+from helpers import (W, enumerate_words, fresh_rng_trials, random_automorphism,
+                     semidirect_mul, semidirect_trials_by_mul)
 
 CFG = ProbeConfig(seed=7, samples=300, max_word_length=10)
 SMALL = ProbeConfig(seed=7, samples=60, max_word_length=8)
@@ -331,6 +332,38 @@ class TestDeterminism:
                       lambda: commutator_infinitesimal_probe(2, SMALL),
                       lambda: order_preservation_probe(swap_map(), SMALL)):
             assert probe() == probe()
+
+    def test_trials_draw_the_streams_of_fresh_sub_seeded_rngs(self, monkeypatch):
+        # the one rng a probe run reseeds per trial draws what a fresh
+        # random.Random(_trial_seed(cfg, i)) for trial i would draw
+        maps = [entry.record.phi for entry in corpus_entries()] + [swap_map()]
+
+        def battery(cfg):
+            probes = [lambda: subgroup_probe(W("x"), cfg),
+                      lambda: normality_probe(W("x"), cfg),
+                      lambda: normality_probe(W("y"), cfg),
+                      lambda: dominant_check(W("x"), cfg),
+                      lambda: commutator_infinitesimal_probe(3, cfg)]
+            for phi in maps:
+                probes += [lambda phi=phi: order_preservation_probe(phi, cfg),
+                           lambda phi=phi: invariance_probe(phi, cfg),
+                           lambda phi=phi: semidirect_order_probe(phi, cfg)]
+            out = []
+            for probe in probes:
+                try:
+                    out.append(probe())
+                except PremiseUnmetError as exc:
+                    out.append(("PREMISE_UNMET", exc.premise_result))
+            return out
+
+        for seed in range(5):
+            cfg = ProbeConfig(seed=seed, samples=40, max_word_length=8)
+            results = battery(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(orderprops, "_run_trials", fresh_rng_trials(orderprops._run_trials))
+                assert battery(cfg) == results, seed
+            assert {type(r) for r in results} == {ProbeResult, tuple}
+            assert any(isinstance(r, ProbeResult) and r.failures for r in results)
 
     def test_enumerate_words_shortlex(self):
         words = list(enumerate_words(2, 2))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from biorder import freegroup
 from biorder._record import Record
 from biorder.corpus import CorpusEntry
 from biorder.exactalg import Factor, FactorReport, IntMatrix, Poly, SturmChain
@@ -270,22 +271,29 @@ def _binds_a_slot(node) -> bool:
                                    and node.value.id == "object"))
 
 
+def _reads_setters(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_setters"
+
+
 def test_only_the_base_binds_fields():
     """Checked records end in the base's constructor and the rest have none of
-    their own.  Only the base collects the slots' setters, and only
-    freegroup._word, the unchecked constructor of a Word, sets slots with
-    object.__setattr__."""
+    their own.  Only the base collects the slots' setters, and no module sets
+    slots with object.__setattr__: freegroup._word, the unchecked constructor
+    of a Word, binds them with the setters the base collected for Word."""
     assert {cls for cls, _, _ in FROZEN if "__init__" in vars(cls)} == {
         Word, IntMatrix, FreeMap, ProbeConfig, KnotRecord}
-    binds = {}
+    binds, readers = {}, {}
     for path in sorted((SRC / "biorder").glob("*.py")):
         tree = ast.parse(path.read_text())
         for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
-            count = sum(map(_binds_a_slot, ast.walk(scope)))
-            if count:
-                binds[path.name, getattr(scope, "name", None)] = count
-    assert binds == {("_record.py", None): 1, ("_record.py", "__init_subclass__"): 1,
-                     ("freegroup.py", None): 2, ("freegroup.py", "_word"): 2}
+            for found, test in ((binds, _binds_a_slot), (readers, _reads_setters)):
+                if count := sum(map(test, ast.walk(scope))):
+                    found[path.name, getattr(scope, "name", None)] = count
+    assert binds == {("_record.py", None): 1, ("_record.py", "__init_subclass__"): 1}
+    assert readers == {("_record.py", None): 2, ("_record.py", "__init_subclass__"): 1,
+                       ("_record.py", "__init__"): 1, ("freegroup.py", None): 1}
+    assert freegroup._bind_rank.__self__ is vars(Word)["rank"]
+    assert freegroup._bind_letters.__self__ is vars(Word)["letters"]
 
 
 def test_only_main_writes_in_the_cli():
