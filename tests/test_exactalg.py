@@ -719,10 +719,10 @@ def test_half_size_recombination_skips_complements(monkeypatch):
     assert trials == [(0,)]
 
 
-# Alexander polynomials of two-bridge knots whose level-1 pieces (t - 1)^g
-# times an irreducible of degree 60 or 40 split into many factors mod p: the
-# subset search tried tens of thousands of products on them before the trace
-# test, and 131, 21 and 1.3 s in `analyze --max-level 1 --max-degree 100`
+# Alexander polynomials of two-bridge knots whose level-1 pieces, (t - 1)^g
+# times an irreducible of degree 60 or 40, split into many factors mod p:
+# without the trace test the subset search forms thousands of products on
+# each, and `analyze --max-level 1 --max-degree 100` took 131, 21 and 1.3 s
 TWO_BRIDGE_DELTAS = {
     "genus 6, 1 -11 51": [1, -11, 51, -139, 263, -375, 421, -375, 263, -139, 51, -11, 1],
     "genus 6, 1 -13 75": [1, -13, 75, -259, 597, -971, 1141, -971, 597, -259, 75, -13, 1],
@@ -763,7 +763,7 @@ class TestTraceTest:
             assert math.prod(factors, start=Poly([1])) == f, name
             assert sorted(g.degree for g in factors) in ([1, 40], [1, 60]), name
             assert len(divisions) <= 2 * len(factors), name
-            assert len(subsets) > 1000, name  # the search the test cut short
+            assert len(subsets) > 1000, name  # a long search, cut short by the test
 
 
 def _split_cases(rng: random.Random):

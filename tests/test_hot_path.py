@@ -1,9 +1,10 @@
 """The probe hot path against the record-building and stack-reducing oracles.
 
 archimedean_key and sign read a word with a nonzero exponent sum off its
-first one and build no LowestTerm; multiply, apply_map and substitution cancel
-letters only at the seams between reduced words.  Each is checked against the plain
-version in helpers, and the skipped lowest_term calls are pinned.
+first one and build no LowestTerm; multiply, apply_map and substitution
+cancel letters only at the seams between reduced words.  Each is checked
+against the plain version in helpers, and the skipped lowest_term calls are
+pinned.
 """
 
 import random
