@@ -10,7 +10,15 @@ PASS instantiates a theorem's claim in that order only.
 All sampling is deterministic given the config seed.  A probe run keeps one
 generator and reseeds it before each trial with the trial's own sub-seed,
 derived from the seed and the trial's index (_trial_seed), so each trial
-draws the stream a fresh generator seeded with that sub-seed would.
+draws the stream a fresh generator seeded with that sub-seed would.  That
+one loop, _trial_results, yields each trial's failures; _run_trials
+collects them into a ProbeResult, and a premise read only as passed or not
+stops at its first failing trial.
+
+A trial forms only the words its verdict reads: the order-preservation
+trial reads the sign of phi(w) off the exponent sums M e(w) unless they
+all vanish, and the semidirect trial forms a product's word only when the
+integers of the two products it compares tie.
 """
 
 from __future__ import annotations
@@ -91,23 +99,33 @@ class _Drawn:
         self.count = count
 
 
-def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
-                drawn: _Drawn | None = None) -> ProbeResult:
-    """Call trial(rng) once per sample, rng reseeded with the sample's sub-seed.
+def _trial_results(cfg: ProbeConfig, trial, drawn: _Drawn | None = None):
+    """Yield trial(rng) once per sample, rng reseeded with the sample's sub-seed.
 
     trial returns None to skip the sample, else the list of failures it found.
-    A rejection-sampled probe passes the tally its trials draw into: it skips
-    a sample only when _sample_infinitesimal gives up, and then warns that it
-    ran fewer trials than samples; it starts no sample once the tally reaches
-    _DRAW_BUDGET, and then warns with the draws spent.  Any probe warns when
-    no sample produced a trial, since its PASS then tested nothing.
+    For a rejection-sampled probe, drawn is the tally its trials draw into,
+    and no sample starts once it reaches _DRAW_BUDGET.  A caller that reads
+    only whether some trial failed stops at the first failing one.
     """
-    ran, tried, rng = [], 0, random.Random()
-    while tried < cfg.samples and (drawn is None or drawn.count < _DRAW_BUDGET):
-        rng.seed(_trial_seed(cfg, tried))  # the stream of Random(sub-seed)
-        if (found := trial(rng)) is not None:
-            ran.append(found)
-        tried += 1
+    rng = random.Random()
+    for index in range(cfg.samples):
+        if drawn is not None and drawn.count >= _DRAW_BUDGET:
+            return
+        rng.seed(_trial_seed(cfg, index))  # the stream of Random(sub-seed)
+        yield trial(rng)
+
+
+def _run_trials(name: str, cfg: ProbeConfig, trial, warnings=(),
+                drawn: _Drawn | None = None) -> ProbeResult:
+    """The ProbeResult of every sample _trial_results runs.
+
+    A rejection-sampled probe skips a sample only when _sample_infinitesimal
+    gives up, and then warns that it ran fewer trials than samples; stopped
+    at _DRAW_BUDGET, it warns with the draws spent.  Any probe warns when no
+    sample produced a trial, since its PASS then tested nothing.
+    """
+    results = list(_trial_results(cfg, trial, drawn))
+    tried, ran = len(results), [found for found in results if found is not None]
     if drawn is not None and len(ran) < tried:
         warnings = (*warnings, f"only {len(ran)} of {tried} samples found "
                     f"an infinitesimal within {_DRAWS} draws")
@@ -226,17 +244,38 @@ def commutator_infinitesimal_probe(rank: int, cfg: ProbeConfig) -> ProbeResult:
 # order preservation and invariance of the infinitesimal subgroup
 # ---------------------------------------------------------------------------
 
-def order_preservation_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
-    """Positive sampled elements must have positive images."""
+def _preservation_trial(phi: FreeMap, cfg: ProbeConfig):
+    """The order-preservation trial: a sampled w, made positive, fails when
+    phi(w) is not positive.
+
+    The exponent sums of phi(w) are M e(w), where column j of M holds the
+    sums of phi(x_j), so the first nonzero entry of M e(w) has the sign of
+    phi(w), as for any word with a nonzero sum; phi is applied only when
+    M e(w) is all zero.
+    """
     image = substitution(phi)
+    rows = tuple(zip(*(x.exponent_vector() for x in phi.images)))  # M, row by row
 
     def trial(rng):
         w = random_word(rng, phi.rank, cfg.max_word_length)
         if sign(w) == -1:
             w = invert(w)
+        e = w.exponent_vector()
+        for row in rows:
+            if total := sum(m * k for m, k in zip(row, e)):
+                return [] if total > 0 else [w]
         return [w] if sign(image(w)) != 1 else []
 
-    return _run_trials("order-preservation", cfg, trial)
+    return trial
+
+
+def order_preservation_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
+    """Positive sampled elements must have positive images.
+
+    A sampled w whose images' exponent sums M e(w) are not all zero is
+    judged by them; phi is applied only to the others (_preservation_trial).
+    """
+    return _run_trials("order-preservation", cfg, _preservation_trial(phi, cfg))
 
 
 def invariance_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
@@ -280,19 +319,18 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
     """Antisymmetry, transitivity, and bi-invariance of the semidirect order.
 
     The order-preservation premise is recorded as a warning when it fails;
-    comparisons are still exercised.  phi^n, and its substitution, is built
-    once for every sampled exponent n, so phi needs inverse images.
+    comparisons are still exercised.  Only whether the premise passed is
+    read, so its trials stop at the first failing one.  phi^n, and its
+    substitution, is built once for every sampled exponent n, so phi needs
+    inverse images.  With (m, w) (n, v) = (m + n, phi^n(w) v), q p1 and q p2,
+    and p1 q and p2 q, have integers that differ as those of p1 and p2 do,
+    so their words are formed only when p1 and p2 tie on the integer.
     """
-    premise = order_preservation_probe(phi, cfg)
-    warnings = () if premise.passed else ("order-preservation premise failed; the "
-                                          "semidirect order need not be bi-invariant",)
+    premise_failed = any(_trial_results(cfg, _preservation_trial(phi, cfg)))
+    warnings = ("order-preservation premise failed; the semidirect order "
+                "need not be bi-invariant",) if premise_failed else ()
     powers = {n: substitution(iterate_map(phi, n))
               for n in range(-_MAX_SHIFT, _MAX_SHIFT + 1)}
-
-    def mul(p1: Pair, p2: Pair) -> Pair:
-        """(m, w) * (n, v) = (m + n, phi^n(w) v)."""
-        (m, w), (n, v) = p1, p2
-        return m + n, multiply(powers[n](w), v)
 
     def trial(rng):
         def sample_pair():
@@ -308,9 +346,16 @@ def semidirect_order_probe(phi: FreeMap, cfg: ProbeConfig) -> ProbeResult:
                 and semidirect_compare(p1, p3) == GT):
             failures.append(("transitivity", p1, p2, p3))
         q = sample_pair()
-        if semidirect_compare(mul(q, p1), mul(q, p2)) != c12:
+        (m, w), (n1, v1), (n2, v2) = q, p1, p2
+        if n1 != n2:  # m + n1 and m + n2 decide both comparisons, as for c12
+            left = right = LT if n1 < n2 else GT
+        else:  # q p_i = (m + n, phi^n(w) v_i) and p_i q = (n + m, phi^m(v_i) w)
+            shifted, after = powers[n1](w), powers[m]
+            left = compare(multiply(shifted, v1), multiply(shifted, v2))
+            right = compare(multiply(after(v1), w), multiply(after(v2), w))
+        if left != c12:
             failures.append(("left-invariance", q, p1, p2))
-        if semidirect_compare(mul(p1, q), mul(p2, q)) != c12:
+        if right != c12:
             failures.append(("right-invariance", q, p1, p2))
         return failures
 

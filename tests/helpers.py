@@ -12,9 +12,11 @@ archimedean keys and signs are read off a LowestTerm record even when an
 exponent sum is nonzero, the expansion keeps one dict per degree keyed
 over the whole rank (expand packs its layers over the letters a word uses,
 and its own dict layers are checked against a series_mul product too),
-semidirect products rebuild phi^n each time and apply it to the word, and
-random words come from the standard library's randint, randrange and choice
-instead of getrandbits, the root counts of a factor of degree <= 3 come
+semidirect products rebuild phi^n each time and apply it to the word,
+whatever the integers of the pairs, order preservation applies phi to
+every sampled word (the probe reads phi(w)'s sign off its exponent sums
+when they are not all zero), and random words come from the standard
+library's randint, randrange and choice instead of getrandbits, the root counts of a factor of degree <= 3 come
 from a Sturm chain (_root_counts reads them off the discriminant and
 Descartes' rule), the multiplicities of x - 1 and x + 1 from dividing until
 a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
@@ -470,17 +472,23 @@ def semidirect_mul(p1: Pair, p2: Pair, phi: FreeMap) -> Pair:
     return m + n, multiply(apply_map(iterate_map(phi, n), w), v)
 
 
+def semidirect_trial_pairs(phi: FreeMap, cfg):
+    """The pairs p1, p2, p3, q that trial i of semidirect_order_probe draws,
+    for each i, from a fresh random.Random of its sub-seed."""
+    for i in range(cfg.samples):
+        rng = random.Random(orderprops._trial_seed(cfg, i))
+        yield [(rng.randint(-3, 3),
+                random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
+               for _ in range(4)]
+
+
 def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
     """(trials, failures) of semidirect_order_probe, drawing the same pairs,
     each trial from a fresh random.Random of its sub-seed, but taking every
     product through semidirect_mul above, which builds phi^n anew for each
-    one."""
+    one, and comparing the products whatever their integers."""
     failures = []
-    for i in range(cfg.samples):
-        rng = random.Random(orderprops._trial_seed(cfg, i))
-        p1, p2, p3, q = [(rng.randint(-3, 3),
-                          random_word(rng, phi.rank, cfg.max_word_length, allow_identity=True))
-                         for _ in range(4)]
+    for p1, p2, p3, q in semidirect_trial_pairs(phi, cfg):
         c12 = semidirect_compare(p1, p2)
         if semidirect_compare(p2, p1) != -c12:
             failures.append(("antisymmetry", p1, p2))
@@ -493,6 +501,22 @@ def semidirect_trials_by_mul(phi: FreeMap, cfg) -> tuple[int, tuple]:
         if semidirect_compare(semidirect_mul(p1, q, phi),
                               semidirect_mul(p2, q, phi)) != c12:
             failures.append(("right-invariance", q, p1, p2))
+    return cfg.samples, tuple(failures)
+
+
+def order_preservation_by_image(phi: FreeMap, cfg) -> tuple[int, tuple]:
+    """(trials, failures) of order_preservation_probe, each trial drawn from
+    a fresh random.Random of its sub-seed through the standard library, the
+    word made positive and phi applied to it whatever its exponent sums, and
+    both signs read off LowestTerm records."""
+    failures = []
+    for i in range(cfg.samples):
+        rng = random.Random(orderprops._trial_seed(cfg, i))
+        w = random_word_by_stdlib(rng, phi.rank, cfg.max_word_length)
+        if sign_by_lowest_term(w) == -1:
+            w = invert(w)
+        if sign_by_lowest_term(apply_map(phi, w)) != 1:
+            failures.append(w)
     return cfg.samples, tuple(failures)
 
 

@@ -7,7 +7,7 @@ from biorder import orderprops
 from biorder.corpus import corpus_entries
 from biorder.freegroup import (FreeMap, NotAnAutomorphismError, apply_map,
                                commutator, conjugate, identity, invert,
-                               multiply, random_word)
+                               multiply, random_word, substitution)
 from biorder.magnus import EQ, GT, is_infinitesimal, sign
 from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 NotPositiveError, PremiseUnmetError,
@@ -17,8 +17,10 @@ from biorder.orderprops import (NOT_FOUND_WITHIN_BOUND, WITNESS_FOUND,
                                 normality_probe, order_preservation_probe,
                                 semidirect_compare, semidirect_order_probe,
                                 subgroup_probe, weak_comparability_search)
-from helpers import (W, enumerate_words, fresh_rng_trials, random_automorphism,
-                     semidirect_mul, semidirect_trials_by_mul)
+from helpers import (W, enumerate_words, fresh_rng_trials,
+                     order_preservation_by_image, random_automorphism,
+                     semidirect_mul, semidirect_trial_pairs,
+                     semidirect_trials_by_mul)
 
 CFG = ProbeConfig(seed=7, samples=300, max_word_length=10)
 SMALL = ProbeConfig(seed=7, samples=60, max_word_length=8)
@@ -34,6 +36,12 @@ def swap_map():
 
 def conjugation_by_x():
     return FreeMap(2, (W("x"), W("x y X")), (W("x"), W("X y x")))
+
+
+def commutator_map():
+    """x -> [x, y], y -> y: an endomorphism whose exponent-sum matrix is
+    singular, so phi(w) can have all sums zero while w does not."""
+    return FreeMap(2, (W("x y X Y"), W("y")))
 
 
 class TestSubgroupProbe:
@@ -197,6 +205,35 @@ class TestOrderPreservation:
         # conjugation preserves positivity in any bi-order
         assert order_preservation_probe(conjugation_by_x(), CFG).passed
 
+    def test_probe_equals_applying_phi_to_every_word(self, monkeypatch):
+        applied = []  # the words the probe applies phi to
+
+        def recording_substitution(phi):
+            image = substitution(phi)
+
+            def apply(w):
+                applied.append(w)
+                return image(w)
+            return apply
+
+        monkeypatch.setattr(orderprops, "substitution", recording_substitution)
+        rng = random.Random(37)
+        maps = [entry.record.phi for entry in corpus_entries()]
+        maps += [swap_map(), conjugation_by_x()]
+        maps += [random_automorphism(rng, rank) for rank in (2, 3, 4) for _ in range(3)]
+        outcomes = set()
+        for seed, phi in enumerate(maps + [commutator_map()]):
+            cfg = ProbeConfig(seed=seed, samples=80, max_word_length=8)
+            applied.clear()
+            result = order_preservation_probe(phi, cfg)
+            assert (result.trials, result.failures) == order_preservation_by_image(phi, cfg)
+            outcomes.add(result.passed)
+            if phi in maps:  # M is invertible: phi is applied only where e(w) = 0
+                assert not any(any(w.exponent_vector()) for w in applied)
+        assert outcomes == {True, False}
+        # the commutator map sends e(w) = (k, 0) to 0, and phi(w) is applied
+        assert any(any(w.exponent_vector()) for w in applied)
+
     def test_generator_squaring_runs_and_reports(self):
         phi = FreeMap(2, (W("x x"), W("y")))
         first = order_preservation_probe(phi, SMALL)
@@ -275,6 +312,44 @@ class TestSemidirect:
             assert (result.warnings == ()) == order_preservation_probe(phi, cfg).passed
             failing += bool(result.failures)
         assert failing >= 2  # counterexamples are compared too, not only PASS
+
+
+    def test_products_are_formed_on_integer_ties_only(self, monkeypatch):
+        products = []
+
+        def recording_multiply(w1, w2):
+            products.append((w1, w2))
+            return multiply(w1, w2)
+
+        monkeypatch.setattr(orderprops, "multiply", recording_multiply)
+        maps = [entry.record.phi for entry in corpus_entries()]
+        for seed, phi in enumerate(maps + [swap_map(), conjugation_by_x()]):
+            cfg = ProbeConfig(seed=seed, samples=60, max_word_length=8)
+            products.clear()
+            semidirect_order_probe(phi, cfg)
+            # q p1 against q p2 and p1 q against p2 q tie on the integer
+            # exactly when p1 and p2 do
+            ties = sum(2 for p1, p2, _, _ in semidirect_trial_pairs(phi, cfg)
+                       if p1[0] == p2[0])
+            assert 0 < ties < 2 * cfg.samples
+            assert len(products) == 2 * ties
+
+    def test_premise_stops_at_its_first_failing_trial(self, monkeypatch):
+        cfg = ProbeConfig(seed=7, samples=60, max_word_length=8)
+        first = next(i for i in range(cfg.samples) if order_preservation_by_image(
+            swap_map(), ProbeConfig(seed=7, samples=i + 1, max_word_length=8))[1])
+        premise_words = []
+
+        def recording_random_word(rng, rank, max_length, allow_identity=False):
+            if not allow_identity:  # the premise's words; the pairs may be e
+                premise_words.append(1)
+            return random_word(rng, rank, max_length, allow_identity)
+
+        monkeypatch.setattr(orderprops, "random_word", recording_random_word)
+        result = semidirect_order_probe(swap_map(), cfg)
+        assert 0 < first and len(premise_words) == first + 1
+        assert result.warnings == ("order-preservation premise failed; the semidirect "
+                                   "order need not be bi-invariant",)
 
 
 class TestWeakComparability:
