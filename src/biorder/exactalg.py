@@ -25,8 +25,13 @@ never loads it.  The pieces fit together as
                            analysis (one Sturm chain each per record at
                            degree >= 4; degree <= 3 read off the discriminant
                            and Descartes' rule); a unit cofactor of degree
-                           <= 3, and a squarefree part of degree <= 3 of a
-                           unit polynomial, is irreducible; other parts go
+                           <= 4, and a squarefree part of degree <= 4 of a
+                           unit polynomial, is read in closed form
+                           (irreducible up to degree 3, a quartic 2 + 2 with
+                           constant terms +-1 or irreducible), and a unit
+                           sextic that is the exterior square of a quartic
+                           in the record splits along that quartic's
+                           resolvent cubic; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
@@ -651,11 +656,15 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     so it is a unit polynomial: leading and constant coefficient are +-1, and
     its only possible rational roots are +-1.  The factors x - 1 and x + 1
     are divided off first, each as often as it divides.  When what is left is
-    a unit polynomial, it and its squarefree parts have no rational root, and
+    a unit polynomial, it and its squarefree parts have no rational root, so
     one of degree <= 3 is irreducible (a reducible one would have a linear
-    factor): a unit cofactor of degree <= 3 takes no Yun pass, and only parts
-    of degree >= 4, and every part of a non-unit input, take the modular
-    route of _factor_squarefree.
+    factor) and one of degree 4 is irreducible or two quadratics with
+    constant terms +-1, read off its coefficients.  A unit cofactor of
+    degree <= 4 takes no Yun pass.  Nor does a unit sextic that is the
+    exterior square of a unit quartic f in the record, as level 1 of a rank-4
+    fiber whose char(M) is f: it splits along the resolvent cubic of f.  Only
+    other parts of degree >= 5, and every part of a non-unit input, take the
+    modular route of _factor_squarefree.
     """
     p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
@@ -685,7 +694,10 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     x - 1 and x + 1 by synthetic division, each while rest(1), the
     coefficient sum, or rest(-1), the alternating sum, is 0; then the other
     known irreducibles by trial division, then the cofactor's own: a unit
-    cofactor of degree <= 3 is one irreducible, with no Yun pass."""
+    cofactor of degree <= 4 is read by _unit_factors, and one that is the
+    exterior square of a unit quartic in the record by
+    _exterior_square_factors, with no Yun pass; a unit squarefree part of
+    degree <= 4 is read by _unit_factors."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -706,14 +718,100 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     if rest.degree < 1:
         return factors
     unit = rest.leading == 1 and rest.constant in (1, -1)
-    if unit and rest.degree <= 3:
-        return factors + [(rest, 1)]
+    if unit and rest.degree <= 4:
+        return factors + _unit_factors(rest)
+    if rest.degree == 6 and (split := _exterior_square_factors(rest, known)) is not None:
+        return factors + split
     for sq_factor, mult in squarefree_decomposition(rest):
-        if unit and sq_factor.degree <= 3:
-            factors.append((sq_factor, mult))
+        if unit and sq_factor.degree <= 4:
+            factors.extend((irr, mult * m) for irr, m in _unit_factors(sq_factor))
         else:
             factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
     return factors
+
+
+def _unit_factors(f: Poly) -> list[tuple[Poly, int]]:
+    """Irreducible factors with multiplicities of a unit f (leading 1,
+    constant +-1) of degree <= 4 with no root +-1.  Its factors are unit
+    polynomials, and a rational root would be +-1, so f has no linear factor:
+    up to degree 3 it is irreducible, and a quartic
+    x^4 + a x^3 + b x^2 + c x + e is irreducible unless it is
+    (x^2 + p x + q)(x^2 + r x + s) with q s = e, that is
+    p + r = a, q + s + p r = b and p s + q r = c.  For e = 1, q = s = t is
+    +-1, so c = t a and p, r are the roots of z^2 - a z + b - 2t, whose
+    discriminant a^2 - 4b + 8t must be a square; for e = -1, q = 1 and
+    s = -1 give p = (a - c)/2 and r = (a + c)/2, with p r = b."""
+    if f.degree <= 3:
+        return [(f, 1)]
+    e, c, b, a, _ = f.coeffs
+    if e == 1:
+        for t in (1, -1):
+            disc = a * a - 4 * b + 8 * t
+            if c == t * a and disc >= 0 and (root := math.isqrt(disc)) ** 2 == disc:
+                if not root:
+                    return [(Poly([t, a // 2, 1]), 2)]
+                return [(Poly([t, (a - root) // 2, 1]), 1), (Poly([t, (a + root) // 2, 1]), 1)]
+    elif (a - c) % 2 == 0 and (a - c) // 2 * ((a + c) // 2) == b:
+        return [(Poly([1, (a - c) // 2, 1]), 1), (Poly([-1, (a + c) // 2, 1]), 1)]
+    return [(f, 1)]
+
+
+def _exterior_square_factors(rest: Poly, known) -> list[tuple[Poly, int]] | None:
+    """Irreducible factors of rest when it is the exterior square of a unit
+    quartic f = x^4 + a x^3 + b x^2 + c x + e in the record, the polynomial
+    whose roots are the six products of two of f's roots; None otherwise.
+    rest has no root +-1.  The products pair off as l1 l2 and l3 l4 = e / (l1 l2),
+    and so on, and the three pair sums are the roots of the resolvent cubic
+    R(y) = y^3 - b y^2 + (a c - 4e) y - (a^2 e - 4b e + c^2), so the exterior
+    square is x^3 R(x + e/x) (Kappe-Warren, Amer. Math. Monthly 96, 1989).
+    An integer root r of R splits off x^2 - r x + e, irreducible since it
+    has no root +-1, and _unit_factors splits the quartic cofactor.  When R
+    has no rational root, Gal(f) is A4 or S4, which is transitive on the six
+    products, and these are distinct, so the exterior square is irreducible."""
+    for f in known:
+        if f.degree != 4 or f.leading != 1 or f.constant not in (1, -1):
+            continue
+        e, c, b, a, _ = f.coeffs
+        u, v, w = -b, a * c - 4 * e, -(a * a * e - 4 * b * e + c * c)
+        if rest.coeffs != (e, u, 3 + e * v, 2 * e * u + w, 3 * e + v, u, 1):
+            continue
+        roots = _integer_roots(Poly([w, v, u, 1]))
+        if not roots:
+            return [(rest, 1)]
+        quadratic = Poly([e, -roots[0], 1])
+        return [(quadratic, 1)] + _unit_factors(rest.exact_div(quadratic))
+    return None
+
+
+def _integer_roots(g: Poly) -> list[int]:
+    """Integer roots, in increasing order, of a monic cubic
+    g = y^3 + u y^2 + v y + w.  They lie in (-B, B), B = 1 + max(|u|, |v|, |w|)
+    (Cauchy), and g is strictly monotone between its critical points
+    (-u -+ sqrt(d))/3, d = u^2 - 3v, or everywhere when d <= 0.  With
+    s = isqrt(d), the critical points lie within 4/3 of k1 = (-u - s) // 3 and
+    k2 = (-u + s) // 3: the integers within 1 of k1 and k2 are tested one by
+    one, and a binary search finds the root of each monotone stretch past them."""
+    w, v, u, _ = g.coeffs
+    bound = 1 + max(abs(u), abs(v), abs(w))
+    d = u * u - 3 * v
+    if d <= 0:
+        stretches, tested = [(-bound, bound, 1)], []
+    else:
+        s = math.isqrt(d)
+        k1, k2 = (-u - s) // 3, (-u + s) // 3
+        stretches = [(-bound, k1 - 2, 1), (k1 + 2, k2 - 2, -1), (k2 + 2, bound, 1)]
+        tested = [*range(k1 - 1, k1 + 2), *range(k2 - 1, k2 + 2)]
+    roots = {y for y in tested if not g(y)}
+    for lo, hi, sign in stretches:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * g(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if not g(lo):
+            roots.add(lo)
+    return sorted(roots)
 
 
 def _divide_linear(f: Poly, root: int) -> tuple[Poly, int]:

@@ -20,8 +20,10 @@ library's randint, randrange and choice instead of getrandbits, the root counts 
 from a Sturm chain (_root_counts reads them off the discriminant and
 Descartes' rule), the multiplicities of x - 1 and x + 1 from dividing until
 a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
-coefficient sums first), a unit cofactor of degree <= 3 goes through Yun's
-algorithm (_factor_canonical takes it whole), the inverse-image check
+coefficient sums first), a unit cofactor of degree <= 4, or the exterior
+square of a unit quartic in the record, goes through Yun's algorithm and its
+parts of degree >= 4 through the modular route (_factor_canonical reads them
+in closed form), the inverse-image check
 compares each phi(psi(x)) with a letter() Word, and a map that is not onto
 is shown by a map to S_3 or S_4 that shrinks its images' group, read off
 Word.letters alone (verify_automorphism folds the images).

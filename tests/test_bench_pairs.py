@@ -2,8 +2,10 @@
 metrics: the pairs alternate which side runs first, the record holds each
 side's medians and quartiles and the median change, the claim rule (ten
 pairs or more, better in 9/10 of them, medians apart by more than the
-parent's IQR) is judged per metric, and a far-out run is named, but only when it is off its
-side's median by more than the metric's bound."""
+parent's IQR) is judged per metric, so is the no-regression rule (worse
+past the bound, or unresolved when a side spreads past it unless every
+change run beats every parent run), and a far-out run is named, but only
+when it is off its side's median by more than the metric's bound."""
 
 import importlib.util
 import json
@@ -122,6 +124,51 @@ def test_the_claim_needs_a_gain_past_the_parent_iqr(tool, tmp_path):
     assert claim["wins"] == 10 and claim["parent_iqr"] == pytest.approx(0.001, rel=0.01)
     assert claim["met"] is False
     assert record["median_change"]["op_s.p50"] == pytest.approx(-0.008, abs=0.001)
+
+
+def test_a_change_worse_past_the_bound_is_named(tool, tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 0.001)
+    change = _checkout(tmp_path, "change", 0.002)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "3"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    regression = record["regression"]
+    assert {name: r["verdict"] for name, r in regression.items()} == {
+        "setup_s": "ok", "op_s.p50": "worse", "ops_per_s": "worse", "peak_rss_mb": "ok"}
+    # the parent's runs are the 1st, 4th and 5th, the change's the 2nd, 3rd and 6th
+    assert regression["op_s.p50"]["worse_by"] == pytest.approx(0.002003 / 0.001004 - 1)
+    assert regression["ops_per_s"]["worse_by"] == pytest.approx(1 - 0.001004 / 0.002003)
+    assert regression["op_s.p50"]["bound"] == 0.25
+    assert regression["setup_s"] == {"worse_by": 0, "bound": 0.25, "parent_spread": 0,
+                                     "change_spread": 0,
+                                     "change_beats_every_parent_run": False,
+                                     "verdict": "ok"}
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["regression op_s.p50"].endswith(", bound 25%: worse")
+    assert lines["regression op_s.p50"].startswith(
+        "regression op_s.p50: median worse by +99.")
+
+
+# The parent runs 1st, 4th, 5th, 8th and 9th of the ten: its last three
+# runs read 1.6 times the first two, an IQR of 37 % of its median.
+@pytest.mark.parametrize("op, verdict", [(0.002, "unresolved"), (0.0015, "ok")])
+def test_a_spread_past_the_bound_is_unresolved(tool, tmp_path, capsys, op, verdict):
+    parent = _checkout(tmp_path, "parent", 0.002, scale={5: 1.6, 8: 1.6, 9: 1.6})
+    change = _checkout(tmp_path, "change", op)
+    assert tool.main([str(parent), str(change), "--workload", "census-l1",
+                      "--pairs", "5"]) == 0
+    record = json.loads((tmp_path / "repo" / "BENCH_census-l1.json").read_text())
+    for name in ("op_s.p50", "ops_per_s"):
+        regression = record["regression"][name]
+        # the change's median is better, by more than the bound even
+        assert regression["worse_by"] < -0.25
+        assert regression["parent_spread"] > 0.25 > regression["change_spread"]
+        # at 2 ms, the change's runs are slower than the parent's first two;
+        # at 1.5 ms every change run beats every parent run
+        assert regression["change_beats_every_parent_run"] is (verdict == "ok")
+        assert regression["verdict"] == verdict
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["regression ops_per_s"].endswith(f": {verdict}")
 
 
 def test_a_far_out_run_is_named(tool, tmp_path, capsys):

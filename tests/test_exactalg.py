@@ -23,7 +23,7 @@ from biorder.lcs import abelianized, level_pieces
 from biorder.presentation import KnotRecord
 from biorder.verdict import analyze
 from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
-                     cofactor_char_poly, count_negative_roots,
+                     cofactor_char_poly, companion_map, count_negative_roots,
                      count_positive_roots, count_real_roots, divmod_q,
                      explicit_power_traces, faddeev_leverrier_char_poly, from_rows,
                      identity_matrix, irreducible_by_degree_patterns, random_automorphism,
@@ -775,8 +775,11 @@ def _split_cases(rng: random.Random):
 
 
 class TestUnitSplit:
-    """factor_over_Q divides off x - 1 and x + 1 first and takes a squarefree
-    part of a unit polynomial of degree <= 3 as irreducible."""
+    """factor_over_Q divides off x - 1 and x + 1 first and reads a unit
+    cofactor, or a squarefree part of a unit polynomial, of degree <= 4 in
+    closed form: irreducible up to degree 3, and a quartic irreducible or two
+    quadratics with constant terms +-1.  The exterior square of a unit
+    quartic in the record splits along that quartic's resolvent cubic."""
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -790,13 +793,13 @@ class TestUnitSplit:
             assert sorted(got) == sorted(expected), p
             assert reconstruct(report) == p
 
-    def test_unit_parts_up_to_degree_3_skip_the_modular_route(self, monkeypatch):
+    def test_unit_parts_up_to_degree_4_skip_the_modular_route(self, monkeypatch):
         calls = []
         modular = exactalg._factor_squarefree
         monkeypatch.setattr(exactalg, "_factor_squarefree",
                             lambda f: calls.append(f) or modular(f))
         rng = random.Random(97)
-        for g in UNIT_SMALL_PARTS:
+        for g in UNIT_SMALL_PARTS + UNIT_QUARTICS:
             for a, b in [(0, 0), (1, 0), (0, 1), (60, 60)] + [
                     (rng.randint(0, 60), rng.randint(0, 60)) for _ in range(3)]:
                 factor_over_Q(X_MINUS_1 ** a * X_PLUS_1 ** b * g)
@@ -806,10 +809,147 @@ class TestUnitSplit:
                                 fibered=True)
             analyze(record, max_level=1)
         assert calls == []
-        # a reducible unit quartic and a non-unit cubic do take it
-        factor_over_Q(UNIT_QUARTICS[0])
+        # a non-unit cubic, and a unit sextic that is no recorded quartic's
+        # exterior square, do take it
+        sextic = Poly([-1, -1, 0, 1]) * Poly([1, 0, -1, 1])
         factor_over_Q(NON_UNIT_COFACTORS[0])
-        assert calls == [UNIT_QUARTICS[0], NON_UNIT_COFACTORS[0]]
+        factor_over_Q(sextic)
+        assert calls == [NON_UNIT_COFACTORS[0], sextic]
+
+    def test_rank_4_levels_0_and_1_skip_the_modular_route(self, monkeypatch):
+        calls = []
+        modular = exactalg._factor_squarefree
+        monkeypatch.setattr(exactalg, "_factor_squarefree",
+                            lambda f: calls.append(f) or modular(f))
+        rng = random.Random(98)
+        sextics = 0
+        for i in range(100):
+            record = KnotRecord(name=f"r{i}", phi=random_automorphism(rng, 4, rng.randint(3, 10)),
+                                fibered=True)
+            report = analyze(record, max_level=1)
+            sextics += any(f.poly.degree == 6 for f in report.levels[1].factors.factors)
+        assert calls == []
+        assert sextics >= 10  # irreducible exterior squares of irreducible quartics
+
+
+def _unit_quadratic(rng: random.Random, q: int) -> Poly:
+    """x^2 + p x + q with no root +-1, that is 1 + q +- p != 0."""
+    while True:
+        p = rng.randint(-9, 9)
+        if 1 + q + p and 1 + q - p:
+            return Poly([q, p, 1])
+
+
+def _sympy_factors(sympy, p: Poly) -> list:
+    t = sympy.Symbol("t")
+    _, factors = sympy.Poly(list(reversed(p.coeffs)), t).factor_list()
+    return sorted((Poly(reversed(f.all_coeffs())).canonical().coeffs, m) for f, m in factors)
+
+
+class TestUnitQuartics:
+    """A unit quartic with no root +-1 is irreducible or (x^2 + p x + q)
+    times (x^2 + r x + s) with q s = +-1, read off its coefficients."""
+
+    def test_matches_sympy(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        calls = []
+        monkeypatch.setattr(exactalg, "_factor_squarefree", calls.append)
+        rng = random.Random(99)
+        quartics = {"irreducible": [], "(1, 1)": [], "(-1, -1)": [], "(1, -1)": [],
+                    "square": []}
+        while len(quartics["irreducible"]) < 150:
+            f = Poly([rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(3)] + [1])
+            if f(1) and f(-1) and len(_sympy_factors(sympy, f)) == 1:
+                quartics["irreducible"].append(f)
+        for q, s in ((1, 1), (-1, -1), (1, -1)):
+            quartics[str((q, s))] = [_unit_quadratic(rng, q) * _unit_quadratic(rng, s)
+                                     for _ in range(60)]
+        quartics["square"] = [_unit_quadratic(rng, rng.choice((1, -1))) ** 2
+                              for _ in range(30)]
+        for kind, fs in quartics.items():
+            for f in fs:
+                expected = _sympy_factors(sympy, f)
+                got = sorted((g.coeffs, m) for g, m in exactalg._unit_factors(f))
+                assert got == expected, (kind, f)
+                # whole, after x -+ 1, and as the squarefree part of f^2 in Yun's loop
+                for p, mult in ((f, 1), (X_MINUS_1 ** 2 * X_PLUS_1 * f, 1), (f * f, 2)):
+                    report = factor_over_Q(p)
+                    assert reconstruct(report) == p
+                    assert [(g.poly.coeffs, g.multiplicity) for g in report.factors
+                            if g.poly.degree > 1] == [(c, mult * m) for c, m in expected]
+        assert calls == []
+
+
+# Irreducible unit quartics whose Galois group is V4, so that the resolvent
+# cubic has three integer roots (8 of the 3800 irreducible unit quartics with
+# a, b, c in -6..6 whose exterior square has no root +-1).
+V4_QUARTICS = (
+    Poly([1, -2, 5, -4, 1]),
+    Poly([1, -4, 5, -2, 1]),
+    Poly([-1, 2, 5, -6, 1]),
+    Poly([-1, 6, -5, -2, 1]),
+)
+
+
+class TestExteriorSquare:
+    """The exterior square S of a unit quartic f in the record, the level-1
+    polynomial of a rank-4 fiber with char(M) = f, is split along f's
+    resolvent cubic R: an integer root r of R gives the factor x^2 - r x + e,
+    and with none S is irreducible."""
+
+    def test_record_gives_the_record_free_factors(self, monkeypatch):
+        calls = []
+        modular = exactalg._factor_squarefree
+        monkeypatch.setattr(exactalg, "_factor_squarefree",
+                            lambda f: calls.append(f) or modular(f))
+        rng = random.Random(100)
+        quartics = list(V4_QUARTICS)
+        while len(quartics) < 400:
+            f = Poly([rng.choice((1, -1))] + [rng.randint(-6, 6) for _ in range(3)] + [1])
+            report = factor_over_Q(f)
+            if [(g.poly, g.multiplicity) for g in report.factors] == [(f, 1)]:
+                quartics.append(f)
+        integer_roots = Counter()
+        for f in quartics:
+            s = brandt_level_char_poly(abelianized(companion_map([f])), 2)
+            free = factor_over_Q(s)
+            calls.clear()
+            assert factor_over_Q(s, known={f: exactalg._root_counts(f)}) == free, f
+            if s(1) and s(-1):
+                assert calls == [], f
+                # x^2 - y x + e divides S exactly when y = l_i l_j + l_k l_l
+                # for {i, j, k, l} = {1, 2, 3, 4}, a root of R
+                e, bound = f.constant, 2 * (1 + max(map(abs, s.coeffs)))
+                integer_roots[sum(s.div_z(Poly([e, -y, 1])) is not None
+                                  for y in range(-bound, bound + 1))] += 1
+        assert integer_roots[0] >= 100 and integer_roots[1] >= 10 and integer_roots[3] >= 4
+
+    def test_sextic_that_is_not_the_exterior_square_is_factored_as_before(self):
+        f = QUARTIC_6_2
+        s = brandt_level_char_poly(abelianized(companion_map([f])), 2)
+        assert s == SEXTIC_6_2
+        for other in (s + Poly([0, 0, 0, 1]), s * X_MINUS_1 ** 2, Poly(s.coeffs[::-1]) * -1):
+            known = {f: exactalg._root_counts(f)}
+            assert factor_over_Q(other, known=known) == factor_over_Q(other)
+
+    def test_integer_roots_of_cubics(self):
+        rng = random.Random(102)
+        for _ in range(2000):
+            g = Poly([rng.randint(-30, 30) for _ in range(3)] + [1])
+            bound = 1 + max(map(abs, g.coeffs))
+            assert exactalg._integer_roots(g) == [y for y in range(-bound, bound + 1)
+                                                  if not g(y)], g
+        for _ in range(300):
+            size = 10 ** rng.randint(1, 40)
+            r1, r2, r3 = (rng.randint(-size, size) for _ in range(3))
+            c = rng.randint(-size, size)
+            # three integer roots, some of them close or equal, and one root
+            # beside y^2 + c^2 + 1, which has none
+            for g, roots in ((Poly([-r1, 1]) * Poly([-r2, 1]) * Poly([-r3, 1]), {r1, r2, r3}),
+                             (Poly([-r1, 1]) * Poly([-r1 - 1, 1]) * Poly([-r2, 1]),
+                              {r1, r1 + 1, r2}),
+                             (Poly([-r1, 1]) * Poly([c * c + 1, 0, 1]), {r1})):
+                assert exactalg._integer_roots(g) == sorted(roots), g
 
 
 # sha256 of (content, [(coeffs, multiplicity, pos, neg, real)]) from

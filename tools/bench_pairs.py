@@ -13,7 +13,12 @@ the median change of the change against the parent and how many pairs the
 change won, then the parent's IQR and whether the claim rule is met: at
 least ten pairs were run, the change is better in at least 9/10 of them (a
 tie counts for neither side), and its median is better than the parent's by
-more than the parent's IQR.  Then it prints every far-out run, which alone
+more than the parent's IQR.  It also judges the no-regression rule:
+`worse` when the change's median is worse than the parent's by more than the
+metric's `bound` in BENCHMARK.json, taken relative to the parent's median;
+else `unresolved` when either side's IQR, relative to its median, exceeds
+the bound, unless every change run is better than every parent run; else
+`ok`.  Then it prints every far-out run, which alone
 can move a median of few pairs: a value outside [q1 - 3 IQR, q3 + 3 IQR] of
 its side that also differs from its side's median by more than the metric's
 `bound` in BENCHMARK.json (at five pairs the IQR of a steady metric is so
@@ -21,7 +26,9 @@ small that the fence alone names runs a few percent off).  It writes
 BENCH_<workload>.json at the root of the repository it sits in: for each
 side the commit, and the median, quartiles, IQR and raw values of each
 end-to-end metric, under `claim` each metric's wins, pairs, parent IQR and
-whether the claim rule is met, and under `outliers` the far-out values with
+whether the claim rule is met, under `regression` each metric's relative
+worsening, bound, both sides' relative IQRs, whether every change run beat
+every parent run, and the verdict, and under `outliers` the far-out values with
 their side, metric and pair.  Standard library only.
 """
 
@@ -115,7 +122,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         record[side] = {"commit": commit_of(checkouts[side]),
                         "metrics": {name: summary(v) for name, v in values[side].items() if v}}
-    record["median_change"], record["claim"] = {}, {}
+    record["median_change"], record["claim"], record["regression"] = {}, {}, {}
     for name in better:
         if not values["parent"][name]:
             continue
@@ -132,6 +139,26 @@ def main(argv=None) -> int:
                                  "met": met}
         print(f"claim {name}: parent IQR {iqr:.6g}, median gain {gain:.6g}, "
               f"better in {wins[name]}/{pairs} pairs: claim rule {'met' if met else 'not met'}")
+        worse_by = -change if better[name] == "higher" else change
+        spread = {side: record[side]["metrics"][name]["iqr"]
+                  / abs(record[side]["metrics"][name]["median"]) for side in SIDES}
+        sign = 1 if better[name] == "higher" else -1
+        beats_all = (min(sign * v for v in values["change"][name])
+                     > max(sign * v for v in values["parent"][name]))
+        if worse_by > bound[name]:
+            verdict = "worse"
+        elif max(spread.values()) > bound[name] and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        record["regression"][name] = {"worse_by": worse_by, "bound": bound[name],
+                                      "parent_spread": spread["parent"],
+                                      "change_spread": spread["change"],
+                                      "change_beats_every_parent_run": beats_all,
+                                      "verdict": verdict}
+        print(f"regression {name}: median worse by {worse_by:+.1%}, IQR/median "
+              f"{spread['parent']:.1%} parent, {spread['change']:.1%} change, bound "
+              f"{bound[name]:.0%}: {verdict}")
     record["outliers"] = []
     for side in SIDES:
         for name, stats in record[side]["metrics"].items():
