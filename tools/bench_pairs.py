@@ -139,7 +139,7 @@ def main(argv=None) -> int:
                                  "met": met}
         print(f"claim {name}: parent IQR {iqr:.6g}, median gain {gain:.6g}, "
               f"better in {wins[name]}/{pairs} pairs: claim rule {'met' if met else 'not met'}")
-        worse_by = -change if better[name] == "higher" else change
+        worse_by = -gain / before
         spread = {side: record[side]["metrics"][name]["iqr"]
                   / abs(record[side]["metrics"][name]["median"]) for side in SIDES}
         sign = 1 if better[name] == "higher" else -1
