@@ -369,9 +369,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     z = y - w.derivative()
     i = 1
     while w.degree > 0:
-        gi = poly_gcd(w, z) if not z.is_zero else w.canonical()
+        gi = poly_gcd(w, z)
         if gi.degree > 0:
-            out.append((gi.canonical(), i))
+            out.append((gi, i))
         w = w.exact_div(gi)
         y = z.exact_div(gi)
         z = y - w.derivative()
@@ -693,11 +693,12 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     """Irreducible factors with multiplicities of a canonical rest, unsorted:
     x - 1 and x + 1 by synthetic division, each while rest(1), the
     coefficient sum, or rest(-1), the alternating sum, is 0; then the other
-    known irreducibles by trial division, then the cofactor's own: a unit
-    cofactor of degree <= 4 is read by _unit_factors, and one that is the
-    exterior square of a unit quartic in the record by
-    _exterior_square_factors, with no Yun pass; a unit squarefree part of
-    degree <= 4 is read by _unit_factors."""
+    known irreducibles by trial division, then the cofactor's own.  One that
+    is the exterior square of a unit quartic in the record is read by
+    _exterior_square_factors.  Otherwise its parts are the cofactor itself
+    when it is a unit of degree <= 4, with no Yun pass, and its squarefree
+    parts else; a unit part of degree <= 4 is read by _unit_factors, any
+    other by _factor_squarefree."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -717,12 +718,11 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
             factors.append((irr, mult))
     if rest.degree < 1:
         return factors
-    unit = rest.leading == 1 and rest.constant in (1, -1)
-    if unit and rest.degree <= 4:
-        return factors + _unit_factors(rest)
     if rest.degree == 6 and (split := _exterior_square_factors(rest, known)) is not None:
         return factors + split
-    for sq_factor, mult in squarefree_decomposition(rest):
+    unit = rest.leading == 1 and rest.constant in (1, -1)
+    parts = [(rest, 1)] if unit and rest.degree <= 4 else squarefree_decomposition(rest)
+    for sq_factor, mult in parts:
         if unit and sq_factor.degree <= 4:
             factors.extend((irr, mult * m) for irr, m in _unit_factors(sq_factor))
         else:

@@ -12,11 +12,12 @@ A word is validated where its letters come from outside: `Word(...)` built by
 a caller checks generator range, signs and reduction; `parse_word` reads each
 token through one table of the names and their upper cases, so every letter
 it makes is valid, and cancels letters on a stack as it reads them.  Words
-derived from valid words (`multiply`, `invert`, `apply_map`, and so `power`,
-`commutator` and `conjugate`) and the words `random_word` draws (generators in
-range, no letter followed by its inverse) are reduced by construction and skip
-the check; `multiply` and `apply_map` cancel letters only at the seams where
-two such words meet.
+derived from valid words (`multiply`, `invert`, `_substitute`, and so `power`,
+`commutator`, `conjugate`, `substitution`, `apply_map` and `compose`) and the
+words `random_word` draws (generators in range, no letter followed by its
+inverse) are reduced by construction and skip the check; `multiply` and
+`_substitute`, the one route of every map application, cancel letters only at
+the seams where two such words meet.
 """
 
 from __future__ import annotations
@@ -176,13 +177,8 @@ def identity_map(rank: int) -> FreeMap:
 
 
 def apply_map(phi: FreeMap, w: Word) -> Word:
-    """Substitute each letter by its image (inverted image for negative letters);
-    the images are reduced, so letters cancel only where each one meets the output.
-    It inverts an image for each negative letter: substitution(phi) inverts
-    each image once, for a map applied to many words."""
-    if phi.rank != w.rank:
-        raise RankMismatchError(f"rank mismatch: map {phi.rank} vs word {w.rank}")
-    return _substitute(phi.images, None, w)
+    """phi(w), through substitution(phi)."""
+    return substitution(phi)(w)
 
 
 def substitution(phi: FreeMap):
@@ -199,16 +195,11 @@ def substitution(phi: FreeMap):
 
 
 def _substitute(images, inverted, w: Word) -> Word:
-    """phi(w) from the images of the generators and, unless None, of their
-    inverses; a missing inverse image is built for the letter that needs it."""
+    """phi(w) from the images of the generators and of their inverses; the
+    images are reduced, so letters cancel only where each one meets the output."""
     out: list[tuple[int, int]] = []
     for g, s in w.letters:
-        if s == 1:
-            block = images[g].letters
-        elif inverted is None:
-            block = [(h, -t) for h, t in reversed(images[g].letters)]
-        else:
-            block = inverted[g].letters
+        block = images[g].letters if s == 1 else inverted[g].letters
         i = 0
         while out and i < len(block) and out[-1][0] == block[i][0] and out[-1][1] == -block[i][1]:
             out.pop()
@@ -221,11 +212,11 @@ def compose(phi: FreeMap, psi: FreeMap) -> FreeMap:
     """(phi o psi)(g) = phi(psi(g)); inverses compose in the opposite order."""
     if phi.rank != psi.rank:
         raise RankMismatchError(f"rank mismatch: {phi.rank} vs {psi.rank}")
-    images = tuple(apply_map(phi, w) for w in psi.images)
+    images = tuple(map(substitution(phi), psi.images))
     inverse = None
     if phi.inverse_images is not None and psi.inverse_images is not None:
         psi_inv = FreeMap(psi.rank, psi.inverse_images)
-        inverse = tuple(apply_map(psi_inv, w) for w in phi.inverse_images)
+        inverse = tuple(map(substitution(psi_inv), phi.inverse_images))
     return FreeMap(phi.rank, images, inverse)
 
 
@@ -254,8 +245,9 @@ def verify_automorphism(phi: FreeMap) -> None:
         if not _images_generate(phi):
             raise NotAnAutomorphismError("the images of phi do not generate F_n")
         return
+    image = substitution(phi)
     for g, w in enumerate(phi.inverse_images):
-        if apply_map(phi, w).letters != ((g, 1),):
+        if image(w).letters != ((g, 1),):
             raise NotAnAutomorphismError(f"phi(inverse(x{g})) != x{g}")
 
 

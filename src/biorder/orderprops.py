@@ -254,6 +254,7 @@ def _preservation_trial(phi: FreeMap, cfg: ProbeConfig):
     M e(w) is all zero.
     """
     image = substitution(phi)
+    # not lcs.abelianized: importing lcs would load the algebra layer into the probes
     rows = tuple(zip(*(x.exponent_vector() for x in phi.images)))  # M, row by row
 
     def trial(rng):

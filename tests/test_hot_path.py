@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from biorder import magnus, orderprops
+from biorder import cli, freegroup, magnus, orderprops
 from biorder.corpus import corpus_entries
 from biorder.freegroup import (FreeMap, RankMismatchError, apply_map, commutator,
                                identity, invert, iterate_map, letter, multiply,
@@ -148,6 +148,35 @@ class TestSeamReduction:
             assert product == reduce(rank, a.letters + b.letters)
             cancelled += len(product) < len(a) + len(b)
         assert cancelled > 3000
+
+    def test_every_map_application_takes_the_prebuilt_inverse_images(self, monkeypatch, capsys):
+        # _substitute is the one route of phi(w), and every caller hands it
+        # the inverted images that substitution(phi) builds once
+        calls = {}
+        stage = None
+        real = freegroup._substitute
+
+        def recording(images, inverted, w):
+            calls.setdefault(stage, []).append(inverted is not None)
+            return real(images, inverted, w)
+
+        monkeypatch.setattr(freegroup, "_substitute", recording)
+        for entry in corpus_entries():
+            name, phi = entry.record.name, entry.record.phi
+            stage = "analyze"
+            assert cli.main(["analyze", f"corpus:{name}"]) == 0
+            for probe in ("order-preservation", "invariance", "semidirect"):
+                stage = probe
+                cli.main(["probe", probe, "--map", f"corpus:{name}", "--samples", "20"])
+            stage = "iterate_map"
+            powers = [iterate_map(phi, n) for n in range(-3, 4)]
+            stage = "apply_map"
+            for phin in powers:
+                apply_map(phin, parse_word("X y x", "xyzw"[:phi.rank]))
+        capsys.readouterr()
+        assert set(calls) == {"analyze", "order-preservation", "invariance", "semidirect",
+                              "iterate_map", "apply_map"}
+        assert {s: all(flags) for s, flags in calls.items()} == dict.fromkeys(calls, True)
 
 
 class TestRankMismatch:
