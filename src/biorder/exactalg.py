@@ -31,7 +31,12 @@ never loads it.  The pieces fit together as
                            constant terms +-1 or irreducible), and a unit
                            sextic that is the exterior square of a quartic
                            in the record splits along that quartic's
-                           resolvent cubic; other parts go
+                           resolvent cubic; at levels 2 and 3 a part of
+                           degree >= 5 is first divided by the level's
+                           Galois orbit polynomials (galois_certificate,
+                           monomial_orbits: minimal polynomials with no
+                           factoring when the group of char(M)'s one
+                           nonlinear block is S2, S3, S4 or D4); other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
@@ -47,6 +52,7 @@ never loads it.  The pieces fit together as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -635,7 +641,7 @@ class FactorReport(Record):
         return any(f.positive_real_roots == 0 for f in self.factors)
 
 
-def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
+def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> FactorReport:
     """Irreducible factorization over Q of the primitive part of the product
     p of the pieces, with root counts; factor_over_Q(p) takes p whole.
 
@@ -665,6 +671,16 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     fiber whose char(M) is f: it splits along the resolvent cubic of f.  Only
     other parts of degree >= 5, and every part of a non-unit input, take the
     modular route of _factor_squarefree.
+
+    orbits, when given, returns irreducible polynomials certified by the
+    caller: at levels 2 and 3 of an analysis, the Galois orbit polynomials
+    of the level (lcs.orbit_factors), minimal polynomials because the
+    Galois group acts transitively on each orbit.
+    It is called at most once, when a part of degree >= 5 would first take
+    the modular route, and that part and every later one is divided by each
+    of them first, so only what is left takes the modular route: when every
+    orbit polynomial is squarefree, nothing is.  Root counts go only to
+    those that divide.
     """
     p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
@@ -674,9 +690,11 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
         c = -c
     if known is None:
         known = {}
+    if orbits is not None:
+        orbits = functools.cache(orbits)
     multiplicity: dict[Poly, int] = {}
     for piece in pieces:
-        for irr, mult in _factor_canonical(piece.canonical(), known):
+        for irr, mult in _factor_canonical(piece.canonical(), known, orbits):
             multiplicity[irr] = multiplicity.get(irr, 0) + mult
     for poly in multiplicity:
         if poly not in known:
@@ -689,7 +707,7 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
 _X_MINUS_PLUS_1 = (Poly([-1, 1]), Poly([1, 1]))
 
 
-def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
+def _factor_canonical(rest: Poly, known, orbits=None) -> list[tuple[Poly, int]]:
     """Irreducible factors with multiplicities of a canonical rest, unsorted:
     x - 1 and x + 1 by synthetic division, each while rest(1), the
     coefficient sum, or rest(-1), the alternating sum, is 0; then the other
@@ -698,7 +716,8 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     _exterior_square_factors.  Otherwise its parts are the cofactor itself
     when it is a unit of degree <= 4, with no Yun pass, and its squarefree
     parts else; a unit part of degree <= 4 is read by _unit_factors, any
-    other by _factor_squarefree."""
+    other by _factor_squarefree, after the polynomials orbits() returns, when
+    given, are divided off it."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -725,7 +744,12 @@ def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     for sq_factor, mult in parts:
         if unit and sq_factor.degree <= 4:
             factors.extend((irr, mult * m) for irr, m in _unit_factors(sq_factor))
-        else:
+            continue
+        for irr in orbits() if orbits else ():
+            if irr.degree <= sq_factor.degree and (quotient := sq_factor.div_z(irr)) is not None:
+                factors.append((irr, mult))
+                sq_factor = quotient
+        if sq_factor.degree >= 1:
             factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
     return factors
 
@@ -771,16 +795,165 @@ def _exterior_square_factors(rest: Poly, known) -> list[tuple[Poly, int]] | None
     for f in known:
         if f.degree != 4 or f.leading != 1 or f.constant not in (1, -1):
             continue
-        e, c, b, a, _ = f.coeffs
-        u, v, w = -b, a * c - 4 * e, -(a * a * e - 4 * b * e + c * c)
+        e = f.constant
+        resolvent = _resolvent_cubic(f)
+        w, v, u, _ = resolvent.coeffs
         if rest.coeffs != (e, u, 3 + e * v, 2 * e * u + w, 3 * e + v, u, 1):
             continue
-        roots = _integer_roots(Poly([w, v, u, 1]))
+        roots = _integer_roots(resolvent)
         if not roots:
             return [(rest, 1)]
         quadratic = Poly([e, -roots[0], 1])
         return [(quadratic, 1)] + _unit_factors(rest.exact_div(quadratic))
     return None
+
+
+def _resolvent_cubic(f: Poly) -> Poly:
+    """The resolvent cubic y^3 + u y^2 + v y + w of a monic quartic
+    f = x^4 + a x^3 + b x^2 + c x + e, whose roots are the pair sums
+    l1 l2 + l3 l4, l1 l3 + l2 l4 and l1 l4 + l2 l3 of f's roots:
+    u = -b, v = a c - 4e, w = -(a^2 e - 4b e + c^2) (Kappe-Warren, Amer.
+    Math. Monthly 96, 1989).  Its differences are the products
+    (l1 - l4)(l2 - l3), ..., so its discriminant is f's."""
+    e, c, b, a, _ = f.coeffs
+    return Poly([-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1])
+
+
+def _discriminant(p: Poly) -> int:
+    """Discriminant of p = a x^3 + b x^2 + c x + d of degree 2 or 3; at a = 0
+    it is b^2 disc(b x^2 + c x + d)."""
+    d, c, b, a = p.coeffs + (0,) * (3 - p.degree)
+    return b*b*c*c - 4*a*c**3 - 4*b**3*d - 27*a*a*d*d + 18*a*b*c*d
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def galois_certificate(f: Poly) -> str | None:
+    """"S2", "S3", "S4" or "D4" when the Galois group of an irreducible monic
+    f is certified to be that group, else None.  A quadratic's is S2; a
+    cubic's is S3 unless its discriminant is a square (A3).  A quartic's is
+    S4 when its resolvent cubic has no rational root, hence no integer root,
+    and the discriminant is not a square (else A4, and with a root D4, C4 or
+    V4; Kappe-Warren 1989).  A palindromic quartic x^4 + a x^3 + b x^2 + a x + 1
+    is x^2 g(x + 1/x), g = y^2 + a y + b - 2 of discriminant D = a^2 - 4b + 8,
+    and its roots l, 1/l, m, 1/m have (l - 1/l)^2 (m - 1/m)^2 = f(1) f(-1) = N,
+    so its group, which keeps the pairs {l, 1/l} and {m, 1/m}, is all of D4,
+    of order 8, unless D, N or D N is a square."""
+    if f.degree == 2:
+        return "S2"
+    if f.degree == 3:
+        return None if _is_square(_discriminant(f)) else "S3"
+    if f.degree != 4:
+        return None
+    resolvent = _resolvent_cubic(f)
+    if not _integer_roots(resolvent):
+        return None if _is_square(_discriminant(resolvent)) else "S4"
+    e, c, b, a, _ = f.coeffs
+    if e == 1 and c == a:
+        d, n = a * a - 4 * b + 8, f(1) * f(-1)
+        if not any(map(_is_square, (d, n, d * n))):
+            return "D4"
+    return None
+
+
+_ORBIT_PRIME = 2 ** 31 - 1  # the squarefree test of an orbit polynomial
+
+
+def monomial_orbits(f: Poly, degree: int) -> list[Poly]:
+    """Irreducible polynomials whose roots are the monomials of the given
+    degree in the roots l_1..l_d of an irreducible monic f, one per Galois
+    orbit of monomials, as far as galois_certificate(f) names the group; []
+    when it names none.  The group acts transitively on an orbit, so an orbit
+    polynomial with distinct roots is the minimal polynomial of each; one
+    that is not squarefree mod _ORBIT_PRIME is left out.
+
+    Under S_d the orbits are the exponent types, the partitions pi of the
+    degree into at most d parts, and the j-th power sum of Q_pi is the
+    monomial symmetric function m_pi at l^j (_monomial_terms).  Under D4 the
+    roots are l^(+-1) and m^(+-1), a monomial is l^A m^B, and the orbit of
+    A >= B >= 0, A > 0, A + B <= degree and of its parity, has with
+    q_t = p_(jt)(f) the power sums q_A q_B - q_(A+B) - q_(A-B) (eight roots)
+    when A > B > 0, (q_A^2 - q_(2A) - 4) / 2 (four) when A = B, and q_A (four)
+    when B = 0."""
+    group = galois_certificate(f)
+    if group is None:
+        return []
+    if group == "D4":
+        orbit_sums = [_d4_orbit_sum(a, b)
+                      for a in range(1, degree + 1) for b in range(min(a, degree - a) + 1)
+                      if (a + b - degree) % 2 == 0]
+    else:
+        orbit_sums = [_s_orbit_sum(*_monomial_terms(pi)) for pi in _partitions(degree, f.degree)]
+    # the 0-th power sum, read off p_0 = d, is the orbit's size
+    sizes = [orbit_sum([f.degree], 0) for orbit_sum in orbit_sums]
+    sums = power_sums(f, degree * max(sizes))
+    out = []
+    for size, orbit_sum in zip(sizes, orbit_sums):
+        q = poly_from_power_sums([orbit_sum(sums, j) for j in range(1, size + 1)])
+        if _gcd_mod(q % _ORBIT_PRIME, q.derivative() % _ORBIT_PRIME, _ORBIT_PRIME).degree == 0:
+            out.append(q)
+    return out
+
+
+def _d4_orbit_sum(a: int, b: int):
+    """The j-th power sum of the D4 orbit of l^a m^b, from f's power sums."""
+    if a > b > 0:
+        return lambda q, j: q[j * a] * q[j * b] - q[j * (a + b)] - q[j * (a - b)]
+    if a == b:
+        return lambda q, j: (q[j * a] ** 2 - q[2 * j * a] - 4) // 2
+    return lambda q, j: q[j * a]
+
+
+def _s_orbit_sum(divisor: int, terms):
+    """The j-th power sum of an S_d orbit, m_pi(l^j), from f's power sums."""
+    return lambda q, j: sum(coeff * math.prod(q[j * t] for t in key)
+                            for key, coeff in terms) // divisor
+
+
+def _partitions(n: int, parts: int, largest: int | None = None):
+    """Partitions of n into at most `parts` parts, each at most largest,
+    parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def _set_partitions(items: tuple):
+    """Every partition of the positions of items into blocks, each block the
+    tuple of its items."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield ((first,), *blocks)
+        for i, block in enumerate(blocks):
+            yield (*blocks[:i], (first, *block), *blocks[i + 1:])
+
+
+@functools.cache
+def _monomial_terms(pi: tuple[int, ...]) -> tuple[int, tuple]:
+    """m_pi in power sums: m_pi = (1 / prod mult!) sum over set partitions
+    sigma of pi's parts of prod_(B in sigma) (-1)^(|B| - 1) (|B| - 1)!
+    p_(sum of B), with mult the multiplicities of pi's part sizes (Mobius
+    inversion on the lattice of set partitions; Macdonald, Symmetric
+    Functions and Hall Polynomials, 1995, I.6).  Returned as prod mult! and
+    the (sorted block sums, coefficient) pairs."""
+    terms: dict[tuple[int, ...], int] = {}
+    for sigma in _set_partitions(pi):
+        key = tuple(sorted(map(sum, sigma)))
+        coeff = math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+                          for block in sigma)
+        terms[key] = terms.get(key, 0) + coeff
+    divisor = math.prod(math.factorial(pi.count(part)) for part in set(pi))
+    return divisor, tuple((key, coeff) for key, coeff in terms.items() if coeff)
 
 
 def _integer_roots(g: Poly) -> list[int]:
@@ -892,8 +1065,7 @@ def _root_counts(p: Poly) -> tuple[int, int, int]:
         return 0, 0, 0
     if p.degree <= 3:
         d, c, b, a = p.coeffs + (0,) * (3 - p.degree)
-        # disc(a x^3 + b x^2 + c x + d); at a = 0 it is b^2 disc(b x^2 + c x + d)
-        disc = 1 if p.degree == 1 else b*b*c*c - 4*a*c**3 - 4*b**3*d - 27*a*a*d*d + 18*a*b*c*d
+        disc = 1 if p.degree == 1 else _discriminant(p)
         if not disc:
             raise NonSquarefreeError("root count requires a squarefree polynomial")
         if disc > 0:

@@ -30,6 +30,16 @@ A multigraded Brandt formula gives each piece's traces from the blocks'
 power sums e_i p_j(f_i) (level_pieces).  Brandt's own formula is its
 one-block case, so level_pieces([(char(M), 1)], k) is [char L_k(M)], whole;
 every piece, and the Witt number, read one Mobius sum, _lie_traces.
+
+Every root of the piece of c is a monomial of degree c_i in the roots of
+each block f_i.  When char(M) is one block f of degree >= 2, of multiplicity
+1, beside blocks x - 1 and x + 1, and the Galois group of f is as large as
+its shape allows (exactalg.galois_certificate: S2, S3, S4, or D4 for a
+palindromic quartic), those monomials fall into Galois orbits, and an orbit
+polynomial with distinct roots is irreducible: orbit_factors gives them for
+a level, with the signs the x + 1 blocks put on the roots, so that
+factor_over_Q finds the factors of a level-2 or level-3 piece by trial
+division and not by the modular route.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import math
 from functools import cache
 
 from ._record import Record
-from .exactalg import IntMatrix, Poly, poly_from_power_sums, power_sums
+from .exactalg import IntMatrix, Poly, monomial_orbits, poly_from_power_sums, power_sums
 from .freegroup import FreeMap, verify_automorphism
 
 Monomial = tuple[int, ...]  # a Lyndon word, or a monomial of a Lie polynomial
@@ -103,8 +113,7 @@ def level_pieces(blocks, k: int) -> list[Poly]:
     their product is the characteristic polynomial of
     quotient_actions(m, k)[-1].  Block f^e has power sums e * p_j(f)."""
     dims = [[e * f.degree] for f, e in blocks]
-    shapes = [(c, degree) for c in _compositions(k, len(dims))
-              if (degree := next(_lie_traces(dims, c)))]
+    shapes = _shapes(dims, k)
     # the traces on L_c read p_(jd) of the blocks in c, j <= deg L_c, for
     # each d of its Brandt terms
     counts = [max((degree * _brandt_terms(c)[-1][0] for c, degree in shapes if c[i]),
@@ -113,6 +122,34 @@ def level_pieces(blocks, k: int) -> list[Poly]:
     block_sums = [[e * p for p in power_sums(f, count)]
                   for (f, e), count in zip(blocks, counts)]
     return [_piece(block_sums, c) for c, _ in shapes]
+
+
+def _shapes(dims, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(c, dim L_c) for each composition c of k over blocks of dimensions
+    dims[i][0] with L_c nonzero."""
+    return [(c, degree) for c in _compositions(k, len(dims))
+            if (degree := next(_lie_traces(dims, c)))]
+
+
+def orbit_factors(blocks, k: int) -> list[Poly]:
+    """Irreducible factors of the level-k pieces read off Galois orbits, when
+    char(M) has one block f of degree >= 2, of multiplicity 1, and every
+    other block is x - r, r = +-1; [] otherwise.  The roots of the piece of
+    composition c are s l^a, l^a a monomial of degree c_f in f's roots and
+    s = prod r^(c_r), so when galois_certificate(f) names Gal(f), the
+    monomial_orbits of degree c_f with roots scaled by s are irreducible
+    candidates for its factors, certified, not merely likely."""
+    nonlinear = [i for i, (f, _) in enumerate(blocks) if f.degree >= 2]
+    if len(nonlinear) != 1 or blocks[nonlinear[0]][1] != 1:
+        return []
+    i = nonlinear[0]
+    f = blocks[i][0]
+    roots = [-g.constant for g, _ in blocks]  # r of each x - r; f's is unused
+    dims = [[e * g.degree] for g, e in blocks]
+    scaled = {(c[i], math.prod(r ** cj for j, (r, cj) in enumerate(zip(roots, c)) if j != i))
+              for c, _ in _shapes(dims, k) if c[i]}
+    return [Poly(a * s ** (q.degree - j) for j, a in enumerate(q.coeffs))
+            for degree, s in sorted(scaled) for q in monomial_orbits(f, degree)]
 
 
 def _compositions(k: int, r: int):

@@ -30,16 +30,21 @@ root counts, passed to factor_over_Q at every level: each piece is divided
 by them first, and only what is left is factored and gets root counts:
 one Sturm chain per factor of degree >= 4, while degree <= 3 is read off
 the discriminant and Descartes' rule.  The record is made by analyze and
-dropped with it.
+dropped with it.  At levels 2 and 3 analyze also hands factor_over_Q the
+level's lcs.orbit_factors, built only if a part would take the modular
+route: the Galois orbits of the monomials in char(M)'s roots, which factor
+such a part by trial division when char(M)'s group is large enough.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ._record import Record
 from .exactalg import FactorReport, Poly, char_poly, factor_over_Q
 from .freegroup import NotAnAutomorphismError, verify_automorphism
 from .lcs import (DEGREE_CAP, QuotientAction, abelianized, level_pieces,
-                  quotient_actions, witt_number)
+                  orbit_factors, quotient_actions, witt_number)
 from .presentation import KnotRecord
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
@@ -97,11 +102,12 @@ class AnalysisReport(Record):
 
 
 def level_report(action: QuotientAction, level: int, pieces: list[Poly],
-                 known: dict) -> LevelReport:
+                 known: dict, orbits=None) -> LevelReport:
     """The level's factor report, from pieces whose product is its
     characteristic polynomial, and its action for display; known is the
-    analysis's record of irreducibles (see factor_over_Q), which it extends."""
-    return LevelReport(level, action, factor_over_Q(*pieces, known=known))
+    analysis's record of irreducibles (see factor_over_Q), which it extends,
+    and orbits, when given, builds the level's certified orbit factors."""
+    return LevelReport(level, action, factor_over_Q(*pieces, known=known, orbits=orbits))
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -148,7 +154,10 @@ def analyze(record: KnotRecord, max_level: int = 1,
     char_m = levels[0].factors
     blocks = [(f.poly, f.multiplicity) for f in char_m.factors]
     for lv in range(1, max_level + 1):
-        levels.append(level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known))
+        # no part of a level-1 piece reaches the modular route at rank <= 4
+        orbits = functools.partial(orbit_factors, blocks, lv + 1) if lv >= 2 else None
+        levels.append(level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known,
+                                   orbits))
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)
     premises: dict[str, bool | None] = {

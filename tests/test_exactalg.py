@@ -956,6 +956,119 @@ class TestExteriorSquare:
                 assert exactalg._integer_roots(g) == sorted(roots), g
 
 
+# Irreducible quartics of the rarer groups, found by a scan with sympy: A4
+# (the unit quartics with a, b, c in -6..6, and x^4 - 8x + 12), and C4
+# among the palindromic x^4 + a x^3 + b x^2 + a x + 1 with a, b in -12..12.
+A4_QUARTICS = (Poly([1, 2, 3, -3, 1]), Poly([1, 3, 3, -2, 1]), Poly([1, -3, 3, 2, 1]),
+               Poly([1, -2, 3, 3, 1]), Poly([12, -8, 0, 0, 1]))
+C4_PALINDROMIC = tuple(Poly([1, a, b, a, 1])
+                       for a, b in ((-4, -11), (-1, -9), (-1, 1), (1, -9), (1, 1), (4, -11)))
+# x^3 - x^2 - 2x + 1 (roots 2 cos(2 pi k / 7) - 1), the A3 block of a
+# char(M) (x + 1)(x^3 - x^2 - 2x + 1)
+A3_CUBIC = Poly([1, -2, -1, 1])
+
+
+def _shanks_cubic(a: int) -> Poly:
+    """x^3 - a x^2 - (a + 3) x - 1, irreducible with a square discriminant
+    (a^2 + 3a + 9)^2, so its group is A3 (Shanks, Math. Comp. 28, 1974)."""
+    return Poly([-1, -(a + 3), -a, 1])
+
+
+class TestGaloisCertificate:
+    """galois_certificate names S2, S3, S4, or D4 for a palindromic quartic,
+    exactly when sympy's galois_group finds that group, and the orbit
+    polynomials it licenses are the minimal polynomials of the monomials."""
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(103)
+
+        def unit(degree):
+            return Poly([rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(degree - 1)]
+                        + [1])
+
+        samples = [_shanks_cubic(a) for a in range(-10, 10)] + [A3_CUBIC]
+        samples += [*A4_QUARTICS, *C4_PALINDROMIC, *V4_QUARTICS]
+        samples += [unit(2) for _ in range(40)] + [unit(3) for _ in range(150)]
+        samples += [unit(4) for _ in range(200)]
+        samples += [Poly([1, a, rng.randint(-12, 12), a, 1])
+                    for a in (rng.randint(-12, 12) for _ in range(150))]
+        groups = Counter()
+        for f in samples:
+            p = sympy.Poly(list(reversed(f.coeffs)), t)
+            if not p.is_irreducible:
+                continue
+            name = sympy.galois_group(p, by_name=True)[0].name
+            palindromic = f.degree == 4 and f.coeffs == f.coeffs[::-1]
+            expected = name if name in ("S2", "S3", "S4") or (name, palindromic) == ("D4", True) \
+                else None
+            assert exactalg.galois_certificate(f) == expected, (f, name)
+            groups[name, palindromic] += 1
+        assert {name for name, _ in groups} == {"S2", "A3", "S3", "A4", "S4", "D4", "C4", "V"}
+        assert groups["D4", True] >= 100 and groups["D4", False] >= 10, groups
+        assert min(groups.values()) >= 4, groups
+
+    def test_symmetric_orbits_multiply_to_the_symmetric_power(self):
+        # under S_d every monomial of degree c lies in one orbit, so the
+        # orbit polynomials' power sums add up to h_c(l^j), read off
+        # char(C^j) of the companion matrix C of f
+        rng = random.Random(104)
+        blocks = [Poly([-1, 1, 1]), Poly([1, -1, 0, 1]), Poly([-1, 1, 0, 0, 1])]
+        while len(blocks) < 12:
+            f = Poly([rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(rng.choice((1, 2, 3)))]
+                     + [1])
+            # x^2 + a x + 1, |a| <= 1, has roots of unity, so monomials coincide
+            cyclotomic = f.degree == 2 and f.constant == 1 and abs(f.coeffs[1]) <= 1
+            if f(1) and f(-1) and not cyclotomic and len(factor_over_Q(f).factors) == 1 \
+                    and exactalg.galois_certificate(f) in ("S2", "S3", "S4"):
+                blocks.append(f)
+        # l^3 = l'^3 = -1 for the roots of x^2 - x + 1: the orbit of l^3 is
+        # (x + 1)^2, left out, and that of l^2 l' = l is the block itself
+        assert exactalg.monomial_orbits(Poly([1, -1, 1]), 3) == [Poly([1, -1, 1])]
+        for f in blocks:
+            c_matrix = abelianized(companion_map([f]))
+            d = f.degree
+            for c in range(1, 5):
+                orbits = exactalg.monomial_orbits(f, c)
+                assert len(orbits) == sum(1 for _ in exactalg._partitions(c, d)), (f, c)
+                product = math.prod(orbits[1:], start=orbits[0])
+                assert product.degree == math.comb(c + d - 1, d - 1)
+                power = c_matrix
+                sums = []
+                for _ in range(product.degree):
+                    # e_i(l^j) from char(C^j); h_c from e by h_n = sum (-1)^(i-1) e_i h_(n-i)
+                    e = [(-1) ** i * a for i, a in enumerate(reversed(cofactor_char_poly(power).coeffs))]
+                    h = [1]
+                    for n in range(1, c + 1):
+                        h.append(sum((-1) ** (i - 1) * e[i] * h[n - i]
+                                     for i in range(1, min(n, d) + 1)))
+                    sums.append(h[c])
+                    power = power @ c_matrix
+                assert power_sums(product, product.degree)[1:] == sums, (f, c)
+                assert all(len(factor_over_Q(q).factors) == 1 for q in orbits), (f, c)
+
+    def test_a_wrong_certificate_shows_in_the_report(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        record = KnotRecord("a3", companion_map([Poly([1, 1]), A3_CUBIC]), True)
+
+        def sympy_agrees(report):
+            return all(_sympy_factors(sympy, level.factors.input)
+                       == sorted((f.poly.coeffs, f.multiplicity) for f in level.factors.factors)
+                       for level in report.levels)
+
+        assert exactalg.galois_certificate(A3_CUBIC) is None
+        assert sympy_agrees(analyze(record, max_level=2, max_degree=100))
+        certificate = exactalg.galois_certificate
+        monkeypatch.setattr(exactalg, "galois_certificate",
+                            lambda f: "S3" if f == A3_CUBIC else certificate(f))
+        # the S3 orbit of l1^2 l2 is two A3 orbits: a reducible sextic taken
+        # as irreducible at level 2
+        report = analyze(record, max_level=2, max_degree=100)
+        assert not sympy_agrees(report)
+        assert any(f.poly.degree == 6 for f in report.levels[2].factors.factors)
+
+
 # sha256 of (content, [(coeffs, multiplicity, pos, neg, real)]) from
 # factor_over_Q over x^n +- 1 (n <= 40), the corpus level polynomials at levels
 # 0..3 and 300 seeded random products, recorded before Hensel lifting and

@@ -597,6 +597,85 @@ class TestSmallCofactors:
         assert len(small) >= 200
 
 
+def _char_m_shape(phi: FreeMap) -> str | None:
+    """"S3" when char(M) is x -+ 1 times a cubic with group S3, "S4" or "D4"
+    when it is one quartic with that certified group, else None."""
+    blocks = [(f.poly, f.multiplicity)
+              for f in factor_over_Q(char_poly(abelianized(phi))).factors]
+    if [(f.degree, e) for f, e in blocks] in ([(1, 1), (3, 1)], [(4, 1)]):
+        return exactalg.galois_certificate(blocks[-1][0])
+    return None
+
+
+def _count_modular(monkeypatch) -> list:
+    calls = []
+    modular = exactalg._factor_squarefree
+    monkeypatch.setattr(exactalg, "_factor_squarefree",
+                        lambda f: calls.append(f) or modular(f))
+    return calls
+
+
+class TestOrbitRoute:
+    """At levels 2 and 3, a char(M) with one block f of degree >= 2, of
+    multiplicity 1, beside x -+ 1 blocks, whose group galois_certificate
+    names, is factored off the Galois orbits of the monomials in f's roots:
+    no modular call, and the reports of the modular route."""
+
+    def test_rank_4_level_3_takes_no_modular_route(self, monkeypatch):
+        rng = random.Random(137)
+        records = {"S3": [], "S4": [], "D4": []}
+        while min(map(len, records.values())) < 5:
+            phi = random_automorphism(rng, 4, rng.randint(3, 10))
+            shape = _char_m_shape(phi)
+            if shape in records and len(records[shape]) < 5:
+                records[shape].append(KnotRecord(f"r{shape}{len(records[shape])}", phi, True))
+        runs = [record for shape in records.values() for record in shape]
+        runs += [knot("6_2"), knot("7_6")]
+        calls = _count_modular(monkeypatch)
+        reports = [analyze(record, max_level=3, max_degree=100) for record in runs]
+        assert calls == []
+        assert {_char_m_shape(knot("6_2").phi), _char_m_shape(knot("7_6").phi)} == {"D4"}
+        monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
+        for record, report in zip(runs, reports):
+            assert analyze(record, max_level=3, max_degree=100) == report, record.name
+        assert calls  # the Yun route factors the same levels mod p
+
+    def test_an_a3_block_takes_the_modular_route(self, monkeypatch):
+        # the monodromy of operation d11 of the deep-l3 benchmark at seed 1:
+        # char(M) = (x + 1)(x^3 - x^2 - 2x + 1), whose cubic has group A3
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        record = parse_presentation(
+            "name: d11\nfibered: true\ngenerators: a b c d\nmap:\n"
+            "  a -> a c\n  b -> c a c\n  c -> b d\n  d -> D\n"
+            "inverse:\n  a -> a a B\n  b -> c d\n  c -> b A\n  d -> D\n").record()
+        assert char_poly(abelianized(record.phi)) == Poly([1, 1]) * Poly([1, -2, -1, 1])
+        calls = _count_modular(monkeypatch)
+        report = analyze(record, max_level=3, max_degree=100)
+        assert len(calls) == 3
+        for level in report.levels:
+            _, expected = sympy.Poly(list(reversed(level.factors.input.coeffs)), t).factor_list()
+            expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m) for f, m in expected]
+            got = [(f.poly.coeffs, f.multiplicity) for f in level.factors.factors]
+            assert sorted(got) == sorted(expected), level.level
+
+    def test_levels_0_and_1_build_no_orbits(self, monkeypatch):
+        built = []
+        build = verdict.orbit_factors
+        monkeypatch.setattr(verdict, "orbit_factors",
+                            lambda *args: built.append(args) or build(*args))
+        rng = random.Random(139)
+        runs = [(entry.record, 100) for entry in corpus_entries()]
+        runs += [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
+                             i % 4 != 3), 8) for i in range(100)]
+        for record, max_degree in runs:
+            for max_level in (0, 1):
+                analyze(record, max_level=max_level, max_degree=max_degree)
+        assert built == []
+        analyze(knot("6_2"), max_level=3, max_degree=100)
+        assert len(built) == 2  # levels 2 and 3, each built once
+
+
 class TestNoStateAcrossAnalyses:
     """The record lives and dies with one analysis."""
 
