@@ -31,12 +31,12 @@ never loads it.  The pieces fit together as
                            constant terms +-1 or irreducible), and a unit
                            sextic that is the exterior square of a quartic
                            in the record splits along that quartic's
-                           resolvent cubic; at levels 2 and 3 a part of
-                           degree >= 5 is first divided by the level's
-                           Galois orbit polynomials (galois_certificate,
-                           monomial_orbits: minimal polynomials with no
-                           factoring when the group of char(M)'s one
-                           nonlinear block is S2, S3, S4 or D4); other parts go
+                           resolvent cubic; the record may also hold
+                           Galois orbit polynomials with no root counts yet
+                           (galois_certificate, monomial_orbits: minimal
+                           polynomials with no factoring when the group of
+                           char(M)'s one nonlinear block is S3, S4 or D4),
+                           which get counts when they divide; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
@@ -641,7 +641,7 @@ class FactorReport(Record):
         return any(f.positive_real_roots == 0 for f in self.factors)
 
 
-def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> FactorReport:
+def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     """Irreducible factorization over Q of the primitive part of the product
     p of the pieces, with root counts; factor_over_Q(p) takes p whole.
 
@@ -651,12 +651,17 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> Fact
     once: a Sturm chain at degree >= 4, discriminant and Descartes' rule below.
 
     known, when given, is the record of one analysis: each irreducible found
-    so far maps to its (positive, negative, real) root counts.  A piece is
-    divided by every known irreducible, as often as it divides, and only the
-    cofactor is factored; its new irreducibles join the record.  So a factor
-    that comes back at a later level, or in a later piece, is found by trial
-    division and gets no second Yun pass, Zassenhaus search or Sturm chain.
-    Without a record each call starts from none.
+    so far maps to its (positive, negative, real) root counts, or to None
+    when the caller entered it certified and it has not divided yet, as the
+    Galois orbit polynomials of a level (lcs.orbit_factors), minimal
+    polynomials because the Galois group acts transitively on each orbit.
+    A piece is divided by every known irreducible, as often as it divides,
+    and only the cofactor is factored; its new irreducibles join the record.
+    So a factor that comes back at a later level, or in a later piece, is
+    found by trial division and gets no second Yun pass, Zassenhaus search or
+    Sturm chain, and when the orbit polynomials cover a piece, nothing of it
+    is.  Root counts go to each factor once, when it first divides.  Without
+    a record each call starts from none.
 
     A level polynomial is the characteristic polynomial of a matrix in GL(Z),
     so it is a unit polynomial: leading and constant coefficient are +-1, and
@@ -671,16 +676,6 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> Fact
     fiber whose char(M) is f: it splits along the resolvent cubic of f.  Only
     other parts of degree >= 5, and every part of a non-unit input, take the
     modular route of _factor_squarefree.
-
-    orbits, when given, returns irreducible polynomials certified by the
-    caller: at levels 2 and 3 of an analysis, the Galois orbit polynomials
-    of the level (lcs.orbit_factors), minimal polynomials because the
-    Galois group acts transitively on each orbit.
-    It is called at most once, when a part of degree >= 5 would first take
-    the modular route, and that part and every later one is divided by each
-    of them first, so only what is left takes the modular route: when every
-    orbit polynomial is squarefree, nothing is.  Root counts go only to
-    those that divide.
     """
     p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
@@ -690,14 +685,12 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> Fact
         c = -c
     if known is None:
         known = {}
-    if orbits is not None:
-        orbits = functools.cache(orbits)
     multiplicity: dict[Poly, int] = {}
     for piece in pieces:
-        for irr, mult in _factor_canonical(piece.canonical(), known, orbits):
+        for irr, mult in _factor_canonical(piece.canonical(), known):
             multiplicity[irr] = multiplicity.get(irr, 0) + mult
     for poly in multiplicity:
-        if poly not in known:
+        if known.get(poly) is None:
             known[poly] = _root_counts(poly)
     entries = tuple(Factor(poly, multiplicity[poly], *known[poly])
                     for poly in sorted(multiplicity, key=Poly.key))
@@ -707,7 +700,7 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None, orbits=None) -> Fact
 _X_MINUS_PLUS_1 = (Poly([-1, 1]), Poly([1, 1]))
 
 
-def _factor_canonical(rest: Poly, known, orbits=None) -> list[tuple[Poly, int]]:
+def _factor_canonical(rest: Poly, known) -> list[tuple[Poly, int]]:
     """Irreducible factors with multiplicities of a canonical rest, unsorted:
     x - 1 and x + 1 by synthetic division, each while rest(1), the
     coefficient sum, or rest(-1), the alternating sum, is 0; then the other
@@ -716,8 +709,7 @@ def _factor_canonical(rest: Poly, known, orbits=None) -> list[tuple[Poly, int]]:
     _exterior_square_factors.  Otherwise its parts are the cofactor itself
     when it is a unit of degree <= 4, with no Yun pass, and its squarefree
     parts else; a unit part of degree <= 4 is read by _unit_factors, any
-    other by _factor_squarefree, after the polynomials orbits() returns, when
-    given, are divided off it."""
+    other by _factor_squarefree."""
     factors = []
     for root in (1, -1):
         mult = 0
@@ -744,12 +736,7 @@ def _factor_canonical(rest: Poly, known, orbits=None) -> list[tuple[Poly, int]]:
     for sq_factor, mult in parts:
         if unit and sq_factor.degree <= 4:
             factors.extend((irr, mult * m) for irr, m in _unit_factors(sq_factor))
-            continue
-        for irr in orbits() if orbits else ():
-            if irr.degree <= sq_factor.degree and (quotient := sq_factor.div_z(irr)) is not None:
-                factors.append((irr, mult))
-                sq_factor = quotient
-        if sq_factor.degree >= 1:
+        else:
             factors.extend((irr, mult) for irr in _factor_squarefree(sq_factor))
     return factors
 
@@ -831,9 +818,12 @@ def _is_square(n: int) -> bool:
 
 
 def galois_certificate(f: Poly) -> str | None:
-    """"S2", "S3", "S4" or "D4" when the Galois group of an irreducible monic
-    f is certified to be that group, else None.  A quadratic's is S2; a
-    cubic's is S3 unless its discriminant is a square (A3).  A quartic's is
+    """"S3", "S4" or "D4" when the Galois group of an irreducible monic f is
+    certified to be that group, else None, as for every quadratic: beside
+    x -+ 1 blocks, the roots of a level piece are +-l^a l'^b, a + b <=
+    lcs.DEGREE_CAP = 4, and l l' = +-1 leaves at most 4 of them off +-1, so
+    _unit_factors reads every part with no orbits.  A cubic's is S3 unless
+    its discriminant is a square (A3).  A quartic's is
     S4 when its resolvent cubic has no rational root, hence no integer root,
     and the discriminant is not a square (else A4, and with a root D4, C4 or
     V4; Kappe-Warren 1989).  A palindromic quartic x^4 + a x^3 + b x^2 + a x + 1
@@ -841,8 +831,6 @@ def galois_certificate(f: Poly) -> str | None:
     and its roots l, 1/l, m, 1/m have (l - 1/l)^2 (m - 1/m)^2 = f(1) f(-1) = N,
     so its group, which keeps the pairs {l, 1/l} and {m, 1/m}, is all of D4,
     of order 8, unless D, N or D N is a square."""
-    if f.degree == 2:
-        return "S2"
     if f.degree == 3:
         return None if _is_square(_discriminant(f)) else "S3"
     if f.degree != 4:

@@ -32,14 +32,15 @@ one-block case, so level_pieces([(char(M), 1)], k) is [char L_k(M)], whole;
 every piece, and the Witt number, read one Mobius sum, _lie_traces.
 
 Every root of the piece of c is a monomial of degree c_i in the roots of
-each block f_i.  When char(M) is one block f of degree >= 2, of multiplicity
-1, beside blocks x - 1 and x + 1, and the Galois group of f is as large as
-its shape allows (exactalg.galois_certificate: S2, S3, S4, or D4 for a
-palindromic quartic), those monomials fall into Galois orbits, and an orbit
-polynomial with distinct roots is irreducible: orbit_factors gives them for
-a level, with the signs the x + 1 blocks put on the roots, so that
-factor_over_Q finds the factors of a level-2 or level-3 piece by trial
-division and not by the modular route.
+each block f_i.  When char(M) is one block f of degree 3 or 4, of
+multiplicity 1, beside blocks x - 1 and x + 1, and the Galois group of f is
+as large as its shape allows (exactalg.galois_certificate: S3, S4, or D4
+for a palindromic quartic), those monomials fall into Galois orbits, and an
+orbit polynomial with distinct roots is irreducible: orbit_factors gives
+them for the levels 2..top at once, with the signs the x + 1 blocks put on
+the roots, and the analysis enters them in its record of irreducibles, so
+that factor_over_Q finds the factors of those levels by trial division and
+not by the modular route.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import math
 from functools import cache
 
 from ._record import Record
+from . import exactalg
 from .exactalg import IntMatrix, Poly, monomial_orbits, poly_from_power_sums, power_sums
 from .freegroup import FreeMap, verify_automorphism
 
@@ -131,25 +133,29 @@ def _shapes(dims, k: int) -> list[tuple[tuple[int, ...], int]]:
             if (degree := next(_lie_traces(dims, c)))]
 
 
-def orbit_factors(blocks, k: int) -> list[Poly]:
-    """Irreducible factors of the level-k pieces read off Galois orbits, when
-    char(M) has one block f of degree >= 2, of multiplicity 1, and every
-    other block is x - r, r = +-1; [] otherwise.  The roots of the piece of
-    composition c are s l^a, l^a a monomial of degree c_f in f's roots and
-    s = prod r^(c_r), so when galois_certificate(f) names Gal(f), the
-    monomial_orbits of degree c_f with roots scaled by s are irreducible
-    candidates for its factors, certified, not merely likely."""
+def orbit_factors(blocks, top: int) -> list[Poly]:
+    """Irreducible factors of the pieces of the levels k = 2..top read off
+    Galois orbits, when char(M) has one block f of degree >= 2, of
+    multiplicity 1, every other block is x - r, r = +-1, and
+    galois_certificate(f) names Gal(f); [] otherwise.  The roots of the piece
+    of composition c are s l^a, l^a a monomial of degree c_f in f's roots and
+    s = prod r^(c_r), so the monomial_orbits of degree c_f, each built once,
+    with roots scaled by s are irreducible candidates for its factors,
+    certified, not merely likely."""
     nonlinear = [i for i, (f, _) in enumerate(blocks) if f.degree >= 2]
     if len(nonlinear) != 1 or blocks[nonlinear[0]][1] != 1:
         return []
     i = nonlinear[0]
     f = blocks[i][0]
+    if exactalg.galois_certificate(f) is None:  # looked up as monomial_orbits does
+        return []
     roots = [-g.constant for g, _ in blocks]  # r of each x - r; f's is unused
     dims = [[e * g.degree] for g, e in blocks]
     scaled = {(c[i], math.prod(r ** cj for j, (r, cj) in enumerate(zip(roots, c)) if j != i))
-              for c, _ in _shapes(dims, k) if c[i]}
+              for k in range(2, top + 1) for c, _ in _shapes(dims, k) if c[i]}
+    orbits = {degree: monomial_orbits(f, degree) for degree in {d for d, _ in scaled}}
     return [Poly(a * s ** (q.degree - j) for j, a in enumerate(q.coeffs))
-            for degree, s in sorted(scaled) for q in monomial_orbits(f, degree)]
+            for degree, s in sorted(scaled) for q in orbits[degree]]
 
 
 def _compositions(k: int, r: int):

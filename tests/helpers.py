@@ -23,7 +23,9 @@ a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
 coefficient sums first), a unit cofactor of degree <= 4, or the exterior
 square of a unit quartic in the record, goes through Yun's algorithm and its
 parts of degree >= 4 through the modular route (_factor_canonical reads them
-in closed form, or divides a level's Galois orbit polynomials off them), the
+in closed form, or divides them by the Galois orbit polynomials that an
+analysis enters in its record, which an oracle run leaves out by patching
+verdict.orbit_factors), the
 inverse-image check
 compares each phi(psi(x)) with a letter() Word, and a map that is not onto
 is shown by a map to S_3 or S_4 that shrinks its images' group, read off
@@ -278,12 +280,13 @@ def unit_root_multiplicities_by_division(f: Poly) -> tuple[int, int]:
     return mults[0], mults[1]
 
 
-def factor_canonical_by_yun(rest: Poly, known, orbits=None) -> list[tuple[Poly, int]]:
+def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
     """exactalg._factor_canonical with every cofactor through Yun's
     algorithm: x - 1 and x + 1 and the known irreducibles divided off, then
     the squarefree parts of what is left, one of degree <= 3 of a unit
-    cofactor taken as irreducible and every other one factored mod p, with
-    no Galois orbit polynomial tried first (orbits is not called)."""
+    cofactor taken as irreducible and every other one factored mod p.  An
+    analysis enters its Galois orbit polynomials in known, so a check of
+    the orbit route patches verdict.orbit_factors to return [] first."""
     factors = []
     for root, mult in zip((1, -1), unit_root_multiplicities_by_division(rest)):
         if mult:

@@ -975,9 +975,10 @@ def _shanks_cubic(a: int) -> Poly:
 
 
 class TestGaloisCertificate:
-    """galois_certificate names S2, S3, S4, or D4 for a palindromic quartic,
-    exactly when sympy's galois_group finds that group, and the orbit
-    polynomials it licenses are the minimal polynomials of the monomials."""
+    """galois_certificate names S3, S4, or D4 for a palindromic quartic,
+    exactly when sympy's galois_group finds that group, and no group for a
+    quadratic; the orbit polynomials it licenses are the minimal polynomials
+    of the monomials."""
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -1001,7 +1002,7 @@ class TestGaloisCertificate:
                 continue
             name = sympy.galois_group(p, by_name=True)[0].name
             palindromic = f.degree == 4 and f.coeffs == f.coeffs[::-1]
-            expected = name if name in ("S2", "S3", "S4") or (name, palindromic) == ("D4", True) \
+            expected = name if name in ("S3", "S4") or (name, palindromic) == ("D4", True) \
                 else None
             assert exactalg.galois_certificate(f) == expected, (f, name)
             groups[name, palindromic] += 1
@@ -1014,18 +1015,13 @@ class TestGaloisCertificate:
         # orbit polynomials' power sums add up to h_c(l^j), read off
         # char(C^j) of the companion matrix C of f
         rng = random.Random(104)
-        blocks = [Poly([-1, 1, 1]), Poly([1, -1, 0, 1]), Poly([-1, 1, 0, 0, 1])]
+        blocks = [Poly([1, -1, 0, 1]), Poly([-1, 1, 0, 0, 1])]
         while len(blocks) < 12:
-            f = Poly([rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(rng.choice((1, 2, 3)))]
+            f = Poly([rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(rng.choice((2, 3)))]
                      + [1])
-            # x^2 + a x + 1, |a| <= 1, has roots of unity, so monomials coincide
-            cyclotomic = f.degree == 2 and f.constant == 1 and abs(f.coeffs[1]) <= 1
-            if f(1) and f(-1) and not cyclotomic and len(factor_over_Q(f).factors) == 1 \
-                    and exactalg.galois_certificate(f) in ("S2", "S3", "S4"):
+            if f(1) and f(-1) and len(factor_over_Q(f).factors) == 1 \
+                    and exactalg.galois_certificate(f) in ("S3", "S4"):
                 blocks.append(f)
-        # l^3 = l'^3 = -1 for the roots of x^2 - x + 1: the orbit of l^3 is
-        # (x + 1)^2, left out, and that of l^2 l' = l is the block itself
-        assert exactalg.monomial_orbits(Poly([1, -1, 1]), 3) == [Poly([1, -1, 1])]
         for f in blocks:
             c_matrix = abelianized(companion_map([f]))
             d = f.degree
@@ -1047,6 +1043,16 @@ class TestGaloisCertificate:
                     power = power @ c_matrix
                 assert power_sums(product, product.degree)[1:] == sums, (f, c)
                 assert all(len(factor_over_Q(q).factors) == 1 for q in orbits), (f, c)
+
+    def test_an_orbit_with_a_repeated_root_is_left_out(self, monkeypatch):
+        # the roots of x^4 + x^3 + x^2 + x + 1 are z, z^2, z^3, z^4, z^5 = 1,
+        # and its group is C4; named S4, the orbit of l1 l2 holds
+        # z z^4 = z^2 z^3 = 1 twice, so its polynomial (x - 1)^2 f is left
+        # out, and that of l1^2 is f itself
+        f = Poly([1, 1, 1, 1, 1])
+        assert exactalg.galois_certificate(f) is None
+        monkeypatch.setattr(exactalg, "galois_certificate", lambda g: "S4")
+        assert exactalg.monomial_orbits(f, 2) == [f]
 
     def test_a_wrong_certificate_shows_in_the_report(self, monkeypatch):
         sympy = pytest.importorskip("sympy")

@@ -25,8 +25,8 @@ from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
-from helpers import (W, brandt_level_char_poly, cofactor_char_poly, divmod_q,
-                     factor_canonical_by_yun,
+from helpers import (W, brandt_level_char_poly, cofactor_char_poly, companion_map,
+                     divmod_q, factor_canonical_by_yun,
                      random_automorphism, random_unimodular_matrix,
                      root_counts_by_sturm_chain, torus_monodromy)
 
@@ -520,7 +520,10 @@ class TestFactorRecord:
         monkeypatch.setattr(exactalg.SturmChain, "build",
                             classmethod(lambda cls, p: built.append(p) or build(cls, p)))
         returning = small = large = 0
-        for phi, levels in _record_maps()[::5]:
+        # an S4 block beside x - 1: its orbit polynomials enter the record
+        # after char(M) is factored, and must keep the counts found for it
+        s4_block = (companion_map([Poly([-1, 1]), Poly([-1, -1, 0, 0, 1])]), [0, 1, 2])
+        for phi, levels in _record_maps()[::5] + [s4_block]:
             built.clear()
             report = _deepest(phi, levels)
             found = [f.poly for level in report.levels for f in level.factors.factors]
@@ -590,6 +593,7 @@ class TestSmallCofactors:
                    for record, max_level, max_degree in runs]
         assert small == []
         # every cofactor through Yun's algorithm and every count off a Sturm chain
+        monkeypatch.setattr(verdict, "orbit_factors", lambda blocks, top: [])
         monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
         monkeypatch.setattr(exactalg, "_root_counts", root_counts_by_sturm_chain)
         for (record, max_level, max_degree), report in zip(runs, reports):
@@ -607,19 +611,24 @@ def _char_m_shape(phi: FreeMap) -> str | None:
     return None
 
 
-def _count_modular(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
+    """The arguments of every call of exactalg's function name from now on."""
     calls = []
-    modular = exactalg._factor_squarefree
-    monkeypatch.setattr(exactalg, "_factor_squarefree",
-                        lambda f: calls.append(f) or modular(f))
+    function = getattr(exactalg, name)
+    monkeypatch.setattr(exactalg, name, lambda f: calls.append(f) or function(f))
     return calls
+
+
+def _count_modular(monkeypatch) -> list:
+    return _count_calls(monkeypatch, "_factor_squarefree")
 
 
 class TestOrbitRoute:
     """At levels 2 and 3, a char(M) with one block f of degree >= 2, of
     multiplicity 1, beside x -+ 1 blocks, whose group galois_certificate
     names, is factored off the Galois orbits of the monomials in f's roots:
-    no modular call, and the reports of the modular route."""
+    no modular call, no Yun pass past those of level 1, and the reports of
+    the modular route."""
 
     def test_rank_4_level_3_takes_no_modular_route(self, monkeypatch):
         rng = random.Random(137)
@@ -631,10 +640,19 @@ class TestOrbitRoute:
                 records[shape].append(KnotRecord(f"r{shape}{len(records[shape])}", phi, True))
         runs = [record for shape in records.values() for record in shape]
         runs += [knot("6_2"), knot("7_6")]
+        yun = _count_calls(monkeypatch, "squarefree_decomposition")
+        for record in runs:
+            analyze(record, max_level=1, max_degree=100)
+        level_1 = len(yun)
+        yun.clear()
         calls = _count_modular(monkeypatch)
         reports = [analyze(record, max_level=3, max_degree=100) for record in runs]
         assert calls == []
+        # levels 2 and 3 are divided by the orbit polynomials, with no Yun pass
+        assert len(yun) == level_1
         assert {_char_m_shape(knot("6_2").phi), _char_m_shape(knot("7_6").phi)} == {"D4"}
+        # the oracle divides by no orbit polynomial: none enters the record
+        monkeypatch.setattr(verdict, "orbit_factors", lambda blocks, top: [])
         monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
         for record, report in zip(runs, reports):
             assert analyze(record, max_level=3, max_degree=100) == report, record.name
@@ -672,8 +690,29 @@ class TestOrbitRoute:
             for max_level in (0, 1):
                 analyze(record, max_level=max_level, max_degree=max_degree)
         assert built == []
+        degrees = []
+        orbits = lcs.monomial_orbits
+        monkeypatch.setattr(lcs, "monomial_orbits",
+                            lambda f, degree: degrees.append(degree) or orbits(f, degree))
         analyze(knot("6_2"), max_level=3, max_degree=100)
-        assert len(built) == 2  # levels 2 and 3, each built once
+        assert len(built) == 1  # once for levels 2 and 3
+        assert sorted(degrees) == [2, 3, 4]  # each degree built once
+
+    def test_a_quadratic_block_needs_no_orbits(self, monkeypatch):
+        # beside x -+ 1 blocks, the roots of a level piece are +-l^a l'^b,
+        # a + b <= 4, and l l' = +-1 leaves at most 4 of them off +-1: every
+        # part is read in closed form, so a quadratic needs no certificate
+        rng = random.Random(149)
+        calls = _count_modular(monkeypatch)
+        for i in range(200):
+            a, e = rng.choice([(a, e) for a in range(-6, 7) for e in (1, -1)
+                               if (a, e) not in ((2, 1), (-2, 1), (0, -1))])
+            linear = [Poly([rng.choice((1, -1)), 1]) for _ in range(i % 5)]
+            record = KnotRecord(f"q{i}", companion_map([Poly([e, a, 1]), *linear]), True)
+            levels = [lv for lv in range(lcs.DEGREE_CAP)
+                      if lcs.witt_number(record.rank, lv + 1) <= 100]
+            analyze(record, max_level=levels[-1], max_degree=100)
+        assert calls == []
 
 
 class TestNoStateAcrossAnalyses:
