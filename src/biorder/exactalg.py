@@ -651,17 +651,14 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     once: a Sturm chain at degree >= 4, discriminant and Descartes' rule below.
 
     known, when given, is the record of one analysis: each irreducible found
-    so far maps to its (positive, negative, real) root counts, or to None
-    when the caller entered it certified and it has not divided yet, as the
-    Galois orbit polynomials of a level (lcs.orbit_factors), minimal
-    polynomials because the Galois group acts transitively on each orbit.
-    A piece is divided by every known irreducible, as often as it divides,
-    and only the cofactor is factored; its new irreducibles join the record.
-    So a factor that comes back at a later level, or in a later piece, is
-    found by trial division and gets no second Yun pass, Zassenhaus search or
-    Sturm chain, and when the orbit polynomials cover a piece, nothing of it
-    is.  Root counts go to each factor once, when it first divides.  Without
-    a record each call starts from none.
+    so far maps to its (positive, negative, real) root counts.  A piece is
+    divided by every known irreducible, as often as it divides, and only the
+    cofactor is factored; its new irreducibles join the record.  So a factor
+    that comes back at a later level, or in a later piece, is found by trial
+    division and gets no second Yun pass, Zassenhaus search or Sturm chain.
+    An irreducible the caller certified maps to None until it first divides,
+    as the Galois orbit polynomials analyze enters (lcs.orbit_factors).
+    Without a record each call starts from none.
 
     A level polynomial is the characteristic polynomial of a matrix in GL(Z),
     so it is a unit polynomial: leading and constant coefficient are +-1, and

@@ -32,15 +32,14 @@ one-block case, so level_pieces([(char(M), 1)], k) is [char L_k(M)], whole;
 every piece, and the Witt number, read one Mobius sum, _lie_traces.
 
 Every root of the piece of c is a monomial of degree c_i in the roots of
-each block f_i.  When char(M) is one block f of degree 3 or 4, of
-multiplicity 1, beside blocks x - 1 and x + 1, and the Galois group of f is
-as large as its shape allows (exactalg.galois_certificate: S3, S4, or D4
-for a palindromic quartic), those monomials fall into Galois orbits, and an
-orbit polynomial with distinct roots is irreducible: orbit_factors gives
-them for the levels 2..top at once, with the signs the x + 1 blocks put on
-the roots, and the analysis enters them in its record of irreducibles, so
-that factor_over_Q finds the factors of those levels by trial division and
-not by the modular route.
+each block f_i.  When char(M) is one block f of degree >= 3, of multiplicity
+1, beside blocks x - 1 and x + 1, and the Galois group of f is as large as
+its shape allows (exactalg.galois_certificate: S3, S4, or D4 for a
+palindromic quartic), those monomials fall into Galois orbits, and an orbit
+polynomial with distinct roots is irreducible: orbit_factors gives them for
+levels 2..top, with the signs the x + 1 blocks put on the roots, so that
+factor_over_Q finds the factors of a level-2 or level-3 piece by trial
+division and not by the modular route.
 """
 
 from __future__ import annotations
