@@ -31,12 +31,7 @@ never loads it.  The pieces fit together as
                            constant terms +-1 or irreducible), and a unit
                            sextic that is the exterior square of a quartic
                            in the record splits along that quartic's
-                           resolvent cubic; the record may also hold
-                           Galois orbit polynomials with no root counts yet
-                           (galois_certificate, monomial_orbits: minimal
-                           polynomials with no factoring when the group of
-                           char(M)'s one nonlinear block is S3, S4 or D4),
-                           which get counts when they divide; other parts go
+                           resolvent cubic; other parts go
                            through distinct- and equal-degree splitting mod p
                            (Cantor-Zassenhaus), Hensel lifting to exactly p^l
                            and Zassenhaus subset recombination (at half size
@@ -46,6 +41,17 @@ never loads it.  The pieces fit together as
                            all three on Poly: (Z/m)[x] is
                            Z[x] arithmetic followed by `% m`, plus division,
                            gcd, extended gcd, powers and monic mod m
+    factor_report       -- the report of prod q^m from certified irreducible
+                           q and their multiplicities, with no factoring:
+                           the product by Kronecker substitution, root
+                           counts from the analysis's record
+    galois_certificate, monomial_orbits
+                        -- the group of an irreducible block (S2, S3, S4, A4,
+                           or D4 for a palindromic quartic) and, per Galois
+                           orbit of the monomials of one degree in its roots,
+                           the orbit's minimal polynomial, from power sums
+    cyclotomic          -- Phi_d from the Ramanujan sums, its power sums;
+                           cyclotomic_index(f) is d when f = Phi_d
     sturm_count         -- sign variations of a Sturm chain whose entries are
                            the primitive parts of the signed remainders
 """
@@ -656,8 +662,6 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     cofactor is factored; its new irreducibles join the record.  So a factor
     that comes back at a later level, or in a later piece, is found by trial
     division and gets no second Yun pass, Zassenhaus search or Sturm chain.
-    An irreducible the caller certified maps to None until it first divides,
-    as the Galois orbit polynomials analyze enters (lcs.orbit_factors).
     Without a record each call starts from none.
 
     A level polynomial is the characteristic polynomial of a matrix in GL(Z),
@@ -677,17 +681,48 @@ def factor_over_Q(*pieces: Poly, known: dict | None = None) -> FactorReport:
     p = math.prod(pieces[1:], start=pieces[0])
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    c = p.content()
-    if p.leading < 0:
-        c = -c
     if known is None:
         known = {}
     multiplicity: dict[Poly, int] = {}
     for piece in pieces:
         for irr, mult in _factor_canonical(piece.canonical(), known):
             multiplicity[irr] = multiplicity.get(irr, 0) + mult
+    return _report(p, multiplicity, known)
+
+
+def factor_report(factors: dict[Poly, int], known: dict) -> FactorReport:
+    """The report of p = prod q^m over the irreducible q, primitive with
+    positive leading coefficient, and multiplicities m of factors, which the
+    caller has certified (lcs.level_factors), so nothing is factored; each q
+    takes its root counts from known, the record of one analysis (see
+    factor_over_Q), which it extends.
+
+    p is formed by Kronecker substitution: every coefficient of p is at most
+    B = prod ||q||_1^m in size, so with 2^(s-1) > B, p(2^s) is the integer
+    product of the q(2^s)^m, and p's coefficients are its base-2^s digits,
+    each taken in [-2^(s-1), 2^(s-1))."""
+    shift = math.prod(sum(map(abs, q.coeffs)) ** m for q, m in factors.items()).bit_length() + 1
+    value = math.prod(sum(c << shift * i for i, c in enumerate(q.coeffs)) ** m
+                      for q, m in factors.items())
+    half, mask, coeffs = 1 << (shift - 1), (1 << shift) - 1, []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << shift
+        coeffs.append(digit)
+        value = (value - digit) >> shift
+    return _report(Poly(coeffs), factors, known)
+
+
+def _report(p: Poly, multiplicity: dict[Poly, int], known: dict) -> FactorReport:
+    """The report of p from its irreducible factors and their multiplicities,
+    each factor's root counts taken from the record known, or counted once
+    and entered there."""
+    c = p.content()
+    if p.leading < 0:
+        c = -c
     for poly in multiplicity:
-        if known.get(poly) is None:
+        if poly not in known:
             known[poly] = _root_counts(poly)
     entries = tuple(Factor(poly, multiplicity[poly], *known[poly])
                     for poly in sorted(multiplicity, key=Poly.key))
@@ -815,26 +850,29 @@ def _is_square(n: int) -> bool:
 
 
 def galois_certificate(f: Poly) -> str | None:
-    """"S3", "S4" or "D4" when the Galois group of an irreducible monic f is
-    certified to be that group, else None, as for every quadratic: beside
-    x -+ 1 blocks, the roots of a level piece are +-l^a l'^b, a + b <=
-    lcs.DEGREE_CAP = 4, and l l' = +-1 leaves at most 4 of them off +-1, so
-    _unit_factors reads every part with no orbits.  A cubic's is S3 unless
-    its discriminant is a square (A3).  A quartic's is
-    S4 when its resolvent cubic has no rational root, hence no integer root,
-    and the discriminant is not a square (else A4, and with a root D4, C4 or
-    V4; Kappe-Warren 1989).  A palindromic quartic x^4 + a x^3 + b x^2 + a x + 1
-    is x^2 g(x + 1/x), g = y^2 + a y + b - 2 of discriminant D = a^2 - 4b + 8,
-    and its roots l, 1/l, m, 1/m have (l - 1/l)^2 (m - 1/m)^2 = f(1) f(-1) = N,
-    so its group, which keeps the pairs {l, 1/l} and {m, 1/m}, is all of D4,
-    of order 8, unless D, N or D N is a square."""
+    """"S2", "S3", "S4", "A4" or "D4" when the Galois group of an
+    irreducible monic f is certified to be that group, and monomial_orbits
+    may read f's monomials off it; else None.  A quadratic's is S2 when it
+    is a unit, constant term +-1, and not cyclotomic: its roots l, l' then
+    have l^j != l'^j for every j > 0, as |l| = |l'| = 1 would make l a root
+    of unity (Kronecker).  A cubic's is S3 unless its discriminant is a
+    square (A3).  A quartic's is A4 or S4 when its resolvent cubic has no
+    rational root, hence no integer root, as the discriminant is a square or
+    not (with a root D4, C4 or V4; Kappe-Warren 1989).  A palindromic quartic
+    x^4 + a x^3 + b x^2 + a x + 1 is x^2 g(x + 1/x), g = y^2 + a y + b - 2 of
+    discriminant D = a^2 - 4b + 8, and its roots l, 1/l, m, 1/m have
+    (l - 1/l)^2 (m - 1/m)^2 = f(1) f(-1) = N, so its group, which keeps the
+    pairs {l, 1/l} and {m, 1/m}, is all of D4, of order 8, unless D, N or
+    D N is a square."""
+    if f.degree == 2:
+        return "S2" if f.constant in (1, -1) and cyclotomic_index(f) is None else None
     if f.degree == 3:
         return None if _is_square(_discriminant(f)) else "S3"
     if f.degree != 4:
         return None
     resolvent = _resolvent_cubic(f)
     if not _integer_roots(resolvent):
-        return None if _is_square(_discriminant(resolvent)) else "S4"
+        return "A4" if _is_square(_discriminant(resolvent)) else "S4"
     e, c, b, a, _ = f.coeffs
     if e == 1 and c == a:
         d, n = a * a - 4 * b + 8, f(1) * f(-1)
@@ -846,40 +884,93 @@ def galois_certificate(f: Poly) -> str | None:
 _ORBIT_PRIME = 2 ** 31 - 1  # the squarefree test of an orbit polynomial
 
 
-def monomial_orbits(f: Poly, degree: int) -> list[Poly]:
+def monomial_orbits(f: Poly, degree: int) -> dict[tuple[int, ...], Poly]:
     """Irreducible polynomials whose roots are the monomials of the given
     degree in the roots l_1..l_d of an irreducible monic f, one per Galois
-    orbit of monomials, as far as galois_certificate(f) names the group; []
-    when it names none.  The group acts transitively on an orbit, so an orbit
-    polynomial with distinct roots is the minimal polynomial of each; one
-    that is not squarefree mod _ORBIT_PRIME is left out.
+    orbit of monomials, as far as galois_certificate(f) names the group, keyed
+    by the orbit; {} when it names none.  The group acts transitively on an
+    orbit, so an orbit polynomial with distinct roots is the minimal
+    polynomial of each; one that is not squarefree mod _ORBIT_PRIME is left
+    out, as is an S4 orbit that A4 splits.
 
     Under S_d the orbits are the exponent types, the partitions pi of the
-    degree into at most d parts, and the j-th power sum of Q_pi is the
-    monomial symmetric function m_pi at l^j (_monomial_terms).  Under D4 the
-    roots are l^(+-1) and m^(+-1), a monomial is l^A m^B, and the orbit of
-    A >= B >= 0, A > 0, A + B <= degree and of its parity, has with
-    q_t = p_(jt)(f) the power sums q_A q_B - q_(A+B) - q_(A-B) (eight roots)
-    when A > B > 0, (q_A^2 - q_(2A) - 4) / 2 (four) when A = B, and q_A (four)
-    when B = 0."""
+    degree into at most d parts, the keys, and the j-th power sum of Q_pi is
+    the monomial symmetric function m_pi at l^j (_monomial_terms).  A4 keeps
+    the S4 orbit of an exponent vector with a repeated entry (a transposition
+    fixes it, and S4 = A4 u A4 (1 2)), which every vector of sum <= 5 over 4
+    roots has.  Under S2 the orbit of (a, b), a >= b, is {l^a l'^b, l^b l'^a}
+    with e = l l', so Q is x^2 - e^b p_(a-b)(f) x + e^(a+b) when a > b and
+    x - e^a when a = b, with distinct roots as the certificate says.  Under D4
+    the roots are l^(+-1) and m^(+-1), a monomial is l^A m^B, and the orbit of
+    A >= B >= 0, A > 0, A + B <= degree and of its parity, keyed (A, B), has
+    with q_t = p_(jt)(f) the power sums q_A q_B - q_(A+B) - q_(A-B) (eight
+    roots) when A > B > 0, (q_A^2 - q_(2A) - 4) / 2 (four) when A = B, and q_A
+    (four) when B = 0."""
     group = galois_certificate(f)
     if group is None:
-        return []
+        return {}
+    if group == "S2":
+        e, p = f.constant, power_sums(f, degree)
+        return {pi: Poly([-e ** a, 1]) if a == b else Poly([e ** (a + b), -e ** b * p[a - b], 1])
+                for pi in _partitions(degree, 2) for a, b in [(pi + (0, 0))[:2]]}
     if group == "D4":
-        orbit_sums = [_d4_orbit_sum(a, b)
-                      for a in range(1, degree + 1) for b in range(min(a, degree - a) + 1)
-                      if (a + b - degree) % 2 == 0]
+        keys = [(a, b) for a in range(1, degree + 1) for b in range(min(a, degree - a) + 1)
+                if (a + b - degree) % 2 == 0]
+        orbit_sums = [_d4_orbit_sum(a, b) for a, b in keys]
     else:
-        orbit_sums = [_s_orbit_sum(*_monomial_terms(pi)) for pi in _partitions(degree, f.degree)]
+        keys = [pi for pi in _partitions(degree, f.degree)
+                if group != "A4" or len(pi) != len(set(pi)) or len(pi) < 3]
+        orbit_sums = [_s_orbit_sum(*_monomial_terms(pi)) for pi in keys]
     # the 0-th power sum, read off p_0 = d, is the orbit's size
     sizes = [orbit_sum([f.degree], 0) for orbit_sum in orbit_sums]
     sums = power_sums(f, degree * max(sizes))
-    out = []
-    for size, orbit_sum in zip(sizes, orbit_sums):
+    out = {}
+    for key, size, orbit_sum in zip(keys, sizes, orbit_sums):
         q = poly_from_power_sums([orbit_sum(sums, j) for j in range(1, size + 1)])
         if _gcd_mod(q % _ORBIT_PRIME, q.derivative() % _ORBIT_PRIME, _ORBIT_PRIME).degree == 0:
-            out.append(q)
+            out[key] = q
     return out
+
+
+def mobius(n: int) -> int:
+    """The Mobius function: 0 unless n is squarefree, else (-1)^(number of
+    prime factors)."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+@functools.cache
+def cyclotomic(d: int) -> Poly:
+    """Phi_d, whose roots are the primitive d-th roots of unity, by Newton's
+    identities on their power sums, the Ramanujan sums
+    c_d(j) = sum over e | gcd(d, j) of mobius(d / e) e."""
+    return poly_from_power_sums(
+        [sum(mobius(d // e) * e for e in range(1, d + 1) if d % e == 0 and j % e == 0)
+         for j in range(1, _totient(d) + 1)])
+
+
+def _totient(d: int) -> int:
+    return sum(math.gcd(t, d) == 1 for t in range(1, d + 1))
+
+
+def cyclotomic_index(f: Poly) -> int | None:
+    """d when f is Phi_d, else None."""
+    return _cyclotomics(f.degree).get(f)
+
+
+@functools.cache
+def _cyclotomics(degree: int) -> dict[Poly, int]:
+    """Phi_d -> d for each d with phi(d) = degree, all d <= 2 degree^2, as
+    phi(d) >= sqrt(d / 2)."""
+    return {cyclotomic(d): d for d in range(1, 2 * degree * degree + 1)
+            if _totient(d) == degree}
 
 
 def _d4_orbit_sum(a: int, b: int):

@@ -3,12 +3,13 @@
 For a free group F_n the degree-k quotient is free abelian with a basis given
 by standard bracketings of Lyndon words of length k.  A basis is the tuple of
 its Lyndon words (lyndon_basis); the program never builds a bracketing as a
-group word, only its Lie polynomial, by one fold along the standard
-factorization, which splits a Lyndon word before its smallest proper suffix.
-A free-group endomorphism acts on the quotient by an integer matrix whose
-column j holds the coordinates of the image of the j-th basis bracket; for
-k = 1 this is the abelianization matrix M, for k = 2 the action on basic
-commutators [x_i, x_j], i < j.
+group word, only its Lie polynomial: that of l = uv, uv the standard
+factorization, which splits a Lyndon word before its smallest proper
+suffix, is the bracket of the polynomials of u and v, from the tables of
+lower degree.  A free-group endomorphism acts on the quotient by an integer
+matrix whose column j holds the coordinates of the image of the j-th basis
+bracket; for k = 1 this is the abelianization matrix M, for k = 2 the
+action on basic commutators [x_i, x_j], i < j.
 
 M alone fixes every level (Magnus-Karrass-Solitar, ch. 5).  The quotient is
 the degree-k part of the free Lie algebra, and phi acts by the Lie homomorphism
@@ -16,8 +17,8 @@ X_i -> sum_j M[j][i] X_j, [u, v] -> [image(u), image(v)].  So the levels are
 built in one pass from M up: the column of l = uv is sum_(p,q) col_u[p]
 col_v[q] [b_p, b_q], and the integer structure constants [b_p, b_q] depend
 only on the rank and the two degrees.  Each table is computed once by
-leading-monomial elimination, exact as the Lyndon-to-monomial change of basis
-is unitriangular in lex order.
+least-monomial elimination, exact as the Lyndon-to-monomial change of basis
+is unitriangular in lex order, and [b_q, b_p] = -[b_p, b_q] gives half of it.
 
 That action is L_k(M), the free Lie functor of M, so its characteristic
 polynomial needs no matrix, only char(M): Brandt's formula gives
@@ -31,26 +32,32 @@ power sums e_i p_j(f_i) (level_pieces).  Brandt's own formula is its
 one-block case, so level_pieces([(char(M), 1)], k) is [char L_k(M)], whole;
 every piece, and the Witt number, read one Mobius sum, _lie_traces.
 
-Every root of the piece of c is a monomial of degree c_i in the roots of
-each block f_i.  When char(M) is one block f of degree >= 3, of multiplicity
-1, beside blocks x - 1 and x + 1, and the Galois group of f is as large as
-its shape allows (exactalg.galois_certificate: S3, S4, or D4 for a
-palindromic quartic), those monomials fall into Galois orbits, and an orbit
-polynomial with distinct roots is irreducible: orbit_factors gives them for
-levels 2..top, with the signs the x + 1 blocks put on the roots, so that
-factor_over_Q finds the factors of a level-2 or level-3 piece by trial
-division and not by the modular route.
+Every root of char L_k(M) is a monomial l^alpha in the roots l_1..l_n of
+char(M), counted with multiplicity, of multiplicity the multigraded Witt
+number W(alpha), the dimension of that multidegree of the free Lie algebra
+(Reutenauer, Free Lie Algebras, 1993).  So when the blocks of char(M) pin
+down which monomials are conjugate, the factors of a level are known
+before any piece is built: level_factors groups the alpha by the
+irreducible polynomial of l^alpha, when every block is cyclotomic (the
+class is the order of a root of unity), or when one block f of
+multiplicity 1 has a group that exactalg.galois_certificate names (S2, S3,
+S4, A4, or D4 for a palindromic quartic) beside blocks x - 1 and x + 1
+(the class is a Galois orbit of monomials in f's roots, with the sign the
+x + 1 blocks put on it, and exactalg.monomial_orbits gives its polynomial).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from functools import cache
 
 from ._record import Record
 from . import exactalg
-from .exactalg import IntMatrix, Poly, monomial_orbits, poly_from_power_sums, power_sums
+from .exactalg import (IntMatrix, Poly, cyclotomic, mobius, monomial_orbits, poly_from_power_sums,
+                       power_sums)
 from .freegroup import FreeMap, verify_automorphism
 
 Monomial = tuple[int, ...]  # a Lyndon word, or a monomial of a Lie polynomial
@@ -89,10 +96,10 @@ def _brandt_terms(c: tuple[int, ...]) -> tuple[tuple[int, int, tuple[tuple[int, 
     drops the others): d, mu(d) (k/d)! / prod (c_i/d)!, and (i, c_i/d) for
     each block i with c_i > 0."""
     k, g = sum(c), math.gcd(*c)
-    return tuple((d, _mobius(d) * math.factorial(k // d)
+    return tuple((d, mobius(d) * math.factorial(k // d)
                   // math.prod(math.factorial(ci // d) for ci in c),
                   tuple((i, ci // d) for i, ci in enumerate(c) if ci))
-                 for d in range(1, g + 1) if g % d == 0 and _mobius(d))
+                 for d in range(1, g + 1) if g % d == 0 and mobius(d))
 
 
 def _piece(block_sums, c) -> Poly:
@@ -132,29 +139,121 @@ def _shapes(dims, k: int) -> list[tuple[tuple[int, ...], int]]:
             if (degree := next(_lie_traces(dims, c)))]
 
 
-def orbit_factors(blocks, top: int) -> list[Poly]:
-    """Irreducible factors of the pieces of the levels k = 2..top read off
-    Galois orbits, when char(M) has one block f of degree >= 2, of
-    multiplicity 1, every other block is x - r, r = +-1, and
-    galois_certificate(f) names Gal(f); [] otherwise.  The roots of the piece
-    of composition c are s l^a, l^a a monomial of degree c_f in f's roots and
-    s = prod r^(c_r), so the monomial_orbits of degree c_f, each built once,
-    with roots scaled by s are irreducible candidates for its factors,
-    certified, not merely likely."""
-    nonlinear = [i for i, (f, _) in enumerate(blocks) if f.degree >= 2]
-    if len(nonlinear) != 1 or blocks[nonlinear[0]][1] != 1:
-        return []
-    i = nonlinear[0]
-    f = blocks[i][0]
-    if exactalg.galois_certificate(f) is None:  # looked up as monomial_orbits does
-        return []
-    roots = [-g.constant for g, _ in blocks]  # r of each x - r; f's is unused
-    dims = [[e * g.degree] for g, e in blocks]
-    scaled = {(c[i], math.prod(r ** cj for j, (r, cj) in enumerate(zip(roots, c)) if j != i))
-              for k in range(2, top + 1) for c, _ in _shapes(dims, k) if c[i]}
-    orbits = {degree: monomial_orbits(f, degree) for degree in {d for d, _ in scaled}}
-    return [Poly(a * s ** (q.degree - j) for j, a in enumerate(q.coeffs))
-            for degree, s in sorted(scaled) for q in orbits[degree]]
+def level_factors(blocks, degrees) -> dict[int, dict[Poly, int]]:
+    """The irreducible factors of char L_k(M), with their multiplicities, for
+    each k in degrees that the eigenvalue classes of char(M) = prod f^e
+    give, blocks the (f, e) pairs of its irreducible monic f; {} when they
+    fit neither frame below, and a k whose classes need an orbit that
+    monomial_orbits left out is missing too.
+
+    L_k(M) has the characteristic polynomial of L_k of the diagonal matrix of
+    char(M)'s roots l_1..l_n, counted with multiplicity: prod over alpha in
+    N^n, |alpha| = k, of (x - l^alpha)^W(alpha) (_witt_vectors).  The roots
+    of one irreducible q fall into one class of exponent vectors, and the
+    class's W(alpha) add up to deg q times q's multiplicity.  A class is read
+    off the exponents (_root_classes) in two frames:
+
+    A  every f is cyclotomic, f = Phi_d: its roots are z^(N t / d), z a
+       primitive N-th root of unity, N the lcm of the d, t prime to d, so
+       l^alpha is z^m, the root of Phi_(N / gcd(m, N));
+    B  one f has multiplicity 1 and a group galois_certificate names, the
+       others are x - r, r = +-1: l^alpha is s times a monomial in f's
+       roots, s the product of the r^(alpha_r), whose Galois orbit is keyed as
+       in monomial_orbits, and q is that orbit's polynomial with its roots
+       times s; a monomial 1 gives x - s.
+    """
+    root_class = _root_classes(blocks) if degrees else None
+    if root_class is None:
+        return {}
+    n = sum(f.degree * e for f, e in blocks)
+    out = {}
+    for k in degrees:
+        totals: dict[Poly, int] = {}
+        for alpha, w in _witt_vectors(n, k):
+            q = root_class(alpha)
+            if q is None:
+                break
+            totals[q] = totals.get(q, 0) + w
+        else:
+            out[k] = {q: total // q.degree for q, total in totals.items()}
+    return out
+
+
+def _root_classes(blocks):
+    """The function alpha -> irreducible polynomial of l^alpha, or None for
+    an orbit monomial_orbits left out, when char(M)'s blocks fit frame A or
+    B of level_factors; else None.  The roots of each block f^e take
+    f.degree * e consecutive positions of alpha, in the order of blocks."""
+    nonlinear = [(f, e) for f, e in blocks if f.degree >= 2]
+    if (len(nonlinear) == 1 and nonlinear[0][1] == 1
+            and all(f.constant in (1, -1) for f, _ in blocks if f.degree == 1)):
+        f = nonlinear[0][0]
+        group = exactalg.galois_certificate(f)
+        if group is not None:
+            return _orbit_classes(blocks, f, group)
+    indices = [exactalg.cyclotomic_index(f) for f, _ in blocks]
+    if None in indices:
+        return None
+    top = math.lcm(*indices)
+    exponents = [top // d * t for d, (_, e) in zip(indices, blocks)
+                 for t in range(1, d + 1) if math.gcd(t, d) == 1 for _ in range(e)]
+    return lambda alpha: cyclotomic(top // math.gcd(top, sum(map(operator.mul, alpha, exponents))))
+
+
+def _orbit_classes(blocks, f: Poly, group: str):
+    """Frame B of level_factors.  Under D4 f's roots take their positions in
+    the order l, 1/l, m, 1/m, so that l^gamma on them is l^A m^B."""
+    minus, start = [], 0  # the positions of the roots -1, and where f's begin
+    for g, e in blocks:
+        if g == f:
+            roots = slice(start, start + f.degree)
+        elif g.constant == 1:  # x + 1
+            minus += range(start, start + e)
+        start += g.degree * e
+    orbits: dict[int, dict] = {}  # monomial_orbits by degree, each built once
+    classes: dict[tuple, Poly | None] = {}
+
+    def root_class(alpha):
+        s = (-1) ** sum(alpha[i] for i in minus)
+        gamma = alpha[roots]
+        if group == "D4":
+            key = tuple(sorted((abs(gamma[0] - gamma[1]), abs(gamma[2] - gamma[3])),
+                               reverse=True))
+            key = key if key[0] else ()
+        else:
+            key = tuple(sorted(filter(None, gamma), reverse=True))
+        if (key, s) not in classes:
+            if not key:  # the monomial 1
+                q = Poly([-1, 1])
+            else:
+                degree = sum(gamma)
+                if degree not in orbits:
+                    orbits[degree] = monomial_orbits(f, degree)
+                q = orbits[degree].get(key)
+            classes[key, s] = q if q is None else Poly(
+                a * s ** (q.degree - j) for j, a in enumerate(q.coeffs))
+        return classes[key, s]
+    return root_class
+
+
+@cache
+def _witt_vectors(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(alpha, W(alpha)) for each alpha in N^n with |alpha| = k and
+    W(alpha) = (1/k) sum_{d | gcd alpha} mu(d) (k/d)! / prod (alpha_i/d)! > 0,
+    the dimension of the part of multidegree alpha of the free Lie algebra
+    on n letters: the sum of the coefficients of _brandt_terms(alpha), over
+    k.  W depends on alpha's entries alone, so it is found once per sorted
+    alpha; alpha runs over the placements of n - 1 bars among k + n - 1 slots."""
+    weights: dict[tuple[int, ...], int] = {}
+    out = []
+    for bars in itertools.combinations(range(k + n - 1), n - 1):
+        alpha = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, k + n - 1)))
+        shape = tuple(sorted(alpha))
+        if shape not in weights:
+            weights[shape] = sum(coeff for _, coeff, _ in _brandt_terms(shape)) // k
+        if weights[shape]:
+            out.append((alpha, weights[shape]))
+    return tuple(out)
 
 
 def _compositions(k: int, r: int):
@@ -167,33 +266,12 @@ def _compositions(k: int, r: int):
             yield (first, *rest)
 
 
-def _mobius(n: int) -> int:
-    mu, p = 1, 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return mu
-
-
 def _standard_factorization(lw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a Lyndon word of length >= 2 before its longest proper Lyndon
     suffix, which is its lexicographically smallest proper suffix (Viennot,
     1978; Reutenauer, Free Lie Algebras, 1993)."""
     i = min(range(1, len(lw)), key=lambda i: lw[i:])
     return lw[:i], lw[i:]
-
-
-def _fold(lw: tuple[int, ...], leaf, node):
-    """Standard bracketing of a Lyndon word with leaf(i) at each letter i and
-    node(left, right) at each bracket of its standard factorization."""
-    if len(lw) == 1:
-        return leaf(lw[0])
-    u, v = _standard_factorization(lw)
-    return node(_fold(u, leaf, node), _fold(v, leaf, node))
 
 
 def lyndon_basis(n: int, k: int) -> tuple[Monomial, ...]:
@@ -227,26 +305,31 @@ class QuotientAction(Record):
 
 def _lie_coordinates(part: dict[Monomial, int], basis: tuple[Monomial, ...],
                      basis_parts: tuple[dict[Monomial, int], ...]) -> list[int]:
-    """Coordinates of a degree-k Lie element in the Lyndon basis.
+    """Coordinates of a degree-k Lie element in the Lyndon basis, basis in
+    lex order.
 
     The expansion of the bracketing of a Lyndon word l is l plus lex-greater
-    monomials, so eliminating in increasing lex order is exact; a nonzero
-    remainder would mean the input was not a Lie element with integer
-    coordinates and is an internal error.
+    monomials, so the least monomial of a nonzero Lie element is the least
+    Lyndon word with a nonzero coordinate, and its coefficient is that
+    coordinate; subtracting that multiple of the word's bracketing leaves
+    greater monomials only, and the residue empties.  A least monomial that is not a basis
+    word would mean the input was not a Lie element with integer coordinates
+    and is an internal error.
     """
     residue = dict(part)
-    coords = []
-    for lw, bpart in zip(basis, basis_parts):
-        c = residue.get(lw, 0)
-        coords.append(c)
-        if c:
-            for m, v in bpart.items():
-                nv = residue.get(m, 0) - c * v
-                if nv:
-                    residue[m] = nv
-                elif m in residue:
-                    del residue[m]
-    assert not residue, "degree-k part is not an integral Lie element"
+    coords = [0] * len(basis)
+    while residue:
+        lw = min(residue)
+        i = bisect.bisect_left(basis, lw)
+        assert i < len(basis) and basis[i] == lw, \
+            "degree-k part is not an integral Lie element"
+        c = coords[i] = residue[lw]
+        for m, v in basis_parts[i].items():
+            nv = residue.get(m, 0) - c * v
+            if nv:
+                residue[m] = nv
+            else:
+                del residue[m]
     return coords
 
 
@@ -262,28 +345,55 @@ def _lie_bracket(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomia
 
 @cache
 def _basis_parts(n: int, k: int) -> tuple[tuple[Monomial, ...], tuple[dict[Monomial, int], ...]]:
-    """The basis and each bracket's Lie polynomial; shared, so never mutate them."""
+    """The basis and each bracket's Lie polynomial; shared, so never mutate
+    them.  The bracket of l = uv, uv its standard factorization, is
+    [bracket of u, bracket of v], both from the tables of lower degree."""
     basis = lyndon_basis(n, k)
-    return basis, tuple(_fold(lw, lambda i: {(i,): 1}, _lie_bracket) for lw in basis)
+    if k == 1:
+        return basis, tuple({lw: 1} for lw in basis)
+    return basis, tuple(_lie_bracket(_bracket(n, u), _bracket(n, v))
+                        for u, v in map(_standard_factorization, basis))
+
+
+@cache
+def _index(n: int, k: int) -> dict[Monomial, int]:
+    """Each degree-k basis word's index in the basis."""
+    return {lw: i for i, lw in enumerate(_basis_parts(n, k)[0])}
+
+
+def _bracket(n: int, lw: Monomial) -> dict[Monomial, int]:
+    """The Lie polynomial of a basis word's bracketing, from its table."""
+    return _basis_parts(n, len(lw))[1][_index(n, len(lw))[lw]]
 
 
 @cache
 def _splits(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Each degree-k basis word's standard factorization uv, k >= 2, as
     (len u, index of u, index of v), each index in the basis of its degree."""
-    index = {lw: i for d in range(1, k) for i, lw in enumerate(_basis_parts(n, d)[0])}
-    return tuple((len(u), index[u], index[v])
+    return tuple((len(u), _index(n, len(u))[u], _index(n, len(v))[v])
                  for u, v in map(_standard_factorization, _basis_parts(n, k)[0]))
 
 
 @cache
 def _structure(n: int, i: int, j: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """Structure constants: table[p][q] holds the nonzero (r, c) with
-    [b_p, b_q] = sum c b_r, for b_p, b_q, b_r in the degree-i, -j and -(i+j) bases."""
+    [b_p, b_q] = sum c b_r, for b_p, b_q, b_r in the degree-i, -j and -(i+j)
+    bases.  [b_q, b_p] = -[b_p, b_q], so a table with i > j is the negated
+    transpose of the one with i and j swapped, and one with i = j is built
+    above its diagonal only, which [b, b] = 0 leaves empty."""
+    if i > j:
+        return tuple(zip(*(tuple(tuple((r, -c) for r, c in entries) for entries in row)
+                           for row in _structure(n, j, i))))
     basis, parts = _basis_parts(n, i + j)
-    return tuple(tuple(tuple((r, c) for r, c in enumerate(
-        _lie_coordinates(_lie_bracket(a, b), basis, parts)) if c)
-        for b in _basis_parts(n, j)[1]) for a in _basis_parts(n, i)[1])
+    left, right = _basis_parts(n, i)[1], _basis_parts(n, j)[1]
+    table = [[()] * len(right) for _ in left]
+    for p, a in enumerate(left):
+        for q in range(p + 1 if i == j else 0, len(right)):
+            coords = _lie_coordinates(_lie_bracket(a, right[q]), basis, parts)
+            table[p][q] = tuple((r, c) for r, c in enumerate(coords) if c)
+            if i == j:
+                table[q][p] = tuple((r, -c) for r, c in table[p][q])
+    return tuple(map(tuple, table))
 
 
 def abelianized(phi: FreeMap) -> IntMatrix:

@@ -4,11 +4,12 @@ A knot record carries the monodromy map phi (the t-conjugation on the fiber
 free group).  The analyzer checks once that phi is an automorphism (by its
 inverse images, or by folding its images: freegroup.verify_automorphism),
 and takes char(M) of M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
-polynomial is read from it by lcs.level_pieces (Brandt, Newton), one piece
-per composition of the level's degree over the factor blocks f^e of char(M)
-that level 0's factor report gives, and each piece is factored on its own:
-one rule for every level.  It factors each level over Q, counts positive
-real roots exactly, and combines these rules in the order R1, R2, R4, R3, R5:
+factors are read from it: off the classes of the monomials in its roots
+at levels 2 and 3 when its blocks fit a frame (see below), else from
+lcs.level_pieces (Brandt, Newton), one piece per composition of the
+level's degree over the factor blocks f^e of char(M) that level 0's factor
+report gives, each piece factored on its own.  It counts positive real
+roots exactly, and combines these rules in the order R1, R2, R4, R3, R5:
 
   R1  fibered and char(M) has no positive real root      -> NOT_BIORDERABLE
   R2  char(M) has no rational root and some irreducible
@@ -30,20 +31,22 @@ root counts, passed to factor_over_Q at every level: each piece is divided
 by them first, and only what is left is factored and gets root counts:
 one Sturm chain per factor of degree >= 4, while degree <= 3 is read off
 the discriminant and Descartes' rule.  The record is made by analyze and
-dropped with it.  When the analysis reaches level 2, analyze enters once
-in the record, with no root counts, the lcs.orbit_factors of every level
-it takes: the Galois orbits of the monomials in char(M)'s roots, which
-factor the level pieces by trial division when char(M)'s group is large
-enough, and get root counts only when they divide.
+dropped with it.  At levels 2 and 3 the factors are often known before any
+piece is built: when char(M)'s blocks fit a frame of lcs.level_factors
+(every block cyclotomic, or one block with a certified Galois group beside
+x -+ 1 blocks), each level's irreducible factors and multiplicities are
+read off the classes of the monomials in char(M)'s roots, and
+exactalg.factor_report takes them, with the root counts of the record, and
+no piece is built or divided.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .exactalg import FactorReport, Poly, char_poly, factor_over_Q
+from .exactalg import FactorReport, Poly, char_poly, factor_over_Q, factor_report
 from .freegroup import NotAnAutomorphismError, verify_automorphism
-from .lcs import (DEGREE_CAP, QuotientAction, abelianized, level_pieces,
-                  orbit_factors, quotient_actions, witt_number)
+from .lcs import (DEGREE_CAP, QuotientAction, abelianized, level_factors, level_pieces,
+                  quotient_actions, witt_number)
 from .presentation import KnotRecord
 
 NOT_BIORDERABLE = "NOT_BIORDERABLE"
@@ -100,12 +103,17 @@ class AnalysisReport(Record):
     verdict: Verdict
 
 
-def level_report(action: QuotientAction, level: int, pieces: list[Poly],
-                 known: dict) -> LevelReport:
-    """The level's factor report, from pieces whose product is its
-    characteristic polynomial, and its action for display; known is the
-    analysis's record of irreducibles (see factor_over_Q), which it extends."""
-    return LevelReport(level, action, factor_over_Q(*pieces, known=known))
+def level_report(action: QuotientAction, level: int, known: dict,
+                 pieces: list[Poly] | tuple[Poly, ...] = (),
+                 factors: dict[Poly, int] | None = None) -> LevelReport:
+    """The level's factor report, and its action for display: from factors,
+    its irreducible factors and their multiplicities, when given
+    (lcs.level_factors), else from pieces whose product is its
+    characteristic polynomial; known is the analysis's record of
+    irreducibles (see factor_over_Q), which it extends."""
+    report = (factor_over_Q(*pieces, known=known) if factors is None
+              else factor_report(factors, known))
+    return LevelReport(level, action, report)
 
 
 def combine_rules(premises: dict[str, bool | None], max_level: int) -> Verdict:
@@ -148,14 +156,17 @@ def analyze(record: KnotRecord, max_level: int = 1,
     m = abelianized(record.phi)
     actions = quotient_actions(m, max_level + 1)
     known: dict = {}  # irreducibles found so far -> root counts, for this analysis only
-    levels = [level_report(actions[0], 0, [char_poly(m)], known)]
+    levels = [level_report(actions[0], 0, known, [char_poly(m)])]
     char_m = levels[0].factors
     blocks = [(f.poly, f.multiplicity) for f in char_m.factors]
-    if max_level >= 2:  # no part of a level-1 piece reaches the modular route at rank <= 4
-        for q in orbit_factors(blocks, max_level + 1):
-            known.setdefault(q, None)
+    # the factors of each level >= 2 (degree k = level + 1) that char(M)'s
+    # eigenvalue classes give
+    framed = level_factors(blocks, range(3, max_level + 2))
     for lv in range(1, max_level + 1):
-        levels.append(level_report(actions[lv], lv, level_pieces(blocks, lv + 1), known))
+        if lv + 1 in framed:
+            levels.append(level_report(actions[lv], lv, known, factors=framed[lv + 1]))
+        else:
+            levels.append(level_report(actions[lv], lv, known, level_pieces(blocks, lv + 1)))
     # positive roots of char(M), counted with multiplicity
     positive = sum(f.multiplicity * f.positive_real_roots for f in char_m.factors)
     premises: dict[str, bool | None] = {

@@ -23,10 +23,12 @@ a remainder is nonzero (_factor_canonical tests f(1) and f(-1) by
 coefficient sums first), a unit cofactor of degree <= 4, or the exterior
 square of a unit quartic in the record, goes through Yun's algorithm and its
 parts of degree >= 4 through the modular route (_factor_canonical reads them
-in closed form, or divides them by the Galois orbit polynomials that an
-analysis enters in its record, which an oracle run leaves out by patching
-verdict.orbit_factors), the
-inverse-image check
+in closed form), a level's factors come from its pieces (an analysis reads
+them off the eigenvalue classes of char(M) when it can, which an oracle run
+turns off by patching verdict.level_factors), the Lie tables fold each
+Lyndon word from its letters and scan the whole basis (lcs brackets the
+cached parts of a standard factorization and eliminates by least monomial),
+the inverse-image check
 compares each phi(psi(x)) with a letter() Word, and a map that is not onto
 is shown by a map to S_3 or S_4 that shrinks its images' group, read off
 Word.letters alone (verify_automorphism folds the images).
@@ -49,7 +51,7 @@ from biorder.exactalg import (FactorReport, IntMatrix, Poly, SturmChain,
 from biorder.freegroup import (FreeMap, GeneratorRangeError, Word, apply_map,
                                commutator, compose, identity, invert, iterate_map,
                                letter, multiply, parse_word, power, random_word)
-from biorder.lcs import _fold
+from biorder.lcs import _lie_bracket, _standard_factorization, lyndon_basis
 from biorder.magnus import LowestTerm, Series, expand, lowest_term
 from biorder.orderprops import GT, Pair, semidirect_compare
 
@@ -285,8 +287,9 @@ def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
     algorithm: x - 1 and x + 1 and the known irreducibles divided off, then
     the squarefree parts of what is left, one of degree <= 3 of a unit
     cofactor taken as irreducible and every other one factored mod p.  An
-    analysis enters its Galois orbit polynomials in known, so a check of
-    the orbit route patches verdict.orbit_factors to return [] first."""
+    analysis reads its framed levels off eigenvalue classes, with no
+    factoring, so a check of every level patches verdict.level_factors to
+    return {} first."""
     factors = []
     for root, mult in zip((1, -1), unit_root_multiplicities_by_division(rest)):
         if mult:
@@ -312,6 +315,44 @@ def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
     return factors
 
 
+def fold(lw: tuple[int, ...], leaf, node):
+    """Standard bracketing of a Lyndon word with leaf(i) at each letter i and
+    node(left, right) at each bracket of its standard factorization."""
+    if len(lw) == 1:
+        return leaf(lw[0])
+    u, v = _standard_factorization(lw)
+    return node(fold(u, leaf, node), fold(v, leaf, node))
+
+
+def basis_parts_by_fold(n: int, k: int) -> tuple:
+    """lcs._basis_parts(n, k), each bracket folded from its letters."""
+    basis = lyndon_basis(n, k)
+    return basis, tuple(fold(lw, lambda i: {(i,): 1}, _lie_bracket) for lw in basis)
+
+
+def lie_coordinates_by_scan(part: dict, basis, parts) -> list[int]:
+    """Coordinates of a Lie element, eliminating along the whole basis in
+    lex order."""
+    residue = dict(part)
+    coords = []
+    for lw, bpart in zip(basis, parts):
+        c = residue.get(lw, 0)
+        coords.append(c)
+        for m, v in bpart.items():
+            residue[m] = residue.get(m, 0) - c * v
+        residue = {m: v for m, v in residue.items() if v}
+    assert not residue
+    return coords
+
+
+def structure_by_scan(n: int, i: int, j: int) -> tuple:
+    """lcs._structure(n, i, j), each of the bracket pairs eliminated on its own."""
+    basis, parts = basis_parts_by_fold(n, i + j)
+    return tuple(tuple(tuple((r, c) for r, c in enumerate(
+        lie_coordinates_by_scan(_lie_bracket(a, b), basis, parts)) if c)
+        for b in basis_parts_by_fold(n, j)[1]) for a in basis_parts_by_fold(n, i)[1])
+
+
 # ---------------------------------------------------------------------------
 # reference forms of the probe hot path
 # ---------------------------------------------------------------------------
@@ -319,13 +360,13 @@ def factor_canonical_by_yun(rest: Poly, known) -> list[tuple[Poly, int]]:
 def standard_bracketing(lw: tuple[int, ...], rank: int) -> Word:
     """Nested commutator word of a Lyndon word, bracketed along its standard
     factorization recursively."""
-    return _fold(lw, lambda i: letter(rank, i), commutator)
+    return fold(lw, lambda i: letter(rank, i), commutator)
 
 
 def bracket_name(lw: tuple[int, ...], names) -> str:
     """Display name of a basis element, as [a,[a,b]]: its standard bracketing
     with generator names at the letters."""
-    return _fold(lw, names.__getitem__, lambda a, b: f"[{a},{b}]")
+    return fold(lw, names.__getitem__, lambda a, b: f"[{a},{b}]")
 
 
 def apply_map_by_fold(phi: FreeMap, w: Word) -> Word:
@@ -664,6 +705,12 @@ def torus_monodromy(p: int, q: int) -> FreeMap:
     gens = [(i, j) for i in range(1, p) for j in range(1, q)]
     return FreeMap(rank, tuple(word(loop(i, j), 1) for i, j in gens),
                    tuple(word(back + loop(i, j) + delta, -1) for i, j in gens))
+
+
+# The unit quartics x^4 + a x^3 + b x^2 + c x + e, a, b, c in -6..6, whose
+# Galois group is A4, found by a scan with sympy.
+A4_UNIT_QUARTICS = (Poly([1, 2, 3, -3, 1]), Poly([1, 3, 3, -2, 1]), Poly([1, -3, 3, 2, 1]),
+                    Poly([1, -2, 3, 3, 1]))
 
 
 def companion_map(blocks) -> FreeMap:

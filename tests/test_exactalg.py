@@ -22,7 +22,7 @@ from biorder.exactalg import (IntMatrix, NonSquarefreeError, Poly, SturmChain,
 from biorder.lcs import abelianized, level_pieces
 from biorder.presentation import KnotRecord
 from biorder.verdict import analyze
-from helpers import (_gfp_divmod, bareiss_det, brandt_level_char_poly,
+from helpers import (A4_UNIT_QUARTICS, _gfp_divmod, bareiss_det, brandt_level_char_poly,
                      cofactor_char_poly, companion_map, count_negative_roots,
                      count_positive_roots, count_real_roots, divmod_q,
                      explicit_power_traces, faddeev_leverrier_char_poly, from_rows,
@@ -957,10 +957,9 @@ class TestExteriorSquare:
 
 
 # Irreducible quartics of the rarer groups, found by a scan with sympy: A4
-# (the unit quartics with a, b, c in -6..6, and x^4 - 8x + 12), and C4
-# among the palindromic x^4 + a x^3 + b x^2 + a x + 1 with a, b in -12..12.
-A4_QUARTICS = (Poly([1, 2, 3, -3, 1]), Poly([1, 3, 3, -2, 1]), Poly([1, -3, 3, 2, 1]),
-               Poly([1, -2, 3, 3, 1]), Poly([12, -8, 0, 0, 1]))
+# (the unit quartics of helpers, and x^4 - 8x + 12), and C4 among the
+# palindromic x^4 + a x^3 + b x^2 + a x + 1 with a, b in -12..12.
+A4_QUARTICS = (*A4_UNIT_QUARTICS, Poly([12, -8, 0, 0, 1]))
 C4_PALINDROMIC = tuple(Poly([1, a, b, a, 1])
                        for a, b in ((-4, -11), (-1, -9), (-1, 1), (1, -9), (1, 1), (4, -11)))
 # x^3 - x^2 - 2x + 1 (roots 2 cos(2 pi k / 7) - 1), the A3 block of a
@@ -975,10 +974,10 @@ def _shanks_cubic(a: int) -> Poly:
 
 
 class TestGaloisCertificate:
-    """galois_certificate names S3, S4, or D4 for a palindromic quartic,
-    exactly when sympy's galois_group finds that group, and no group for a
-    quadratic; the orbit polynomials it licenses are the minimal polynomials
-    of the monomials."""
+    """galois_certificate names S3, S4, A4, or D4 for a palindromic quartic,
+    exactly when sympy's galois_group finds that group, and S2 for a unit
+    quadratic that is not cyclotomic; the orbit polynomials it licenses are
+    the minimal polynomials of the monomials."""
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -1002,8 +1001,11 @@ class TestGaloisCertificate:
                 continue
             name = sympy.galois_group(p, by_name=True)[0].name
             palindromic = f.degree == 4 and f.coeffs == f.coeffs[::-1]
-            expected = name if name in ("S3", "S4") or (name, palindromic) == ("D4", True) \
-                else None
+            # a quadratic's certificate needs distinct orbit roots: a unit
+            # that is not x^2 + 1 or x^2 +- x + 1, whose roots are roots of unity
+            cyclotomic = f.coeffs in ((1, 0, 1), (1, 1, 1), (1, -1, 1))
+            expected = name if name in ("S3", "S4", "A4") or (name, palindromic) == ("D4", True) \
+                or (name == "S2" and f.constant in (1, -1) and not cyclotomic) else None
             assert exactalg.galois_certificate(f) == expected, (f, name)
             groups[name, palindromic] += 1
         assert {name for name, _ in groups} == {"S2", "A3", "S3", "A4", "S4", "D4", "C4", "V"}
@@ -1026,8 +1028,9 @@ class TestGaloisCertificate:
             c_matrix = abelianized(companion_map([f]))
             d = f.degree
             for c in range(1, 5):
-                orbits = exactalg.monomial_orbits(f, c)
-                assert len(orbits) == sum(1 for _ in exactalg._partitions(c, d)), (f, c)
+                keyed = exactalg.monomial_orbits(f, c)
+                assert list(keyed) == list(exactalg._partitions(c, d)), (f, c)
+                orbits = list(keyed.values())
                 product = math.prod(orbits[1:], start=orbits[0])
                 assert product.degree == math.comb(c + d - 1, d - 1)
                 power = c_matrix
@@ -1052,7 +1055,7 @@ class TestGaloisCertificate:
         f = Poly([1, 1, 1, 1, 1])
         assert exactalg.galois_certificate(f) is None
         monkeypatch.setattr(exactalg, "galois_certificate", lambda g: "S4")
-        assert exactalg.monomial_orbits(f, 2) == [f]
+        assert exactalg.monomial_orbits(f, 2) == {(2,): f}
 
     def test_a_wrong_certificate_shows_in_the_report(self, monkeypatch):
         sympy = pytest.importorskip("sympy")

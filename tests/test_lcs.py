@@ -18,10 +18,10 @@ from biorder.freegroup import (FreeMap, NotAnAutomorphismError,
 from biorder.lcs import (abelianized, lcs_action, level_pieces, lyndon_basis,
                          quotient_actions, witt_number, _lie_coordinates)
 from biorder.magnus import expand, lowest_term
-from helpers import (W, bareiss_det, brandt_level_char_poly, companion_map,
-                     count_real_roots, divmod_q, faddeev_leverrier_char_poly, from_rows,
-                     identity_matrix, random_automorphism, standard_bracketing,
-                     torus_monodromy)
+from helpers import (W, bareiss_det, basis_parts_by_fold, brandt_level_char_poly,
+                     companion_map, count_real_roots, divmod_q, faddeev_leverrier_char_poly,
+                     from_rows, identity_matrix, random_automorphism, standard_bracketing,
+                     structure_by_scan, torus_monodromy)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -317,6 +317,17 @@ class TestStructureConstants:
     identities and against the Magnus expansion of group commutators."""
 
     PAIRS = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i + j <= lcs.DEGREE_CAP]
+
+    def test_tables_match_fold_and_scan(self):
+        # each bracket from the cached parts of its factors, half of each
+        # table from the other half, and elimination by least monomial,
+        # against folding every word from its letters and eliminating
+        # along the whole basis
+        for n in (1, 2, 3, 4, 5):
+            for k in range(1, lcs.DEGREE_CAP + 1):
+                assert lcs._basis_parts(n, k) == basis_parts_by_fold(n, k), (n, k)
+            for i, j in self.PAIRS:
+                assert lcs._structure(n, i, j) == structure_by_scan(n, i, j), (n, i, j)
 
     def test_antisymmetric(self):
         for n in (2, 3, 4):

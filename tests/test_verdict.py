@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -25,7 +26,8 @@ from biorder.verdict import (AnalysisError, BIORDERABLE,
                              InconsistentPremisesError,
                              NO_OBSTRUCTION_FOUND, NOT_BIORDERABLE, analyze,
                              combine_rules)
-from helpers import (W, brandt_level_char_poly, cofactor_char_poly, companion_map,
+from helpers import (A4_UNIT_QUARTICS, W, brandt_level_char_poly, cofactor_char_poly,
+                     companion_map,
                      divmod_q, factor_canonical_by_yun,
                      random_automorphism, random_unimodular_matrix,
                      root_counts_by_sturm_chain, torus_monodromy)
@@ -424,6 +426,10 @@ class TestLevelWork:
         assert products == [record.rank] == [4]
 
     def test_every_level_is_split_by_the_factor_blocks_of_char_m(self, monkeypatch):
+        # levels 2 and 3 of the corpus fit a frame of level_factors (6_2 and
+        # 7_6 a D4 quartic, the trefoil Phi_6, the figure eight an S2
+        # quadratic), so only level 1 is built in pieces; with the frames
+        # off, every level is
         calls = []
         pieces = verdict.level_pieces
         monkeypatch.setattr(verdict, "level_pieces",
@@ -432,6 +438,13 @@ class TestLevelWork:
         def split_of(report):
             return [(f.poly, f.multiplicity) for f in report.levels[0].factors.factors]
 
+        frames = verdict.level_factors
+        for entry in corpus_entries():
+            calls.clear()
+            split = split_of(analyze(entry.record, max_level=3, max_degree=100))
+            assert calls == [(split, 2)], entry.name
+            assert sorted(frames(split, range(3, 5))) == [3, 4], entry.name
+        monkeypatch.setattr(verdict, "level_factors", lambda blocks, degrees: {})
         for entry in corpus_entries():
             calls.clear()
             split = split_of(analyze(entry.record, max_level=3, max_degree=100))
@@ -564,6 +577,8 @@ class TestLinearWork:
         monkeypatch.setattr(exactalg, "_divide_linear", counted)
         monkeypatch.setattr(exactalg.SturmChain, "build",
                             classmethod(lambda cls, p: built.append(p) or build(cls, p)))
+        # every level factored: framed levels divide nothing
+        monkeypatch.setattr(verdict, "level_factors", lambda blocks, degrees: {})
         multiplicity = 0
         for record, max_level, max_degree in _corpus_and_census_runs(119, 200):
             report = analyze(record, max_level=max_level, max_degree=max_degree)
@@ -592,8 +607,9 @@ class TestSmallCofactors:
         reports = [analyze(record, max_level=max_level, max_degree=max_degree)
                    for record, max_level, max_degree in runs]
         assert small == []
-        # every cofactor through Yun's algorithm and every count off a Sturm chain
-        monkeypatch.setattr(verdict, "orbit_factors", lambda blocks, top: [])
+        # every level factored, every cofactor through Yun's algorithm and
+        # every count off a Sturm chain
+        monkeypatch.setattr(verdict, "level_factors", lambda blocks, degrees: {})
         monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
         monkeypatch.setattr(exactalg, "_root_counts", root_counts_by_sturm_chain)
         for (record, max_level, max_degree), report in zip(runs, reports):
@@ -602,8 +618,8 @@ class TestSmallCofactors:
 
 
 def _char_m_shape(phi: FreeMap) -> str | None:
-    """"S3" when char(M) is x -+ 1 times a cubic with group S3, "S4" or "D4"
-    when it is one quartic with that certified group, else None."""
+    """"S3" when char(M) is x -+ 1 times a cubic with group S3, "S4", "A4" or
+    "D4" when it is one quartic with that certified group, else None."""
     blocks = [(f.poly, f.multiplicity)
               for f in factor_over_Q(char_poly(abelianized(phi))).factors]
     if [(f.degree, e) for f, e in blocks] in ([(1, 1), (3, 1)], [(4, 1)]):
@@ -621,6 +637,15 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 def _count_modular(monkeypatch) -> list:
     return _count_calls(monkeypatch, "_factor_squarefree")
+
+
+def _frames_off(monkeypatch):
+    """Every level of an analysis from its pieces, as before any frame."""
+    monkeypatch.setattr(verdict, "level_factors", lambda blocks, degrees: {})
+
+
+def _deepest_levels(record: KnotRecord) -> list[int]:
+    return [lv for lv in range(lcs.DEGREE_CAP) if lcs.witt_number(record.rank, lv + 1) <= 100]
 
 
 class TestOrbitRoute:
@@ -648,11 +673,11 @@ class TestOrbitRoute:
         calls = _count_modular(monkeypatch)
         reports = [analyze(record, max_level=3, max_degree=100) for record in runs]
         assert calls == []
-        # levels 2 and 3 are divided by the orbit polynomials, with no Yun pass
+        # levels 2 and 3 are read off the orbits, with no Yun pass
         assert len(yun) == level_1
         assert {_char_m_shape(knot("6_2").phi), _char_m_shape(knot("7_6").phi)} == {"D4"}
-        # the oracle divides by no orbit polynomial: none enters the record
-        monkeypatch.setattr(verdict, "orbit_factors", lambda blocks, top: [])
+        # the oracle factors every level from its pieces
+        _frames_off(monkeypatch)
         monkeypatch.setattr(exactalg, "_factor_canonical", factor_canonical_by_yun)
         for record, report in zip(runs, reports):
             assert analyze(record, max_level=3, max_degree=100) == report, record.name
@@ -678,10 +703,12 @@ class TestOrbitRoute:
             assert sorted(got) == sorted(expected), level.level
 
     def test_levels_0_and_1_build_no_orbits(self, monkeypatch):
-        built = []
-        build = verdict.orbit_factors
-        monkeypatch.setattr(verdict, "orbit_factors",
-                            lambda *args: built.append(args) or build(*args))
+        certified, degrees = [], []
+        certificate, orbits = exactalg.galois_certificate, lcs.monomial_orbits
+        monkeypatch.setattr(exactalg, "galois_certificate",
+                            lambda f: certified.append(f) or certificate(f))
+        monkeypatch.setattr(lcs, "monomial_orbits",
+                            lambda f, degree: degrees.append(degree) or orbits(f, degree))
         rng = random.Random(139)
         runs = [(entry.record, 100) for entry in corpus_entries()]
         runs += [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
@@ -689,30 +716,195 @@ class TestOrbitRoute:
         for record, max_degree in runs:
             for max_level in (0, 1):
                 analyze(record, max_level=max_level, max_degree=max_degree)
-        assert built == []
-        degrees = []
-        orbits = lcs.monomial_orbits
-        monkeypatch.setattr(lcs, "monomial_orbits",
-                            lambda f, degree: degrees.append(degree) or orbits(f, degree))
+        assert certified == degrees == []
         analyze(knot("6_2"), max_level=3, max_degree=100)
-        assert len(built) == 1  # once for levels 2 and 3
-        assert sorted(degrees) == [2, 3, 4]  # each degree built once
+        assert certified and sorted(degrees) == [3, 4]  # each degree built once
 
     def test_a_quadratic_block_needs_no_orbits(self, monkeypatch):
-        # beside x -+ 1 blocks, the roots of a level piece are +-l^a l'^b,
-        # a + b <= 4, and l l' = +-1 leaves at most 4 of them off +-1: every
-        # part is read in closed form, so a quadratic needs no certificate
+        # beside x -+ 1 blocks, a quadratic is cyclotomic (frame A) or a unit
+        # with group S2, whose orbit {l^a l'^b, l^b l'^a} has the polynomial
+        # x^2 - e^b p_(a-b) x + e^(a+b), e = l l': levels 2 and 3 build no
+        # piece, and no level takes the modular route
         rng = random.Random(149)
         calls = _count_modular(monkeypatch)
+        pieces = []
+        level_pieces = verdict.level_pieces
+        monkeypatch.setattr(verdict, "level_pieces",
+                            lambda blocks, k: pieces.append(k) or level_pieces(blocks, k))
+        runs = []
         for i in range(200):
             a, e = rng.choice([(a, e) for a in range(-6, 7) for e in (1, -1)
                                if (a, e) not in ((2, 1), (-2, 1), (0, -1))])
             linear = [Poly([rng.choice((1, -1)), 1]) for _ in range(i % 5)]
             record = KnotRecord(f"q{i}", companion_map([Poly([e, a, 1]), *linear]), True)
-            levels = [lv for lv in range(lcs.DEGREE_CAP)
-                      if lcs.witt_number(record.rank, lv + 1) <= 100]
-            analyze(record, max_level=levels[-1], max_degree=100)
+            runs.append((record, analyze(record, max_level=_deepest_levels(record)[-1],
+                                         max_degree=100)))
         assert calls == []
+        assert pieces and set(pieces) == {2}
+        _frames_off(monkeypatch)
+        for record, report in runs[::7]:
+            assert analyze(record, max_level=_deepest_levels(record)[-1],
+                           max_degree=100) == report, record
+
+
+# Phi_d for each d with phi(d) <= 4
+CYCLOTOMIC = tuple(exactalg.cyclotomic(d) for d in (1, 2, 3, 4, 5, 6, 8, 10, 12))
+FRAME_RANKS = {"S2": range(2, 7), "S3": range(3, 7), "S4": range(4, 7), "A4": range(4, 7),
+               "D4": range(4, 7), "cyclotomic": range(2, 7), "x-+1": range(2, 7)}
+
+
+def _irreducible(f: Poly) -> bool:
+    return [(g.poly, g.multiplicity) for g in factor_over_Q(f).factors] == [(f, 1)]
+
+
+def _frame_blocks(rng: random.Random, shape: str, rank: int) -> list[Poly]:
+    """Monic unit blocks of total degree rank whose product fits the shape:
+    one block of the certified group beside x -+ 1 blocks, cyclotomic blocks
+    only, at least one of them nonlinear, or x -+ 1 blocks only."""
+    def linear(count):
+        return [Poly([rng.choice((1, -1)), 1]) for _ in range(count)]
+
+    if shape == "x-+1":
+        return linear(rank)
+    if shape == "cyclotomic":
+        while True:
+            blocks = []
+            while (room := rank - sum(f.degree for f in blocks)):
+                blocks.append(rng.choice([f for f in CYCLOTOMIC if f.degree <= room]))
+            if any(f.degree >= 2 for f in blocks):
+                return blocks
+    degree = 2 if shape == "S2" else 3 if shape == "S3" else 4
+    if shape == "A4":
+        return [rng.choice(A4_UNIT_QUARTICS)] + linear(rank - degree)
+    for _ in range(1000):
+        if shape == "D4":
+            a, b = rng.randint(-8, 8), rng.randint(-8, 8)
+            f = Poly([1, a, b, a, 1])
+        else:
+            f = Poly([rng.choice((1, -1))] + [rng.randint(-6, 6) for _ in range(degree - 1)] + [1])
+        if _irreducible(f) and exactalg.galois_certificate(f) == shape:
+            return [f] + linear(rank - degree)
+    raise AssertionError(f"no {shape} block in 1000 draws")
+
+
+def _frame_records() -> list[tuple[str, KnotRecord]]:
+    """(shape, record): the corpus, then two seeded companion maps of each
+    shape at each of its ranks, 2-6."""
+    rng = random.Random(151)
+    runs = [("corpus", entry.record) for entry in corpus_entries()]
+    for shape, ranks in FRAME_RANKS.items():
+        for rank in ranks:
+            for i in range(2):
+                blocks = _frame_blocks(rng, shape, rank)
+                runs.append((shape, KnotRecord(f"{shape}-{rank}-{i}", companion_map(blocks), True)))
+    return runs
+
+
+def _framed_levels(record: KnotRecord) -> list[int]:
+    """The levels 2 and 3 of degree <= 100 at the record's rank."""
+    return [lv for lv in _deepest_levels(record) if lv >= 2]
+
+
+class TestFrames:
+    """Levels 2 and 3 read off the eigenvalue classes of char(M), on the
+    corpus and on maps of every shape the frames take, ranks 2-6."""
+
+    def test_the_class_product_is_the_level_polynomial(self):
+        framed = Counter()
+        for shape, record in _frame_records():
+            m = abelianized(record.phi)
+            blocks = [(f.poly, f.multiplicity) for f in factor_over_Q(char_poly(m)).factors]
+            levels = _framed_levels(record)
+            factors = lcs.level_factors(blocks, [lv + 1 for lv in levels])
+            assert sorted(factors) == [lv + 1 for lv in levels], record.name
+            for k, found in factors.items():
+                assert math.prod((q ** e for q, e in found.items()), start=Poly([1])) \
+                    == brandt_level_char_poly(m, k), (record.name, k)
+                framed[shape] += 1
+        assert set(framed) == {"corpus", *FRAME_RANKS} and min(framed.values()) >= 6, framed
+
+    def test_reports_of_the_general_route_with_no_division(self, monkeypatch):
+        runs = _frame_records()
+        counts = Counter()
+
+        def counting(name, fn):
+            return lambda *args: counts.update([name]) or fn(*args)
+
+        monkeypatch.setattr(Poly, "div_z", counting("div_z", Poly.div_z))
+        for name in ("squarefree_decomposition", "_factor_squarefree"):
+            monkeypatch.setattr(exactalg, name, counting(name, getattr(exactalg, name)))
+        pieces = []
+        level_pieces = verdict.level_pieces
+        monkeypatch.setattr(verdict, "level_pieces",
+                            lambda blocks, k: pieces.append(k) or level_pieces(blocks, k))
+        reports = []
+        for _, record in runs:
+            # levels 0 and 1 alone, then with the framed levels: these add
+            # no piece, division, Yun pass or modular factoring
+            analyze(record, max_level=1, max_degree=100)
+            below = Counter(counts)
+            reports.append(analyze(record, max_level=_framed_levels(record)[-1],
+                                   max_degree=100))
+            assert counts == below + below, record.name
+            counts.clear()
+        assert set(pieces) == {2}
+        _frames_off(monkeypatch)
+        for (_, record), report in zip(runs, reports):
+            assert analyze(record, max_level=len(report.levels) - 1,
+                           max_degree=100) == report, record.name
+
+    def test_sample_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for _, record in _frame_records()[::3]:
+            report = analyze(record, max_level=_framed_levels(record)[-1], max_degree=100)
+            for level in report.levels[2:]:
+                _, expected = sympy.Poly(list(reversed(level.factors.input.coeffs)),
+                                         t).factor_list()
+                expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
+                            for f, m in expected]
+                got = [(f.poly.coeffs, f.multiplicity) for f in level.factors.factors]
+                assert sorted(got) == sorted(expected), (record.name, level.level)
+
+    def test_a4_quartics_take_the_orbit_route(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        calls = _count_modular(monkeypatch)
+        runs = [(KnotRecord("a4", companion_map([f]), True), 3) for f in A4_UNIT_QUARTICS]
+        runs += [(KnotRecord("a4r", companion_map([f, Poly([r, 1])]), True), 2)
+                 for f in A4_UNIT_QUARTICS for r in (1, -1)]
+        for record, level in runs:
+            report = analyze(record, max_level=level, max_degree=100)
+            for lv in report.levels:
+                _, expected = sympy.Poly(list(reversed(lv.factors.input.coeffs)), t).factor_list()
+                expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
+                            for f, m in expected]
+                got = [(f.poly.coeffs, f.multiplicity) for f in lv.factors.factors]
+                assert sorted(got) == sorted(expected), (record.phi, lv.level)
+        assert calls == []
+
+    def test_a_wrong_witt_number_changes_a_report(self, monkeypatch):
+        record = knot("6_2")
+        expected = analyze(record, max_level=3, max_degree=100)
+        witt = lcs._witt_vectors
+        monkeypatch.setattr(lcs, "_witt_vectors",
+                            lambda n, k: tuple((a, 2 * w) for a, w in witt(n, k)))
+        assert analyze(record, max_level=3, max_degree=100) != expected
+
+    def test_an_s2_certificate_on_a_cyclotomic_quadratic_is_caught(self, monkeypatch):
+        # x^2 + x + 1 has the roots w, w^2, and l^3 = l'^3 = 1: its "orbit"
+        # of (3, 0) is (x - 1)^2, which has no root counts
+        f = Poly([1, 1, 1])
+        record = KnotRecord("phi3", companion_map([f, Poly([-1, 1])]), True)
+        expected = analyze(record, max_level=3, max_degree=100)
+        _frames_off(monkeypatch)
+        assert analyze(record, max_level=3, max_degree=100) == expected
+        monkeypatch.undo()
+        certificate = exactalg.galois_certificate
+        monkeypatch.setattr(exactalg, "galois_certificate",
+                            lambda g: "S2" if g == f else certificate(g))
+        with pytest.raises(exactalg.NonSquarefreeError):
+            analyze(record, max_level=3, max_degree=100)
 
 
 class TestNoStateAcrossAnalyses:
