@@ -45,11 +45,12 @@ never loads it.  The pieces fit together as
                            q and their multiplicities, with no factoring:
                            the product by Kronecker substitution, root
                            counts from the analysis's record
-    galois_certificate, monomial_orbits
+    galois_certificate, orbit_polynomial
                         -- the group of an irreducible block (S2, S3, S4, A4,
-                           or D4 for a palindromic quartic) and, per Galois
-                           orbit of the monomials of one degree in its roots,
-                           the orbit's minimal polynomial, from power sums
+                           or D4 for a palindromic quartic) and, for one
+                           Galois orbit of the monomials in its roots, keyed
+                           by its exponents, the orbit's minimal polynomial,
+                           from power sums
     cyclotomic          -- Phi_d from the Ramanujan sums, its power sums;
                            cyclotomic_index(f) is d when f = Phi_d
     sturm_count         -- sign variations of a Sturm chain whose entries are
@@ -851,7 +852,7 @@ def _is_square(n: int) -> bool:
 
 def galois_certificate(f: Poly) -> str | None:
     """"S2", "S3", "S4", "A4" or "D4" when the Galois group of an
-    irreducible monic f is certified to be that group, and monomial_orbits
+    irreducible monic f is certified to be that group, and orbit_polynomial
     may read f's monomials off it; else None.  A quadratic's is S2 when it
     is a unit, constant term +-1, and not cyclotomic: its roots l, l' then
     have l^j != l'^j for every j > 0, as |l| = |l'| = 1 would make l a root
@@ -884,52 +885,40 @@ def galois_certificate(f: Poly) -> str | None:
 _ORBIT_PRIME = 2 ** 31 - 1  # the squarefree test of an orbit polynomial
 
 
-def monomial_orbits(f: Poly, degree: int) -> dict[tuple[int, ...], Poly]:
-    """Irreducible polynomials whose roots are the monomials of the given
-    degree in the roots l_1..l_d of an irreducible monic f, one per Galois
-    orbit of monomials, as far as galois_certificate(f) names the group, keyed
-    by the orbit; {} when it names none.  The group acts transitively on an
-    orbit, so an orbit polynomial with distinct roots is the minimal
-    polynomial of each; one that is not squarefree mod _ORBIT_PRIME is left
-    out, as is an S4 orbit that A4 splits.
+def orbit_polynomial(f: Poly, group: str, key: tuple[int, ...]) -> Poly | None:
+    """The irreducible polynomial whose roots are one Galois orbit of
+    monomials in the roots l_1..l_d of an irreducible monic f, group the one
+    galois_certificate(f) names and key the orbit's; None when the orbit
+    polynomial is not squarefree mod _ORBIT_PRIME, or A4 splits the S4 orbit
+    of key.  The group acts transitively on an orbit, so an orbit polynomial
+    with distinct roots is the minimal polynomial of each.
 
-    Under S_d the orbits are the exponent types, the partitions pi of the
-    degree into at most d parts, the keys, and the j-th power sum of Q_pi is
-    the monomial symmetric function m_pi at l^j (_monomial_terms).  A4 keeps
-    the S4 orbit of an exponent vector with a repeated entry (a transposition
-    fixes it, and S4 = A4 u A4 (1 2)), which every vector of sum <= 5 over 4
-    roots has.  Under S2 the orbit of (a, b), a >= b, is {l^a l'^b, l^b l'^a}
-    with e = l l', so Q is x^2 - e^b p_(a-b)(f) x + e^(a+b) when a > b and
-    x - e^a when a = b, with distinct roots as the certificate says.  Under D4
-    the roots are l^(+-1) and m^(+-1), a monomial is l^A m^B, and the orbit of
-    A >= B >= 0, A > 0, A + B <= degree and of its parity, keyed (A, B), has
-    with q_t = p_(jt)(f) the power sums q_A q_B - q_(A+B) - q_(A-B) (eight
-    roots) when A > B > 0, (q_A^2 - q_(2A) - 4) / 2 (four) when A = B, and q_A
-    (four) when B = 0."""
-    group = galois_certificate(f)
-    if group is None:
-        return {}
+    Under S_d an orbit is an exponent type, keyed by the partition pi of its
+    nonzero exponents, and the j-th power sum of Q_pi is the monomial
+    symmetric function m_pi at l^j (_monomial_terms).  A4 keeps the S4 orbit
+    of an exponent vector with a repeated entry (a transposition fixes it,
+    and S4 = A4 u A4 (1 2)), which every vector of sum <= 5 over 4 roots has.
+    Under S2 the orbit of (a, b), a >= b, is {l^a l'^b, l^b l'^a} with
+    e = l l', so Q is x^2 - e^b p_(a-b)(f) x + e^(a+b) when a > b and x - e^a
+    when a = b, with distinct roots as the certificate says.  Under D4 the
+    roots are l^(+-1) and m^(+-1), a monomial is l^A m^B, and the orbit of
+    A >= B >= 0, A > 0, keyed (A, B), has with q_t = p_(jt)(f) the power
+    sums q_A q_B - q_(A+B) - q_(A-B) (eight roots) when A > B > 0,
+    (q_A^2 - q_(2A) - 4) / 2 (four) when A = B, and q_A (four) when B = 0."""
     if group == "S2":
-        e, p = f.constant, power_sums(f, degree)
-        return {pi: Poly([-e ** a, 1]) if a == b else Poly([e ** (a + b), -e ** b * p[a - b], 1])
-                for pi in _partitions(degree, 2) for a, b in [(pi + (0, 0))[:2]]}
-    if group == "D4":
-        keys = [(a, b) for a in range(1, degree + 1) for b in range(min(a, degree - a) + 1)
-                if (a + b - degree) % 2 == 0]
-        orbit_sums = [_d4_orbit_sum(a, b) for a, b in keys]
-    else:
-        keys = [pi for pi in _partitions(degree, f.degree)
-                if group != "A4" or len(pi) != len(set(pi)) or len(pi) < 3]
-        orbit_sums = [_s_orbit_sum(*_monomial_terms(pi)) for pi in keys]
-    # the 0-th power sum, read off p_0 = d, is the orbit's size
-    sizes = [orbit_sum([f.degree], 0) for orbit_sum in orbit_sums]
-    sums = power_sums(f, degree * max(sizes))
-    out = {}
-    for key, size, orbit_sum in zip(keys, sizes, orbit_sums):
-        q = poly_from_power_sums([orbit_sum(sums, j) for j in range(1, size + 1)])
-        if _gcd_mod(q % _ORBIT_PRIME, q.derivative() % _ORBIT_PRIME, _ORBIT_PRIME).degree == 0:
-            out[key] = q
-    return out
+        a, b = (*key, 0)[:2]
+        e = f.constant
+        return Poly([-e ** a, 1]) if a == b else Poly(
+            [e ** (a + b), -e ** b * power_sums(f, a - b)[-1], 1])
+    if group == "A4" and len(key) >= 3 and len(set(key)) == len(key):
+        return None
+    orbit_sum = _d4_orbit_sum(*key) if group == "D4" else _s_orbit_sum(*_monomial_terms(key))
+    size = orbit_sum([f.degree], 0)  # the 0-th power sum, read off p_0 = d
+    sums = power_sums(f, sum(key) * size)
+    q = poly_from_power_sums([orbit_sum(sums, j) for j in range(1, size + 1)])
+    if _gcd_mod(q % _ORBIT_PRIME, q.derivative() % _ORBIT_PRIME, _ORBIT_PRIME).degree:
+        return None
+    return q
 
 
 def mobius(n: int) -> int:
@@ -986,19 +975,6 @@ def _s_orbit_sum(divisor: int, terms):
     """The j-th power sum of an S_d orbit, m_pi(l^j), from f's power sums."""
     return lambda q, j: sum(coeff * math.prod(q[j * t] for t in key)
                             for key, coeff in terms) // divisor
-
-
-def _partitions(n: int, parts: int, largest: int | None = None):
-    """Partitions of n into at most `parts` parts, each at most largest,
-    parts in decreasing order."""
-    if n == 0:
-        yield ()
-        return
-    if parts == 0:
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - first, parts - 1, first):
-            yield (first, *rest)
 
 
 def _set_partitions(items: tuple):

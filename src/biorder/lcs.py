@@ -43,7 +43,9 @@ class is the order of a root of unity), or when one block f of
 multiplicity 1 has a group that exactalg.galois_certificate names (S2, S3,
 S4, A4, or D4 for a palindromic quartic) beside blocks x - 1 and x + 1
 (the class is a Galois orbit of monomials in f's roots, with the sign the
-x + 1 blocks put on it, and exactalg.monomial_orbits gives its polynomial).
+x + 1 blocks put on it, and exactalg.orbit_polynomial gives its polynomial).
+The analysis reads levels 1-3 this way whenever a frame fits, and builds
+pieces only for the char(M) that fit none.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from functools import cache
 
 from ._record import Record
 from . import exactalg
-from .exactalg import (IntMatrix, Poly, cyclotomic, mobius, monomial_orbits, poly_from_power_sums,
+from .exactalg import (IntMatrix, Poly, cyclotomic, mobius, orbit_polynomial, poly_from_power_sums,
                        power_sums)
 from .freegroup import FreeMap, verify_automorphism
 
@@ -144,7 +146,8 @@ def level_factors(blocks, degrees) -> dict[int, dict[Poly, int]]:
     each k in degrees that the eigenvalue classes of char(M) = prod f^e
     give, blocks the (f, e) pairs of its irreducible monic f; {} when they
     fit neither frame below, and a k whose classes need an orbit that
-    monomial_orbits left out is missing too.
+    orbit_polynomial leaves out is missing too.  Only the orbits that
+    some alpha with W(alpha) > 0 reaches are built, each once.
 
     L_k(M) has the characteristic polynomial of L_k of the diagonal matrix of
     char(M)'s roots l_1..l_n, counted with multiplicity: prod over alpha in
@@ -159,7 +162,7 @@ def level_factors(blocks, degrees) -> dict[int, dict[Poly, int]]:
     B  one f has multiplicity 1 and a group galois_certificate names, the
        others are x - r, r = +-1: l^alpha is s times a monomial in f's
        roots, s the product of the r^(alpha_r), whose Galois orbit is keyed as
-       in monomial_orbits, and q is that orbit's polynomial with its roots
+       in orbit_polynomial, and q is that orbit's polynomial with its roots
        times s; a monomial 1 gives x - s.
     """
     root_class = _root_classes(blocks) if degrees else None
@@ -181,7 +184,7 @@ def level_factors(blocks, degrees) -> dict[int, dict[Poly, int]]:
 
 def _root_classes(blocks):
     """The function alpha -> irreducible polynomial of l^alpha, or None for
-    an orbit monomial_orbits left out, when char(M)'s blocks fit frame A or
+    an orbit orbit_polynomial leaves out, when char(M)'s blocks fit frame A or
     B of level_factors; else None.  The roots of each block f^e take
     f.degree * e consecutive positions of alpha, in the order of blocks."""
     nonlinear = [(f, e) for f, e in blocks if f.degree >= 2]
@@ -210,7 +213,7 @@ def _orbit_classes(blocks, f: Poly, group: str):
         elif g.constant == 1:  # x + 1
             minus += range(start, start + e)
         start += g.degree * e
-    orbits: dict[int, dict] = {}  # monomial_orbits by degree, each built once
+    orbits: dict[tuple, Poly | None] = {}  # orbit_polynomial by key, each built once
     classes: dict[tuple, Poly | None] = {}
 
     def root_class(alpha):
@@ -226,10 +229,9 @@ def _orbit_classes(blocks, f: Poly, group: str):
             if not key:  # the monomial 1
                 q = Poly([-1, 1])
             else:
-                degree = sum(gamma)
-                if degree not in orbits:
-                    orbits[degree] = monomial_orbits(f, degree)
-                q = orbits[degree].get(key)
+                if key not in orbits:
+                    orbits[key] = orbit_polynomial(f, group, key)
+                q = orbits[key]
             classes[key, s] = q if q is None else Poly(
                 a * s ** (q.degree - j) for j, a in enumerate(q.coeffs))
         return classes[key, s]

@@ -5,7 +5,7 @@ free group).  The analyzer checks once that phi is an automorphism (by its
 inverse images, or by folding its images: freegroup.verify_automorphism),
 and takes char(M) of M = abelianized(phi) once, the polynomial of level 0.  Every higher level's
 factors are read from it: off the classes of the monomials in its roots
-at levels 2 and 3 when its blocks fit a frame (see below), else from
+at levels 1-3 when its blocks fit a frame (see below), else from
 lcs.level_pieces (Brandt, Newton), one piece per composition of the
 level's degree over the factor blocks f^e of char(M) that level 0's factor
 report gives, each piece factored on its own.  It counts positive real
@@ -31,7 +31,7 @@ root counts, passed to factor_over_Q at every level: each piece is divided
 by them first, and only what is left is factored and gets root counts:
 one Sturm chain per factor of degree >= 4, while degree <= 3 is read off
 the discriminant and Descartes' rule.  The record is made by analyze and
-dropped with it.  At levels 2 and 3 the factors are often known before any
+dropped with it.  At levels 1-3 the factors are often known before any
 piece is built: when char(M)'s blocks fit a frame of lcs.level_factors
 (every block cyclotomic, or one block with a certified Galois group beside
 x -+ 1 blocks), each level's irreducible factors and multiplicities are
@@ -159,9 +159,9 @@ def analyze(record: KnotRecord, max_level: int = 1,
     levels = [level_report(actions[0], 0, known, [char_poly(m)])]
     char_m = levels[0].factors
     blocks = [(f.poly, f.multiplicity) for f in char_m.factors]
-    # the factors of each level >= 2 (degree k = level + 1) that char(M)'s
+    # the factors of each level >= 1 (degree k = level + 1) that char(M)'s
     # eigenvalue classes give
-    framed = level_factors(blocks, range(3, max_level + 2))
+    framed = level_factors(blocks, range(2, max_level + 2))
     for lv in range(1, max_level + 1):
         if lv + 1 in framed:
             levels.append(level_report(actions[lv], lv, known, factors=framed[lv + 1]))

@@ -1013,7 +1013,8 @@ class TestGaloisCertificate:
         assert min(groups.values()) >= 4, groups
 
     def test_symmetric_orbits_multiply_to_the_symmetric_power(self):
-        # under S_d every monomial of degree c lies in one orbit, so the
+        # under S_d every monomial of degree c lies in one orbit, keyed by
+        # its exponent type, a partition of c into at most d parts, so the
         # orbit polynomials' power sums add up to h_c(l^j), read off
         # char(C^j) of the companion matrix C of f
         rng = random.Random(104)
@@ -1027,10 +1028,12 @@ class TestGaloisCertificate:
         for f in blocks:
             c_matrix = abelianized(companion_map([f]))
             d = f.degree
+            group = exactalg.galois_certificate(f)
             for c in range(1, 5):
-                keyed = exactalg.monomial_orbits(f, c)
-                assert list(keyed) == list(exactalg._partitions(c, d)), (f, c)
-                orbits = list(keyed.values())
+                types = {tuple(sorted(filter(None, v), reverse=True))
+                         for v in itertools.product(range(c + 1), repeat=d) if sum(v) == c}
+                orbits = [exactalg.orbit_polynomial(f, group, pi) for pi in types]
+                assert None not in orbits, (f, c)
                 product = math.prod(orbits[1:], start=orbits[0])
                 assert product.degree == math.comb(c + d - 1, d - 1)
                 power = c_matrix
@@ -1047,15 +1050,15 @@ class TestGaloisCertificate:
                 assert power_sums(product, product.degree)[1:] == sums, (f, c)
                 assert all(len(factor_over_Q(q).factors) == 1 for q in orbits), (f, c)
 
-    def test_an_orbit_with_a_repeated_root_is_left_out(self, monkeypatch):
+    def test_an_orbit_with_a_repeated_root_is_left_out(self):
         # the roots of x^4 + x^3 + x^2 + x + 1 are z, z^2, z^3, z^4, z^5 = 1,
         # and its group is C4; named S4, the orbit of l1 l2 holds
         # z z^4 = z^2 z^3 = 1 twice, so its polynomial (x - 1)^2 f is left
         # out, and that of l1^2 is f itself
         f = Poly([1, 1, 1, 1, 1])
         assert exactalg.galois_certificate(f) is None
-        monkeypatch.setattr(exactalg, "galois_certificate", lambda g: "S4")
-        assert exactalg.monomial_orbits(f, 2) == {(2,): f}
+        assert exactalg.orbit_polynomial(f, "S4", (1, 1)) is None
+        assert exactalg.orbit_polynomial(f, "S4", (2,)) == f
 
     def test_a_wrong_certificate_shows_in_the_report(self, monkeypatch):
         sympy = pytest.importorskip("sympy")

@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 # The bytes of every analysis of the seed-0 census-l1 and deep-l3 rounds,
-# recorded while levels 2 and 3 were still factored from their pieces.
+# recorded while levels 1-3 were still factored from their pieces.
 PINNED = [
     "census-l1 6f8e69e41906a357096fe4a7fff99306bea4d8453947fb0467bad819149e3f08 1004",
     "deep-l3 f3e9b2c6c4b3ceca1de4cbf7d7b01f0dba6704dd406fbce898300cc2960b628b 16",

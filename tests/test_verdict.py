@@ -426,10 +426,10 @@ class TestLevelWork:
         assert products == [record.rank] == [4]
 
     def test_every_level_is_split_by_the_factor_blocks_of_char_m(self, monkeypatch):
-        # levels 2 and 3 of the corpus fit a frame of level_factors (6_2 and
+        # levels 1-3 of the corpus fit a frame of level_factors (6_2 and
         # 7_6 a D4 quartic, the trefoil Phi_6, the figure eight an S2
-        # quadratic), so only level 1 is built in pieces; with the frames
-        # off, every level is
+        # quadratic), so no level is built in pieces; with the frames off,
+        # every level is
         calls = []
         pieces = verdict.level_pieces
         monkeypatch.setattr(verdict, "level_pieces",
@@ -442,13 +442,13 @@ class TestLevelWork:
         for entry in corpus_entries():
             calls.clear()
             split = split_of(analyze(entry.record, max_level=3, max_degree=100))
-            assert calls == [(split, 2)], entry.name
-            assert sorted(frames(split, range(3, 5))) == [3, 4], entry.name
+            assert calls == [], entry.record.name
+            assert sorted(frames(split, range(2, 5))) == [2, 3, 4], entry.record.name
         monkeypatch.setattr(verdict, "level_factors", lambda blocks, degrees: {})
         for entry in corpus_entries():
             calls.clear()
             split = split_of(analyze(entry.record, max_level=3, max_degree=100))
-            assert calls == [(split, 2), (split, 3), (split, 4)], entry.name
+            assert calls == [(split, 2), (split, 3), (split, 4)], entry.record.name
         # T(3, 4): char(M) = Phi_6 Phi_12, two blocks, so level 1 is split too
         calls.clear()
         torus = KnotRecord("T(3,4)", torus_monodromy(3, 4), True)
@@ -649,10 +649,10 @@ def _deepest_levels(record: KnotRecord) -> list[int]:
 
 
 class TestOrbitRoute:
-    """At levels 2 and 3, a char(M) with one block f of degree >= 2, of
+    """At levels 1-3, a char(M) with one block f of degree >= 2, of
     multiplicity 1, beside x -+ 1 blocks, whose group galois_certificate
     names, is factored off the Galois orbits of the monomials in f's roots:
-    no modular call, no Yun pass past those of level 1, and the reports of
+    no modular call, no Yun pass past those of level 0, and the reports of
     the modular route."""
 
     def test_rank_4_level_3_takes_no_modular_route(self, monkeypatch):
@@ -702,28 +702,34 @@ class TestOrbitRoute:
             got = [(f.poly.coeffs, f.multiplicity) for f in level.factors.factors]
             assert sorted(got) == sorted(expected), level.level
 
-    def test_levels_0_and_1_build_no_orbits(self, monkeypatch):
-        certified, degrees = [], []
-        certificate, orbits = exactalg.galois_certificate, lcs.monomial_orbits
+    def test_level_0_builds_no_orbits(self, monkeypatch):
+        certified, keys = [], []
+        certificate, orbit = exactalg.galois_certificate, lcs.orbit_polynomial
         monkeypatch.setattr(exactalg, "galois_certificate",
                             lambda f: certified.append(f) or certificate(f))
-        monkeypatch.setattr(lcs, "monomial_orbits",
-                            lambda f, degree: degrees.append(degree) or orbits(f, degree))
+        monkeypatch.setattr(lcs, "orbit_polynomial",
+                            lambda f, group, key: keys.append(key) or orbit(f, group, key))
         rng = random.Random(139)
         runs = [(entry.record, 100) for entry in corpus_entries()]
         runs += [(KnotRecord(f"c{i}", random_automorphism(rng, 2 + i % 3, rng.randint(3, 10)),
                              i % 4 != 3), 8) for i in range(100)]
         for record, max_degree in runs:
-            for max_level in (0, 1):
-                analyze(record, max_level=max_level, max_degree=max_degree)
-        assert certified == degrees == []
+            analyze(record, max_level=0, max_degree=max_degree)
+        assert certified == keys == []
+        for record, max_degree in runs:
+            certified.clear()
+            analyze(record, max_level=1, max_degree=max_degree)
+            assert len(certified) <= 1, record.name
+        certified.clear()
+        keys.clear()
         analyze(knot("6_2"), max_level=3, max_degree=100)
-        assert certified and sorted(degrees) == [3, 4]  # each degree built once
+        # one certificate for the analysis, and each orbit built once
+        assert len(certified) == 1 and keys and len(keys) == len(set(keys))
 
     def test_a_quadratic_block_needs_no_orbits(self, monkeypatch):
         # beside x -+ 1 blocks, a quadratic is cyclotomic (frame A) or a unit
         # with group S2, whose orbit {l^a l'^b, l^b l'^a} has the polynomial
-        # x^2 - e^b p_(a-b) x + e^(a+b), e = l l': levels 2 and 3 build no
+        # x^2 - e^b p_(a-b) x + e^(a+b), e = l l': levels 1-3 build no
         # piece, and no level takes the modular route
         rng = random.Random(149)
         calls = _count_modular(monkeypatch)
@@ -740,7 +746,7 @@ class TestOrbitRoute:
             runs.append((record, analyze(record, max_level=_deepest_levels(record)[-1],
                                          max_degree=100)))
         assert calls == []
-        assert pieces and set(pieces) == {2}
+        assert pieces == []
         _frames_off(monkeypatch)
         for record, report in runs[::7]:
             assert analyze(record, max_level=_deepest_levels(record)[-1],
@@ -801,12 +807,12 @@ def _frame_records() -> list[tuple[str, KnotRecord]]:
 
 
 def _framed_levels(record: KnotRecord) -> list[int]:
-    """The levels 2 and 3 of degree <= 100 at the record's rank."""
-    return [lv for lv in _deepest_levels(record) if lv >= 2]
+    """The levels 1-3 of degree <= 100 at the record's rank."""
+    return [lv for lv in _deepest_levels(record) if lv >= 1]
 
 
 class TestFrames:
-    """Levels 2 and 3 read off the eigenvalue classes of char(M), on the
+    """Levels 1-3 read off the eigenvalue classes of char(M), on the
     corpus and on maps of every shape the frames take, ranks 2-6."""
 
     def test_the_class_product_is_the_level_polynomial(self):
@@ -839,15 +845,15 @@ class TestFrames:
                             lambda blocks, k: pieces.append(k) or level_pieces(blocks, k))
         reports = []
         for _, record in runs:
-            # levels 0 and 1 alone, then with the framed levels: these add
-            # no piece, division, Yun pass or modular factoring
-            analyze(record, max_level=1, max_degree=100)
+            # level 0 alone, then with the framed levels: these add no
+            # piece, division, Yun pass or modular factoring
+            analyze(record, max_level=0, max_degree=100)
             below = Counter(counts)
             reports.append(analyze(record, max_level=_framed_levels(record)[-1],
                                    max_degree=100))
             assert counts == below + below, record.name
             counts.clear()
-        assert set(pieces) == {2}
+        assert pieces == []
         _frames_off(monkeypatch)
         for (_, record), report in zip(runs, reports):
             assert analyze(record, max_level=len(report.levels) - 1,
@@ -858,7 +864,7 @@ class TestFrames:
         t = sympy.Symbol("t")
         for _, record in _frame_records()[::3]:
             report = analyze(record, max_level=_framed_levels(record)[-1], max_degree=100)
-            for level in report.levels[2:]:
+            for level in report.levels[1:]:
                 _, expected = sympy.Poly(list(reversed(level.factors.input.coeffs)),
                                          t).factor_list()
                 expected = [(Poly(reversed(f.all_coeffs())).canonical().coeffs, m)
