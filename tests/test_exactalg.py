@@ -1060,6 +1060,19 @@ class TestGaloisCertificate:
         assert exactalg.orbit_polynomial(f, "S4", (1, 1)) is None
         assert exactalg.orbit_polynomial(f, "S4", (2,)) == f
 
+    def test_a4_leaves_out_the_s4_orbits_it_splits(self):
+        # no transposition fixes l1^3 l2^2 l3, so A4 splits its S4 orbit of
+        # 24 monomials into two of 12; the vectors of sum <= 5 over 4 roots
+        # all have a repeated entry, and A4 keeps their S4 orbits whole
+        for f in A4_UNIT_QUARTICS:
+            assert exactalg.galois_certificate(f) == "A4"
+            assert exactalg.orbit_polynomial(f, "A4", (3, 2, 1)) is None
+            whole = exactalg.orbit_polynomial(f, "S4", (3, 2, 1))
+            assert [(g.poly.degree, g.multiplicity) for g in factor_over_Q(whole).factors] \
+                == [(12, 1), (12, 1)], f
+            assert exactalg.orbit_polynomial(f, "A4", (2, 1, 1)) \
+                == exactalg.orbit_polynomial(f, "S4", (2, 1, 1)) is not None
+
     def test_a_wrong_certificate_shows_in_the_report(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
         record = KnotRecord("a3", companion_map([Poly([1, 1]), A3_CUBIC]), True)

@@ -720,11 +720,15 @@ class TestOrbitRoute:
             certified.clear()
             analyze(record, max_level=1, max_degree=max_degree)
             assert len(certified) <= 1, record.name
-        certified.clear()
-        keys.clear()
-        analyze(knot("6_2"), max_level=3, max_degree=100)
-        # one certificate for the analysis, and each orbit built once
-        assert len(certified) == 1 and keys and len(keys) == len(set(keys))
+        # one certificate for the analysis, and each orbit built once, also
+        # where the x + 1 block puts both signs on an orbit
+        s3_beside_minus_1 = KnotRecord("s3", companion_map([Poly([1, 1]), Poly([1, -1, 0, 1])]),
+                                       True)
+        for record in (knot("6_2"), s3_beside_minus_1):
+            certified.clear()
+            keys.clear()
+            analyze(record, max_level=3, max_degree=100)
+            assert len(certified) == 1 and keys and len(keys) == len(set(keys)), record.name
 
     def test_a_quadratic_block_needs_no_orbits(self, monkeypatch):
         # beside x -+ 1 blocks, a quadratic is cyclotomic (frame A) or a unit
